@@ -5,7 +5,7 @@
   report findings by stable code.  Exits 1 when any *blocking* finding
   (severity above NOTE) survives, or when ``--min`` artifacts were not
   audited — so a CI lane cannot silently pass against an empty cache.
-* ``lint``: run the project's AST lint (A101-A104) over source trees;
+* ``lint``: run the project's AST lint (A101-A103) over source trees;
   exits 1 on any finding.
 """
 
@@ -113,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
         help="fail unless at least this many artifacts were audited",
     )
 
-    lint = sub.add_parser("lint", help="run the custom AST lint (A101-A104)")
+    lint = sub.add_parser("lint", help="run the custom AST lint (A101-A103)")
     lint.add_argument(
         "paths",
         nargs="*",

@@ -66,6 +66,7 @@ CODES: dict[str, tuple[Severity, str]] = {
         Severity.ERROR,
         "iteration over an unordered set feeding schedules or cache keys",
     ),
+    # Retired with the pass config-field declarations; never reuse.
     "A104": (
         Severity.ERROR,
         "undeclared MachineConfig field read in a declared pass body",

@@ -1,8 +1,8 @@
 """Custom AST lint: project invariants ruff has no rules for.
 
-Three invariants keep this repository's results reproducible, and all
-three live in *how* code is written rather than in any artifact a
-checker could audit after the fact:
+Two invariants keep this repository's results reproducible, and both
+live in *how* code is written rather than in any artifact a checker
+could audit after the fact:
 
 * **A101 / A102** — simulator and scheduler hot paths must be
   deterministic: no unseeded ``random`` calls, no wall-clock reads
@@ -15,11 +15,6 @@ checker could audit after the fact:
   turns into run-to-run schedule or key differences.  Applied to files
   under ``sim/``, ``scheduler/`` and ``pipeline/``; iterate
   ``sorted(...)`` instead.
-* **A104** — a pass registered with a declared ``config_fields``
-  contract must not read undeclared :class:`MachineConfig` fields in
-  its body: the compile cache keys the pass's products on exactly the
-  declared set, so an undeclared read makes cache hits unsound.
-  Applied everywhere.
 
 Waive a finding with a same-line ``# analysis: allow(A103)`` comment
 (comma-separate several codes); every waiver is deliberate and greps.
@@ -29,13 +24,9 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
-from ..machine.config import MachineConfig
 from .diagnostics import Diagnostic
-
-CONFIG_FIELD_NAMES = frozenset(f.name for f in dataclass_fields(MachineConfig))
 
 _ALLOW_RE = re.compile(r"#\s*analysis:\s*allow\(([A-Z0-9,\s]+)\)")
 
@@ -137,39 +128,6 @@ def _iterates_set(iter_node: ast.AST, names: set[str], attrs: set[str]) -> bool:
     return False
 
 
-def _declared_config_fields(decorator: ast.Call):
-    """The literal ``config_fields`` tuple of a ``register_pass`` call.
-
-    Returns the declared names, or ``None`` when absent / not a literal
-    (an undeclared pass may read the whole config).
-    """
-    for kw in decorator.keywords:
-        if kw.arg != "config_fields":
-            continue
-        value = kw.value
-        if isinstance(value, (ast.Tuple, ast.List)) and all(
-            isinstance(e, ast.Constant) and isinstance(e.value, str)
-            for e in value.elts
-        ):
-            return {e.value for e in value.elts}
-        return None
-    return None
-
-
-def _is_register_pass(decorator: ast.AST) -> ast.Call | None:
-    if not isinstance(decorator, ast.Call):
-        return None
-    func = decorator.func
-    name = (
-        func.id
-        if isinstance(func, ast.Name)
-        else func.attr
-        if isinstance(func, ast.Attribute)
-        else None
-    )
-    return decorator if name == "register_pass" else None
-
-
 def lint_source(
     source: str,
     path: str,
@@ -243,42 +201,6 @@ def lint_source(
                         lineno,
                         "iteration over an unordered set; wrap the iterable "
                         "in sorted() to fix the order",
-                    )
-
-        # A104: undeclared config reads in declared pass bodies ----------
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            declared = None
-            for decorator in node.decorator_list:
-                call = _is_register_pass(decorator)
-                if call is not None:
-                    declared = _declared_config_fields(call)
-            if declared is None:
-                continue
-            aliases = {"config"}
-            for inner in ast.walk(node):
-                if isinstance(inner, ast.Assign) and isinstance(
-                    inner.value, ast.Attribute
-                ):
-                    if inner.value.attr == "config":
-                        for target in inner.targets:
-                            if isinstance(target, ast.Name):
-                                aliases.add(target.id)
-            for inner in ast.walk(node):
-                if not (
-                    isinstance(inner, ast.Attribute)
-                    and inner.attr in CONFIG_FIELD_NAMES
-                ):
-                    continue
-                base = inner.value
-                reads_config = (
-                    isinstance(base, ast.Attribute) and base.attr == "config"
-                ) or (isinstance(base, ast.Name) and base.id in aliases)
-                if reads_config and inner.attr not in declared:
-                    emit(
-                        "A104",
-                        inner.lineno,
-                        f"pass body reads MachineConfig.{inner.attr} but its "
-                        f"config_fields declaration omits it",
                     )
     return out
 

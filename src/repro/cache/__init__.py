@@ -10,9 +10,10 @@ directories the pipeline persists — the result store (``ResultCache``,
 * ``ls``     — per-entry listing (size, age, last hit, description);
 * ``gc``     — bound the directories (``--max-bytes``, LRU by last
   hit) and orphan-sweep entries from other code fingerprints;
-* ``verify`` — decode-check every entry, drop the corrupt, migrate
-  legacy result entries to the current schema (exit 1 if anything was
-  corrupt, so CI can assert a restored cache is sound).
+* ``verify`` — decode-check every entry and drop the corrupt,
+  including result entries in any layout or schema other than the
+  current one (exit 1 if anything was corrupt, so CI can assert a
+  restored cache is sound).
 
 The directories default to the names CI persists (``.result-cache``,
 ``.compile-cache``, ``.fuzz-cache``); a missing directory is skipped,
@@ -164,11 +165,7 @@ def cmd_verify(args) -> int:
     for label, cache in open_stores(args):
         report = cache.verify()
         corrupt += len(report.corrupt)
-        migrated = f", migrated {len(report.migrated)}" if report.migrated else ""
-        print(
-            f"{label}: {report.ok} entries ok, "
-            f"{len(report.corrupt)} corrupt removed{migrated}"
-        )
+        print(f"{label}: {report.ok} entries ok, {len(report.corrupt)} corrupt removed")
         if getattr(args, "analyze", False) and label == "compile":
             # Beyond decode soundness: run the static certifier over
             # every artifact that survived verification.
@@ -227,8 +224,9 @@ def main(argv: list[str] | None = None) -> int:
 
     verify = sub.add_parser(
         "verify",
-        help="decode-check every entry; drop corrupt, migrate legacy "
-        "(exit 1 if anything was corrupt)",
+        help="decode-check every entry and drop the corrupt, including "
+        "result entries in an old layout or schema (exit 1 if anything "
+        "was corrupt)",
     )
     verify.add_argument(
         "--analyze",

@@ -240,8 +240,8 @@ def main(argv: list[str] | None = None) -> int:
         compile_stats = get_compile_cache(args.compile_cache_dir).stats
         trailer += (
             f", {compile_stats.compilations} compilations "
-            f"({compile_stats.full_hits + compile_stats.frontend_hits} "
-            f"compile-cache hits, {compile_stats.full_disk_hits} from disk)]"
+            f"({compile_stats.full_hits} compile-cache hits, "
+            f"{compile_stats.full_disk_hits} from disk)]"
         )
     print(trailer, file=sys.stderr)
 

@@ -53,7 +53,7 @@ from .experiments import ExperimentContext, fig5, scheduler_comparison
 
 #: Schema of the emitted summary; bump when the layout changes so
 #: downstream tooling can detect what it is reading.
-BENCH_SCHEMA_VERSION = 1
+BENCH_SCHEMA_VERSION = 2  # v2: no frontend_* compile counters
 
 #: Schema of the BENCH_sim.json throughput record.
 SIM_BENCH_SCHEMA_VERSION = 1
@@ -69,8 +69,6 @@ def _compile_counters(cache_dir: str | None) -> dict:
         "compilations": stats.compilations,
         "full_hits": stats.full_hits,
         "full_disk_hits": stats.full_disk_hits,
-        "frontend_hits": stats.frontend_hits,
-        "frontend_misses": stats.frontend_misses,
     }
 
 

@@ -1,10 +1,16 @@
 """Pipeline subsystem: pass-managed compilation, cached + parallel runs.
 
-Three layers, consumed bottom-up by the rest of the stack:
+Four layers, consumed bottom-up by the rest of the stack:
 
 * **Pass manager** (:mod:`.passes`, :mod:`.artifact`) — the compile flow
   as named, registered passes over a :class:`CompilationArtifact`;
-  ``repro.scheduler.compile_loop`` is now a thin wrapper over it.
+  :func:`scheduler_pipeline` names the full sequence for each scheduler
+  backend.
+* **Compile cache** (:mod:`.compilecache`) — one content-addressed
+  layer ``(loop, MachineConfig, CompileOptions)`` -> pickled
+  ``CompiledLoop``, in memory plus an optional on-disk store; a miss
+  runs the whole pipeline.  ``repro.scheduler.compile_loop`` is a thin
+  wrapper over :func:`compile_cached`.
 * **Result cache** (:mod:`.cache`) — content-addressed
   ``(benchmark, MachineConfig, SimOptions)`` -> :class:`ProgramResult`
   store with an optional on-disk JSON mirror.
@@ -37,11 +43,9 @@ from .cache import (
 from .compilecache import (
     CompileCacheStats,
     CompiledLoopCache,
-    FrontendArtifact,
     compile_cached,
     compile_key,
     drop_compile_cache,
-    frontend_key,
     get_compile_cache,
     loop_fingerprint,
 )
@@ -57,35 +61,27 @@ from .executor import (
 )
 from .manifest import GCReport, ManifestEntry, StoreManifest, VerifyReport
 from .passes import (
-    BACKEND_PIPELINE,
     DEFAULT_PIPELINE,
-    FRONTEND_PIPELINE,
     SCHEDULER_PASSES,
     Pass,
     PassManager,
     available_passes,
-    backend_pipeline,
-    default_pass_manager,
-    frontend_config_fields,
     get_pass,
     make_policy,
     register_pass,
     register_scheduler,
-    traced_config,
+    scheduler_pipeline,
 )
 from .session import Session
 
 __all__ = [
-    "BACKEND_PIPELINE",
     "DEFAULT_PIPELINE",
-    "FRONTEND_PIPELINE",
     "RESULT_SCHEMA_VERSION",
     "SCHEDULER_PASSES",
     "CompilationArtifact",
     "CompileCacheStats",
     "CompileOptions",
     "CompiledLoopCache",
-    "FrontendArtifact",
     "GCReport",
     "KeyedFileStore",
     "ManifestEntry",
@@ -103,13 +99,11 @@ __all__ = [
     "StoreManifest",
     "VerifyReport",
     "available_passes",
-    "backend_pipeline",
     "cache_key",
     "code_fingerprint",
     "compile_cached",
     "compile_key",
     "decode_result",
-    "default_pass_manager",
     "describe_config",
     "describe_options",
     "describe_request",
@@ -117,8 +111,6 @@ __all__ = [
     "drop_compile_cache",
     "encode_result",
     "execute_request",
-    "frontend_config_fields",
-    "frontend_key",
     "get_compile_cache",
     "get_pass",
     "loop_fingerprint",
@@ -128,6 +120,6 @@ __all__ = [
     "register_scheduler",
     "result_fingerprint",
     "result_schema_digest",
+    "scheduler_pipeline",
     "shared_executor",
-    "traced_config",
 ]

@@ -26,13 +26,7 @@ from pathlib import Path
 from ..machine.config import MachineConfig
 from ..sim.runner import SimOptions
 from ..sim.stats import ProgramResult
-from .manifest import (
-    LEGACY_FINGERPRINT,
-    GCReport,
-    StoreManifest,
-    VerifyReport,
-    _is_key,
-)
+from .manifest import GCReport, ManifestEntry, StoreManifest, VerifyReport, _is_key
 
 
 def _canonical(value):
@@ -391,15 +385,8 @@ class KeyedFileStore:
         report.bytes_after = sum(e.size for e in remaining.values())
         return report
 
-    def verify(self, *, migrate=None) -> VerifyReport:
-        """Decode every entry; drop the corrupt, optionally migrate.
-
-        ``migrate`` is an optional ``bytes -> bytes | None`` hook: given
-        a *valid* entry's raw bytes it returns replacement bytes (the
-        entry is rewritten atomically) or ``None`` (already current).
-        The result store uses it to upgrade legacy un-versioned entries
-        into the current schema envelope.
-        """
+    def verify(self) -> VerifyReport:
+        """Decode every entry; drop the corrupt."""
         report = VerifyReport(path=str(self.path))
         for file in sorted(self.path.glob(f"*{self.suffix}")):
             if not _is_key(file.stem):
@@ -417,32 +404,8 @@ class KeyedFileStore:
                     pass
                 self.manifest.forget(file.stem)
                 report.corrupt.append(file.stem)
-                continue
-            if migrate is not None:
-                upgraded = migrate(data)
-                if upgraded is not None:
-                    tmp = self.path / f".{file.stem}.{os.getpid()}.tmp"
-                    try:
-                        tmp.write_bytes(upgraded)
-                        tmp.replace(file)
-                    except OSError:
-                        try:
-                            tmp.unlink(missing_ok=True)
-                        except OSError:
-                            pass
-                    else:
-                        report.migrated.append(file.stem)
-                        # A legacy entry was provably written by older
-                        # code: its key (which mixes that fingerprint)
-                        # is unreachable from the current build.  Mark
-                        # it so the orphan sweep may reclaim it instead
-                        # of letting dead data occupy the size budget.
-                        self.manifest.record(
-                            file.stem,
-                            size=len(upgraded),
-                            fingerprint=LEGACY_FINGERPRINT,
-                        )
-            report.ok += 1
+            else:
+                report.ok += 1
         self.manifest.rewrite()
         return report
 
@@ -587,18 +550,17 @@ class ShardedKeyedFileStore:
             report.orphans.extend(sub.orphans)
         return report
 
-    def verify(self, *, migrate=None) -> VerifyReport:
+    def verify(self) -> VerifyReport:
         report = VerifyReport(path=str(self.path))
         for store in self.shard_stores():
-            sub = store.verify(migrate=migrate)
+            sub = store.verify()
             report.ok += sub.ok
             report.corrupt.extend(sub.corrupt)
-            report.migrated.extend(sub.migrated)
         return report
 
 
 def _encode_result_bytes(result: ProgramResult) -> bytes:
-    """Current (v2) layout: a versioned envelope around the stat fields."""
+    """The versioned envelope around the stat fields."""
     envelope = {
         "schema": RESULT_SCHEMA_VERSION,
         "fingerprint": code_fingerprint(),
@@ -608,39 +570,18 @@ def _encode_result_bytes(result: ProgramResult) -> bytes:
 
 
 def _decode_result_bytes(data: bytes) -> ProgramResult:
+    """Decode one envelope; any other layout or schema raises (a miss)."""
     payload = json.loads(data.decode())
-    if isinstance(payload, dict) and "schema" in payload:
-        if payload["schema"] != RESULT_SCHEMA_VERSION:
-            raise ValueError(
-                f"result entry has schema {payload['schema']!r}, "
-                f"this code reads {RESULT_SCHEMA_VERSION}"
-            )
-        decoded = decode_result(payload["result"])
-    else:
-        # Legacy (v1) entry: the bare encode_result payload, un-versioned.
-        # Still decodable — verify/migrate rewrites it into the envelope.
-        decoded = decode_result(payload)
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != RESULT_SCHEMA_VERSION:
+        raise ValueError(
+            f"result entry has schema {schema!r}, this code reads "
+            f"{RESULT_SCHEMA_VERSION}"
+        )
+    decoded = decode_result(payload["result"])
     if not isinstance(decoded, ProgramResult):
         raise ValueError("result entry does not decode to a ProgramResult")
     return decoded
-
-
-def _migrate_result_bytes(data: bytes) -> bytes | None:
-    """Verify hook: rewrap a legacy (v1) entry in the current envelope.
-
-    The payload is preserved as-is (verify decode-validated it first);
-    the envelope's fingerprint stays null — the original writer's
-    identity is unknown, only provably *not current*.
-    """
-    payload = json.loads(data.decode())
-    if isinstance(payload, dict) and "schema" in payload:
-        return None  # already enveloped
-    envelope = {
-        "schema": RESULT_SCHEMA_VERSION,
-        "fingerprint": None,
-        "result": payload,
-    }
-    return json.dumps(envelope, sort_keys=True).encode()
 
 
 class ResultCache:
@@ -721,7 +662,7 @@ class ResultCache:
         return self._store.gc(**kwargs)
 
     def verify(self) -> VerifyReport:
-        """Decode-check every disk entry, migrating legacy layouts."""
+        """Decode-check every disk entry, dropping the corrupt."""
         if self._store is None:
             return VerifyReport()
-        return self._store.verify(migrate=_migrate_result_bytes)
+        return self._store.verify()

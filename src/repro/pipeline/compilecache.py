@@ -2,31 +2,29 @@
 
 Compilation is deterministic: one ``(loop, MachineConfig,
 CompileOptions)`` triple always produces the same ``CompiledLoop``.
-Multi-architecture sweeps therefore recompile identical inputs dozens of
-times — Figure 5 alone compiles every loop once per L0 size even though
-the sizes only differ in the *backend* of the pipeline.  This module
-memoises at both granularities:
+Multi-architecture sweeps and repeated runs therefore recompile
+identical inputs many times.  This module memoises each full artifact
+under a content hash of the whole triple (plus the code fingerprint),
+with the same in-memory + optional on-disk layout as
+:class:`~repro.pipeline.cache.ResultCache` (one file per key, atomic
+writes, corrupt entry == miss).  The disk store uses pickle: a
+``CompiledLoop`` is a closed graph of plain dataclasses and round-trips
+exactly.
 
-* **Full artifacts** — ``CompiledLoop`` keyed by a content hash of the
-  whole triple (plus the code fingerprint), with the same in-memory +
-  optional on-disk layout as :class:`~repro.pipeline.cache.ResultCache`
-  (one file per key, atomic writes, corrupt entry == miss).  The disk
-  store uses pickle: a ``CompiledLoop`` is a closed graph of plain
-  dataclasses and round-trips exactly.
-* **Frontend artifacts** — the products of the architecture-agnostic
-  prefix of the pipeline (``select-unroll`` … ``build-ddg``), keyed only
-  by the loop, the *core* machine parameters those passes read, and the
-  forced unroll factor.  Configs differing in backend parameters (L0
-  size, bus counts, distributed-L1 latencies, …) share one entry, so a
-  Figure-5 sweep runs the unroll/memdep/DDG stages once per loop, not
-  once per L0 size.
+A miss runs the scheduler's whole pass pipeline, the
+architecture-neutral unroll/memdep/DDG frontend included, even though
+configs that differ only in the memory system (Figure 5's L0 sizes)
+yield the same frontend products.  Sharing those is not worth a second
+cache layer: on a cold serial Figure-5 sweep (2-core Linux box, Python
+3.11) the 46 distinct frontend runs take 0.065 s and all 230 take
+0.35 s, so sharing saves ~0.3 s (about 2%) of a ~17 s run.
 
-Both layers store *pickled bytes*, not live objects: every hit
-deserialises a private object graph, so callers may freely mutate what
-they get back (the schedule-validation tests deliberately corrupt
-schedules) without poisoning the cache.  A round-trip costs a fraction
-of a backend schedule.  ``cache.stats`` counts hits/misses at both
-layers so tests can assert "a repeated sweep recompiles nothing".
+Entries are *pickled bytes*, not live objects: every hit deserialises a
+private object graph, so callers may freely mutate what they get back
+(the schedule-validation tests deliberately corrupt schedules) without
+poisoning the cache.  A round-trip costs a fraction of a backend
+schedule.  ``cache.stats`` counts hits and misses so tests can assert
+"a repeated sweep recompiles nothing".
 """
 
 from __future__ import annotations
@@ -34,14 +32,12 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from ..ir.ddg import DDG
 from ..ir.loop import Loop
-from ..ir.memdep import MemDepInfo
 from ..machine.config import MachineConfig
-from .artifact import CompilationArtifact, CompileOptions
+from .artifact import CompileOptions
 from .cache import (
     KeyedFileStore,
     _canonical,
@@ -50,7 +46,7 @@ from .cache import (
     describe_options,
 )
 from .manifest import GCReport, VerifyReport
-from .passes import frontend_config_fields
+from .passes import PassManager, scheduler_pipeline
 
 
 def loop_fingerprint(loop: Loop) -> dict:
@@ -75,47 +71,12 @@ def compile_key(loop: Loop, config: MachineConfig, options: CompileOptions) -> s
     )
 
 
-def frontend_key(loop: Loop, config: MachineConfig, options: CompileOptions) -> str:
-    """Content hash of the inputs the frontend passes actually consume.
-
-    The config projection is *derived* from the frontend passes' own
-    ``config_fields`` declarations (union via
-    :func:`repro.pipeline.passes.frontend_config_fields`), so a pass
-    cannot silently read an unkeyed field: an undeclared read is caught
-    by the tracing guard test, and a declared one widens this key
-    automatically.
-    """
-    return _digest(
-        {
-            "code": code_fingerprint(),
-            "loop": loop_fingerprint(loop),
-            "config": {
-                name: _canonical(getattr(config, name))
-                for name in frontend_config_fields()
-            },
-            "unroll_factor": options.unroll_factor,
-        }
-    )
-
-
-@dataclass(frozen=True)
-class FrontendArtifact:
-    """Products of the architecture-agnostic pipeline prefix."""
-
-    unroll_factor: int
-    body: Loop
-    dep_info: MemDepInfo
-    ddg: DDG
-
-
 @dataclass
 class CompileCacheStats:
-    """Hit/miss counters at both cache granularities."""
+    """Hit/miss counters of the compile cache."""
 
     full_hits: int = 0
     full_misses: int = 0
-    frontend_hits: int = 0
-    frontend_misses: int = 0
     #: Subset of ``full_hits`` served from the on-disk store (a disk hit
     #: also records recency in the store manifest — the LRU signal).
     full_disk_hits: int = 0
@@ -127,14 +88,25 @@ class CompileCacheStats:
 
     @property
     def compilations(self) -> int:
-        """Backend compilations performed (== full misses)."""
+        """Compilations performed (== full misses)."""
+        return self.full_misses
+
+    # Read-only views kept for perfbench/layers.py, whose traced runs
+    # report them: nothing shares frontend products any more, so every
+    # miss runs the frontend and no compile is a frontend hit.
+    @property
+    def frontend_hits(self) -> int:
+        return 0
+
+    @property
+    def frontend_misses(self) -> int:
         return self.full_misses
 
 
 def _probed_pickle(data: bytes) -> bytes:
     """Disk decode for the artifact store: probe, then keep the bytes.
 
-    The in-memory layer stores pickled bytes (each hit deserialises a
+    The in-memory map stores pickled bytes (each hit deserialises a
     private copy), so disk entries stay as bytes too; the probe load
     makes a torn write raise — and therefore count as a miss — at read
     time instead of at first use.
@@ -150,14 +122,11 @@ class CompiledLoopCache:
     shared :class:`~repro.pipeline.cache.KeyedFileStore`): memory first,
     one ``<key>.pkl`` file per full artifact under ``path``, atomic
     per-process tmp writes, and a torn/corrupt/vanished entry is a
-    miss, never a crash.  Frontend artifacts stay in-memory only —
-    their value is intra-sweep sharing, and they are cheap relative to
-    the backend schedule they feed.
+    miss, never a crash.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
         self._artifacts: dict[str, bytes] = {}
-        self._frontends: dict[str, bytes] = {}
         self.stats = CompileCacheStats()
         self.path = Path(path) if path is not None else None
         self._store = (
@@ -165,8 +134,6 @@ class CompiledLoopCache:
             if path is not None
             else None
         )
-
-    # -- full artifacts -------------------------------------------------
 
     def get(self, key: str):
         blob = self._artifacts.get(key)
@@ -185,15 +152,6 @@ class CompiledLoopCache:
         if self._store is not None:
             self._store.save(key, blob, description=description)
 
-    # -- frontend artifacts ---------------------------------------------
-
-    def get_frontend(self, key: str) -> FrontendArtifact | None:
-        blob = self._frontends.get(key)
-        return None if blob is None else pickle.loads(blob)
-
-    def put_frontend(self, key: str, front: FrontendArtifact) -> None:
-        self._frontends[key] = pickle.dumps(front)
-
     # -- maintenance ----------------------------------------------------
 
     @property
@@ -203,7 +161,6 @@ class CompiledLoopCache:
     def clear(self) -> None:
         """Drop all entries — only files this cache wrote."""
         self._artifacts.clear()
-        self._frontends.clear()
         if self._store is not None:
             self._store.clear()
 
@@ -232,21 +189,18 @@ def compile_cached(
 ):
     """Compile a loop through the cache (the hot compile path).
 
-    Consults the full-artifact layer first; on a miss, reuses (or
-    produces) the shared frontend artifact, then runs only the backend
-    passes.  Returns the legacy ``CompiledLoop``.
+    A hit deserialises the stored artifact; a miss runs the full pass
+    pipeline of ``options.scheduler`` and stores the result.  Returns
+    the ``CompiledLoop``.
     """
-    from .passes import FRONTEND_PIPELINE, backend_pipeline
-
     options = options or CompileOptions()
-    backend_pipeline(options.scheduler)  # fail fast on unknown schedulers
+    passes = scheduler_pipeline(options.scheduler)  # raises for unknown schedulers
     cache = cache if cache is not None else get_compile_cache(None)
 
     # A wall-clock search budget makes the exact backend's output depend
     # on machine load: such artifacts must never be served to (or from)
-    # other runs, so the full-artifact layer is bypassed entirely.  The
-    # frontend products stay cacheable — they are deterministic — and so
-    # is the SMS backend, which never reads the knob.
+    # other runs, so the cache is bypassed entirely.  The SMS backend
+    # never reads the knob and stays cacheable.
     cacheable = options.exact_time_budget_s is None or options.scheduler == "sms"
 
     key = compile_key(loop, config, options)
@@ -256,34 +210,7 @@ def compile_cached(
         return compiled
     cache.stats.full_misses += 1
 
-    artifact = CompilationArtifact(loop=loop, config=config, options=options)
-    fkey = frontend_key(loop, config, options)
-    front = cache.get_frontend(fkey)
-    if front is not None:
-        cache.stats.frontend_hits += 1
-        artifact.unroll_factor = front.unroll_factor
-        artifact.body = front.body
-        artifact.dep_info = front.dep_info
-        artifact.ddg = front.ddg
-        artifact.trace.extend(FRONTEND_PIPELINE)
-    else:
-        cache.stats.frontend_misses += 1
-        _frontend_manager().resume(artifact)
-        assert artifact.unroll_factor is not None
-        assert artifact.body is not None
-        assert artifact.dep_info is not None
-        assert artifact.ddg is not None
-        cache.put_frontend(
-            fkey,
-            FrontendArtifact(
-                unroll_factor=artifact.unroll_factor,
-                body=artifact.body,
-                dep_info=artifact.dep_info,
-                ddg=artifact.ddg,
-            ),
-        )
-    _backend_manager(options.scheduler).resume(artifact)
-    compiled = artifact.compiled()
+    compiled = PassManager(passes).run(loop, config, options).compiled()
     # Flatten the simulator's fast-path event trace now so it rides the
     # cached (and persisted) artifact: warm runs — in-memory or from
     # disk — skip both scheduling *and* trace compilation.
@@ -308,35 +235,6 @@ def compile_cached(
             },
         )
     return compiled
-
-
-_FRONTEND_MANAGER: "PassManager | None" = None  # noqa: F821
-#: One backend manager per scheduler backend (sms / exact / plug-ins):
-#: the frontend is scheduler-agnostic, so every backend resumes over the
-#: same shared frontend artifacts.
-_BACKEND_MANAGERS: dict[str, "PassManager"] = {}  # noqa: F821
-
-
-def _frontend_manager():
-    global _FRONTEND_MANAGER
-    if _FRONTEND_MANAGER is None:
-        from .passes import FRONTEND_PIPELINE, PassManager
-
-        _FRONTEND_MANAGER = PassManager(FRONTEND_PIPELINE)
-    return _FRONTEND_MANAGER
-
-
-def _backend_manager(scheduler: str = "sms"):
-    manager = _BACKEND_MANAGERS.get(scheduler)
-    if manager is None:
-        from .passes import PassManager, backend_pipeline
-
-        manager = PassManager(
-            backend_pipeline(scheduler),
-            assume=("unroll_factor", "body", "dep_info", "ddg"),
-        )
-        _BACKEND_MANAGERS[scheduler] = manager
-    return manager
 
 
 #: Process-wide cache instances, one per directory (None == memory-only).

@@ -38,12 +38,6 @@ from pathlib import Path
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA_VERSION = 1
 
-#: Sentinel fingerprint for entries rewritten from a pre-manifest
-#: layout by ``verify``: provably *not* authored by the current code
-#: (their bytes predate the envelope), so — unlike entries whose
-#: authorship is merely unknown — the orphan sweep may reclaim them.
-LEGACY_FINGERPRINT = "pre-manifest"
-
 #: Updates (new entries and recency hits alike) are buffered and folded
 #: in every N operations — plus at every gc/verify/clear coordination
 #: point, on explicit ``flush()``, and at interpreter exit — so a hot
@@ -123,8 +117,6 @@ class VerifyReport:
     ok: int = 0
     #: keys whose file failed to decode and was dropped
     corrupt: list[str] = field(default_factory=list)
-    #: keys rewritten from a legacy layout to the current schema
-    migrated: list[str] = field(default_factory=list)
 
 
 def _is_key(stem: str) -> bool:

@@ -20,9 +20,7 @@ requires a product no earlier pass provides raises
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from dataclasses import fields as dataclass_fields
 from typing import Callable, Iterable, Sequence
 
 from ..ir import memdep
@@ -32,9 +30,6 @@ from ..ir.unroll import unroll
 from ..machine.config import ArchKind, MachineConfig
 from .artifact import CompilationArtifact, CompileOptions, PassOrderError, PipelineError
 
-#: Every attribute a pass may declare in ``config_fields``.
-CONFIG_FIELD_NAMES = frozenset(f.name for f in dataclass_fields(MachineConfig))
-
 
 @dataclass(frozen=True)
 class Pass:
@@ -42,21 +37,12 @@ class Pass:
 
     ``requires``/``provides`` name artifact product fields; they drive
     the static ordering validation in :class:`PassManager`.
-
-    ``config_fields`` declares which :class:`MachineConfig` attributes
-    the pass reads — its *config dependency set*.  ``None`` means
-    undeclared (the pass may read anything; its outputs can only be
-    cached under a key covering the whole config).  A declared tuple is
-    a contract: the compile cache keys the pass's products on exactly
-    those fields, and the test suite runs every declared pass against a
-    read-tracing config to catch an undeclared access.
     """
 
     name: str
     run: Callable[[CompilationArtifact], None]
     requires: tuple[str, ...] = ()
     provides: tuple[str, ...] = ()
-    config_fields: tuple[str, ...] | None = None
 
     def __call__(self, artifact: CompilationArtifact) -> None:
         artifact.require(self.name, *self.requires)
@@ -72,7 +58,6 @@ def register_pass(
     *,
     requires: Iterable[str] = (),
     provides: Iterable[str] = (),
-    config_fields: Iterable[str] | None = None,
 ) -> Callable[[Callable[[CompilationArtifact], None]], Pass]:
     """Decorator: register ``fn`` as a named pass in the global registry."""
     known = set(CompilationArtifact.product_fields())
@@ -81,13 +66,6 @@ def register_pass(
         raise PipelineError(
             f"pass {name!r} names unknown artifact fields {sorted(bad)}"
         )
-    if config_fields is not None:
-        unknown = set(config_fields) - CONFIG_FIELD_NAMES
-        if unknown:
-            raise PipelineError(
-                f"pass {name!r} declares unknown config fields {sorted(unknown)}"
-            )
-        config_fields = tuple(sorted(config_fields))
 
     def decorate(fn: Callable[[CompilationArtifact], None]) -> Pass:
         if name in _REGISTRY:
@@ -97,7 +75,6 @@ def register_pass(
             run=fn,
             requires=tuple(requires),
             provides=tuple(provides),
-            config_fields=config_fields,
         )
         _REGISTRY[name] = p
         return p
@@ -123,21 +100,7 @@ def available_passes() -> tuple[str, ...]:
 # ----------------------------------------------------------------------
 
 
-@register_pass(
-    "select-unroll",
-    provides=("unroll_factor",),
-    # The static compute-time estimate = max(resource MII, recurrence
-    # MII): FU mix x cluster count, op latencies, and the L1 load
-    # latency every load is charged in the architecture-neutral DDG.
-    config_fields=(
-        "n_clusters",
-        "int_units_per_cluster",
-        "mem_units_per_cluster",
-        "fp_units_per_cluster",
-        "l1_latency",
-        "op_latencies",
-    ),
-)
+@register_pass("select-unroll", provides=("unroll_factor",))
 def _select_unroll(artifact: CompilationArtifact) -> None:
     """Step 1: pick 1 or N via the static compute-time estimate."""
     from ..scheduler.driver import choose_unroll_factor
@@ -150,28 +113,17 @@ def _select_unroll(artifact: CompilationArtifact) -> None:
     )
 
 
-@register_pass(
-    "apply-unroll", requires=("unroll_factor",), provides=("body",), config_fields=()
-)
+@register_pass("apply-unroll", requires=("unroll_factor",), provides=("body",))
 def _apply_unroll(artifact: CompilationArtifact) -> None:
     artifact.body = unroll(artifact.loop, artifact.unroll_factor)
 
 
-@register_pass(
-    "mem-disambiguation", requires=("body",), provides=("dep_info",), config_fields=()
-)
+@register_pass("mem-disambiguation", requires=("body",), provides=("dep_info",))
 def _mem_disambiguation(artifact: CompilationArtifact) -> None:
     artifact.dep_info = memdep.analyze(artifact.body)
 
 
-@register_pass(
-    "build-ddg",
-    requires=("body", "dep_info"),
-    provides=("ddg",),
-    # Fixed producer latencies for non-load ops; load latencies stay
-    # symbolic in the DDG (resolved by the backend against L0/L1).
-    config_fields=("op_latencies",),
-)
+@register_pass("build-ddg", requires=("body", "dep_info"), provides=("ddg",))
 def _build_ddg(artifact: CompilationArtifact) -> None:
     artifact.ddg = build_ddg(artifact.body, artifact.config, artifact.dep_info)
 
@@ -196,7 +148,7 @@ def _modulo_schedule(artifact: CompilationArtifact) -> None:
     if SCHEDULER_PASSES.get(requested, "modulo-schedule") != "modulo-schedule":
         raise PipelineError(
             f"options request scheduler {requested!r} but this pipeline runs "
-            "'modulo-schedule'; build the pipeline via backend_pipeline"
+            "'modulo-schedule'; build the pipeline via scheduler_pipeline"
             f"({requested!r}) or compile through compile_cached/compile_loop"
         )
     engine = ClusterScheduler(artifact.ddg, artifact.config, artifact.policy)
@@ -276,72 +228,6 @@ DEFAULT_PIPELINE: tuple[str, ...] = (
     "modulo-schedule",
 )
 
-#: The architecture-agnostic prefix of the flow: unroll choice through
-#: DDG construction.  These stages read only the core parameters of the
-#: machine (cluster count, FU mix, op/L1 latencies), never the memory
-#: subsystem, which is what lets the compile cache share their products
-#: across every L0 size of a Figure-5 sweep.
-FRONTEND_PIPELINE: tuple[str, ...] = DEFAULT_PIPELINE[:4]
-
-#: The architecture-specific suffix: policy selection + modulo
-#: scheduling (where L0 candidate assignment happens).
-BACKEND_PIPELINE: tuple[str, ...] = DEFAULT_PIPELINE[4:]
-
-
-@functools.lru_cache(maxsize=1)
-def frontend_config_fields() -> tuple[str, ...]:
-    """The frontend's config dependency set, derived from the passes.
-
-    The union of every :data:`FRONTEND_PIPELINE` pass's declared
-    ``config_fields`` — this is what the compile cache keys shared
-    frontend artifacts on.  Derivation replaces the old hand-maintained
-    ``FRONTEND_CONFIG_FIELDS`` tuple: a new frontend pass (or a new
-    config read in an existing one) must *declare* its dependencies, or
-    it cannot join the frontend at all.  Cached: the pipeline tuple is
-    fixed and registered passes are immutable, so the union cannot
-    change after import (and ``frontend_key`` calls this per compile).
-    """
-    fields_ = PassManager(FRONTEND_PIPELINE).config_fields
-    if fields_ is None:
-        undeclared = [
-            name for name in FRONTEND_PIPELINE if get_pass(name).config_fields is None
-        ]
-        raise PipelineError(
-            f"frontend passes {undeclared} do not declare config_fields; "
-            "every frontend pass must, so the shared frontend cache key "
-            "can cover exactly what the prefix reads"
-        )
-    return fields_
-
-
-class _TracingConfig(MachineConfig):
-    """A MachineConfig clone that records every field read.
-
-    Built by :func:`traced_config`; the test suite compiles through one
-    of these to prove each pass's declared ``config_fields`` covers
-    every attribute it actually touches (reads made via properties and
-    helper methods like ``latency_of`` resolve to field accesses and
-    are captured too).
-    """
-
-    def __getattribute__(self, name: str):
-        if name in CONFIG_FIELD_NAMES:
-            try:
-                object.__getattribute__(self, "_accessed").add(name)
-            except AttributeError:
-                pass  # during __init__/__post_init__, before attachment
-        return object.__getattribute__(self, name)
-
-
-def traced_config(config: MachineConfig) -> tuple[MachineConfig, set[str]]:
-    """A functional clone of ``config`` plus a live set of fields read."""
-    clone = _TracingConfig(
-        **{f.name: getattr(config, f.name) for f in dataclass_fields(MachineConfig)}
-    )
-    accessed: set[str] = set()
-    object.__setattr__(clone, "_accessed", accessed)  # frozen dataclass
-    return clone, accessed
-
 #: Scheduler backends: ``CompileOptions.scheduler`` value -> the name of
 #: the registered pass that provides ``schedule``.  A third backend
 #: plugs in with ``@register_pass("my-schedule", requires=("ddg",
@@ -366,15 +252,16 @@ def register_scheduler(name: str, pass_name: str) -> None:
     SCHEDULER_PASSES[name] = pass_name
 
 
-def backend_pipeline(scheduler: str = "sms") -> tuple[str, ...]:
-    """The backend pass sequence for one scheduler backend."""
+def scheduler_pipeline(scheduler: str = "sms") -> tuple[str, ...]:
+    """The full pass sequence for one scheduler backend: the paper's
+    flow with that backend's pass in the scheduling slot."""
     try:
         pass_name = SCHEDULER_PASSES[scheduler]
     except KeyError:
         raise PipelineError(
             f"unknown scheduler {scheduler!r}; registered: {sorted(SCHEDULER_PASSES)}"
         ) from None
-    return ("select-policy", pass_name)
+    return DEFAULT_PIPELINE[:-1] + (pass_name,)
 
 
 class PassManager:
@@ -382,27 +269,18 @@ class PassManager:
 
     Accepts pass names (resolved in the registry) or :class:`Pass`
     objects; validates at construction that each pass's ``requires`` is
-    covered by the union of earlier passes' ``provides``.  ``assume``
-    names products an incoming artifact is expected to already carry —
-    it lets a manager holding only the tail of a pipeline (e.g. the
-    backend passes resumed over a cached frontend artifact) validate.
+    covered by the union of earlier passes' ``provides``.
     """
 
-    def __init__(
-        self,
-        passes: Sequence[str | Pass] | None = None,
-        *,
-        assume: Iterable[str] = (),
-    ) -> None:
+    def __init__(self, passes: Sequence[str | Pass] | None = None) -> None:
         chosen = DEFAULT_PIPELINE if passes is None else passes
         self.passes: tuple[Pass, ...] = tuple(
             p if isinstance(p, Pass) else get_pass(p) for p in chosen
         )
-        self.assume = frozenset(assume)
         self._validate()
 
     def _validate(self) -> None:
-        provided: set[str] = set(self.assume)
+        provided: set[str] = set()
         for p in self.passes:
             missing = set(p.requires) - provided
             if missing:
@@ -416,20 +294,6 @@ class PassManager:
     def names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.passes)
 
-    @property
-    def config_fields(self) -> tuple[str, ...] | None:
-        """Union of the passes' declared config dependency sets.
-
-        ``None`` if any pass in the sequence is undeclared — such a
-        sequence's products can only be keyed on the whole config.
-        """
-        out: set[str] = set()
-        for p in self.passes:
-            if p.config_fields is None:
-                return None
-            out.update(p.config_fields)
-        return tuple(sorted(out))
-
     def run(
         self,
         loop: Loop,
@@ -439,26 +303,6 @@ class PassManager:
         artifact = CompilationArtifact(
             loop=loop, config=config, options=options or CompileOptions()
         )
-        return self.resume(artifact)
-
-    def resume(self, artifact: CompilationArtifact) -> CompilationArtifact:
-        """Run this manager's passes over an existing artifact.
-
-        Used to continue a pipeline from a cached prefix: the artifact
-        already carries the products the earlier (skipped) passes would
-        have produced; each pass still checks its own ``requires``.
-        """
         for p in self.passes:
             p(artifact)
         return artifact
-
-
-_DEFAULT_MANAGER: PassManager | None = None
-
-
-def default_pass_manager() -> PassManager:
-    """The shared, pre-validated default pipeline (hot compile path)."""
-    global _DEFAULT_MANAGER
-    if _DEFAULT_MANAGER is None:
-        _DEFAULT_MANAGER = PassManager()
-    return _DEFAULT_MANAGER

@@ -103,10 +103,9 @@ def compile_loop(
     Thin wrapper over the cached pass pipeline
     (:func:`repro.pipeline.compile_cached`): repeated compilations of an
     identical (loop, config, options) triple are served from the
-    process-wide compile cache, and configs differing only in backend
-    parameters share the unroll/memdep/DDG frontend stages.  Build a
-    custom :class:`repro.pipeline.PassManager` to change the flow
-    itself.
+    process-wide compile cache; any other triple runs the scheduler's
+    full pass pipeline.  Build a custom
+    :class:`repro.pipeline.PassManager` to change the flow itself.
     """
     from ..pipeline.artifact import CompileOptions
     from ..pipeline.compilecache import compile_cached

@@ -1,4 +1,4 @@
-"""The custom AST lint (A101-A104): fixtures + repo self-lint.
+"""The custom AST lint (A101-A103): fixtures + repo self-lint.
 
 Each fixture is a minimal source string exercising one rule — the
 violation, the clean counterpart, and the waiver syntax.  The final
@@ -133,39 +133,6 @@ def test_a103_scoped_to_order_sensitive_dirs():
     src = "s = {1, 2}\nout = [x for x in s]\n"
     assert _codes(src, path="pipeline/keys.py") == ["A103"]
     assert _codes(src, path="workloads/gen.py") == []
-
-
-# ----------------------------------------------------------------------
-# A104: undeclared config reads in declared passes
-# ----------------------------------------------------------------------
-
-
-def test_a104_undeclared_config_read():
-    src = """
-    @register_pass("p", provides=("ddg",), config_fields=("l0_entries",))
-    def run(artifact):
-        cfg = artifact.config
-        return cfg.l0_entries + cfg.n_buses + artifact.config.bus_latency
-    """
-    assert _codes(src, path="pipeline/p.py") == ["A104", "A104"]
-
-
-def test_a104_undeclared_pass_exempt():
-    src = """
-    @register_pass("p", provides=("ddg",))
-    def run(artifact):
-        return artifact.config.n_buses
-    """
-    assert _codes(src, path="pipeline/p.py") == []
-
-
-def test_a104_non_config_attribute_ignored():
-    src = """
-    @register_pass("p", provides=("ddg",), config_fields=())
-    def run(artifact):
-        return artifact.options.n_buses  # an options read, not config
-    """
-    assert _codes(src, path="pipeline/p.py") == []
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import typing
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.pipeline import (
     ResultCache,
     RunRequest,
     Session,
+    ShardedKeyedFileStore,
     compile_cached,
     compile_key,
     encode_result,
@@ -23,7 +25,7 @@ from repro.pipeline import (
     result_schema_digest,
 )
 from repro.pipeline.cache import RESULT_SCHEMA_DIGEST, code_fingerprint
-from repro.pipeline.manifest import LEGACY_FINGERPRINT, MANIFEST_NAME
+from repro.pipeline.manifest import MANIFEST_NAME
 from repro.sim import SimOptions
 from repro.workloads.kernels import make_dpcm, make_saxpy
 
@@ -201,42 +203,29 @@ class TestResultSchema:
         assert envelope["fingerprint"] == code_fingerprint()
         assert envelope["result"]["__type__"] == "ProgramResult"
 
-    def test_legacy_entry_decodes_and_migrates(self, tmp_path):
-        request = RunRequest("g721dec", l0_config(8), FAST)
-        session = Session(options=FAST, cache=ResultCache(tmp_path))
-        fresh = session.run(request)
-        # Rewrite the entry in the legacy (v1) bare layout.
-        (tmp_path / f"{request.key}.json").write_text(json.dumps(encode_result(fresh)))
-        cache = ResultCache(tmp_path)
-        decoded = cache.get(request.key)
-        assert result_fingerprint(decoded) == result_fingerprint(fresh)
-        # verify() migrates the dir into the current envelope in place.
-        report = cache.verify()
-        assert report.migrated == [request.key]
-        envelope = json.loads((tmp_path / f"{request.key}.json").read_text())
-        assert envelope["schema"] == RESULT_SCHEMA_VERSION
-        assert envelope["fingerprint"] is None  # original writer unknown
-        migrated = ResultCache(tmp_path).get(request.key)
-        assert result_fingerprint(migrated) == result_fingerprint(fresh)
-        # A second verify has nothing left to do.
-        assert ResultCache(tmp_path).verify().migrated == []
-        # Migrated entries are marked provably-not-current, so the
-        # orphan sweep may reclaim the dead data.
-        entry = ResultCache(tmp_path).store.entries()[request.key]
-        assert entry.fingerprint == LEGACY_FINGERPRINT
-        swept = ResultCache(tmp_path).gc(keep_fingerprints={code_fingerprint()})
-        assert swept.orphans == [request.key]
-
-    def test_foreign_schema_version_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize("layout", ["foreign-schema", "pre-envelope"])
+    def test_foreign_schema_version_is_a_miss(self, tmp_path, layout):
+        """Only the current envelope is ever served.  A foreign schema
+        version, or the bare payload written before the envelope existed,
+        is a miss on load and a corrupt entry to verify()."""
         request = RunRequest("g721dec", unified_config(), FAST)
-        session = Session(options=FAST, cache=ResultCache(tmp_path))
-        session.run(request)
-        envelope = json.loads((tmp_path / f"{request.key}.json").read_text())
-        envelope["schema"] = RESULT_SCHEMA_VERSION + 1
-        (tmp_path / f"{request.key}.json").write_text(json.dumps(envelope))
+        fresh = Session(options=FAST, cache=ResultCache(tmp_path)).run(request)
+        entry = tmp_path / f"{request.key}.json"
+        if layout == "foreign-schema":
+            stale = json.loads(entry.read_text())
+            stale["schema"] = RESULT_SCHEMA_VERSION + 1
+        else:
+            stale = encode_result(fresh)
+
+        entry.write_text(json.dumps(stale))
         reopened = Session(options=FAST, cache=ResultCache(tmp_path))
         reopened.run(request)
         assert reopened.simulations == 1  # mismatched entry not served
+
+        entry.write_text(json.dumps(stale))
+        report = ResultCache(tmp_path).verify()
+        assert (report.ok, report.corrupt) == (0, [request.key])
+        assert not entry.exists()
 
     def test_schema_digest_pinned_to_version(self):
         """Changing any stat dataclass's fields without bumping
@@ -245,6 +234,22 @@ class TestResultSchema:
             "the result schema changed: bump RESULT_SCHEMA_VERSION and "
             "re-pin RESULT_SCHEMA_DIGEST in repro/pipeline/cache.py"
         )
+
+
+class TestAnnotations:
+    @pytest.mark.parametrize(
+        "cls", [KeyedFileStore, ShardedKeyedFileStore, ResultCache, CompiledLoopCache]
+    )
+    def test_public_method_annotations_resolve(self, cls):
+        """Every name an annotation uses is importable from its module
+        (an unresolved one raises NameError here)."""
+        for name, member in vars(cls).items():
+            if name.startswith("_") and name != "__init__":
+                continue
+            if isinstance(member, property):
+                member = member.fget
+            if callable(member):
+                typing.get_type_hints(member)
 
 
 class TestCompileCacheDiskHits:
@@ -424,6 +429,7 @@ class TestWarmReuseAfterGC:
 
 class TestCIBench:
     def test_cibench_smoke(self, tmp_path):
+        from repro.eval.cibench import BENCH_SCHEMA_VERSION
         from repro.eval.cibench import main as cibench_main
 
         output = tmp_path / "BENCH_ci.json"
@@ -448,7 +454,7 @@ class TestCIBench:
         )
         assert rc == 0
         report = json.loads(output.read_text())
-        assert report["schema"] == 1
+        assert report["schema"] == BENCH_SCHEMA_VERSION
         assert report["phases"]["cold"]["simulations"] > 0
         assert report["phases"]["warm"]["simulations"] == 0
         assert report["figures_identical"] is True

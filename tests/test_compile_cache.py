@@ -12,7 +12,6 @@ from repro.pipeline import (
     PassManager,
     compile_cached,
     compile_key,
-    frontend_key,
 )
 from repro.scheduler import compile_loop
 from repro.sim import LoopExecutor, make_memory
@@ -43,15 +42,6 @@ class TestKeys:
             != base
         )
 
-    def test_frontend_key_shared_across_backend_parameters(self):
-        """The unroll/memdep/DDG prefix does not read the memory system:
-        every Figure-5 L0 size — and the unified baseline — share it."""
-        base = frontend_key(make_saxpy(), l0_config(8), CompileOptions())
-        for entries in (4, 16, None):
-            key = frontend_key(make_saxpy(), l0_config(entries), CompileOptions())
-            assert key == base
-        assert frontend_key(make_saxpy(), unified_config(), CompileOptions()) == base
-
     def test_scheduler_participates_in_full_key(self):
         """SMS and exact artifacts must never collide in the cache."""
         base = compile_key(make_saxpy(), l0_config(8), CompileOptions())
@@ -71,91 +61,58 @@ class TestKeys:
             make_saxpy(), l0_config(8), CompileOptions(scheduler="exact")
         )
 
-    def test_scheduler_does_not_split_the_frontend(self):
-        """Both schedulers resume over one shared frontend artifact."""
-        base = frontend_key(make_saxpy(), l0_config(8), CompileOptions())
-        assert (
-            frontend_key(make_saxpy(), l0_config(8), CompileOptions(scheduler="exact"))
-            == base
-        )
-
-    def test_frontend_key_sensitive_to_core_parameters(self):
-        base = frontend_key(make_saxpy(), l0_config(8), CompileOptions())
-        assert (
-            frontend_key(make_saxpy(), l0_config(8, n_clusters=2), CompileOptions())
-            != base
-        )
-        assert (
-            frontend_key(make_saxpy(), l0_config(8, l1_latency=9), CompileOptions())
-            != base
-        )
-        assert (
-            frontend_key(
-                make_saxpy(), l0_config(8), CompileOptions(unroll_factor=1)
-            )
-            != base
-        )
-
 
 class TestCacheSemantics:
-    def test_fig5_sweep_compiles_frontend_once(self):
+    def test_fig5_sweep_compiles_each_size_once(self):
+        """Every Figure-5 L0 size is its own full key: one compilation
+        each, and no hits within a single sweep."""
         cache = CompiledLoopCache()
         for entries in FIG5_SIZES:
             compile_cached(make_saxpy(), l0_config(entries), cache=cache)
-        assert cache.stats.frontend_misses == 1
-        assert cache.stats.frontend_hits == len(FIG5_SIZES) - 1
-        assert cache.stats.full_misses == len(FIG5_SIZES)
+        assert cache.stats.compilations == len(FIG5_SIZES)
+        assert cache.stats.full_hits == 0
 
     def test_repeated_sweep_recompiles_nothing(self):
         cache = CompiledLoopCache()
         for entries in FIG5_SIZES:
             compile_cached(make_saxpy(), l0_config(entries), cache=cache)
         compilations = cache.stats.compilations
-        frontend_misses = cache.stats.frontend_misses
         for entries in FIG5_SIZES:
             compile_cached(make_saxpy(), l0_config(entries), cache=cache)
         assert cache.stats.compilations == compilations
-        assert cache.stats.frontend_misses == frontend_misses
         assert cache.stats.full_hits == len(FIG5_SIZES)
 
-    def test_sms_and_exact_share_one_frontend_entry(self):
-        """A scheduler sweep behaves like a Figure-5 sweep: one frontend
-        compilation, one backend compilation per scheduler, and a repeat
-        of either scheduler recompiles nothing."""
+    def test_sms_and_exact_compile_distinct_artifacts(self):
+        """The scheduler is part of the full key: one compilation per
+        scheduler, and a repeat of either recompiles nothing."""
         cache = CompiledLoopCache()
         loop = make_dpcm()
         config = l0_config(8)
         sms = compile_cached(loop, config, CompileOptions(scheduler="sms"), cache=cache)
-        assert (cache.stats.frontend_misses, cache.stats.full_misses) == (1, 1)
         exact = compile_cached(
             loop, config, CompileOptions(scheduler="exact"), cache=cache
         )
-        assert cache.stats.frontend_misses == 1  # shared frontend entry
-        assert cache.stats.frontend_hits == 1
-        assert cache.stats.full_misses == 2  # distinct backend artifacts
+        assert cache.stats.compilations == 2
         assert cache.stats.full_hits == 0
         # Artifacts really are the two different backends' outputs.
         assert sms.schedule.meta["scheduler"] == "sms"
         assert exact.schedule.meta["scheduler"] == "exact"
         assert exact.ii <= sms.ii
-        # Repeats of both are pure full-layer hits.
+        # Repeats of both are pure hits.
         compile_cached(loop, config, CompileOptions(scheduler="sms"), cache=cache)
         compile_cached(loop, config, CompileOptions(scheduler="exact"), cache=cache)
         assert cache.stats.full_hits == 2
-        assert cache.stats.full_misses == 2
-        assert cache.stats.frontend_misses == 1
+        assert cache.stats.compilations == 2
 
     def test_time_budgeted_compiles_bypass_the_full_layer(self):
         """A wall-clock budget makes the exact backend's output depend on
-        machine load; such artifacts must never be cached (frontend
-        products are deterministic and stay shared)."""
+        machine load; such artifacts must never be cached."""
         cache = CompiledLoopCache()
         options = CompileOptions(scheduler="exact", exact_time_budget_s=1e6)
         first = compile_cached(make_saxpy(), l0_config(8), options, cache=cache)
         again = compile_cached(make_saxpy(), l0_config(8), options, cache=cache)
         assert cache.stats.full_hits == 0
         assert cache.stats.compilations == 2  # recompiled both times
-        assert cache.stats.frontend_misses == 1  # frontend still shared
         assert first.ii == again.ii
         assert again.schedule.validate(again.ddg) == []
 
@@ -186,7 +143,7 @@ class TestCacheSemantics:
         requesting the exact backend must error, not silently get SMS."""
         from repro.pipeline import PipelineError
 
-        with pytest.raises(PipelineError, match="backend_pipeline"):
+        with pytest.raises(PipelineError, match="scheduler_pipeline"):
             PassManager().run(
                 make_saxpy(), l0_config(8), CompileOptions(scheduler="exact")
             )

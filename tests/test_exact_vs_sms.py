@@ -25,8 +25,9 @@ from repro.pipeline import CompileOptions, compile_cached, get_compile_cache
 from repro.sim import LoopExecutor, make_memory
 from repro.workloads import kernels
 
-#: Shared across the module so SMS/exact pairs reuse one frontend entry;
-#: CI's slow lane points this at a persisted directory.
+#: Shared across the module so repeated (kernel, config, scheduler)
+#: compiles are cache hits; CI's slow lane points this at a persisted
+#: directory.
 CACHE = get_compile_cache(os.environ.get("REPRO_COMPILE_CACHE_DIR"))
 
 #: Trials the exact search may spend per compile in these tests.  Small

@@ -280,85 +280,3 @@ class TestExperimentContextIntegration:
         before = ctx.session.simulations
         ctx.run("g721dec", "another-label", l0_config(8))
         assert ctx.session.simulations == before
-
-
-class TestConfigFieldDeclarations:
-    """Guard: every frontend pass declares its MachineConfig reads, and
-    the declarations cover everything the pass actually touches (run
-    against a read-tracing config)."""
-
-    def test_every_frontend_pass_declares_config_fields(self):
-        from repro.pipeline import FRONTEND_PIPELINE, get_pass
-
-        for name in FRONTEND_PIPELINE:
-            assert get_pass(name).config_fields is not None, (
-                f"frontend pass {name!r} must declare config_fields"
-            )
-
-    def test_frontend_union_covers_core_not_backend_fields(self):
-        from repro.pipeline import frontend_config_fields
-
-        union = frontend_config_fields()
-        assert "n_clusters" in union and "l1_latency" in union
-        # Backend-only parameters must stay out, or Figure-5 sweeps stop
-        # sharing their frontend artifacts across L0 sizes.
-        assert "l0_entries" not in union and "n_buses" not in union
-
-    @pytest.mark.parametrize("make_loop", [make_saxpy, make_dpcm])
-    @pytest.mark.parametrize(
-        "config", [l0_config(8), l0_config(4, n_clusters=2), unified_config()]
-    )
-    def test_frontend_reads_covered_by_declarations(self, make_loop, config):
-        from repro.pipeline import FRONTEND_PIPELINE, get_pass, traced_config
-        from repro.pipeline.artifact import CompilationArtifact
-
-        traced, accessed = traced_config(config)
-        artifact = CompilationArtifact(
-            loop=make_loop(), config=traced, options=CompileOptions()
-        )
-        for name in FRONTEND_PIPELINE:
-            p = get_pass(name)
-            before = set(accessed)
-            p(artifact)
-            undeclared = (accessed - before) - set(p.config_fields)
-            assert not undeclared, (
-                f"pass {name!r} read undeclared config fields "
-                f"{sorted(undeclared)}; add them to its config_fields "
-                "declaration (they become part of the frontend cache key)"
-            )
-
-    def test_tracer_catches_an_undeclared_read(self):
-        """The guard has teeth: a pass reading an undeclared field is
-        visible in the trace."""
-        from repro.pipeline import Pass, traced_config
-        from repro.pipeline.artifact import CompilationArtifact
-
-        rogue = Pass(
-            name="rogue",
-            run=lambda artifact: artifact.config.l0_entries,
-            config_fields=(),
-        )
-        traced, accessed = traced_config(l0_config(8))
-        artifact = CompilationArtifact(
-            loop=make_saxpy(), config=traced, options=CompileOptions()
-        )
-        rogue(artifact)
-        assert set(accessed) - set(rogue.config_fields) == {"l0_entries"}
-
-    def test_register_pass_rejects_unknown_config_fields(self):
-        from repro.pipeline import register_pass
-
-        with pytest.raises(PipelineError, match="unknown config fields"):
-            register_pass("bogus-fields", config_fields=("not_a_field",))(
-                lambda artifact: None
-            )
-
-    def test_traced_config_is_functionally_identical(self):
-        from repro.pipeline import traced_config
-
-        config = l0_config(8)
-        traced, accessed = traced_config(config)
-        compiled_plain = compile_loop(make_saxpy(), config)
-        artifact = PassManager().run(make_saxpy(), traced)
-        assert artifact.schedule.ii == compiled_plain.schedule.ii
-        assert accessed  # the compile really went through the tracer
