@@ -2,6 +2,7 @@
 
 from .config import (
     ArchKind,
+    ConfigError,
     MachineConfig,
     interleaved_config,
     l0_config,
@@ -15,6 +16,7 @@ __all__ = [
     "BUS",
     "BusResource",
     "ClusterResource",
+    "ConfigError",
     "MachineConfig",
     "ResourceModel",
     "interleaved_config",

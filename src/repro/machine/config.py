@@ -30,6 +30,25 @@ def _default_latencies() -> dict[Opcode, int]:
     return {op: op.default_latency for op in Opcode}
 
 
+class ConfigError(ValueError):
+    """A machine configuration no memory model or scheduler can honour."""
+
+
+#: Cycle counts that must be non-negative: a negative one would let an
+#: access complete before it was issued.
+_DELAY_FIELDS = (
+    "l0_latency",
+    "l1_latency",
+    "l2_latency",
+    "bus_latency",
+    "distributed_local_latency",
+    "distributed_remote_latency",
+    "attraction_latency",
+    "interleave_penalty",
+    "coherence_penalty",
+)
+
+
 @dataclass(frozen=True)
 class MachineConfig:
     """All architectural parameters needed by the scheduler and simulator.
@@ -81,11 +100,26 @@ class MachineConfig:
 
     def __post_init__(self) -> None:
         if self.n_clusters < 1:
-            raise ValueError("need at least one cluster")
-        if self.l1_block % self.n_clusters:
-            raise ValueError("L1 block size must divide evenly into subblocks")
+            raise ConfigError("need at least one cluster")
+        block = self.l1_block
+        if block < 1 or block & (block - 1):
+            raise ConfigError(f"l1_block must be a positive power of two, got {block}")
+        if block % self.n_clusters:
+            raise ConfigError("L1 block size must divide evenly into subblocks")
+        if self.l1_assoc < 1:
+            raise ConfigError(f"l1_assoc must be at least 1, got {self.l1_assoc}")
+        way_set = self.l1_assoc * block
+        if self.l1_size < 1 or self.l1_size % way_set:
+            raise ConfigError(
+                f"l1_size must be a positive multiple of l1_assoc * l1_block "
+                f"({way_set}), got {self.l1_size}"
+            )
         if self.l0_entries is not None and self.l0_entries < 1:
-            raise ValueError("l0_entries must be positive or None (unbounded)")
+            raise ConfigError("l0_entries must be positive or None (unbounded)")
+        for name in _DELAY_FIELDS:
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"{name} must be non-negative, got {value}")
 
     @property
     def subblock_bytes(self) -> int:

@@ -11,7 +11,7 @@ grants and, eventually, processor stalls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..isa.hints import AccessHint, BYPASS_HINTS, HintBundle, MapHint, PrefetchHint
+from ..isa.hints import AccessHint, HintBundle, MapHint, PrefetchHint
 from ..machine.config import MachineConfig
 from .bus import BusStats, ClusterBus
 from .l0buffer import L0Buffer, L0Entry, L0Stats, MapKind
@@ -222,7 +222,7 @@ class UnifiedMemory:
         if target_block < 0:
             return
         if (
-            buffer._find_exact(
+            buffer.find_exact(
                 MapKind.INTERLEAVED, target_block, entry.position, entry.granularity
             )
             is not None

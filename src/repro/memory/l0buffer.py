@@ -17,12 +17,18 @@ and invalidates the rest, matching the paper's single-write-port design.
 Timing: entries carry a ``ready`` cycle so fills in flight are visible —
 a load that touches an entry before its data arrives counts as a hit but
 completes only at ``ready`` (the processor stalls on use).
+
+Lookup: only entries of the accessed L1 block can cover an access, so
+the buffer keeps a ``block_addr -> entries`` index beside the global LRU
+order and every lookup scans one block's few entries, not the whole
+buffer.  Within a block the index lists entries in global LRU order, so
+"the most recently used copy" means the same thing in both structures.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class MapKind(enum.Enum):
@@ -32,9 +38,10 @@ class MapKind(enum.Enum):
 
 @dataclass(eq=False)
 class L0Entry:
-    """One resident subblock.  Identity equality (``eq=False``): entries
-    are mutable runtime objects tracked by the buffer's LRU list, and
-    ``list.remove`` must drop *this* entry, not a value-equal twin."""
+    """One resident subblock.  Identity equality and hashing
+    (``eq=False``): entries are mutable runtime objects keyed by identity
+    in the buffer's LRU dict and removed by identity from its block index,
+    never confused with a value-equal twin."""
 
     kind: MapKind
     block_addr: int  # base address of the owning L1 block
@@ -105,7 +112,10 @@ class L0Buffer:
         self.n_clusters = n_clusters
         self.subblock_bytes = block_bytes // n_clusters
         self.stats = stats if stats is not None else L0Stats()
-        self._entries: list[L0Entry] = []  # LRU order: index 0 = oldest
+        #: Global LRU order (first key = oldest); values are unused.
+        self._lru: dict[L0Entry, None] = {}
+        #: block_addr -> that block's entries, in global LRU order.
+        self._by_block: dict[int, list[L0Entry]] = {}
 
     # ------------------------------------------------------------------
     # Geometry helpers
@@ -114,11 +124,8 @@ class L0Buffer:
     def _block_of(self, addr: int) -> int:
         return addr - (addr % self.block_bytes)
 
-    def _covers(self, entry: L0Entry, addr: int, width: int) -> bool:
-        block = self._block_of(addr)
-        if block != entry.block_addr:
-            return False
-        offset = addr - block
+    def _covers(self, entry: L0Entry, offset: int, width: int) -> bool:
+        """Does ``entry`` hold [offset, offset+width) of its own block?"""
         if entry.kind is MapKind.LINEAR:
             sub = self.subblock_bytes
             lo = entry.position * sub
@@ -132,14 +139,23 @@ class L0Buffer:
         element = offset // g
         return element % self.n_clusters == entry.position
 
+    def _matches(self, addr: int, width: int) -> list[L0Entry]:
+        """Entries covering [addr, addr+width), least recently used first."""
+        block = self._block_of(addr)
+        offset = addr - block
+        covers = self._covers
+        return [e for e in self._by_block.get(block, ()) if covers(e, offset, width)]
+
     # ------------------------------------------------------------------
     # Lookup / fill / replacement
     # ------------------------------------------------------------------
 
     def find(self, addr: int, width: int) -> L0Entry | None:
         """Most-recently-used entry covering [addr, addr+width), no side effects."""
-        for entry in reversed(self._entries):
-            if self._covers(entry, addr, width):
+        block = self._block_of(addr)
+        offset = addr - block
+        for entry in reversed(self._by_block.get(block, ())):
+            if self._covers(entry, offset, width):
                 return entry
         return None
 
@@ -149,16 +165,17 @@ class L0Buffer:
         Inlined MRU-first cover scan (this is the simulator's hottest
         memory loop); semantically identical to ``find`` + LRU bump.
         """
-        entries = self._entries
         block = addr - (addr % self.block_bytes)
+        stats = self.stats
+        peers = self._by_block.get(block)
+        if peers is None:
+            stats.misses += 1
+            return None
         offset = addr - block
         sub = self.subblock_bytes
         n = self.n_clusters
-        stats = self.stats
-        for idx in range(len(entries) - 1, -1, -1):
-            entry = entries[idx]
-            if entry.block_addr != block:
-                continue
+        for idx in range(len(peers) - 1, -1, -1):
+            entry = peers[idx]
             if entry.kind is MapKind.LINEAR:
                 lo = entry.position * sub
                 if lo <= offset and offset + width <= lo + sub:
@@ -178,19 +195,33 @@ class L0Buffer:
         if entry.ready > cycle:
             stats.late_hits += 1
         entry.touched = True
-        if idx != len(entries) - 1:
-            del entries[idx]
-            entries.append(entry)
+        if idx != len(peers) - 1:
+            del peers[idx]
+            peers.append(entry)
+        lru = self._lru
+        del lru[entry]
+        lru[entry] = None
         return entry
 
-    def _make_room(self) -> None:
-        if self.capacity is None:
-            return
-        while len(self._entries) >= self.capacity:
-            victim = self._entries.pop(0)
-            self.stats.evictions += 1
-            if victim.from_prefetch and not victim.touched:
-                self.stats.evicted_untouched_prefetches += 1
+    def _insert(self, entry: L0Entry) -> None:
+        """Make ``entry`` resident as the most recently used."""
+        if self.capacity is not None:
+            while len(self._lru) >= self.capacity:
+                victim = next(iter(self._lru))
+                self._drop(victim)
+                self.stats.evictions += 1
+                if victim.from_prefetch and not victim.touched:
+                    self.stats.evicted_untouched_prefetches += 1
+        self._lru[entry] = None
+        self._by_block.setdefault(entry.block_addr, []).append(entry)
+
+    def _drop(self, entry: L0Entry) -> None:
+        """Remove ``entry`` from the LRU order and its block's list."""
+        del self._lru[entry]
+        peers = self._by_block[entry.block_addr]
+        peers.remove(entry)
+        if not peers:
+            del self._by_block[entry.block_addr]
 
     def fill_linear(
         self, addr: int, ready: int, *, from_prefetch: bool = False
@@ -198,13 +229,10 @@ class L0Buffer:
         """Insert the linear subblock containing ``addr`` (idempotent)."""
         block = self._block_of(addr)
         position = (addr - block) // self.subblock_bytes
-        existing = self._find_exact(
-            MapKind.LINEAR, block, position, self.subblock_bytes
-        )
+        existing = self.find_exact(MapKind.LINEAR, block, position, self.subblock_bytes)
         if existing is not None:
             existing.ready = min(existing.ready, ready)
             return existing
-        self._make_room()
         entry = L0Entry(
             kind=MapKind.LINEAR,
             block_addr=block,
@@ -213,7 +241,7 @@ class L0Buffer:
             ready=ready,
             from_prefetch=from_prefetch,
         )
-        self._entries.append(entry)
+        self._insert(entry)
         self.stats.linear_fills += 1
         return entry
 
@@ -226,13 +254,12 @@ class L0Buffer:
         *,
         from_prefetch: bool = False,
     ) -> L0Entry:
-        existing = self._find_exact(
+        existing = self.find_exact(
             MapKind.INTERLEAVED, block_addr, residue, granularity
         )
         if existing is not None:
             existing.ready = min(existing.ready, ready)
             return existing
-        self._make_room()
         entry = L0Entry(
             kind=MapKind.INTERLEAVED,
             block_addr=block_addr,
@@ -241,17 +268,17 @@ class L0Buffer:
             ready=ready,
             from_prefetch=from_prefetch,
         )
-        self._entries.append(entry)
+        self._insert(entry)
         self.stats.interleaved_fills += 1
         return entry
 
-    def _find_exact(
+    def find_exact(
         self, kind: MapKind, block: int, position: int, granularity: int
     ) -> L0Entry | None:
-        for entry in self._entries:
+        """The resident entry with exactly this mapping, if any."""
+        for entry in self._by_block.get(block, ()):
             if (
                 entry.kind is kind
-                and entry.block_addr == block
                 and entry.position == position
                 and entry.granularity == granularity
             ):
@@ -269,26 +296,27 @@ class L0Buffer:
         data is replicated under different mapping functions only one
         entry is written; the rest are invalidated (section 4.1).
         """
-        matches = [e for e in self._entries if self._covers(e, addr, width)]
+        matches = self._matches(addr, width)
         if not matches:
             return
         keep = matches[-1]  # most recently used copy
         keep.update_time = max(keep.update_time, cycle)
         self.stats.store_updates += 1
         for entry in matches[:-1]:
-            self._entries.remove(entry)
+            self._drop(entry)
             self.stats.store_invalidations += 1
 
     def invalidate_matching(self, addr: int, width: int) -> int:
         """Drop every entry covering the address (PSR replica behaviour)."""
-        matches = [e for e in self._entries if self._covers(e, addr, width)]
+        matches = self._matches(addr, width)
         for entry in matches:
-            self._entries.remove(entry)
+            self._drop(entry)
             self.stats.store_invalidations += 1
         return len(matches)
 
     def invalidate_all(self) -> None:
-        self._entries.clear()
+        self._lru.clear()
+        self._by_block.clear()
         self.stats.invalidate_alls += 1
 
     # ------------------------------------------------------------------
@@ -304,21 +332,20 @@ class L0Buffer:
             sub = self.subblock_bytes
             within = offset - entry.position * sub
             return within + width == sub if last else within == 0
+        # The entry owns elements position, position + n, ... below
+        # block_bytes // g; the last is the largest such index.
         g = entry.granularity
-        element = offset // g
-        elements_per_block = self.block_bytes // g
-        owned = [
-            j
-            for j in range(elements_per_block)
-            if j % self.n_clusters == entry.position
-        ]
-        return element == (owned[-1] if last else owned[0])
+        edge = entry.position
+        if last:
+            n = self.n_clusters
+            edge += (self.block_bytes // g - 1 - edge) // n * n
+        return offset // g == edge
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._lru)
 
     def entries(self) -> list[L0Entry]:
-        return list(self._entries)
+        return list(self._lru)
 
     # ------------------------------------------------------------------
     # Fast-path hooks (convergence early-exit)
@@ -326,7 +353,7 @@ class L0Buffer:
 
     def shift_time(self, delta: int) -> None:
         """Advance every entry's fill/update stamp by ``delta`` cycles."""
-        for entry in self._entries:
+        for entry in self._lru:
             entry.ready += delta
             entry.update_time += delta
 
@@ -354,5 +381,5 @@ class L0Buffer:
                 e.from_prefetch,
                 e.touched,
             )
-            for e in self._entries
+            for e in self._lru
         )

@@ -1,7 +1,5 @@
 """Tests for the unified hierarchy (L0 + L1 + buses) timing and semantics."""
 
-import pytest
-
 from repro.isa import AccessHint, HintBundle, MapHint, PrefetchHint
 from repro.machine import l0_config, unified_config
 from repro.memory import UnifiedMemory

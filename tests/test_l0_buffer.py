@@ -1,8 +1,6 @@
 """Tests for the flexible L0 buffer model."""
 
-import pytest
-
-from repro.memory import L0Buffer, MapKind
+from repro.memory import L0Buffer
 
 
 def make_buffer(entries=4):

@@ -7,6 +7,7 @@ from repro.machine import (
     ArchKind,
     BUS,
     ClusterResource,
+    ConfigError,
     MachineConfig,
     ResourceModel,
     interleaved_config,
@@ -99,6 +100,62 @@ class TestMachineConfig:
         cfg = unified_config()
         assert cfg.latency_of(Opcode.IADD) == 1
         assert cfg.latency_of(Opcode.FDIV) == 8
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            MachineConfig,
+            unified_config,
+            l0_config,
+            multivliw_config,
+            interleaved_config,
+        ],
+    )
+    def test_table2_defaults_construct(self, factory):
+        assert factory().l1_block == 32
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n_clusters": 0},
+            {"n_clusters": 3},  # 32-byte block does not split in three
+            {"l0_entries": 0},
+            {"l1_block": 0},
+            {"l1_block": -32},
+            {"l1_block": 12},
+            {"l1_block": 24},
+            {"l1_assoc": 0},
+            {"l1_assoc": -2},
+            {"l1_size": 0},
+            {"l1_size": 100},
+            {"l1_size": 96},  # a multiple of the block, not of assoc * block
+        ],
+        ids=lambda overrides: "{}={}".format(*next(iter(overrides.items()))),
+    )
+    def test_bad_geometry_rejected(self, overrides):
+        with pytest.raises(ConfigError):
+            MachineConfig(**overrides)
+
+    DELAYS = [
+        "l0_latency",
+        "l1_latency",
+        "l2_latency",
+        "bus_latency",
+        "distributed_local_latency",
+        "distributed_remote_latency",
+        "attraction_latency",
+        "interleave_penalty",
+        "coherence_penalty",
+    ]
+
+    @pytest.mark.parametrize("name", DELAYS)
+    def test_negative_delay_rejected(self, name):
+        with pytest.raises(ConfigError, match=name):
+            MachineConfig(**{name: -1})
+
+    @pytest.mark.parametrize("name", DELAYS)
+    def test_zero_delay_accepted(self, name):
+        assert getattr(MachineConfig(**{name: 0}), name) == 0
 
 
 class TestResourceModel:

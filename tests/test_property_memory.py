@@ -1,10 +1,11 @@
 """Property-based tests for the memory substrate models."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.isa import AccessPattern, ArrayRef, PatternKind
+from repro.isa import AccessPattern, ArrayRef
 from repro.ir.memdep import patterns_may_alias
-from repro.memory import L0Buffer, SetAssocCache
+from repro.memory import L0Buffer, L0Entry, L0Stats, MapKind, SetAssocCache
 
 QUICK = settings(max_examples=60, deadline=None)
 
@@ -63,6 +64,249 @@ def test_l0_interleaved_covers_exactly_residue_elements(block, residue, granular
         found = buf.find(addr, granularity) is not None
         assert found == (element % 4 == residue)
 
+
+class ListL0:
+    """Reference model: the L0 buffer as one LRU list (index 0 = oldest)
+    scanned in full on every lookup.  The simulator's ``L0Buffer``
+    indexes entries by block; both must behave identically."""
+
+    def __init__(self, capacity, block_bytes, n_clusters):
+        self.capacity = capacity
+        self.block_bytes = block_bytes
+        self.n = n_clusters
+        self.sub = block_bytes // n_clusters
+        self.stats = L0Stats()
+        self.lru = []
+
+    def _covers(self, e, addr, width):
+        block = addr - addr % self.block_bytes
+        offset = addr - block
+        if block != e.block_addr:
+            return False
+        if e.kind is MapKind.LINEAR:
+            lo = e.position * self.sub
+            return lo <= offset and offset + width <= lo + self.sub
+        g = e.granularity
+        return width <= g and not offset % g and offset // g % self.n == e.position
+
+    def _matches(self, addr, width):
+        return [e for e in self.lru if self._covers(e, addr, width)]
+
+    def find(self, addr, width):
+        matches = self._matches(addr, width)
+        return matches[-1] if matches else None
+
+    def access(self, addr, width, cycle):
+        e = self.find(addr, width)
+        if e is None:
+            self.stats.misses += 1
+            return None
+        self.stats.hits += 1
+        self.stats.late_hits += e.ready > cycle
+        e.touched = True
+        self.lru.remove(e)
+        self.lru.append(e)
+        return e
+
+    def _fill(self, kind, block, position, granularity, ready, from_prefetch):
+        key = (kind, block, position, granularity)
+        for e in self.lru:
+            if (e.kind, e.block_addr, e.position, e.granularity) == key:
+                e.ready = min(e.ready, ready)
+                return e
+        while self.capacity is not None and len(self.lru) >= self.capacity:
+            victim = self.lru.pop(0)
+            self.stats.evictions += 1
+            if victim.from_prefetch and not victim.touched:
+                self.stats.evicted_untouched_prefetches += 1
+        e = L0Entry(kind, block, position, granularity, ready)
+        e.from_prefetch = from_prefetch
+        self.lru.append(e)
+        if kind is MapKind.LINEAR:
+            self.stats.linear_fills += 1
+        else:
+            self.stats.interleaved_fills += 1
+        return e
+
+    def fill_linear(self, addr, ready, *, from_prefetch=False):
+        block = addr - addr % self.block_bytes
+        position = (addr - block) // self.sub
+        kind = MapKind.LINEAR
+        return self._fill(kind, block, position, self.sub, ready, from_prefetch)
+
+    def fill_interleaved(self, block, residue, g, ready, *, from_prefetch=False):
+        kind = MapKind.INTERLEAVED
+        return self._fill(kind, block, residue, g, ready, from_prefetch)
+
+    def store_update(self, addr, width, cycle):
+        matches = self._matches(addr, width)
+        if matches:
+            matches[-1].update_time = max(matches[-1].update_time, cycle)
+            self.stats.store_updates += 1
+            for e in matches[:-1]:
+                self.lru.remove(e)
+                self.stats.store_invalidations += 1
+
+    def invalidate_matching(self, addr, width):
+        matches = self._matches(addr, width)
+        for e in matches:
+            self.lru.remove(e)
+            self.stats.store_invalidations += 1
+        return len(matches)
+
+    def invalidate_all(self):
+        self.lru.clear()
+        self.stats.invalidate_alls += 1
+
+    def shift_time(self, delta):
+        for e in self.lru:
+            e.ready += delta
+            e.update_time += delta
+
+    def fingerprint(self, time_base, horizon):
+        def rel(t):
+            return max(t - time_base, -horizon - 1)
+
+        return tuple(
+            (
+                e.kind.value,
+                e.block_addr,
+                e.position,
+                e.granularity,
+                rel(e.ready),
+                rel(e.update_time),
+                e.from_prefetch,
+                e.touched,
+            )
+            for e in self.lru
+        )
+
+
+def _entry_key(result):
+    if isinstance(result, L0Entry):
+        return (result.kind, result.block_addr, result.position, result.granularity)
+    return result
+
+
+def _apply(buf, op, addr, width, block_bytes, n_clusters):
+    name, time, flag = op
+    if name == "linear":
+        return buf.fill_linear(addr, time, from_prefetch=flag)
+    if name == "inter":
+        # The subblock holding the accessed element (the local share of
+        # an interleaved block fill), so it can replicate a linear entry.
+        offset = addr % block_bytes
+        residue = offset // width % n_clusters
+        block = addr - offset
+        return buf.fill_interleaved(block, residue, width, time, from_prefetch=flag)
+    if name == "access":
+        return buf.access(addr, width, time)
+    if name == "find":
+        return buf.find(addr, width)
+    if name == "store":
+        return buf.store_update(addr, width, time)
+    if name == "invalidate":
+        return buf.invalidate_matching(addr, width)
+    if name == "invalidate_all":
+        return buf.invalidate_all()
+    return buf.shift_time(time)
+
+
+# (block_bytes, n_clusters) pairs: Table 2's 32/4 plus narrower and wider
+# subblocks, a 1-cluster machine and subblocks narrower than an access.
+L0_GEOMETRIES = st.sampled_from([(32, 4), (32, 2), (64, 4), (16, 1), (32, 8)])
+L0_CAPACITIES = st.one_of(st.none(), st.integers(min_value=1, max_value=8))
+# Ops draw their (block, offset, width) from a small per-example pool in
+# four blocks, so the same data is filled under both mappings, hit, stored
+# to and evicted.  Repeated names weight the draw toward fills and
+# accesses.  Sequences have a minimum length: Hypothesis otherwise draws
+# lists of ~5 ops, too short for a fill to be hit, bumped and evicted.
+L0_ADDRS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=63),
+        st.sampled_from([1, 2, 4, 8]),
+    ),
+    min_size=1,
+    max_size=8,
+)
+L0_OP_NAMES = (
+    "linear linear inter inter access access access find store store "
+    "invalidate invalidate_all shift"
+).split()
+L0_OP = st.tuples(
+    st.integers(min_value=0, max_value=7),
+    st.tuples(
+        st.sampled_from(L0_OP_NAMES),
+        st.integers(min_value=0, max_value=40),
+        st.booleans(),
+    ),
+)
+
+
+def _check_against_list_model(geometry, capacity, addrs, ops):
+    block_bytes, n_clusters = geometry
+    buf = L0Buffer(entries=capacity, block_bytes=block_bytes, n_clusters=n_clusters)
+    ref = ListL0(capacity, block_bytes, n_clusters)
+    for slot, op in ops:
+        block, offset, width = addrs[slot % len(addrs)]
+        # Width-aligned, like every access the simulator issues.
+        addr = block * block_bytes + offset % block_bytes // width * width
+        got = _apply(buf, op, addr, width, block_bytes, n_clusters)
+        want = _apply(ref, op, addr, width, block_bytes, n_clusters)
+        assert _entry_key(got) == _entry_key(want), op
+        assert buf.stats == ref.stats, op
+        assert [_entry_key(e) for e in buf.entries()] == [
+            _entry_key(e) for e in ref.lru
+        ], op
+        assert buf.fingerprint(0, 4096) == ref.fingerprint(0, 4096), op
+
+
+@QUICK
+@given(
+    geometry=L0_GEOMETRIES,
+    capacity=L0_CAPACITIES,
+    addrs=L0_ADDRS,
+    ops=st.lists(L0_OP, min_size=20, max_size=80),
+)
+def test_l0_matches_list_scan_model(geometry, capacity, addrs, ops):
+    _check_against_list_model(geometry, capacity, addrs, ops)
+
+
+@pytest.mark.slow
+@settings(max_examples=1000, deadline=None)
+@given(
+    geometry=L0_GEOMETRIES,
+    capacity=L0_CAPACITIES,
+    addrs=L0_ADDRS,
+    ops=st.lists(L0_OP, min_size=100, max_size=400),
+)
+def test_l0_matches_list_scan_model_long(geometry, capacity, addrs, ops):
+    _check_against_list_model(geometry, capacity, addrs, ops)
+
+
+@pytest.mark.parametrize("n_clusters", [1, 2, 3, 4, 8])
+def test_l0_edge_element_closed_form(n_clusters):
+    """The closed-form interleaved edge test equals the owned-element list
+    (first and last ``j < block // g`` with ``j % n == residue``) for every
+    geometry whose owned set is non-empty."""
+    for block_bytes in (8, 16, 32, 64, 128):
+        buf = L0Buffer(entries=None, block_bytes=block_bytes, n_clusters=n_clusters)
+        for g in (1, 2, 4, 8, 16):
+            elements = block_bytes // g
+            for residue in range(n_clusters):
+                owned = [j for j in range(elements) if j % n_clusters == residue]
+                if not owned:
+                    continue
+                entry = buf.fill_interleaved(0, residue, g, ready=0)
+                for j in range(elements):
+                    addr = j * g
+                    assert buf.is_edge_element(entry, addr, g, last=True) == (
+                        j == owned[-1]
+                    )
+                    assert buf.is_edge_element(entry, addr, g, last=False) == (
+                        j == owned[0]
+                    )
 
 @QUICK
 @given(
