@@ -17,10 +17,11 @@ directories the pipeline persists — the result store (``ResultCache``,
 
 The directories default to the names CI persists (``.result-cache``,
 ``.compile-cache``, ``.fuzz-cache``); a missing directory is skipped,
-never created.  Result stores written sharded by the sweep service
-(``repro.service``) are auto-detected from their hex-prefix shard
-subdirectories and operated on shard by shard — missing shard
-directories are likewise skipped, never created.
+never created.  Every store opens in the layout it was written in:
+flat, or sharded by key prefix as the sweep service (``repro.service``)
+writes results — ``KeyedFileStore`` detects the layout and runs the
+same save/load/gc/verify code over one shard or many, never creating a
+missing shard directory.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import sys
 import time
 from pathlib import Path
 
-from ..pipeline.cache import ResultCache, ShardedKeyedFileStore, code_fingerprint
+from ..pipeline.cache import ResultCache, code_fingerprint
 from ..pipeline.compilecache import CompiledLoopCache
 
 _SIZE_UNITS = {"": 1, "K": 1024, "M": 1024**2, "G": 1024**3}
@@ -97,16 +98,15 @@ def open_stores(args) -> list[tuple[str, object]]:
 def cmd_stats(args) -> int:
     current = code_fingerprint()
     for label, cache in open_stores(args):
-        entries = cache.store.entries()
+        store = cache.store
+        entries = store.entries()
         total = sum(e.size for e in entries.values())
         by_fp: dict[str, int] = {}
         for e in entries.values():
             name = e.fingerprint or "unknown"
             by_fp[name] = by_fp.get(name, 0) + 1
-        print(f"{label}: {cache.store.path}")
-        if isinstance(cache.store, ShardedKeyedFileStore):
-            shards = len(cache.store.shard_stores())
-            print(f"  sharded: {shards} shards (prefix width {cache.store.width})")
+        print(f"{label}: {store.path}")
+        print(f"  shards: {len(store.shards())} (prefix width {store.shard_width})")
         print(f"  entries: {len(entries)}  bytes: {total} ({format_size(total)})")
         for fp, count in sorted(by_fp.items(), key=lambda kv: -kv[1]):
             tag = " (current)" if fp == current else ""

@@ -71,7 +71,9 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=None,
-        help="worker processes for benchmark fan-out (default serial; -1 = all cores)",
+        help="worker processes for benchmark fan-out (default serial; -1 = "
+        "all cores); a crashed or wedged worker is replaced and its job "
+        "retried, and results are byte-identical to serial",
     )
     parser.add_argument(
         "--cache-dir",
@@ -111,25 +113,6 @@ def main(argv: list[str] | None = None) -> int:
         help="after the run, bound each on-disk cache to this many bytes "
         "(LRU by last hit; accepts K/M/G suffixes, e.g. 200M)",
     )
-    parser.add_argument(
-        "--supervised",
-        action="store_true",
-        help="fan batches out through the fault-tolerant supervised "
-        "executor (repro.service): crashed or wedged workers are "
-        "restarted and their jobs retried instead of aborting the run",
-    )
-    parser.add_argument(
-        "--job-timeout",
-        type=float,
-        default=600.0,
-        help="with --supervised: per-attempt deadline in seconds",
-    )
-    parser.add_argument(
-        "--job-retries",
-        type=int,
-        default=3,
-        help="with --supervised: attempts per job before it dead-letters",
-    )
     args = parser.parse_args(argv)
 
     compile_kwargs = {}
@@ -141,41 +124,14 @@ def main(argv: list[str] | None = None) -> int:
         scheduler=args.scheduler,
         compile_kwargs=compile_kwargs,
     )
-    if args.supervised:
-        # An explicit session: same cache/options wiring as the
-        # ExperimentContext default, with the supervised executor
-        # swapped in for the bare process pool.
-        from dataclasses import replace
-
-        from ..pipeline.cache import ResultCache
-        from ..pipeline.session import Session
-        from ..service import RetryPolicy, SupervisedExecutor
-
-        if args.compile_cache_dir is not None:
-            options = replace(options, compile_cache_dir=str(args.compile_cache_dir))
-        ctx = ExperimentContext(
-            benchmarks=tuple(args.benchmarks) if args.benchmarks else None,
-            session=Session(
-                options=options,
-                cache=ResultCache(args.cache_dir),
-                executor=SupervisedExecutor(
-                    args.workers,
-                    policy=RetryPolicy(
-                        max_attempts=args.job_retries, timeout_s=args.job_timeout
-                    ),
-                ),
-                gc_max_bytes=args.gc_max_bytes,
-            ),
-        )
-    else:
-        ctx = ExperimentContext(
-            options=options,
-            benchmarks=tuple(args.benchmarks) if args.benchmarks else None,
-            workers=args.workers,
-            cache_dir=args.cache_dir,
-            compile_cache_dir=args.compile_cache_dir,
-            gc_max_bytes=args.gc_max_bytes,
-        )
+    ctx = ExperimentContext(
+        options=options,
+        benchmarks=tuple(args.benchmarks) if args.benchmarks else None,
+        workers=args.workers,
+        cache_dir=args.cache_dir,
+        compile_cache_dir=args.compile_cache_dir,
+        gc_max_bytes=args.gc_max_bytes,
+    )
 
     started = time.time()
     # "all" covers the paper's tables/figures; schedcompare is its own
@@ -230,8 +186,8 @@ def main(argv: list[str] | None = None) -> int:
     def _parallel(workers: int | None) -> bool:
         return workers is not None and workers not in (0, 1)
 
-    if args.supervised or _parallel(args.workers) or _parallel(args.loop_workers):
-        # Compilation happened inside pool workers; this process's
+    if _parallel(args.workers) or _parallel(args.loop_workers):
+        # Compilation happened inside worker processes; this process's
         # compile-cache counters cannot reflect it, so don't print them.
         trailer += ", compile stats in workers]"
     else:

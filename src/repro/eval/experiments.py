@@ -444,7 +444,7 @@ def scheduler_comparison(
     out across ``ctx.workers`` processes like every other experiment.
     """
     from ..pipeline.artifact import CompileOptions
-    from ..pipeline.executor import shared_executor
+    from ..pipeline.executor import make_executor
 
     kwargs = {"scheduler": "exact"}
     if exact_node_budget is not None:
@@ -460,7 +460,7 @@ def scheduler_comparison(
                 jobs.append(
                     (name, spec.loop, label, l0_config(entries), options, cache_dir)
                 )
-    return shared_executor(ctx.workers).map(jobs, fn=_compare_one)
+    return make_executor(ctx.workers).map(jobs, fn=_compare_one)
 
 
 def ablation_prefetch_distance(

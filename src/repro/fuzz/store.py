@@ -83,7 +83,7 @@ class FuzzStore:
         self._store.save(key, entry, description=description)
 
     def flush(self) -> None:
-        self._store.manifest.flush()
+        self._store.flush()
 
     def gc(self, **kwargs) -> GCReport:
         return self._store.gc(**kwargs)

@@ -48,6 +48,16 @@ _DELAY_FIELDS = (
     "coherence_penalty",
 )
 
+#: Counts that must be at least one: no functional unit of a class
+#: divides every ResMII bound by zero, and an empty attraction buffer
+#: has nothing to evict into.
+_POSITIVE_FIELDS = (
+    "int_units_per_cluster",
+    "mem_units_per_cluster",
+    "fp_units_per_cluster",
+    "attraction_entries",
+)
+
 
 @dataclass(frozen=True)
 class MachineConfig:
@@ -114,12 +124,28 @@ class MachineConfig:
                 f"l1_size must be a positive multiple of l1_assoc * l1_block "
                 f"({way_set}), got {self.l1_size}"
             )
+        if self.arch is ArchKind.INTERLEAVED and self.interleaved_module_size % way_set:
+            raise ConfigError(
+                f"the word-interleaved L1 module size "
+                f"({self.interleaved_module_size} bytes per cluster) must be a "
+                f"multiple of l1_assoc * l1_block ({way_set})"
+            )
         if self.l0_entries is not None and self.l0_entries < 1:
             raise ConfigError("l0_entries must be positive or None (unbounded)")
+        for name in _POSITIVE_FIELDS:
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
         for name in _DELAY_FIELDS:
             value = getattr(self, name)
             if value < 0:
                 raise ConfigError(f"{name} must be non-negative, got {value}")
+
+    @property
+    def interleaved_module_size(self) -> int:
+        """Bytes of L1 in each cluster's module of the word-interleaved
+        design: an even share, but never less than one set."""
+        return max(self.l1_assoc * self.l1_block, self.l1_size // self.n_clusters)
 
     @property
     def subblock_bytes(self) -> int:

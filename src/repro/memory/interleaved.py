@@ -74,10 +74,9 @@ class WordInterleavedMemory:
         self.config = config
         self.stats = InterleavedStats()
         n = config.n_clusters
-        module_size = max(config.l1_block * config.l1_assoc, config.l1_size // n)
         self.modules = [
             SetAssocCache(
-                size=module_size,
+                size=config.interleaved_module_size,
                 assoc=config.l1_assoc,
                 block=config.l1_block,
                 stats=self.stats.modules,

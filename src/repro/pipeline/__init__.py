@@ -15,8 +15,9 @@ Four layers, consumed bottom-up by the rest of the stack:
   ``(benchmark, MachineConfig, SimOptions)`` -> :class:`ProgramResult`
   store with an optional on-disk JSON mirror.
 * **Executor + session** (:mod:`.executor`, :mod:`.session`) — serial or
-  process-parallel fan-out of simulation requests behind the cache;
-  ``repro.eval.ExperimentContext`` runs everything through a session.
+  supervised process-parallel fan-out of simulation requests behind the
+  cache; ``repro.eval.ExperimentContext`` runs everything through a
+  session.
 """
 
 from .artifact import (
@@ -29,7 +30,6 @@ from .cache import (
     RESULT_SCHEMA_VERSION,
     KeyedFileStore,
     ResultCache,
-    ShardedKeyedFileStore,
     cache_key,
     code_fingerprint,
     decode_result,
@@ -57,7 +57,6 @@ from .executor import (
     describe_request,
     execute_request,
     make_executor,
-    shared_executor,
 )
 from .manifest import GCReport, ManifestEntry, StoreManifest, VerifyReport
 from .passes import (
@@ -95,7 +94,6 @@ __all__ = [
     "RunRequest",
     "SerialExecutor",
     "Session",
-    "ShardedKeyedFileStore",
     "StoreManifest",
     "VerifyReport",
     "available_passes",
@@ -121,5 +119,4 @@ __all__ = [
     "result_fingerprint",
     "result_schema_digest",
     "scheduler_pipeline",
-    "shared_executor",
 ]

@@ -222,9 +222,44 @@ def describe_options(options) -> dict:
     return _non_defaults(options, structured=lambda v: str(_canonical(v)))
 
 
+#: Shard-prefix widths a store may use (1 hex char = 16 shards, 2 = 256).
+SHARD_WIDTHS = (1, 2)
+
+
+def _is_shard_name(name: str, width: int) -> bool:
+    return len(name) == width and all(c in "0123456789abcdef" for c in name)
+
+
+def detect_shard_width(path: str | Path) -> int:
+    """Shard-prefix width of an existing store directory; 0 if flat or new.
+
+    A sharded store is recognised by its hex-prefix subdirectories
+    (``0``..``f`` or ``00``..``ff``); a flat store has none.
+    """
+    path = Path(path)
+    if path.is_dir():
+        names = sorted(child.name for child in path.iterdir() if child.is_dir())
+        for width in SHARD_WIDTHS:
+            if any(_is_shard_name(name, width) for name in names):
+                return width
+    return 0
+
+
 class KeyedFileStore:
-    """On-disk store of content-keyed entries, shared by the result and
-    compile caches: one ``<key><suffix>`` file per entry.
+    """On-disk store of content-keyed entries, shared by the result,
+    compile and fuzz caches: one ``<key><suffix>`` file per entry.
+
+    ``shard_width`` picks the layout.  0 is flat: every entry lives at
+    ``path/<key><suffix>`` under one sidecar manifest.  1 or 2 partition
+    by key prefix: entry ``<key>`` lives in
+    ``path/<key[:width]>/<key><suffix>`` and every shard directory keeps
+    its *own* manifest, so N workers writing results land on different
+    shards with probability ``1 - 1/16**width`` and their read-merge-
+    write manifest flushes (and GC passes) stop contending on one file.
+    A flat store is simply the one-shard case rooted at ``path``.
+    ``None`` (the default) opens an existing directory in the layout it
+    was written in, and a new one flat.  Only ``save`` creates a shard
+    directory; reads and maintenance skip missing shards.
 
     Concurrency contract (multiple processes may share one directory):
     writes go to a per-process tmp name and are installed by atomic
@@ -234,21 +269,59 @@ class KeyedFileStore:
     have written, tolerating entries another process unlinked first.
     """
 
-    def __init__(self, path: str | Path, suffix: str, encode, decode) -> None:
+    def __init__(
+        self,
+        path: str | Path,
+        suffix: str,
+        encode,
+        decode,
+        *,
+        shard_width: int | None = None,
+    ) -> None:
         self.path = Path(path)
+        if shard_width is None:
+            shard_width = detect_shard_width(self.path)
+        if shard_width and shard_width not in SHARD_WIDTHS:
+            raise ValueError(
+                f"shard width must be 0 or one of {SHARD_WIDTHS}: {shard_width}"
+            )
         self.path.mkdir(parents=True, exist_ok=True)
         self.suffix = suffix
+        self.shard_width = shard_width
         self._encode = encode  # value -> bytes
         self._decode = decode  # bytes -> value (raises on corruption)
-        self.manifest = StoreManifest(self.path, suffix)
+        self._manifests: dict[str, StoreManifest] = {}  # shard name -> manifest
+
+    def _manifest(self, shard: str) -> StoreManifest:
+        manifest = self._manifests.get(shard)
+        if manifest is None:
+            manifest = StoreManifest(self.path / shard, self.suffix)
+            self._manifests[shard] = manifest
+        return manifest
+
+    @property
+    def manifest(self) -> StoreManifest:
+        """A flat store's manifest (a sharded one keeps one per shard)."""
+        return self._manifest("")
+
+    def shards(self) -> list[str]:
+        """Names of the existing shard directories; ``[""]`` when flat."""
+        if not self.shard_width:
+            return [""]
+        return [
+            child.name
+            for child in sorted(self.path.iterdir())
+            if child.is_dir() and _is_shard_name(child.name, self.shard_width)
+        ]
 
     def _file(self, key: str) -> Path:
-        return self.path / f"{key}{self.suffix}"
+        return self.path / key[: self.shard_width] / f"{key}{self.suffix}"
 
     def load(self, key: str):
         file = self._file(key)
         if not file.exists():
             return None
+        manifest = self._manifest(key[: self.shard_width])
         try:
             value = self._decode(file.read_bytes())
         except Exception:
@@ -258,18 +331,21 @@ class KeyedFileStore:
                 file.unlink(missing_ok=True)
             except OSError:
                 pass
-            self.manifest.forget(key)
-            self.manifest.flush()
+            manifest.forget(key)
+            manifest.flush()
             return None
-        self.manifest.touch(key)
+        manifest.touch(key)
         return value
 
     def save(self, key: str, value, *, description: dict | None = None) -> None:
         # Persistence is best-effort: callers already serve the value
         # from memory, so a disk failure must not abort the sweep.
-        tmp = self.path / f".{key}.{os.getpid()}.tmp"
+        shard = key[: self.shard_width]
+        directory = self.path / shard
+        tmp = directory / f".{key}.{os.getpid()}.tmp"
         try:
             blob = self._encode(value)
+            directory.mkdir(exist_ok=True)
             tmp.write_bytes(blob)
             tmp.replace(self._file(key))
         except OSError:
@@ -278,7 +354,7 @@ class KeyedFileStore:
             except OSError:
                 pass
             return
-        self.manifest.record(
+        self._manifest(shard).record(
             key,
             size=len(blob),
             fingerprint=code_fingerprint(),
@@ -288,25 +364,31 @@ class KeyedFileStore:
     def clear(self) -> None:
         """Remove all entries — only files this store wrote, never the
         directory's unrelated contents."""
-        for file in self.path.glob(f"*{self.suffix}"):
-            if _is_key(file.stem):
-                file.unlink(missing_ok=True)
-        # Orphaned tmp files from writers killed mid-save.
-        for tmp in self.path.glob(".*.tmp"):
-            if _is_key(tmp.name[1:].split(".")[0]):
-                tmp.unlink(missing_ok=True)
-        self.manifest.reset()
+        for shard in self.shards():
+            directory = self.path / shard
+            for file in directory.glob(f"*{self.suffix}"):
+                if _is_key(file.stem):
+                    file.unlink(missing_ok=True)
+            # Orphaned tmp files from writers killed mid-save.
+            for tmp in directory.glob(".*.tmp"):
+                if _is_key(tmp.name[1:].split(".")[0]):
+                    tmp.unlink(missing_ok=True)
+            self._manifest(shard).reset()
 
     # -- introspection and maintenance ----------------------------------
 
     def flush(self) -> None:
         """Persist buffered manifest updates (recency hits, new rows)."""
-        self.manifest.flush()
+        for manifest in self._manifests.values():
+            manifest.flush()
 
-    def entries(self):
+    def entries(self) -> dict[str, ManifestEntry]:
         """Manifest view reconciled against the directory (see
-        :meth:`StoreManifest.entries`)."""
-        return self.manifest.entries()
+        :meth:`StoreManifest.entries`), over every shard."""
+        out: dict[str, ManifestEntry] = {}
+        for shard in self.shards():
+            out.update(self._manifest(shard).entries())
+        return out
 
     def total_bytes(self) -> int:
         return sum(e.size for e in self.entries().values())
@@ -334,28 +416,47 @@ class KeyedFileStore:
           younger than ``min_age_s`` are skipped (grace period for
           concurrent writers), so the cap is a target, not a guarantee.
 
+        Shards are collected one by one, with the size cap split evenly
+        across the existing ones: content keys are uniform sha256, so an
+        even split is a global cap in expectation, and independent
+        shards are what let many workers collect without a store-wide
+        lock.
+
         Concurrent safety: eviction unlinks only *installed* files;
         in-flight ``.tmp`` writes are never touched, and a concurrent
         writer's atomic rename simply reinstalls its entry.
         """
-        self.manifest.flush()
-        entries = self.entries()
-        report = GCReport(
-            path=str(self.path),
-            entries_before=len(entries),
-            bytes_before=sum(e.size for e in entries.values()),
-        )
+        shards = self.shards()
+        cap = None if max_bytes is None else max_bytes // max(1, len(shards))
+        keep = None if keep_fingerprints is None else set(keep_fingerprints)
+        report = GCReport(path=str(self.path))
+        for shard in shards:
+            self._gc_shard(shard, cap, keep, min_age_s, report)
+        return report
+
+    def _gc_shard(
+        self,
+        shard: str,
+        max_bytes: int | None,
+        keep: set | None,
+        min_age_s: float,
+        report: GCReport,
+    ) -> None:
+        manifest = self._manifest(shard)
+        manifest.flush()
+        entries = manifest.entries()
+        report.entries_before += len(entries)
+        report.bytes_before += sum(e.size for e in entries.values())
 
         def _drop(key: str) -> bool:
             try:
                 self._file(key).unlink(missing_ok=True)
             except OSError:
                 return False
-            self.manifest.forget(key)
+            manifest.forget(key)
             return True
 
-        if keep_fingerprints is not None:
-            keep = set(keep_fingerprints)
+        if keep is not None:
             for key, entry in list(entries.items()):
                 known_foreign = (
                     entry.fingerprint is not None and entry.fingerprint not in keep
@@ -379,183 +480,35 @@ class KeyedFileStore:
                     report.evicted.append(entry.key)
                     total -= entry.size
 
-        self.manifest.rewrite()
-        remaining = self.entries()
-        report.entries_after = len(remaining)
-        report.bytes_after = sum(e.size for e in remaining.values())
-        return report
+        manifest.rewrite()
+        remaining = manifest.entries()
+        report.entries_after += len(remaining)
+        report.bytes_after += sum(e.size for e in remaining.values())
 
     def verify(self) -> VerifyReport:
         """Decode every entry; drop the corrupt."""
         report = VerifyReport(path=str(self.path))
-        for file in sorted(self.path.glob(f"*{self.suffix}")):
-            if not _is_key(file.stem):
-                continue
-            try:
-                data = file.read_bytes()
-            except OSError:  # vanished under a concurrent clear/gc
-                continue
-            try:
-                self._decode(data)
-            except Exception:
+        for shard in self.shards():
+            manifest = self._manifest(shard)
+            for file in sorted((self.path / shard).glob(f"*{self.suffix}")):
+                if not _is_key(file.stem):
+                    continue
                 try:
-                    file.unlink(missing_ok=True)
-                except OSError:
-                    pass
-                self.manifest.forget(file.stem)
-                report.corrupt.append(file.stem)
-            else:
-                report.ok += 1
-        self.manifest.rewrite()
-        return report
-
-
-# ----------------------------------------------------------------------
-# Sharded store
-# ----------------------------------------------------------------------
-
-#: Shard-prefix widths a store may use (1 hex char = 16 shards, 2 = 256).
-SHARD_WIDTHS = (1, 2)
-
-
-def _is_shard_name(name: str, width: int) -> bool:
-    return len(name) == width and all(c in "0123456789abcdef" for c in name)
-
-
-def detect_shard_width(path: str | Path) -> int | None:
-    """Shard-prefix width of an existing store directory, ``None`` if flat.
-
-    A sharded store is recognised by its hex-prefix subdirectories
-    (``0``..``f`` or ``00``..``ff``); a flat store has none.  Used so
-    maintenance tooling and resumed sweeps open a directory the way it
-    was written without being told.
-    """
-    path = Path(path)
-    if not path.is_dir():
-        return None
-    for width in SHARD_WIDTHS:
-        for child in sorted(path.iterdir()):
-            if child.is_dir() and _is_shard_name(child.name, width):
-                return width
-    return None
-
-
-class ShardedKeyedFileStore:
-    """A :class:`KeyedFileStore` partitioned by key prefix.
-
-    Entry ``<key>`` lives in ``path/<key[:width]>/<key><suffix>``, and
-    every shard directory carries its *own* sidecar manifest.  That is
-    the point: N workers writing results land on different shards with
-    probability ``1 - 1/16**width``, so their read-merge-write manifest
-    flushes (and GC passes) stop contending on a single ``manifest.json``.
-
-    The read/maintenance surface mirrors :class:`KeyedFileStore`
-    (``load``/``save``/``entries``/``gc``/``verify``/``clear``/``flush``)
-    but only ``save`` ever creates a shard directory — lookups and
-    maintenance skip missing shards, so pointing a tool at an empty or
-    partially populated store never litters it with empty dirs.
-    """
-
-    def __init__(
-        self, path: str | Path, suffix: str, encode, decode, *, width: int = 1
-    ) -> None:
-        if width not in SHARD_WIDTHS:
-            raise ValueError(f"shard width must be one of {SHARD_WIDTHS}: {width}")
-        self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
-        self.suffix = suffix
-        self.width = width
-        self._encode = encode
-        self._decode = decode
-        self._shards: dict[str, KeyedFileStore] = {}
-
-    def _shard(self, key: str, *, create: bool) -> KeyedFileStore | None:
-        name = key[: self.width]
-        store = self._shards.get(name)
-        if store is None:
-            if not create and not (self.path / name).is_dir():
-                return None  # read path: a missing shard is a miss, not a mkdir
-            store = KeyedFileStore(
-                self.path / name, self.suffix, self._encode, self._decode
-            )
-            self._shards[name] = store
-        return store
-
-    def shard_stores(self) -> list[KeyedFileStore]:
-        """Sub-stores for every shard directory that exists, sorted."""
-        out: list[KeyedFileStore] = []
-        for child in sorted(self.path.iterdir()):
-            if child.is_dir() and _is_shard_name(child.name, self.width):
-                store = self._shards.get(child.name)
-                if store is None:
-                    store = KeyedFileStore(
-                        child, self.suffix, self._encode, self._decode
-                    )
-                    self._shards[child.name] = store
-                out.append(store)
-        return out
-
-    def load(self, key: str):
-        store = self._shard(key, create=False)
-        return None if store is None else store.load(key)
-
-    def save(self, key: str, value, *, description: dict | None = None) -> None:
-        self._shard(key, create=True).save(key, value, description=description)
-
-    def clear(self) -> None:
-        for store in self.shard_stores():
-            store.clear()
-
-    def flush(self) -> None:
-        for store in self.shard_stores():
-            store.flush()
-
-    def entries(self) -> dict[str, ManifestEntry]:
-        out: dict[str, ManifestEntry] = {}
-        for store in self.shard_stores():
-            out.update(store.entries())
-        return out
-
-    def total_bytes(self) -> int:
-        return sum(e.size for e in self.entries().values())
-
-    def gc(
-        self,
-        *,
-        max_bytes: int | None = None,
-        keep_fingerprints=None,
-        min_age_s: float = 0.0,
-    ) -> GCReport:
-        """Per-shard GC, aggregated into one report.
-
-        The size cap divides evenly across the existing shards — content
-        keys are uniform sha256, so an even split is a global cap in
-        expectation, and keeping each shard's GC independent is exactly
-        what lets many workers collect without a store-wide lock.
-        """
-        shards = self.shard_stores()
-        report = GCReport(path=str(self.path))
-        per_shard = None if max_bytes is None else max_bytes // max(1, len(shards))
-        for store in shards:
-            sub = store.gc(
-                max_bytes=per_shard,
-                keep_fingerprints=keep_fingerprints,
-                min_age_s=min_age_s,
-            )
-            report.entries_before += sub.entries_before
-            report.bytes_before += sub.bytes_before
-            report.entries_after += sub.entries_after
-            report.bytes_after += sub.bytes_after
-            report.evicted.extend(sub.evicted)
-            report.orphans.extend(sub.orphans)
-        return report
-
-    def verify(self) -> VerifyReport:
-        report = VerifyReport(path=str(self.path))
-        for store in self.shard_stores():
-            sub = store.verify()
-            report.ok += sub.ok
-            report.corrupt.extend(sub.corrupt)
+                    data = file.read_bytes()
+                except OSError:  # vanished under a concurrent clear/gc
+                    continue
+                try:
+                    self._decode(data)
+                except Exception:
+                    try:
+                        file.unlink(missing_ok=True)
+                    except OSError:
+                        pass
+                    manifest.forget(file.stem)
+                    report.corrupt.append(file.stem)
+                else:
+                    report.ok += 1
+            manifest.rewrite()
         return report
 
 
@@ -587,10 +540,10 @@ def _decode_result_bytes(data: bytes) -> ProgramResult:
 class ResultCache:
     """In-memory result cache with an optional on-disk JSON store.
 
-    ``shard_width=None`` (the default) auto-detects: a directory that
-    already contains hex-prefix shard subdirectories opens sharded, any
-    other opens flat.  ``shard_width=0`` forces flat; 1 or 2 force (or
-    create) a sharded layout — the sweep service's many-writer mode.
+    ``shard_width`` is the store's (see :class:`KeyedFileStore`): by
+    default an existing directory opens in the layout it was written
+    in; 0 forces flat; 1 or 2 a sharded layout — the sweep service's
+    many-writer mode.
     """
 
     def __init__(
@@ -598,26 +551,18 @@ class ResultCache:
     ) -> None:
         self._memory: dict[str, ProgramResult] = {}
         self.path = Path(path) if path is not None else None
-        if path is None:
-            self._store = None
-        else:
-            if shard_width is None:
-                shard_width = detect_shard_width(path) or 0
-            if shard_width:
-                self._store = ShardedKeyedFileStore(
-                    path,
-                    ".json",
-                    _encode_result_bytes,
-                    _decode_result_bytes,
-                    width=shard_width,
-                )
-            else:
-                self._store = KeyedFileStore(
-                    path, ".json", _encode_result_bytes, _decode_result_bytes
-                )
+        self._store = None
+        if path is not None:
+            self._store = KeyedFileStore(
+                path,
+                ".json",
+                _encode_result_bytes,
+                _decode_result_bytes,
+                shard_width=shard_width,
+            )
 
     @property
-    def store(self) -> KeyedFileStore | ShardedKeyedFileStore | None:
+    def store(self) -> KeyedFileStore | None:
         return self._store
 
     def get(self, key: str) -> ProgramResult | None:

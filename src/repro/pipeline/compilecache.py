@@ -167,7 +167,7 @@ class CompiledLoopCache:
     def flush(self) -> None:
         """Persist any buffered manifest updates (recency hits)."""
         if self._store is not None:
-            self._store.manifest.flush()
+            self._store.flush()
 
     def gc(self, **kwargs) -> GCReport:
         if self._store is None:

@@ -6,13 +6,18 @@ machine configuration and simulation options.  Executors map a request
 list to results *in request order*, which — together with the
 deterministic simulator — makes serial and parallel execution produce
 identical result rows.
+
+:func:`make_executor` is the one factory every fan-out goes through:
+sessions, ``run_program``'s loop phase, the scheduler comparison and
+the fuzz engine.
 """
 
 from __future__ import annotations
 
 import atexit
+import functools
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from ..machine.config import MachineConfig
@@ -50,7 +55,7 @@ class RequestError(RuntimeError):
     """A worker-side failure tagged with the request that caused it.
 
     Raw exceptions surfaced through ``executor.map`` are useless for a
-    sweep operator: a ``KeyError`` from a pool worker names neither the
+    sweep operator: a ``KeyError`` from a worker process names neither the
     benchmark nor the configuration that blew up.  ``execute_request``
     wraps every failure in this type, carrying the content key and the
     human description, so retry layers can file an actionable
@@ -79,8 +84,8 @@ def execute_request(request: RunRequest) -> ProgramResult:
     """Compile and simulate one request (module-level: picklable).
 
     Failures are re-raised as :class:`RequestError` so the originating
-    job key and configuration survive the trip back through a process
-    pool (the raw exception stays chained as ``__cause__`` locally).
+    job key and configuration survive the trip back from a worker
+    process (the raw exception stays chained as ``__cause__`` locally).
     """
     from ..sim.runner import run_program
     from ..workloads.mediabench import build
@@ -105,63 +110,98 @@ class SerialExecutor:
 
 
 class ParallelExecutor:
-    """Fans jobs out across worker processes.
+    """Fans jobs out across a supervised worker fleet.
 
     ``fn`` must be a module-level (picklable) callable; jobs cross the
-    process boundary pickled.  Results come back in request order
-    (``ProcessPoolExecutor.map``), so swapping this in for
-    :class:`SerialExecutor` changes wall-clock time and nothing else.
-    The pool is created lazily and reused across batches — one worker
-    startup per sweep, not per figure (this matters on spawn-based
-    platforms, where each worker re-imports the package).
+    process boundary pickled.  Results come back in request order, so
+    swapping this in for :class:`SerialExecutor` changes wall-clock time
+    and nothing else.
+
+    The fleet (a :class:`~repro.service.supervisor.Supervisor`) forks
+    at the first multi-job :meth:`map` and serves every later batch
+    until :meth:`shutdown` or interpreter exit.  Its policy is fixed:
+    no per-job deadline; a worker that dies or stops heartbeating is
+    replaced and its job retried; an exception raised by a job fails
+    the map at once with a :class:`~repro.service.retry.JobFailureError`
+    naming the request.
     """
 
     def __init__(self, workers: int | None = None) -> None:
         self.workers = workers or os.cpu_count() or 1
-        self._pool: ProcessPoolExecutor | None = None
-
-    def _get_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            atexit.register(self.shutdown)
-        return self._pool
+        self._loop = None  # the asyncio event loop the fleet runs on
+        self._fleet = None
+        self._submitted = 0  # numbers jobs: supervisor keys stay unique
 
     def map(self, requests, fn=execute_request) -> list:
         requests = list(requests)
         if len(requests) <= 1 or self.workers <= 1:
             return SerialExecutor().map(requests, fn)
-        return list(self._get_pool().map(fn, requests))
+        if self._fleet is None:
+            from ..service.retry import RetryPolicy
+            from ..service.worker import spawn
+
+            policy = RetryPolicy(timeout_s=None)
+            interval = policy.heartbeat_interval_s
+            # Fork first: a worker forked after this process imports
+            # asyncio would carry a copy of it.
+            forked = [spawn(_call, i, interval) for i in range(self.workers)]
+
+            import asyncio
+
+            from ..service.supervisor import Supervisor
+
+            self._loop = asyncio.new_event_loop()
+            self._fleet = Supervisor(_call, workers=self.workers, policy=policy)
+            self._loop.run_until_complete(self._fleet.start(forked))
+            atexit.register(self.shutdown)
+        return self._loop.run_until_complete(self._gather(requests, fn))
+
+    async def _gather(self, requests, fn) -> list:
+        import asyncio
+
+        futures = []
+        for request in requests:
+            self._submitted += 1
+            key, description = f"job#{self._submitted}", None
+            if isinstance(request, RunRequest):
+                key = f"{request.key}#{self._submitted}"
+                description = describe_request(request)
+            futures.append(self._fleet.submit(key, (fn, request), description))
+        try:
+            return await asyncio.gather(*futures)
+        except BaseException:
+            for future in futures:
+                future.cancel()  # withdraws the jobs not yet dispatched
+            raise
 
     def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        """Stop the fleet and reap its workers; a later map forks anew."""
+        if self._fleet is not None:
+            self._loop.run_until_complete(self._fleet.stop())
+            self._loop.close()
+            self._fleet = self._loop = None
+            atexit.unregister(self.shutdown)
+
+
+def _call(payload, fault):
+    """Worker-side runner of :meth:`ParallelExecutor.map`: ``fn(item)``."""
+    fn, item = payload
+    return fn(item)
 
 
 def make_executor(workers: int | None):
-    """``None``/0/1 -> serial; N>1 -> N processes; negative -> all cores."""
-    if workers is None or workers in (0, 1):
-        return SerialExecutor()
-    if workers < 0:
-        return ParallelExecutor()
-    return ParallelExecutor(workers)
+    """The executor for a worker count.
 
-
-_SHARED_POOLS: dict[int, ParallelExecutor] = {}
-
-
-def shared_executor(workers: int | None):
-    """Like :func:`make_executor`, but parallel executors are process-wide
-    singletons keyed by resolved worker count, so repeated callers (e.g.
-    ``run_program`` once per benchmark x config of a sweep) reuse one
-    pool instead of leaking one per call.  Serial executors are
-    stateless and created fresh.
+    ``None``/0/1 -> :class:`SerialExecutor`; N > 1 -> the process-wide
+    N-worker :class:`ParallelExecutor`; negative -> one worker per core.
+    Inside a worker process the answer is always serial, so fan-out
+    never forks a fleet from a fleet.
     """
-    if workers is None or workers in (0, 1):
+    if workers in (None, 0, 1) or multiprocessing.parent_process() is not None:
         return SerialExecutor()
-    resolved = (os.cpu_count() or 1) if workers < 0 else workers
-    executor = _SHARED_POOLS.get(resolved)
-    if executor is None:
-        executor = ParallelExecutor(resolved)
-        _SHARED_POOLS[resolved] = executor
-    return executor
+    return _parallel_executor(workers if workers > 0 else os.cpu_count() or 1)
+
+
+@functools.cache
+def _parallel_executor(workers: int) -> ParallelExecutor:
+    return ParallelExecutor(workers)

@@ -148,7 +148,7 @@ class StoreManifest:
     def _note_pending(self) -> None:
         """Count a buffered update; fold in every FLUSH_EVERY-th one."""
         if not self._exit_hook_installed:
-            # Pool workers and CLIs that never reach an explicit
+            # Worker processes and CLIs that never reach an explicit
             # teardown still persist their buffered rows on clean exit.
             atexit.register(self.flush)
             self._exit_hook_installed = True

@@ -11,14 +11,16 @@ Layering (bottom up):
 
 * :mod:`.retry`      — pure retry policy: backoff, jitter, failure taxonomy
 * :mod:`.faults`     — seeded fault plans (kill/hang/truncate) + injection
+* :mod:`.worker`     — worker processes: the child side of the pipe protocol
 * :mod:`.supervisor` — worker fleet, watchdog, retry/dead-letter loop
 * :mod:`.checkpoint` — atomic-rename sweep journal for resume
-* :mod:`.server`     — coalescing service, degradation ladder, executor facade
+* :mod:`.server`     — coalescing service, degradation ladder
 * :mod:`.drill`      — the chaos drill (also the ``chaos-smoke`` CI lane)
 """
 
+from importlib import import_module
+
 from .checkpoint import CHECKPOINT_SCHEMA, SweepCheckpoint
-from .drill import DRILL_POLICY, run_drill
 from .faults import FAULT_KINDS, Fault, FaultPlan, truncate_entry
 from .retry import (
     FAILURE_KINDS,
@@ -31,17 +33,30 @@ from .retry import (
     backoff_delay,
     jitter_fraction,
 )
-from .server import (
-    GRIDS,
-    SupervisedExecutor,
-    SweepReport,
-    SweepService,
-    degrade_request,
-    requests_from_spec,
-    run_sweep,
-    sweep_spec,
-)
-from .supervisor import Supervisor, SupervisorStats
+
+#: Names from the asyncio-based modules, imported on first use so that an
+#: executor can fork its workers before it imports asyncio (see .worker).
+_LAZY = {
+    "DRILL_POLICY": "drill",
+    "run_drill": "drill",
+    "GRIDS": "server",
+    "SweepReport": "server",
+    "SweepService": "server",
+    "degrade_request": "server",
+    "requests_from_spec": "server",
+    "run_sweep": "server",
+    "sweep_spec": "server",
+    "Supervisor": "supervisor",
+    "SupervisorStats": "supervisor",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -59,7 +74,6 @@ __all__ = [
     "RetryPolicy",
     "Supervisor",
     "SupervisorStats",
-    "SupervisedExecutor",
     "SweepCheckpoint",
     "SweepReport",
     "SweepService",

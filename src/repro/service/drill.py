@@ -90,9 +90,7 @@ def _wait_store_quiet(
         time.sleep(0.05)
 
 
-async def _chaos_sweep(
-    requests, *, store_dir, workers, clients, faults, poll_interval_s=0.01
-):
+async def _chaos_sweep(requests, *, store_dir, workers, clients, faults):
     """N concurrent clients fetch overlapping orderings of one grid
     through a single faulted service; returns (service, per-client
     result dicts)."""
@@ -102,7 +100,6 @@ async def _chaos_sweep(
         policy=DRILL_POLICY,
         faults=faults,
         degrade=False,  # recovery must be byte-identical, never a swap
-        poll_interval_s=poll_interval_s,
     ) as service:
 
         async def client(ordinal: int) -> dict[str, object]:

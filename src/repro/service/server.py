@@ -1,4 +1,4 @@
-"""Sweep service: coalescing, degradation ladder, and the sync facade.
+"""Sweep service: request coalescing and the degradation ladder.
 
 :class:`SweepService` is the client-facing layer over the
 :class:`~repro.service.supervisor.Supervisor`:
@@ -27,9 +27,8 @@
   from the spec and the cache-first lookup makes completed jobs instant
   hits (and quietly re-runs any whose store entry a fault corrupted).
 
-:class:`SupervisedExecutor` adapts the supervisor to the synchronous
-``executor.map`` protocol, so ``Session``/``ExperimentContext`` (and
-the ``repro.eval`` CLI) can run under supervision with no other change.
+Plain ``executor.map`` batches run on the same supervisor through
+:class:`~repro.pipeline.executor.ParallelExecutor`.
 """
 
 from __future__ import annotations
@@ -86,20 +85,8 @@ def _service_runner(payload, fault):
         store.save(store_key, result, description=describe_request(request))
         store.flush()
         if fault is not None and fault.kind == "truncate":
-            shard = (
-                store._shard(store_key, create=True)
-                if hasattr(store, "_shard")
-                else store
-            )
-            blob = shard._file(store_key).read_bytes()
-            truncate_entry(store, store_key, blob)
+            truncate_entry(store, store_key, store._file(store_key).read_bytes())
     return result
-
-
-def _plain_runner(payload, fault):
-    """Generic runner for :class:`SupervisedExecutor`: ``(fn, item)``."""
-    fn, item = payload
-    return fn(item)
 
 
 # ----------------------------------------------------------------------
@@ -246,14 +233,11 @@ class SweepService:
         degrade: bool = True,
         checkpoint_path: str | Path | None = None,
         exit_after: int | None = None,
-        poll_interval_s: float = 0.01,
     ) -> None:
         self._store_spec = (
             None if store_dir is None else (str(store_dir), shard_width)
         )
-        self.cache = ResultCache(
-            store_dir, shard_width=shard_width if store_dir is not None else None
-        )
+        self.cache = ResultCache(store_dir, shard_width=shard_width)
         self.checkpoint: SweepCheckpoint | None = None
         if checkpoint_path is not None:
             self.checkpoint = SweepCheckpoint.load(checkpoint_path) or SweepCheckpoint(
@@ -269,7 +253,6 @@ class SweepService:
             policy=policy,
             faults=faults,
             degrade=degrade_request if degrade else None,
-            poll_interval_s=poll_interval_s,
             completion_hook=self._on_complete,
         )
 
@@ -372,58 +355,3 @@ async def run_sweep(
         if service.checkpoint is not None:
             service.checkpoint.spec = spec
         return await service.sweep(requests)
-
-
-# ----------------------------------------------------------------------
-# Synchronous executor facade
-# ----------------------------------------------------------------------
-
-
-class SupervisedExecutor:
-    """Drop-in ``executor.map`` backed by the supervisor.
-
-    Same contract as :class:`~repro.pipeline.executor.ParallelExecutor`
-    — results in request order, first failure raises — but a SIGKILL'd
-    or wedged worker is restarted and its job retried instead of
-    poisoning the pool (``BrokenProcessPool``).  Plug into
-    ``Session(executor=...)`` or ``repro.eval --supervised``.
-    """
-
-    def __init__(
-        self, workers: int | None = None, *, policy: RetryPolicy | None = None
-    ) -> None:
-        self.workers = workers or os.cpu_count() or 1
-        self.policy = policy or RetryPolicy()
-
-    def map(self, requests, fn=execute_request) -> list:
-        requests = list(requests)
-        if not requests:
-            return []
-        return asyncio.run(self._amap(requests, fn))
-
-    async def _amap(self, requests, fn) -> list:
-        async with Supervisor(
-            _plain_runner, workers=self.workers, policy=self.policy
-        ) as supervisor:
-            futures = []
-            seen: set[str] = set()
-            for i, request in enumerate(requests):
-                key = getattr(request, "key", None) or f"item-{i}"
-                if key in seen:
-                    key = f"{key}#{i}"
-                seen.add(key)
-                description = (
-                    describe_request(request)
-                    if isinstance(request, RunRequest)
-                    else None
-                )
-                futures.append(
-                    supervisor.submit(key, (fn, request), description)
-                )
-            outcomes = await asyncio.gather(*futures, return_exceptions=True)
-        results = []
-        for outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                raise outcome
-            results.append(outcome)
-        return results

@@ -1,11 +1,12 @@
-"""Supervised process-pool job queue: the service's execution core.
+"""Supervised worker-fleet job queue: the engine behind every fan-out.
 
-``concurrent.futures.ProcessPoolExecutor`` is the wrong substrate for a
-fault-*tolerant* service: one SIGKILL'd worker poisons the whole pool
-(``BrokenProcessPool``) and takes every in-flight job with it.  The
-:class:`Supervisor` owns its workers directly — one
-``multiprocessing.Process`` + duplex pipe each — and an asyncio loop
-that dispatches queued jobs, drains results, and *watches*:
+A stdlib process pool is the wrong substrate for fault *tolerance*: one
+SIGKILL'd worker poisons the whole pool (``BrokenProcessPool``) and
+takes every in-flight job with it.  The :class:`Supervisor` owns its
+workers directly — one ``multiprocessing.Process`` + duplex pipe each —
+and an asyncio loop that sleeps until a worker pipe turns readable (or
+the next watchdog or backoff deadline), then in one pass drains
+results, *watches*, and dispatches into every idle slot:
 
 * a worker process that died (SIGKILL, OOM, segfault) is detected via
   ``Process.is_alive``/pipe EOF, restarted, and its job re-queued as a
@@ -29,16 +30,18 @@ Chaos faults (:mod:`repro.service.faults`) are injected at dispatch:
 the plan names a dispatch ordinal, the fault rides the job message, and
 the worker (or its store write) misbehaves accordingly — deterministic
 enough to drill recovery in CI.
+
+:class:`~repro.pipeline.executor.ParallelExecutor` runs every
+``executor.map`` batch on one long-lived supervisor; the sweep service
+(:mod:`repro.service.server`) drives its own.
 """
 
 from __future__ import annotations
 
 import asyncio
 import heapq
-import multiprocessing
-import os
-import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from .faults import FaultPlan
@@ -50,85 +53,7 @@ from .retry import (
     Retry,
     RetryPolicy,
 )
-
-
-def _worker_main(conn, runner, heartbeat_interval_s: float) -> None:
-    """Worker process: serve jobs from ``conn`` until told to stop.
-
-    Protocol (parent -> worker): ``("job", key, payload, fault)`` or
-    ``("stop",)``.  Worker -> parent: ``("hb", key)`` heartbeats from a
-    background thread while a job runs, then ``("done", key, result)``
-    or ``("fail", key, detail_dict)``.  A ``kill`` fault SIGKILLs this
-    process at job start (a crash, from the supervisor's view); a
-    ``hang`` fault sleeps *without heartbeating* first, so the watchdog
-    sees a wedged worker.
-    """
-    import signal
-
-    supervisor_pid = os.getppid()
-    send_lock = threading.Lock()
-
-    def _send(msg) -> bool:
-        with send_lock:
-            try:
-                conn.send(msg)
-                return True
-            except (OSError, ValueError, BrokenPipeError):
-                return False  # parent went away; nothing left to do
-
-    while True:
-        try:
-            # Poll rather than block in recv(): sibling workers forked
-            # after us inherit dup'd ends of our pipe, so a dead
-            # supervisor never EOFs it.  Watching for re-parenting is
-            # the only reliable orphan signal (e.g. after the chaos
-            # drill's simulated server crash).
-            while not conn.poll(1.0):
-                if os.getppid() != supervisor_pid:
-                    return
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        if msg[0] == "stop":
-            break
-        _, key, payload, fault = msg
-        if fault is not None and fault.kind == "kill":
-            os.kill(os.getpid(), signal.SIGKILL)
-        if fault is not None and fault.kind == "hang":
-            # Silent wedge: no heartbeats while we sleep.  The
-            # supervisor must kill us; if it somehow doesn't, we wake
-            # up and run the job normally (the drill still converges).
-            time.sleep(fault.seconds)
-        stop_beating = threading.Event()
-
-        def _beat(job_key=key) -> None:
-            while not stop_beating.wait(heartbeat_interval_s):
-                if not _send(("hb", job_key)):
-                    return
-
-        beater = threading.Thread(target=_beat, daemon=True)
-        beater.start()
-        try:
-            result = runner(payload, fault)
-            out = ("done", key, result)
-        except Exception as exc:
-            out = (
-                "fail",
-                key,
-                {
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                    "description": getattr(exc, "description", None),
-                },
-            )
-        finally:
-            stop_beating.set()
-        if not _send(out):
-            break
-    try:
-        conn.close()
-    except OSError:
-        pass
+from .worker import spawn
 
 
 @dataclass
@@ -214,47 +139,56 @@ class Supervisor:
         policy: RetryPolicy | None = None,
         faults: FaultPlan | None = None,
         degrade=None,
-        poll_interval_s: float = 0.01,
         completion_hook=None,
-        mp_context: str | None = None,
     ) -> None:
         self.runner = runner
         self.n_workers = max(1, workers)
         self.policy = policy or RetryPolicy()
         self.faults = faults
         self.degrade = degrade
-        self.poll_interval_s = poll_interval_s
         self.completion_hook = completion_hook
-        methods = multiprocessing.get_all_start_methods()
-        self._ctx = multiprocessing.get_context(
-            mp_context or ("fork" if "fork" in methods else None)
-        )
         self.stats = SupervisorStats()
-        self._queue: list[_QueuedJob] = []
+        self._queue: deque[_QueuedJob] = deque()
         self._delayed: list[tuple[float, int, _QueuedJob]] = []  # heap
         self._delay_seq = 0
         self._active: dict[str, _QueuedJob] = {}
         self._workers: list[_WorkerHandle] = []
         self._loop_task: asyncio.Task | None = None
+        #: resolved to start the loop's next pass (see :meth:`_wake`)
+        self._waiter: asyncio.Future | None = None
         self._running = False
 
     # -- lifecycle ------------------------------------------------------
 
-    async def start(self) -> None:
+    async def start(self, forked=()) -> None:
+        """Start the fleet, adopting workers already forked by
+        :func:`~repro.service.worker.spawn` (with this runner and policy)
+        and forking the rest."""
         if self._running:
             return
         self._running = True
-        self._workers = [self._spawn(i) for i in range(self.n_workers)]
+        pairs = list(forked)
+        interval = self.policy.heartbeat_interval_s
+        pairs += [
+            spawn(self.runner, i, interval) for i in range(len(pairs), self.n_workers)
+        ]
+        self._workers = [self._watch(i, *pair) for i, pair in enumerate(pairs)]
         self._loop_task = asyncio.get_running_loop().create_task(self._loop())
 
     async def stop(self) -> None:
-        """Tear the fleet down; unresolved jobs dead-letter as crashes."""
+        """Tear the fleet down; unresolved jobs dead-letter as crashes.
+
+        The loop exits on the running flag rather than by cancellation,
+        so a cancel swallowed inside the event loop cannot leave this
+        waiting.  Busy workers are running abandoned jobs and are
+        killed outright; idle ones are asked to stop.
+        """
         self._running = False
+        self._wake()
         if self._loop_task is not None:
-            self._loop_task.cancel()
             try:
                 await self._loop_task
-            except (asyncio.CancelledError, Exception):
+            except Exception:
                 pass
             self._loop_task = None
         for job in list(self._active.values()):
@@ -274,7 +208,10 @@ class Supervisor:
         self._queue.clear()
         self._delayed.clear()
         for handle in self._workers:
-            if handle.proc.is_alive() and handle.job is None:
+            self._unwatch(handle)
+            if handle.job is not None:
+                handle.proc.kill()
+            elif handle.proc.is_alive():
                 try:
                     handle.conn.send(("stop",))
                 except (OSError, ValueError, BrokenPipeError):
@@ -303,7 +240,8 @@ class Supervisor:
         """Queue one job; returns a future resolving to the result (or
         raising :class:`JobFailureError`).  Keys must be unique among
         *active* jobs — coalescing identical requests onto one future
-        is the server layer's job, not the queue's."""
+        is the server layer's job, not the queue's.  Cancelling the
+        future withdraws the job if it has not been dispatched yet."""
         if not self._running:
             raise RuntimeError("supervisor is not running (use start()/async with)")
         if key in self._active:
@@ -318,35 +256,25 @@ class Supervisor:
         self._active[key] = job
         self._queue.append(job)
         self.stats.submitted += 1
+        self._wake()
         return future
-
-    def pending(self) -> int:
-        busy = sum(1 for w in self._workers if w.job is not None)
-        return len(self._queue) + len(self._delayed) + busy
-
-    async def join(self) -> None:
-        """Wait until every submitted job has resolved."""
-        while self.pending():
-            if self._loop_task is not None and self._loop_task.done():
-                self._loop_task.result()  # surface a crashed loop
-                raise RuntimeError("supervisor loop exited with jobs pending")
-            await asyncio.sleep(self.poll_interval_s)
 
     # -- fleet ----------------------------------------------------------
 
-    def _spawn(self, index: int) -> _WorkerHandle:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(child_conn, self.runner, self.policy.heartbeat_interval_s),
-            daemon=True,
-            name=f"sweep-worker-{index}",
-        )
-        proc.start()
-        child_conn.close()
-        return _WorkerHandle(index, proc, parent_conn)
+    def _watch(self, index: int, proc, conn) -> _WorkerHandle:
+        # A result, a heartbeat or EOF (the worker died) all make the
+        # pipe readable, and each is a reason for a loop pass.
+        asyncio.get_running_loop().add_reader(conn.fileno(), self._wake)
+        return _WorkerHandle(index, proc, conn)
+
+    def _unwatch(self, handle: _WorkerHandle) -> None:
+        try:
+            asyncio.get_running_loop().remove_reader(handle.conn.fileno())
+        except (OSError, ValueError):
+            pass  # already closed
 
     def _replace(self, handle: _WorkerHandle) -> None:
+        self._unwatch(handle)
         try:
             if handle.proc.is_alive():
                 handle.proc.kill()
@@ -357,33 +285,80 @@ class Supervisor:
             handle.conn.close()
         except OSError:
             pass
-        fresh = self._spawn(handle.index)
+        interval = self.policy.heartbeat_interval_s
+        fresh = self._watch(handle.index, *spawn(self.runner, handle.index, interval))
         self._workers[self._workers.index(handle)] = fresh
         self.stats.restarts += 1
 
     # -- event loop -----------------------------------------------------
 
     async def _loop(self) -> None:
-        while True:
+        # Drain before the watchdog, so a job that just finished is not
+        # judged silent, and dispatch last, so a worker freed by a
+        # result gets its next job in the same pass.
+        while self._running:
             now = time.monotonic()
-            self._promote_delayed(now)
-            self._dispatch(now)
             self._drain(now)
             self._watchdog(now)
-            await asyncio.sleep(self.poll_interval_s)
+            self._promote_delayed(now)
+            self._dispatch(now)
+            await self._idle(self._next_deadline(now) - time.monotonic())
+
+    def _wake(self) -> None:
+        """Start the loop's next pass now (reader, timer and submit hook)."""
+        if self._waiter is not None and not self._waiter.done():
+            self._waiter.set_result(None)
+
+    async def _idle(self, timeout: float) -> None:
+        loop = asyncio.get_running_loop()
+        self._waiter = loop.create_future()
+        timer = loop.call_later(max(0.0, timeout), self._wake)
+        try:
+            await self._waiter
+        finally:
+            timer.cancel()
+            self._waiter = None
+
+    def _next_deadline(self, now: float) -> float:
+        """When the watchdog or the backoff heap next needs a pass.
+
+        Idle fleets still get a pass every ``heartbeat_timeout_s``: a
+        cheap backstop should a worker die without its pipe reading EOF.
+        """
+        policy = self.policy
+        deadline = now + policy.heartbeat_timeout_s
+        if self._delayed:
+            deadline = min(deadline, self._delayed[0][0])
+        for handle in self._workers:
+            if handle.job is None:
+                continue
+            deadline = min(deadline, handle.last_heartbeat + policy.heartbeat_timeout_s)
+            if policy.timeout_s is not None:
+                deadline = min(deadline, handle.dispatched_at + policy.timeout_s)
+        return deadline
 
     def _promote_delayed(self, now: float) -> None:
         while self._delayed and self._delayed[0][0] <= now:
             _, _, job = heapq.heappop(self._delayed)
             self._queue.append(job)
 
+    def _next_job(self) -> _QueuedJob | None:
+        """The next queued job whose future is still wanted."""
+        while self._queue:
+            job = self._queue.popleft()
+            if not job.future.done():
+                return job
+            self._active.pop(job.key, None)  # cancelled before dispatch
+        return None
+
     def _dispatch(self, now: float) -> None:
+        # The watchdog pass just before this one replaced dead workers.
         for handle in self._workers:
-            if not self._queue:
-                return
-            if handle.job is not None or not handle.proc.is_alive():
+            if handle.job is not None:
                 continue
-            job = self._queue.pop(0)
+            job = self._next_job()
+            if job is None:
+                return
             fault = None
             if self.faults is not None:
                 fault = self.faults.fault_for(self.stats.dispatches)
@@ -393,9 +368,9 @@ class Supervisor:
             try:
                 handle.conn.send(("job", job.key, job.payload, fault))
             except (OSError, ValueError, BrokenPipeError):
-                # Worker died between health checks; re-queue and let
-                # the watchdog replace it on this same tick.
-                self._queue.insert(0, job)
+                # Worker died since the watchdog looked; re-queue and
+                # let the next pass replace it.
+                self._queue.appendleft(job)
                 continue
             handle.job = job
             handle.dispatched_at = now
@@ -448,7 +423,7 @@ class Supervisor:
                 continue
             if (
                 policy.timeout_s is not None
-                and now - handle.dispatched_at > policy.timeout_s
+                and now - handle.dispatched_at >= policy.timeout_s
             ):
                 handle.job = None
                 self._replace(handle)
@@ -456,7 +431,7 @@ class Supervisor:
                 self._failed(
                     job, "timeout", f"exceeded {policy.timeout_s}s deadline"
                 )
-            elif now - handle.last_heartbeat > policy.heartbeat_timeout_s:
+            elif now - handle.last_heartbeat >= policy.heartbeat_timeout_s:
                 handle.job = None
                 self._replace(handle)
                 self.stats.hung += 1

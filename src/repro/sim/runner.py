@@ -129,7 +129,7 @@ def _fast_mode(options: SimOptions) -> tuple[bool, bool]:
     return options.fast_sim, options.fast_convergence
 
 
-def make_executor(
+def make_loop_executor(
     compiled: CompiledLoop,
     memory,
     layout: MemoryLayout,
@@ -206,7 +206,7 @@ def run_loop(
     memory clock.
     """
     options = options or SimOptions()
-    executor = make_executor(compiled, memory, layout, options)
+    executor = make_loop_executor(compiled, memory, layout, options)
     trip = compiled.loop.trip_count
     l0_arch = compiled.schedule.config.arch is ArchKind.L0
 
@@ -399,17 +399,11 @@ def run_program(
     options = options or SimOptions()
     plans = plan_program(benchmark, config, options)
 
-    import multiprocessing
+    from ..pipeline.executor import make_executor
 
-    from ..pipeline.executor import shared_executor
-
-    loop_workers = options.loop_workers
-    if loop_workers and multiprocessing.parent_process() is not None:
-        # Already inside a worker (program-level fan-out): a nested pool
-        # would oversubscribe — or deadlock fork-based pools — and buys
-        # nothing, since parallel results are byte-identical to serial.
-        loop_workers = None
-    simulated = shared_executor(loop_workers).map(plans, fn=simulate_plan)
+    # Serial inside a worker of a program-level fan-out (make_executor
+    # never nests fleets); parallel results are byte-identical anyway.
+    simulated = make_executor(options.loop_workers).map(plans, fn=simulate_plan)
 
     # Phase 3: sequential stats stitching in program order.  No shared
     # clock is threaded between loops any more — each loop simulated at

@@ -17,7 +17,6 @@ from repro.pipeline import (
     ResultCache,
     RunRequest,
     Session,
-    ShardedKeyedFileStore,
     compile_cached,
     compile_key,
     encode_result,
@@ -237,9 +236,7 @@ class TestResultSchema:
 
 
 class TestAnnotations:
-    @pytest.mark.parametrize(
-        "cls", [KeyedFileStore, ShardedKeyedFileStore, ResultCache, CompiledLoopCache]
-    )
+    @pytest.mark.parametrize("cls", [KeyedFileStore, ResultCache, CompiledLoopCache])
     def test_public_method_annotations_resolve(self, cls):
         """Every name an annotation uses is importable from its module
         (an unresolved one raises NameError here)."""

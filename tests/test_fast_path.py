@@ -31,7 +31,7 @@ from repro.sim import (
     LoopExecutor,
     SimOptions,
     TraceExecutor,
-    make_executor,
+    make_loop_executor,
     make_memory,
     run_loop,
     run_program,
@@ -256,21 +256,21 @@ def test_loop_result_reports_extrapolation_kind():
     assert result.measured_fraction == 1.0
 
 
-def test_make_executor_honors_env_opt_out(monkeypatch):
+def test_make_loop_executor_honors_env_opt_out(monkeypatch):
     compiled = compile_loop(kernels.make_saxpy(trip=32, n=64), unified_config())
     options = SimOptions()
     monkeypatch.setenv("REPRO_FAST_SIM", "0")
-    ex = make_executor(
+    ex = make_loop_executor(
         compiled, make_memory(unified_config()), MemoryLayout(), options
     )
     assert isinstance(ex, LoopExecutor)
     monkeypatch.setenv("REPRO_FAST_SIM", "interp")
-    ex = make_executor(
+    ex = make_loop_executor(
         compiled, make_memory(unified_config()), MemoryLayout(), options
     )
     assert isinstance(ex, TraceExecutor) and not ex._convergence
     monkeypatch.delenv("REPRO_FAST_SIM")
-    ex = make_executor(
+    ex = make_loop_executor(
         compiled, make_memory(unified_config()), MemoryLayout(), options
     )
     assert isinstance(ex, TraceExecutor)

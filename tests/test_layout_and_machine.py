@@ -129,6 +129,13 @@ class TestMachineConfig:
             {"l1_size": 0},
             {"l1_size": 100},
             {"l1_size": 96},  # a multiple of the block, not of assoc * block
+            {"int_units_per_cluster": 0},
+            {"mem_units_per_cluster": 0},
+            {"fp_units_per_cluster": 0},
+            {"attraction_entries": 0},
+            # 320 is a multiple of 2 * 32, but each of the four
+            # word-interleaved modules would hold 80 bytes, which is not.
+            {"l1_size": 320, "arch": ArchKind.INTERLEAVED},
         ],
         ids=lambda overrides: "{}={}".format(*next(iter(overrides.items()))),
     )

@@ -20,6 +20,7 @@ from repro.pipeline import (
     cache_key,
     decode_result,
     encode_result,
+    make_executor,
     result_fingerprint,
 )
 from repro.pipeline.passes import DEFAULT_PIPELINE
@@ -209,8 +210,6 @@ class TestSessionCaching:
         assert results[0] is results[2]
 
     def test_negative_workers_means_all_cores(self):
-        from repro.pipeline import make_executor
-
         assert isinstance(make_executor(-1), ParallelExecutor)
         assert isinstance(make_executor(-2), ParallelExecutor)
         assert make_executor(-2).workers >= 1
@@ -230,7 +229,7 @@ class TestExecutorParity:
     def test_serial_and_parallel_rows_byte_identical(self):
         requests = _sweep_requests(FAST)
         serial = SerialExecutor().map(requests)
-        parallel = ParallelExecutor(2).map(requests)
+        parallel = make_executor(2).map(requests)
         assert [result_fingerprint(r) for r in parallel] == [
             result_fingerprint(r) for r in serial
         ]

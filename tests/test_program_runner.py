@@ -186,14 +186,14 @@ class TestLoopLevelParallelism:
         """Program-level workers + loop-level workers must not nest
         process pools (fork-based nesting can deadlock): inside a
         worker the loop phase runs serial, and rows stay identical."""
-        from repro.pipeline import ParallelExecutor, RunRequest
+        from repro.pipeline import RunRequest, make_executor
 
         options = SimOptions(sim_cap=100, loop_workers=2)
         requests = [
             RunRequest("gsmdec", l0_config(8), options),
             RunRequest("g721dec", l0_config(8), options),
         ]
-        nested = ParallelExecutor(2).map(requests)
+        nested = make_executor(2).map(requests)
         serial = [
             run_program(build(r.benchmark), r.config, options=SimOptions(sim_cap=100))
             for r in requests

@@ -1,4 +1,4 @@
-"""Sweep-service tests: supervisor, coalescing, checkpoint, sharding.
+"""Sweep-service tests: supervisor, executor, coalescing, checkpoint, sharding.
 
 Fault-injection tests here use toy runners and sub-second heartbeat
 policies so the whole file stays tier-1 fast; the full chaos drill
@@ -9,26 +9,30 @@ policies so the whole file stays tier-1 fast; the full chaos drill
 
 import asyncio
 import json
+import multiprocessing
+import os
+import signal
 import time
 
 import pytest
 
 from repro.machine import l0_config, unified_config
 from repro.pipeline import (
+    KeyedFileStore,
+    ParallelExecutor,
     RequestError,
     ResultCache,
     RunRequest,
     SerialExecutor,
     Session,
-    ShardedKeyedFileStore,
     detect_shard_width,
+    make_executor,
 )
 from repro.service import (
     Fault,
     FaultPlan,
     JobFailureError,
     RetryPolicy,
-    SupervisedExecutor,
     Supervisor,
     SweepCheckpoint,
     degrade_request,
@@ -60,6 +64,24 @@ def toy_runner(payload, fault):
 
 def toy_double(value):
     return value * 2
+
+
+def kill_on_first_attempt(item):
+    """Double ``value``; the job carrying a marker path SIGKILLs its own
+    worker the first time it runs (the marker records that it did)."""
+    value, marker = item
+    if marker is not None and not os.path.exists(marker):
+        open(marker, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return value * 2
+
+
+def worker_pid(_item):
+    return os.getpid()
+
+
+def nested_executor_kind(_item):
+    return type(make_executor(2)).__name__
 
 
 # ----------------------------------------------------------------------
@@ -199,14 +221,14 @@ def test_degrade_request_error_falls_back_to_reference_sim():
 
 
 # ----------------------------------------------------------------------
-# SupervisedExecutor (sync facade)
+# Parallel executor (make_executor: the supervisor behind executor.map)
 # ----------------------------------------------------------------------
 
 
 def test_supervised_executor_matches_serial_on_toy_fn():
     items = list(range(7)) + [3]  # a duplicate item must not collide
-    supervised = SupervisedExecutor(2, policy=FAST).map(items, fn=toy_double)
-    assert supervised == SerialExecutor().map(items, fn=toy_double)
+    parallel = make_executor(2).map(items, fn=toy_double)
+    assert parallel == SerialExecutor().map(items, fn=toy_double)
 
 
 def test_supervised_executor_runs_real_requests_byte_identically():
@@ -218,10 +240,8 @@ def test_supervised_executor_runs_real_requests_byte_identically():
     from repro.pipeline.cache import result_fingerprint
 
     serial = Session(options=options).run_many(requests)
-    supervised = Session(
-        options=options, executor=SupervisedExecutor(2, policy=FAST)
-    ).run_many(requests)
-    assert [result_fingerprint(r) for r in supervised] == [
+    parallel = Session(options=options, workers=2).run_many(requests)
+    assert [result_fingerprint(r) for r in parallel] == [
         result_fingerprint(r) for r in serial
     ]
 
@@ -232,12 +252,55 @@ def test_request_error_carries_key_through_executors():
         SerialExecutor().map([request])
     assert excinfo.value.key == request.key
     assert excinfo.value.description["benchmark"] == "no-such-benchmark"
-    # ... and through the supervised pool (pickled across the pipe).
+    # ... and through the worker fleet (pickled across the pipe): the
+    # job error is terminal at once and names the request.
     with pytest.raises(JobFailureError) as dead:
-        SupervisedExecutor(2, policy=FAST).map([request, request])
-    assert request.key[:12] in str(dead.value) or "no-such-benchmark" in str(
-        dead.value
-    )
+        make_executor(2).map([request, request])
+    failure = dead.value.failure
+    assert failure.kind == "error"
+    assert failure.attempts == 1
+    assert failure.description["benchmark"] == "no-such-benchmark"
+    assert request.key[:12] in str(dead.value)
+
+
+def test_executor_retries_job_whose_worker_was_sigkilled(tmp_path):
+    marker = str(tmp_path / "killed-once")
+    items = [(i, marker if i == 3 else None) for i in range(6)]
+    parallel = make_executor(2).map(items, fn=kill_on_first_attempt)
+    assert os.path.exists(marker)  # the first attempt really died
+    assert parallel == SerialExecutor().map(items, fn=kill_on_first_attempt)
+
+
+def test_executor_fleet_persists_across_maps_until_shutdown():
+    executor = make_executor(2)
+    first = executor.map(range(8), fn=worker_pid)
+    second = executor.map(range(8), fn=worker_pid)
+    assert len(set(first)) == 2
+    assert set(second) == set(first)
+    assert os.getpid() not in first
+    executor.shutdown()
+    assert multiprocessing.active_children() == []
+    # A later map forks a fresh fleet.
+    assert os.getpid() not in executor.map(range(4), fn=worker_pid)
+    executor.shutdown()
+
+
+def test_executor_keeps_order_with_more_workers_than_cores():
+    executor = make_executor(4)
+    items = list(range(300))
+    try:
+        started = time.monotonic()
+        assert executor.map(items, fn=toy_double) == [2 * i for i in items]
+        assert time.monotonic() - started < 60.0
+    finally:
+        executor.shutdown()
+
+
+def test_make_executor_is_serial_inside_a_worker():
+    assert isinstance(make_executor(2), ParallelExecutor)
+    assert make_executor(2) is make_executor(2)  # one fleet per worker count
+    kinds = make_executor(2).map(range(4), fn=nested_executor_kind)
+    assert kinds == ["SerialExecutor"] * 4
 
 
 # ----------------------------------------------------------------------
@@ -285,10 +348,8 @@ def test_checkpoint_done_supersedes_dead(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def _blob_store(path, width=1):
-    return ShardedKeyedFileStore(
-        path, ".bin", lambda v: v, lambda b: b, width=width
-    )
+def _blob_store(path, decode=lambda b: b):
+    return KeyedFileStore(path, ".bin", lambda v: v, decode, shard_width=1)
 
 
 KEY_A = "a" + "0" * 63
@@ -318,10 +379,9 @@ def test_sharded_store_reads_never_create_shard_dirs(tmp_path):
 
 
 def test_sharded_store_verify_drops_torn_entries(tmp_path):
-    store = _blob_store(tmp_path / "store")
+    # corrupt = undecodable JSON
+    store = _blob_store(tmp_path / "store", decode=json.loads)
     decoded_ok = b'{"good": true}'
-    store._decode = lambda b: json.loads(b)  # corrupt = undecodable JSON
-    store._shards.clear()
     store.save(KEY_A, decoded_ok)
     store.save(KEY_B, b'{"also": "good"}')
     truncate_entry(store, KEY_B, b'{"also": "good"}')
@@ -341,7 +401,8 @@ def test_result_cache_autodetects_sharded_layout(tmp_path):
     key = "d" * 64
     sharded.put(key, result)
     reopened = ResultCache(tmp_path / "rc")  # no width given: detected
-    assert isinstance(reopened.store, ShardedKeyedFileStore)
+    assert reopened.store.shard_width == 1
+    assert reopened.store.shards() == ["d"]
     loaded = reopened.get(key)
     assert loaded == result
     assert loaded.meta == {"degraded": "exact->sms"}  # schema v4 round-trip
@@ -351,7 +412,9 @@ def test_sharded_gc_splits_budget_across_shards(tmp_path):
     store = _blob_store(tmp_path / "store")
     for prefix in "abcd":
         store.save(prefix + "0" * 63, b"x" * 100)
-    report = store.gc(max_bytes=0, min_age_s=0.0)
+    # Each of the four shards gets 50 of the 200 bytes, so every shard
+    # evicts its entry (one store-wide cap would keep two).
+    report = store.gc(max_bytes=200, min_age_s=0.0)
     assert report.entries_before == 4
     assert report.entries_after == 0
     assert len(report.evicted) == 4
