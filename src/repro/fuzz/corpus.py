@@ -219,7 +219,7 @@ def _build_edge_corpus() -> dict[str, KernelGenotype]:
     )
 
     # Wide FP pipeline: independent FP chains that saturate the FP unit
-    # and leave the integer side idle (FU-demand pruning paths).
+    # and leave the integer side idle (an FP-bound ResMII).
     add(
         _edge(
             "wide_fp",

@@ -1,4 +1,8 @@
-"""Machine model: Table-2 configurations and issue resources."""
+"""Machine model: the Table-2 configurations of every evaluated architecture.
+
+Issue-slot bookkeeping (per-cluster FU rows and the shared bus pool)
+lives in the scheduler's :class:`~repro.scheduler.ModuloReservationTable`.
+"""
 
 from .config import (
     ArchKind,
@@ -9,16 +13,11 @@ from .config import (
     multivliw_config,
     unified_config,
 )
-from .resources import BUS, BusResource, ClusterResource, ResourceModel
 
 __all__ = [
     "ArchKind",
-    "BUS",
-    "BusResource",
-    "ClusterResource",
     "ConfigError",
     "MachineConfig",
-    "ResourceModel",
     "interleaved_config",
     "l0_config",
     "multivliw_config",

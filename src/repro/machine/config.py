@@ -132,6 +132,10 @@ class MachineConfig:
             )
         if self.l0_entries is not None and self.l0_entries < 1:
             raise ConfigError("l0_entries must be positive or None (unbounded)")
+        # Zero buses is a real machine (every value stays in its
+        # producer's cluster); a negative count is not.
+        if self.n_buses < 0:
+            raise ConfigError(f"n_buses must be non-negative, got {self.n_buses}")
         for name in _POSITIVE_FIELDS:
             value = getattr(self, name)
             if value < 1:
@@ -162,16 +166,6 @@ class MachineConfig:
     @property
     def load_l1_latency(self) -> int:
         return self.l1_latency
-
-    def fu_count(self, fu_class: "FUClass") -> int:  # noqa: F821 - doc only
-        from ..isa.operations import FUClass
-
-        per_cluster = {
-            FUClass.INT: self.int_units_per_cluster,
-            FUClass.MEM: self.mem_units_per_cluster,
-            FUClass.FP: self.fp_units_per_cluster,
-        }
-        return per_cluster.get(fu_class, 0)
 
     def with_l0_entries(self, entries: int | None) -> "MachineConfig":
         return replace(self, l0_entries=entries)

@@ -17,18 +17,33 @@ from typing import Sequence
 
 from ..isa.instruction import Instruction
 from ..isa.operations import FUClass
-from ..ir.ddg import DDG, DepKind, Edge
+from ..ir.ddg import DDG, DepKind
 from ..machine.config import MachineConfig
-from ..machine.resources import BUS, ResourceModel
 from .mii import compute_mii
-from .mrt import ModuloReservationTable
+from .mrt import FU_CLASSES, FU_INDEX, ModuloReservationTable
 from .policies import MemoryPolicy
 from .schedule import ModuloSchedule, PlacedComm, PlacedOp, SchedulingError
 from .sms import Direction, sms_order
 
 
+#: Node-table FU index of pseudo-ops that occupy no issue slot: one past
+#: the reservation table's classes, so per-class counters keep a row for
+#: them.
+NO_FU = len(FU_CLASSES)
+
+
 class ClusterScheduler:
-    """Schedules one loop for one machine configuration."""
+    """Schedules one loop for one machine configuration.
+
+    Construction builds the per-compile node tables the placement loops
+    read by uid: each node's FU index (:data:`~.mrt.FU_INDEX`, or
+    :data:`NO_FU`), whether the memory policy picks its latency, the
+    fixed latency of every other node, and its register neighbours.
+    They replace per-trial ``Instruction`` property, config and
+    enum-keyed dict lookups; every value is a pure function of the loop,
+    its DDG and the config, so reading it from a table cannot change a
+    schedule.
+    """
 
     #: How many II values above MII to try before giving up.
     MAX_II_SLACK = 96
@@ -43,7 +58,24 @@ class ClusterScheduler:
         self.loop = ddg.loop
         self.config = config
         self.policy = policy
-        self.resources = ResourceModel(config)
+
+        # Per-compile node tables
+        self._fu: dict[int, int] = {}
+        self._is_memory: dict[int, bool] = {}
+        self._latency: dict[int, int] = {}
+        for instr in self.loop.body:
+            uid = instr.uid
+            fu_class = instr.fu_class
+            self._fu[uid] = NO_FU if fu_class is FUClass.NONE else FU_INDEX[fu_class]
+            self._is_memory[uid] = instr.is_memory
+            if not instr.is_memory:
+                self._latency[uid] = config.latency_of(instr.opcode)
+        #: Other ends of each node's register edges, one entry per edge.
+        self._reg_neighbours: dict[int, list[int]] = {
+            uid: [e.src for e in ddg.preds[uid] if e.kind is DepKind.REG]
+            + [e.dst for e in ddg.succs[uid] if e.kind is DepKind.REG]
+            for uid in ddg.nodes
+        }
 
         # Per-attempt state
         self._asap: dict[int, int] | None = None
@@ -53,7 +85,8 @@ class ClusterScheduler:
         self.comms: list[PlacedComm] = []
         self._comm_index: dict[tuple[int, int], PlacedComm] = {}
         self._cluster_ops: list[int] = []
-        self._cluster_fu_ops: dict[tuple[int, FUClass], int] = {}
+        #: Placed ops per FU index (NO_FU included) and cluster.
+        self._cluster_fu_ops: list[list[int]] = []
 
     # ------------------------------------------------------------------
     # Top level
@@ -81,13 +114,14 @@ class ClusterScheduler:
     # ------------------------------------------------------------------
 
     def _attempt(self, ii: int, order_mode: str = "sms") -> ModuloSchedule | None:
-        self.mrt = ModuloReservationTable(ii, self.resources)
+        n_clusters = self.config.n_clusters
+        self.mrt = ModuloReservationTable(ii, self.config)
         self.current_ii = ii
         self.placed = {}
         self.comms = []
         self._comm_index = {}
-        self._cluster_ops = [0] * self.config.n_clusters
-        self._cluster_fu_ops = {}
+        self._cluster_ops = [0] * n_clusters
+        self._cluster_fu_ops = [[0] * n_clusters for _ in range(NO_FU + 1)]
         self._min_start = {}
         self.policy.begin_attempt(ii, self)
 
@@ -116,11 +150,12 @@ class ClusterScheduler:
             if uid in self.placed:
                 continue
             instr = self.ddg.instruction(uid)
-            clusters = self._cluster_order(instr)
-            if instr.is_memory:
+            clusters = self._cluster_order(uid)
+            is_memory = self._is_memory[uid]
+            if is_memory:
                 options = self.policy.options(instr, clusters)
             else:
-                latency = self.config.latency_of(instr.opcode)
+                latency = self._latency[uid]
                 options = [(c, latency) for c in clusters]
             placed_op = None
             for cluster, latency in options:
@@ -128,7 +163,7 @@ class ClusterScheduler:
                 if attempt is None:
                     continue
                 op, new_comms = attempt
-                if instr.is_memory and not self.policy.committed(instr, op, self):
+                if is_memory and not self.policy.committed(instr, op, self):
                     self._undo_place(op, new_comms)
                     continue
                 placed_op = op
@@ -160,32 +195,28 @@ class ClusterScheduler:
 
     def _note_placement(self, op: PlacedOp) -> None:
         self._cluster_ops[op.cluster] += 1
-        key = (op.cluster, op.instr.fu_class)
-        self._cluster_fu_ops[key] = self._cluster_fu_ops.get(key, 0) + 1
+        self._cluster_fu_ops[self._fu[op.instr.uid]][op.cluster] += 1
 
     # ------------------------------------------------------------------
     # Cluster preference (BASE heuristic: comms then balance)
     # ------------------------------------------------------------------
 
-    def _cluster_order(self, instr: Instruction) -> list[int]:
-        uid = instr.uid
-        scores: list[tuple[int, int, int, int]] = []
-        for cluster in range(self.config.n_clusters):
-            cross = 0
-            for edge in self.ddg.preds[uid]:
-                if edge.kind is not DepKind.REG:
-                    continue
-                src = self.placed.get(edge.src)
-                if src is not None and src.cluster != cluster:
-                    cross += 1
-            for edge in self.ddg.succs[uid]:
-                if edge.kind is not DepKind.REG:
-                    continue
-                dst = self.placed.get(edge.dst)
-                if dst is not None and dst.cluster != cluster:
-                    cross += 1
-            fu_load = self._cluster_fu_ops.get((cluster, instr.fu_class), 0)
-            scores.append((cross, fu_load, self._cluster_ops[cluster], cluster))
+    def _cluster_order(self, uid: int) -> list[int]:
+        # A placed register neighbour in cluster c costs a transfer in
+        # every cluster but c: count placed neighbour edges per cluster.
+        n_clusters = self.config.n_clusters
+        local = [0] * n_clusters
+        placed_edges = 0
+        for other in self._reg_neighbours[uid]:
+            op = self.placed.get(other)
+            if op is not None:
+                local[op.cluster] += 1
+                placed_edges += 1
+        fu_load = self._cluster_fu_ops[self._fu[uid]]
+        scores = [
+            (placed_edges - local[c], fu_load[c], self._cluster_ops[c], c)
+            for c in range(n_clusters)
+        ]
         scores.sort()
         return [cluster for (_, _, _, cluster) in scores]
 
@@ -193,15 +224,10 @@ class ClusterScheduler:
     # Placement
     # ------------------------------------------------------------------
 
-    def _edge_latency(self, edge: Edge, pending_uid: int, pending_latency: int) -> int:
-        if edge.fixed_latency is not None:
-            return edge.fixed_latency
-        if edge.src == pending_uid:
-            return pending_latency
-        src_op = self.placed.get(edge.src)
-        if src_op is not None:
-            return src_op.latency
-        return self.policy.planned_latency(edge.src)
+    # An edge's latency is its fixed latency, else the latency its
+    # source load was scheduled with: the placed producer's for an edge
+    # into the node being placed, the candidate ``latency`` for an edge
+    # out of it.  The placement helpers below inline that rule.
 
     def _window(
         self, instr: Instruction, cluster: int, latency: int, ii: int
@@ -214,7 +240,9 @@ class ClusterScheduler:
             src_op = self.placed.get(edge.src)
             if src_op is None or edge.src == instr.uid:
                 continue
-            lat = self._edge_latency(edge, instr.uid, latency)
+            lat = edge.fixed_latency
+            if lat is None:
+                lat = src_op.latency
             low = src_op.start + lat - ii * edge.distance
             if edge.kind is DepKind.REG and src_op.cluster != cluster:
                 existing = self._comm_index.get((edge.src, cluster))
@@ -227,7 +255,9 @@ class ClusterScheduler:
             dst_op = self.placed.get(edge.dst)
             if dst_op is None or edge.dst == instr.uid:
                 continue
-            lat = self._edge_latency(edge, instr.uid, latency)
+            lat = edge.fixed_latency
+            if lat is None:
+                lat = latency
             high = dst_op.start + ii * edge.distance - lat
             if edge.kind is DepKind.REG and dst_op.cluster != cluster:
                 high -= bus
@@ -268,16 +298,15 @@ class ClusterScheduler:
         else:
             candidates = range(latest, earliest - 1, -1)
 
+        fu = self._fu[instr.uid]
         for start in candidates:
-            if instr.fu_class is not FUClass.NONE and not self.mrt.fu_can_place(
-                start, instr.fu_class, cluster
-            ):
+            if fu != NO_FU and not self.mrt.can_reserve(start, fu, cluster):
                 continue
             plan = self._plan_comms(instr, cluster, start, latency, ii)
             if plan is None:
                 continue
-            if instr.fu_class is not FUClass.NONE:
-                self.mrt.fu_place(start, instr.fu_class, cluster)
+            if fu != NO_FU:
+                self.mrt.reserve(start, fu, cluster)
             for comm in plan:
                 self.mrt.bus_place(comm.start)
                 self.comms.append(comm)
@@ -290,8 +319,9 @@ class ClusterScheduler:
     def _undo_place(self, op: PlacedOp, new_comms: list[PlacedComm]) -> None:
         """Roll back a placement the policy vetoed."""
         assert self.mrt is not None
-        if op.instr.fu_class is not FUClass.NONE:
-            self.mrt.fu_remove(op.start, op.instr.fu_class, op.cluster)
+        fu = self._fu[op.instr.uid]
+        if fu != NO_FU:
+            self.mrt.release(op.start, fu, op.cluster)
         for comm in new_comms:
             self.mrt.bus_remove(comm.start)
             self.comms.remove(comm)
@@ -315,18 +345,18 @@ class ClusterScheduler:
         """Unplace a node: free its FU slot and producer-side comms."""
         assert self.mrt is not None
         op = self.placed.pop(uid)
-        if op.instr.fu_class is not FUClass.NONE:
-            self.mrt.fu_remove(op.start, op.instr.fu_class, op.cluster)
+        fu = self._fu[uid]
+        if fu != NO_FU:
+            self.mrt.release(op.start, fu, op.cluster)
         self._cluster_ops[op.cluster] -= 1
-        key = (op.cluster, op.instr.fu_class)
-        self._cluster_fu_ops[key] -= 1
+        self._cluster_fu_ops[fu][op.cluster] -= 1
         for comm in [c for c in self.comms if c.producer_uid == uid]:
             self.mrt.bus_remove(comm.start)
             self.comms.remove(comm)
             index_key = (comm.producer_uid, comm.dst_cluster)
             if self._comm_index.get(index_key) is comm:
                 del self._comm_index[index_key]
-        if op.instr.is_memory:
+        if self._is_memory[uid]:
             self.policy.ejected(op, self)
 
     def _plan_comms(
@@ -341,17 +371,7 @@ class ClusterScheduler:
         assert self.mrt is not None
         bus = self.config.bus_latency
         new_comms: dict[tuple[int, int], PlacedComm] = {}
-        pending_bus_rows: dict[int, int] = {}
-
-        def bus_free(cycle: int) -> bool:
-            row = cycle % ii
-            extra = pending_bus_rows.get(row, 0)
-            return self.mrt.free(cycle, BUS) - extra > 0
-
-        def reserve(comm: PlacedComm) -> None:
-            row = comm.start % ii
-            pending_bus_rows[row] = pending_bus_rows.get(row, 0) + 1
-            new_comms[(comm.producer_uid, comm.dst_cluster)] = comm
+        pending_bus_rows: dict[int, int] = {}  # rows new_comms occupy
 
         # Values arriving from producers in other clusters.
         for edge in self.ddg.preds[instr.uid]:
@@ -368,12 +388,21 @@ class ClusterScheduler:
             planned = new_comms.get(key)
             if planned is not None and planned.start + planned.latency <= deadline:
                 continue
-            produce = src_op.start + self._edge_latency(edge, instr.uid, latency)
-            comm = self._find_bus_slot(produce, deadline - bus, src_op.cluster, cluster,
-                                       edge.src, ii, bus_free)
+            lat = edge.fixed_latency
+            if lat is None:
+                lat = src_op.latency
+            comm = self._find_bus_slot(
+                src_op.start + lat,
+                deadline - bus,
+                src_op.cluster,
+                cluster,
+                edge.src,
+                ii,
+                pending_bus_rows,
+            )
             if comm is None:
                 return None
-            reserve(comm)
+            new_comms[key] = comm
 
         # Values this instruction produces for consumers in other clusters.
         if instr.dest is not None:
@@ -388,12 +417,21 @@ class ClusterScheduler:
                 planned = new_comms.get(key)
                 if planned is not None and planned.start + planned.latency <= deadline:
                     continue
-                produce = start + self._edge_latency(edge, instr.uid, latency)
-                comm = self._find_bus_slot(produce, deadline - bus, cluster,
-                                           dst_op.cluster, instr.uid, ii, bus_free)
+                lat = edge.fixed_latency
+                if lat is None:
+                    lat = latency
+                comm = self._find_bus_slot(
+                    start + lat,
+                    deadline - bus,
+                    cluster,
+                    dst_op.cluster,
+                    instr.uid,
+                    ii,
+                    pending_bus_rows,
+                )
                 if comm is None:
                     return None
-                reserve(comm)
+                new_comms[key] = comm
 
         return list(new_comms.values())
 
@@ -405,14 +443,21 @@ class ClusterScheduler:
         dst_cluster: int,
         producer_uid: int,
         ii: int,
-        bus_free,
+        pending_bus_rows: dict[int, int],
     ) -> PlacedComm | None:
+        """The earliest transfer starting in ``[not_before, not_after]`` on
+        a row with a bus left after the table's and ``pending_bus_rows``'
+        claims; that row is then claimed in ``pending_bus_rows``."""
         if not_after < not_before:
             return None
+        assert self.mrt is not None
         # Scanning II consecutive cycles covers every kernel row.
         last = min(not_after, not_before + ii - 1)
         for cycle in range(not_before, last + 1):
-            if bus_free(cycle):
+            row = cycle % ii
+            pending = pending_bus_rows.get(row, 0)
+            if self.mrt.bus_free(cycle) > pending:
+                pending_bus_rows[row] = pending + 1
                 return PlacedComm(
                     producer_uid=producer_uid,
                     dst_cluster=dst_cluster,

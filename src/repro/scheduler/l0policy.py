@@ -94,6 +94,7 @@ class L0Policy:
         self.replicas: list[PlacedOp] = []
         self.replica_comms: list[PlacedComm] = []
         self._ii = 0
+        self._slack_memo: dict[tuple[int, frozenset[int]], dict[int, int]] = {}
 
     # ------------------------------------------------------------------
     # Small helpers
@@ -119,6 +120,17 @@ class L0Policy:
         return self._l0() if uid in self.l0_planned else self._l1()
 
     def _slack_at(self, ddg: DDG, ii: int) -> dict[int, int]:
+        """Per-node slack at ``ii`` under the current latency plan.
+
+        The DDG and the config are fixed for an attempt, so slack is a
+        pure function of ``ii`` and ``l0_planned``; it is memoised on
+        those two until the next :meth:`begin_attempt`.  Callers only
+        read the returned dict.
+        """
+        key = (ii, frozenset(self.l0_planned))
+        slack = self._slack_memo.get(key)
+        if slack is not None:
+            return slack
         slack = ddg.slack(ii, self.planned_latency)
         probe = ii
         while slack is None:
@@ -126,6 +138,7 @@ class L0Policy:
             if probe > 1 << 20:
                 raise ValueError("no feasible II while computing slack")
             slack = ddg.slack(probe, self.planned_latency)
+        self._slack_memo[key] = slack
         return slack
 
     # ------------------------------------------------------------------
@@ -134,6 +147,7 @@ class L0Policy:
 
     def begin_attempt(self, ii: int, engine: "ClusterScheduler") -> None:
         self._ii = ii
+        self._slack_memo = {}
         n = self.config.n_clusters
         entries: float = math.inf if self.unbounded else float(self.config.l0_entries)
         self.free = [entries] * n

@@ -1,73 +1,109 @@
 """The modulo reservation table.
 
-Tracks, for each kernel row (cycle modulo II) and each resource, how
-many issue slots are occupied.  All placements go through this table so
-the final schedule can never oversubscribe a functional unit or bus.
+Tracks, for each kernel row (cycle modulo II), how many issue slots are
+occupied: per cluster for each functional-unit class (INT, MEM, FP; one
+op may issue per unit per cycle, units are fully pipelined), and in the
+pool of ``n_buses`` register-to-register buses that every cluster's
+communication operations share.  All placements go through this table
+so the final schedule can never oversubscribe a functional unit or bus.
+
+The counts live in flat integer rows: one list of II counts per (FU
+class, cluster) and one for the buses.  The ``fu_*`` methods take an
+:class:`FUClass` and validate it together with the cluster; the
+schedulers resolve each node's class to its :data:`FU_INDEX` once per
+compile and use the unchecked ``can_reserve``/``reserve``/``release``
+in their placement loops, so no query hashes an enum.
 """
 
 from __future__ import annotations
 
 from ..isa.operations import FUClass
-from ..machine.resources import BUS, ResourceModel
+from ..machine.config import MachineConfig
+
+#: The FU classes that own per-cluster issue slots, in table order.
+FU_CLASSES = (FUClass.INT, FUClass.MEM, FUClass.FP)
+
+#: Table index of each per-cluster FU class.
+FU_INDEX = {fu_class: index for index, fu_class in enumerate(FU_CLASSES)}
 
 
 class ModuloReservationTable:
-    def __init__(self, ii: int, resources: ResourceModel) -> None:
+    def __init__(self, ii: int, config: MachineConfig) -> None:
         if ii < 1:
             raise ValueError("II must be >= 1")
         self.ii = ii
-        self._resources = resources
-        self._used: dict[tuple[int, object], int] = {}
+        self.n_clusters = config.n_clusters
+        #: Units of each class (by table index) in every cluster.
+        self.fu_capacity = (
+            config.int_units_per_cluster,
+            config.mem_units_per_cluster,
+            config.fp_units_per_cluster,
+        )
+        self.bus_capacity = config.n_buses
+        self._fu = [[[0] * ii for _ in range(self.n_clusters)] for _ in FU_CLASSES]
+        self._bus = [0] * ii
 
-    def _key(self, cycle: int, resource: object) -> tuple[int, object]:
-        return (cycle % self.ii, resource)
+    # Functional units by table index (unchecked) -------------------------
 
-    def used(self, cycle: int, resource: object) -> int:
-        return self._used.get(self._key(cycle, resource), 0)
+    def can_reserve(self, cycle: int, fu: int, cluster: int) -> bool:
+        return self._fu[fu][cluster][cycle % self.ii] < self.fu_capacity[fu]
 
-    def free(self, cycle: int, resource: object) -> int:
-        return self._resources.capacity(resource) - self.used(cycle, resource)
-
-    def can_place(self, cycle: int, resource: object) -> bool:
-        return self.free(cycle, resource) > 0
-
-    def place(self, cycle: int, resource: object) -> None:
-        if not self.can_place(cycle, resource):
-            raise ValueError(f"resource {resource!r} full at row {cycle % self.ii}")
-        key = self._key(cycle, resource)
-        self._used[key] = self._used.get(key, 0) + 1
-
-    def remove(self, cycle: int, resource: object) -> None:
-        key = self._key(cycle, resource)
-        count = self._used.get(key, 0)
-        if count <= 0:
+    def reserve(self, cycle: int, fu: int, cluster: int) -> None:
+        counts = self._fu[fu][cluster]
+        row = cycle % self.ii
+        if counts[row] >= self.fu_capacity[fu]:
             raise ValueError(
-                f"resource {resource!r} not placed at row {cycle % self.ii}"
+                f"resource {FU_CLASSES[fu].value}@c{cluster} full at row {row}"
             )
-        if count == 1:
-            del self._used[key]
-        else:
-            self._used[key] = count - 1
+        counts[row] += 1
 
-    # Convenience wrappers ------------------------------------------------
+    def release(self, cycle: int, fu: int, cluster: int) -> None:
+        counts = self._fu[fu][cluster]
+        row = cycle % self.ii
+        if counts[row] <= 0:
+            raise ValueError(
+                f"resource {FU_CLASSES[fu].value}@c{cluster} not placed at row {row}"
+            )
+        counts[row] -= 1
 
-    def fu_can_place(self, cycle: int, fu_class: FUClass, cluster: int) -> bool:
-        return self.can_place(cycle, self._resources.fu_resource(fu_class, cluster))
+    # Functional units by class (validated) -------------------------------
 
-    def fu_place(self, cycle: int, fu_class: FUClass, cluster: int) -> None:
-        self.place(cycle, self._resources.fu_resource(fu_class, cluster))
-
-    def fu_remove(self, cycle: int, fu_class: FUClass, cluster: int) -> None:
-        self.remove(cycle, self._resources.fu_resource(fu_class, cluster))
+    def _index(self, fu_class: FUClass, cluster: int) -> int:
+        fu = FU_INDEX.get(fu_class)
+        if fu is None:
+            raise ValueError(f"{fu_class} is not a per-cluster FU class")
+        if not 0 <= cluster < self.n_clusters:
+            raise ValueError(f"cluster {cluster} out of range")
+        return fu
 
     def fu_used(self, cycle: int, fu_class: FUClass, cluster: int) -> int:
-        return self.used(cycle, self._resources.fu_resource(fu_class, cluster))
+        return self._fu[self._index(fu_class, cluster)][cluster][cycle % self.ii]
+
+    def fu_can_place(self, cycle: int, fu_class: FUClass, cluster: int) -> bool:
+        return self.can_reserve(cycle, self._index(fu_class, cluster), cluster)
+
+    def fu_place(self, cycle: int, fu_class: FUClass, cluster: int) -> None:
+        self.reserve(cycle, self._index(fu_class, cluster), cluster)
+
+    def fu_remove(self, cycle: int, fu_class: FUClass, cluster: int) -> None:
+        self.release(cycle, self._index(fu_class, cluster), cluster)
+
+    # The shared bus pool -------------------------------------------------
+
+    def bus_free(self, cycle: int) -> int:
+        return self.bus_capacity - self._bus[cycle % self.ii]
 
     def bus_can_place(self, cycle: int) -> bool:
-        return self.can_place(cycle, BUS)
+        return self._bus[cycle % self.ii] < self.bus_capacity
 
     def bus_place(self, cycle: int) -> None:
-        self.place(cycle, BUS)
+        row = cycle % self.ii
+        if self._bus[row] >= self.bus_capacity:
+            raise ValueError(f"resource bus full at row {row}")
+        self._bus[row] += 1
 
     def bus_remove(self, cycle: int) -> None:
-        self.remove(cycle, BUS)
+        row = cycle % self.ii
+        if self._bus[row] <= 0:
+            raise ValueError(f"resource bus not placed at row {row}")
+        self._bus[row] -= 1

@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.isa import AccessPattern, ArrayRef, FUClass, MemoryLayout, Opcode
+from repro.isa import AccessPattern, ArrayRef, MemoryLayout, Opcode
 from repro.machine import (
     ArchKind,
-    BUS,
-    ClusterResource,
     ConfigError,
     MachineConfig,
-    ResourceModel,
     interleaved_config,
     l0_config,
     multivliw_config,
@@ -133,6 +130,7 @@ class TestMachineConfig:
             {"mem_units_per_cluster": 0},
             {"fp_units_per_cluster": 0},
             {"attraction_entries": 0},
+            {"n_buses": -1},
             # 320 is a multiple of 2 * 32, but each of the four
             # word-interleaved modules would hold 80 bytes, which is not.
             {"l1_size": 320, "arch": ArchKind.INTERLEAVED},
@@ -163,26 +161,3 @@ class TestMachineConfig:
     @pytest.mark.parametrize("name", DELAYS)
     def test_zero_delay_accepted(self, name):
         assert getattr(MachineConfig(**{name: 0}), name) == 0
-
-
-class TestResourceModel:
-    def test_capacities(self):
-        model = ResourceModel(l0_config())
-        assert model.capacity(BUS) == 4
-        assert model.capacity(ClusterResource(FUClass.INT, 0)) == 1
-        assert model.capacity(ClusterResource(FUClass.MEM, 3)) == 1
-
-    def test_total_fu_slots(self):
-        model = ResourceModel(l0_config())
-        assert model.total_fu_slots(FUClass.MEM) == 4
-
-    def test_fu_resource_validation(self):
-        model = ResourceModel(l0_config())
-        with pytest.raises(ValueError):
-            model.fu_resource(FUClass.BUS, 0)
-        with pytest.raises(ValueError):
-            model.fu_resource(FUClass.INT, 9)
-
-    def test_unknown_resource_has_zero_capacity(self):
-        model = ResourceModel(l0_config())
-        assert model.capacity("nonsense") == 0

@@ -1,10 +1,11 @@
 """Tests for MII computation, SMS ordering and the reservation table."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ir import LoopBuilder, build_ddg, unroll
 from repro.isa import FUClass
-from repro.machine import ResourceModel, unified_config
+from repro.machine import MachineConfig, l0_config, unified_config
 from repro.scheduler import (
     Direction,
     ModuloReservationTable,
@@ -139,7 +140,7 @@ class TestSMSOrder:
 
 class TestMRT:
     def test_capacity_enforced(self):
-        mrt = ModuloReservationTable(2, ResourceModel(CFG))
+        mrt = ModuloReservationTable(2, CFG)
         mrt.fu_place(0, FUClass.MEM, 0)
         assert not mrt.fu_can_place(0, FUClass.MEM, 0)
         assert mrt.fu_can_place(1, FUClass.MEM, 0)
@@ -148,19 +149,19 @@ class TestMRT:
             mrt.fu_place(0, FUClass.MEM, 0)
 
     def test_modulo_wrapping(self):
-        mrt = ModuloReservationTable(3, ResourceModel(CFG))
+        mrt = ModuloReservationTable(3, CFG)
         mrt.fu_place(7, FUClass.INT, 2)  # row 1
         assert not mrt.fu_can_place(1, FUClass.INT, 2)
         assert not mrt.fu_can_place(4, FUClass.INT, 2)
         assert mrt.fu_can_place(2, FUClass.INT, 2)
 
     def test_negative_cycles_wrap(self):
-        mrt = ModuloReservationTable(4, ResourceModel(CFG))
+        mrt = ModuloReservationTable(4, CFG)
         mrt.fu_place(-1, FUClass.INT, 0)  # row 3
         assert not mrt.fu_can_place(3, FUClass.INT, 0)
 
     def test_bus_pool(self):
-        mrt = ModuloReservationTable(1, ResourceModel(CFG))
+        mrt = ModuloReservationTable(1, CFG)
         for _ in range(4):
             mrt.bus_place(0)
         assert not mrt.bus_can_place(0)
@@ -168,10 +169,200 @@ class TestMRT:
         assert mrt.bus_can_place(0)
 
     def test_remove_unplaced_raises(self):
-        mrt = ModuloReservationTable(2, ResourceModel(CFG))
+        mrt = ModuloReservationTable(2, CFG)
         with pytest.raises(ValueError):
             mrt.fu_remove(0, FUClass.INT, 0)
 
     def test_bad_ii_rejected(self):
         with pytest.raises(ValueError):
-            ModuloReservationTable(0, ResourceModel(CFG))
+            ModuloReservationTable(0, CFG)
+
+    def test_capacities(self):
+        """Each cluster's row takes its class's unit count; the bus pool
+        takes ``n_buses`` across the whole machine."""
+        config = l0_config(int_units_per_cluster=2, fp_units_per_cluster=3, n_buses=5)
+        units = {FUClass.INT: 2, FUClass.MEM: 1, FUClass.FP: 3}
+        mrt = ModuloReservationTable(2, config)
+        for fu_class, count in units.items():
+            for cluster in range(config.n_clusters):
+                for _ in range(count):
+                    mrt.fu_place(1, fu_class, cluster)
+                assert not mrt.fu_can_place(1, fu_class, cluster)
+                assert mrt.fu_used(1, fu_class, cluster) == count
+                assert mrt.fu_can_place(0, fu_class, cluster)
+        for taken in range(5):
+            assert mrt.bus_free(0) == 5 - taken
+            mrt.bus_place(0)
+        assert not mrt.bus_can_place(0)
+        assert mrt.bus_free(1) == 5
+
+    @pytest.mark.parametrize("fu_class", [FUClass.BUS, FUClass.NONE])
+    def test_non_unit_classes_rejected(self, fu_class):
+        mrt = ModuloReservationTable(2, l0_config())
+        for method in (mrt.fu_can_place, mrt.fu_place, mrt.fu_remove, mrt.fu_used):
+            with pytest.raises(ValueError, match="not a per-cluster FU class"):
+                method(0, fu_class, 0)
+
+    @pytest.mark.parametrize("cluster", [-1, 4, 9])
+    def test_out_of_range_cluster_rejected(self, cluster):
+        mrt = ModuloReservationTable(2, l0_config())
+        for method in (mrt.fu_can_place, mrt.fu_place, mrt.fu_remove, mrt.fu_used):
+            with pytest.raises(ValueError, match="out of range"):
+                method(0, FUClass.INT, cluster)
+
+
+class DictMRT:
+    """Reference model: the dict-of-``(row, resource)`` reservation table
+    the flat one replaced.  A resource is an ``(FUClass, cluster)`` pair
+    or ``"bus"``; every query hashes it."""
+
+    PER_CLUSTER = (FUClass.INT, FUClass.MEM, FUClass.FP)
+
+    def __init__(self, ii: int, config: MachineConfig) -> None:
+        if ii < 1:
+            raise ValueError("II must be >= 1")
+        self.ii = ii
+        self.n_clusters = config.n_clusters
+        units = (
+            config.int_units_per_cluster,
+            config.mem_units_per_cluster,
+            config.fp_units_per_cluster,
+        )
+        self.capacity = {"bus": config.n_buses}
+        for cluster in range(config.n_clusters):
+            for fu_class, count in zip(self.PER_CLUSTER, units):
+                self.capacity[(fu_class, cluster)] = count
+        self.used: dict = {}
+
+    def _resource(self, fu_class, cluster):
+        if fu_class not in self.PER_CLUSTER:
+            raise ValueError(f"{fu_class} is not a per-cluster FU class")
+        if not 0 <= cluster < self.n_clusters:
+            raise ValueError(f"cluster {cluster} out of range")
+        return (fu_class, cluster)
+
+    @staticmethod
+    def _name(resource) -> str:
+        if resource == "bus":
+            return "bus"
+        return f"{resource[0].value}@c{resource[1]}"
+
+    def _used(self, cycle, resource) -> int:
+        return self.used.get((cycle % self.ii, resource), 0)
+
+    def _place(self, cycle, resource) -> None:
+        if self.capacity[resource] - self._used(cycle, resource) <= 0:
+            raise ValueError(
+                f"resource {self._name(resource)} full at row {cycle % self.ii}"
+            )
+        key = (cycle % self.ii, resource)
+        self.used[key] = self.used.get(key, 0) + 1
+
+    def _remove(self, cycle, resource) -> None:
+        key = (cycle % self.ii, resource)
+        count = self.used.get(key, 0)
+        if count <= 0:
+            raise ValueError(
+                f"resource {self._name(resource)} not placed at row {cycle % self.ii}"
+            )
+        if count == 1:
+            del self.used[key]
+        else:
+            self.used[key] = count - 1
+
+    def fu_used(self, cycle, fu_class, cluster):
+        return self._used(cycle, self._resource(fu_class, cluster))
+
+    def fu_can_place(self, cycle, fu_class, cluster):
+        resource = self._resource(fu_class, cluster)
+        return self.capacity[resource] - self._used(cycle, resource) > 0
+
+    def fu_place(self, cycle, fu_class, cluster):
+        self._place(cycle, self._resource(fu_class, cluster))
+
+    def fu_remove(self, cycle, fu_class, cluster):
+        self._remove(cycle, self._resource(fu_class, cluster))
+
+    def bus_free(self, cycle):
+        return self.capacity["bus"] - self._used(cycle, "bus")
+
+    def bus_can_place(self, cycle):
+        return self.bus_free(cycle) > 0
+
+    def bus_place(self, cycle):
+        self._place(cycle, "bus")
+
+    def bus_remove(self, cycle):
+        self._remove(cycle, "bus")
+
+
+def _answer(table, op):
+    """``(result, None)`` or ``(None, message)`` of one table call."""
+    name, *args = op
+    try:
+        return getattr(table, name)(*args), None
+    except ValueError as err:
+        return None, str(err)
+
+
+#: Machines: II 1-8; 1, 2 or 4 clusters (a 32-byte L1 block does not
+#: split three ways); 1-2 units per class; 0-3 buses.
+mrt_geometries = st.tuples(
+    st.integers(1, 8),
+    st.sampled_from([1, 2, 4]),
+    st.integers(1, 2),
+    st.integers(1, 2),
+    st.integers(1, 2),
+    st.integers(0, 3),
+)
+mrt_cycles = st.one_of(st.integers(-40, 40), st.integers(-(10**12), 10**12))
+mrt_ops = st.one_of(
+    st.tuples(
+        st.sampled_from(["fu_place", "fu_remove", "fu_can_place", "fu_used"]),
+        mrt_cycles,
+        # Mostly real unit classes; BUS and NONE must be rejected.
+        st.sampled_from(list(DictMRT.PER_CLUSTER) * 3 + [FUClass.BUS, FUClass.NONE]),
+        st.integers(-1, 4),
+    ),
+    st.tuples(
+        st.sampled_from(["bus_place", "bus_remove", "bus_can_place", "bus_free"]),
+        mrt_cycles,
+    ),
+)
+
+
+def _check_against_dict_model(geometry, ops):
+    ii, clusters, int_units, mem_units, fp_units, buses = geometry
+    config = l0_config(
+        n_clusters=clusters,
+        int_units_per_cluster=int_units,
+        mem_units_per_cluster=mem_units,
+        fp_units_per_cluster=fp_units,
+        n_buses=buses,
+    )
+    flat, model = ModuloReservationTable(ii, config), DictMRT(ii, config)
+    for op in ops:
+        assert _answer(flat, op) == _answer(model, op), op
+        for row in range(ii):
+            assert flat.bus_free(row) == model.bus_free(row)
+            for fu_class in DictMRT.PER_CLUSTER:
+                for cluster in range(clusters):
+                    assert flat.fu_used(row, fu_class, cluster) == model.fu_used(
+                        row, fu_class, cluster
+                    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=mrt_geometries, ops=st.lists(mrt_ops, max_size=80))
+def test_mrt_matches_dict_model(geometry, ops):
+    """Every answer and every ValueError (message included) of the flat
+    table matches the dict model, and so do all row counts after each
+    operation."""
+    _check_against_dict_model(geometry, ops)
+
+
+@pytest.mark.slow
+@settings(max_examples=1000, deadline=None)
+@given(geometry=mrt_geometries, ops=st.lists(mrt_ops, min_size=100, max_size=400))
+def test_mrt_matches_dict_model_long(geometry, ops):
+    _check_against_dict_model(geometry, ops)

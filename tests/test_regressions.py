@@ -106,11 +106,10 @@ def test_seq_access_miss_request_uses_next_cycle():
 def test_negative_offset_modulo_rows():
     """Bottom-up placements may land at negative cycles before
     normalisation; reservation rows must wrap correctly."""
-    from repro.machine import ResourceModel
     from repro.scheduler import ModuloReservationTable
     from repro.isa import FUClass
 
-    mrt = ModuloReservationTable(3, ResourceModel(unified_config()))
+    mrt = ModuloReservationTable(3, unified_config())
     mrt.fu_place(-2, FUClass.INT, 0)  # row 1
     assert not mrt.fu_can_place(1, FUClass.INT, 0)
     assert not mrt.fu_can_place(4, FUClass.INT, 0)

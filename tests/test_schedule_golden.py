@@ -62,7 +62,10 @@ SCHEDCOMPARE_CONFIGS = FIG5_CONFIGS[1:]
 #: (program, loop, config label, config, node budget) of the tier-1
 #: exact sample: a search that beats SMS after ~6k trials, the same
 #: loop on a stateless policy, two budget fallbacks, and small
-#: improvements on the L0, MultiVLIW and interleaved machines.
+#: improvements on the L0, MultiVLIW and interleaved machines.  The
+#: last case is already optimal under SMS, so it pins the SMS baseline
+#: of an L0 loop whose candidate re-ranking changes ``l0_planned``
+#: mid-attempt and whose cluster choices hinge on the FU-load tie-break.
 EXACT_SAMPLE = (
     ("gsmenc", "gsme_autoc", "l0-4", l0_config(4), 60_000),
     ("gsmenc", "gsme_autoc", "unified", unified_config(), 60_000),
@@ -70,6 +73,7 @@ EXACT_SAMPLE = (
     ("pegwitdec", "pegwitdec_gf", "interleaved", interleaved_config(), 3_000),
     ("g721dec", "g721dec_pred", "l0-unbounded", l0_config(None), 60_000),
     ("pgpenc", "pgpe_borrow", "multivliw", multivliw_config(), 60_000),
+    ("jpegdec", "jpgd_idct_col", "l0-4", l0_config(4), 60_000),
 )
 
 
@@ -126,7 +130,14 @@ def program_digest(name: str, configs, *, first_only: bool, **options) -> str:
     )
 
 
-def exact_case_digest(name, loop_name, config, budget) -> str:
+def schedcompare_digest(name: str) -> str:
+    return program_digest(
+        name, SCHEDCOMPARE_CONFIGS, first_only=False, scheduler="exact"
+    )
+
+
+def exact_case_digest(case) -> str:
+    name, loop_name, _, config, budget = case
     (loop,) = [s.loop for s in build(name).loops if s.loop.name == loop_name]
     schedule = _compile(loop, config, scheduler="exact", exact_node_budget=budget)
     return _digest([(loop_name, schedule)])
@@ -160,6 +171,7 @@ EXACT_SAMPLE_DIGESTS = {
     "pegwitdec/pegwitdec_gf/interleaved/3000": "7414c59123c3f8c5c6c80a8cf63c80ac21282533f6fa1d030136e7941a7b2aea",
     "g721dec/g721dec_pred/l0-unbounded/60000": "66ed341e183018114609a0f27665f712b330670dbb20929245d575449023c064",
     "pgpenc/pgpe_borrow/multivliw/60000": "12204bd8dd8f12457db55815139075a97f1654331e924e595aa7b7627df249f4",
+    "jpegdec/jpgd_idct_col/l0-4/60000": "e05f91f8cc6ffa468e056d0c05dc1bd2f6bdd148412fc3641b78283594815d20",
 }
 
 FIG5_DIGESTS = {
@@ -197,57 +209,52 @@ SCHEDCOMPARE_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(PAPER_TABLE1))
 def test_sms_sample_digest(name):
-    assert program_digest(name, SAMPLE_CONFIGS, first_only=True) == (
-        SAMPLE_DIGESTS[name]
-    )
+    digest = program_digest(name, SAMPLE_CONFIGS, first_only=True)
+    assert digest == SAMPLE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("case", EXACT_SAMPLE, ids=_exact_key)
 def test_exact_sample_digest(case):
-    name, loop_name, _, config, budget = case
-    assert exact_case_digest(name, loop_name, config, budget) == (
-        EXACT_SAMPLE_DIGESTS[_exact_key(case)]
-    )
+    assert exact_case_digest(case) == EXACT_SAMPLE_DIGESTS[_exact_key(case)]
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(PAPER_TABLE1))
 def test_fig5_sms_digest(name):
-    assert program_digest(name, FIG5_CONFIGS, first_only=False) == (
-        FIG5_DIGESTS[name]
-    )
+    digest = program_digest(name, FIG5_CONFIGS, first_only=False)
+    assert digest == FIG5_DIGESTS[name]
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(PAPER_TABLE1))
 def test_schedcompare_exact_digest(name):
-    digest = program_digest(
-        name, SCHEDCOMPARE_CONFIGS, first_only=False, scheduler="exact"
+    assert schedcompare_digest(name) == SCHEDCOMPARE_DIGESTS[name]
+
+
+def _print_table(title: str, rows) -> None:
+    print(f"{title} = {{")
+    for key, value in rows:
+        print(f'    "{key}": "{value}",')
+    print("}\n")
+
+
+def print_tables() -> None:
+    """Print the four digest tables of the tree as it stands."""
+    names = sorted(PAPER_TABLE1)
+    _print_table(
+        "SAMPLE_DIGESTS",
+        [(n, program_digest(n, SAMPLE_CONFIGS, first_only=True)) for n in names],
     )
-    assert digest == SCHEDCOMPARE_DIGESTS[name]
+    _print_table(
+        "EXACT_SAMPLE_DIGESTS",
+        [(_exact_key(case), exact_case_digest(case)) for case in EXACT_SAMPLE],
+    )
+    _print_table(
+        "FIG5_DIGESTS",
+        [(n, program_digest(n, FIG5_CONFIGS, first_only=False)) for n in names],
+    )
+    _print_table("SCHEDCOMPARE_DIGESTS", [(n, schedcompare_digest(n)) for n in names])
 
 
 if __name__ == "__main__":
-    def _table(title, rows):
-        print(f"{title} = {{")
-        for key, value in rows:
-            print(f'    "{key}": "{value}",')
-        print("}\n")
-
-    names = sorted(PAPER_TABLE1)
-    _table("SAMPLE_DIGESTS", [
-        (n, program_digest(n, SAMPLE_CONFIGS, first_only=True)) for n in names
-    ])
-    _table("EXACT_SAMPLE_DIGESTS", [
-        (_exact_key(c), exact_case_digest(c[0], c[1], c[3], c[4]))
-        for c in EXACT_SAMPLE
-    ])
-    _table("FIG5_DIGESTS", [
-        (n, program_digest(n, FIG5_CONFIGS, first_only=False)) for n in names
-    ])
-    _table("SCHEDCOMPARE_DIGESTS", [
-        (n, program_digest(
-            n, SCHEDCOMPARE_CONFIGS, first_only=False, scheduler="exact"
-        ))
-        for n in names
-    ])
+    print_tables()

@@ -47,6 +47,17 @@ class TestBaseScheduling:
             assert compiled.schedule.comms
         assert compiled.schedule.validate(compiled.ddg) == []
 
+    @pytest.mark.parametrize("scheduler", ["sms", "exact"])
+    @pytest.mark.parametrize("make_loop", [make_saxpy, make_dpcm, make_column])
+    def test_zero_buses_keep_values_local(self, make_loop, scheduler):
+        """No buses is a real machine: each value stays in its producer's
+        cluster, and the schedule still validates."""
+        config = l0_config(8, n_buses=0)
+        assert config.n_clusters == 4
+        compiled = compile_loop(make_loop(), config, scheduler=scheduler)
+        assert compiled.schedule.comms == []
+        assert compiled.schedule.validate(compiled.ddg) == []
+
     def test_all_loads_scheduled_with_l1_latency(self, saxpy):
         compiled = compile_loop(saxpy, unified_config())
         for op in compiled.schedule.placed.values():
