@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.isa import AccessPattern, ArrayRef, MemoryLayout, Opcode
+from repro.isa import AccessPattern, ArrayRef, FUClass, MemoryLayout, Opcode
 from repro.machine import (
     ArchKind,
     ConfigError,
@@ -12,6 +12,7 @@ from repro.machine import (
     multivliw_config,
     unified_config,
 )
+from repro.scheduler import ModuloReservationTable
 
 
 class TestMemoryLayout:
@@ -161,3 +162,26 @@ class TestMachineConfig:
     @pytest.mark.parametrize("name", DELAYS)
     def test_zero_delay_accepted(self, name):
         assert getattr(MachineConfig(**{name: 0}), name) == 0
+
+
+class TestResourceModel:
+    """The Table 2 machine's per-cycle issue resources, as the modulo
+    reservation table counts them."""
+
+    def test_capacities(self):
+        mrt = ModuloReservationTable(1, l0_config())
+        assert mrt.bus_free(0) == 4
+        for fu_class, cluster in ((FUClass.INT, 0), (FUClass.MEM, 3)):
+            mrt.fu_place(0, fu_class, cluster)
+            assert mrt.fu_used(0, fu_class, cluster) == 1
+            assert not mrt.fu_can_place(0, fu_class, cluster)
+
+    def test_total_fu_slots(self):
+        config = l0_config()
+        mrt = ModuloReservationTable(1, config)
+        slots = 0
+        for cluster in range(config.n_clusters):
+            while mrt.fu_can_place(0, FUClass.MEM, cluster):
+                mrt.fu_place(0, FUClass.MEM, cluster)
+                slots += 1
+        assert slots == 4
