@@ -34,7 +34,9 @@ class ClusterBus:
 
     def __init__(self, stats: BusStats | None = None) -> None:
         self._busy: set[int] = set()
-        self._prune_mark = 0
+        #: The first request cycle that prunes: two windows past the last
+        #: prune (or past cycle 0).
+        self._prune_at = 2 * self.PRUNE_WINDOW
         self.stats = stats if stats is not None else BusStats()
 
     def is_free(self, cycle: int) -> bool:
@@ -46,8 +48,8 @@ class ClusterBus:
         if cycle not in busy:  # uncontended fast path
             busy.add(cycle)
             self.stats.grants += 1
-            if cycle - self._prune_mark >= 2 * self.PRUNE_WINDOW:
-                self._maybe_prune(cycle)
+            if cycle >= self._prune_at:
+                self._prune(cycle)
             return cycle
         grant = cycle + 1
         while grant in busy:
@@ -57,16 +59,15 @@ class ClusterBus:
         stats.grants += 1
         stats.delayed_grants += 1
         stats.total_delay += grant - cycle
-        if cycle - self._prune_mark >= 2 * self.PRUNE_WINDOW:
-            self._maybe_prune(cycle)
+        if cycle >= self._prune_at:
+            self._prune(cycle)
         return grant
 
-    def _maybe_prune(self, cycle: int) -> None:
-        if cycle - self._prune_mark < 2 * self.PRUNE_WINDOW:
-            return
+    def _prune(self, cycle: int) -> None:
+        """Forget slots more than a window before ``cycle``."""
         horizon = cycle - self.PRUNE_WINDOW
         self._busy = {c for c in self._busy if c >= horizon}
-        self._prune_mark = cycle
+        self._prune_at = cycle + 2 * self.PRUNE_WINDOW
 
     def shift_time(self, delta: int) -> None:
         """Advance every reserved slot by ``delta`` cycles.
@@ -77,7 +78,7 @@ class ClusterBus:
         reference interpreter would have.
         """
         self._busy = {c + delta for c in self._busy}
-        self._prune_mark += delta
+        self._prune_at += delta
 
     def fingerprint(self, time_base: int) -> tuple:
         """Occupancy relative to ``time_base``, for state-recurrence checks.
@@ -92,4 +93,4 @@ class ClusterBus:
 
     def reset(self) -> None:
         self._busy.clear()
-        self._prune_mark = 0
+        self._prune_at = 2 * self.PRUNE_WINDOW

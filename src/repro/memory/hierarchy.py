@@ -10,11 +10,14 @@ the executor drives:
 * ``invalidate_l0(cycle)`` (inter-loop flush)
 * ``reset()``
 
-Coherence auditing: every store records a per-byte timestamp; a load
-served from an L0 entry older than the newest store to those bytes
-increments ``coherence_violations``.  The compiler's coherence schemes
-(NL0/1C/PSR + inter-loop invalidation) must keep this at zero — tests
-assert exactly that.
+Coherence auditing: a load served from an L0 entry older than the
+newest store to the bytes it reads increments ``coherence_violations``.
+Store stamps live in one row per L1 block — the newest stamp of each
+byte, then the newest stamp in the whole block — so an L0 hit reads one
+row and scans its bytes only when the block holds a store newer than
+the entry (see the architecture doc's "Coherence oracle").  The
+compiler's coherence schemes (NL0/1C/PSR + inter-loop invalidation)
+must keep the count at zero — tests assert exactly that.
 """
 
 from __future__ import annotations
@@ -26,6 +29,17 @@ from ..machine.config import MachineConfig
 from .bus import BusStats, ClusterBus
 from .l0buffer import L0Buffer, L0Entry, L0Stats, MapKind
 from .l1cache import CacheStats, SetAssocCache
+
+# Hint values tested on every access, bound once at module level.
+_NO_ACCESS = AccessHint.NO_ACCESS
+_SEQ_ACCESS = AccessHint.SEQ_ACCESS
+_PAR_ACCESS = AccessHint.PAR_ACCESS
+_INTERLEAVED = MapHint.INTERLEAVED
+_NO_PREFETCH = PrefetchHint.NONE
+
+#: Stamp-row value of a byte no store has written: older than any
+#: cycle, since the simulation clock starts at zero.
+_UNSTORED = -1
 
 
 @dataclass
@@ -70,40 +84,46 @@ class UnifiedMemory:
         self.buses = [
             ClusterBus(stats=self.stats.bus) for _ in range(config.n_clusters)
         ]
-        self._last_store: dict[int, int] = {}
+        #: Coherence oracle: L1 block address -> stamp row, the newest
+        #: store cycle of each byte of the block (``_UNSTORED`` if none)
+        #: followed by the newest stamp written anywhere in the block.
+        self._stamps: dict[int, list[int]] = {}
+        self._block_bytes = config.l1_block
         # Bound copies of the hot-path latencies (config attribute reads
         # add up over hundreds of thousands of accesses).
         self._l0_latency = config.l0_latency
         self._l1_latency = config.l1_latency
         self._l2_latency = config.l2_latency
+        self._interleave_penalty = config.interleave_penalty
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
 
     def _l1_load_latency(self, addr: int) -> int:
-        hit = self.l1.load(addr)
-        latency = self.config.l1_latency
-        if not hit:
-            latency += self.config.l2_latency
-        return latency
+        if self.l1.load(addr):
+            return self._l1_latency
+        return self._l1_latency + self._l2_latency
 
     def _record_store(self, addr: int, width: int, cycle: int) -> None:
-        for byte in range(addr, addr + width):
-            self._last_store[byte] = cycle
+        """Stamp ``[addr, addr + width)`` block by block.
 
-    def _check_stale(self, entry: L0Entry, addr: int, width: int) -> None:
-        last_store = self._last_store
-        if not last_store:
-            return
-        newest = -1
-        get = last_store.get
-        for b in range(addr, addr + width):
-            t = get(b, -1)
-            if t > newest:
-                newest = t
-        if newest > entry.update_time:
-            self.stats.coherence_violations += 1
+        The general path, for the rare store that crosses an L1 block
+        boundary; ``store`` stamps the single-block case inline.
+        """
+        block_bytes = self._block_bytes
+        end = addr + width
+        while addr < end:
+            offset = addr % block_bytes
+            block = addr - offset
+            stop = min(end, block + block_bytes)
+            row = self._stamps.get(block)
+            if row is None:
+                row = self._stamps[block] = [_UNSTORED] * (block_bytes + 1)
+            row[offset : stop - block] = [cycle] * (stop - addr)
+            if cycle > row[-1]:
+                row[-1] = cycle
+            addr = stop
 
     # ------------------------------------------------------------------
     # Loads
@@ -112,7 +132,8 @@ class UnifiedMemory:
     def load(
         self, cluster: int, addr: int, width: int, hints: HintBundle, cycle: int
     ) -> int:
-        if self.l0 is None or hints.access is AccessHint.NO_ACCESS:
+        access = hints.access
+        if access is _NO_ACCESS or self.l0 is None:
             grant = self.buses[cluster].grant(cycle)
             if self.l1.load(addr):
                 return grant + self._l1_latency
@@ -121,37 +142,49 @@ class UnifiedMemory:
         buffer = self.l0[cluster]
         entry = buffer.access(addr, width, cycle)
         if entry is not None:
-            self._check_stale(entry, addr, width)
+            # Coherence audit.  A hit never crosses its entry's block, and
+            # the row's last slot bounds every byte stamp in it, so the
+            # byte scan runs only when some store in the block is newer.
+            block = entry.block_addr
+            row = self._stamps.get(block)
+            if row is not None and row[-1] > entry.update_time:
+                offset = addr - block
+                if max(row[offset : offset + width]) > entry.update_time:
+                    self.stats.coherence_violations += 1
             ready = entry.ready
             issue = cycle + self._l0_latency
             if issue > ready:
                 ready = issue
-            if hints.access is AccessHint.PAR_ACCESS:
+            if access is _PAR_ACCESS:
                 # Parallel L1 probe: real traffic, reply discarded.
-                grant = self.buses[cluster].grant(cycle)
-                if self.l1.probe(addr):
-                    self.l1.load(addr)
-            self._hint_prefetch(cluster, entry, addr, width, hints, cycle)
+                self.buses[cluster].grant(cycle)
+                self.l1.touch(addr)
+            if hints.prefetch is not _NO_PREFETCH:
+                self._hint_prefetch(cluster, entry, addr, width, hints, cycle)
             return ready
 
         # L0 miss: forward to L1 — next cycle for SEQ (the compiler
         # guaranteed that slot free), same cycle for PAR.
-        request = cycle + 1 if hints.access is AccessHint.SEQ_ACCESS else cycle
         bus = self.buses[cluster]
-        if hints.access is AccessHint.SEQ_ACCESS and not bus.is_free(request):
-            self.stats.seq_bus_conflicts += 1
+        if access is _SEQ_ACCESS:
+            request = cycle + 1
+            if not bus.is_free(request):
+                self.stats.seq_bus_conflicts += 1
+        else:
+            request = cycle
         grant = bus.grant(request)
         latency = self._l1_latency
         if not self.l1.load(addr):
             latency += self._l2_latency
-        if hints.mapping is MapHint.INTERLEAVED:
-            arrival = grant + latency + self.config.interleave_penalty
+        if hints.mapping is _INTERLEAVED:
+            arrival = grant + latency + self._interleave_penalty
             filled = self._distribute_block(cluster, addr, width, arrival, False)
         else:
             arrival = grant + latency
             filled = buffer.fill_linear(addr, arrival)
             filled.touched = True
-        self._hint_prefetch(cluster, filled, addr, width, hints, cycle)
+        if hints.prefetch is not _NO_PREFETCH:
+            self._hint_prefetch(cluster, filled, addr, width, hints, cycle)
         return arrival
 
     def _distribute_block(
@@ -194,14 +227,14 @@ class UnifiedMemory:
         hints: HintBundle,
         cycle: int,
     ) -> None:
-        if hints.prefetch is PrefetchHint.NONE or self.l0 is None:
-            return
+        """The automatic prefetch of a load whose prefetch hint is set."""
+        assert self.l0 is not None
+        buffer = self.l0[cluster]
         forward = hints.prefetch is PrefetchHint.POSITIVE
-        if not self.l0[cluster].is_edge_element(entry, addr, width, last=forward):
+        if not buffer.is_edge_element(entry, addr, width, last=forward):
             return
         distance = hints.prefetch_distance
         step = distance if forward else -distance
-        buffer = self.l0[cluster]
         if entry.kind is MapKind.LINEAR:
             sub = buffer.subblock_bytes
             target = entry.block_addr + entry.position * sub + step * sub
@@ -233,9 +266,7 @@ class UnifiedMemory:
             return
         self.stats.prefetch_requests += 1
         grant = self.buses[cluster].grant(cycle + 1)
-        arrival = (
-            grant + self._l1_load_latency(target_block) + self.config.interleave_penalty
-        )
+        arrival = grant + self._l1_load_latency(target_block) + self._interleave_penalty
         n = self.config.n_clusters
         for target in range(n):
             residue = (entry.position + (target - cluster)) % n
@@ -275,13 +306,26 @@ class UnifiedMemory:
         cycle: int,
         is_primary: bool = True,
     ) -> None:
-        if self.l0 is not None and not is_primary:
+        l0 = self.l0
+        if l0 is not None and not is_primary:
             # PSR replica: invalidate local copies only; no L1 traffic.
-            self.l0[cluster].invalidate_matching(addr, width)
+            l0[cluster].invalidate_matching(addr, width)
             return
-        self._record_store(addr, width, cycle)
-        if self.l0 is not None and hints.access is AccessHint.PAR_ACCESS:
-            self.l0[cluster].store_update(addr, width, cycle)
+        block_bytes = self._block_bytes
+        offset = addr % block_bytes
+        if offset + width <= block_bytes:
+            # Inside one block (every aligned store): one row slice.
+            block = addr - offset
+            row = self._stamps.get(block)
+            if row is None:
+                row = self._stamps[block] = [_UNSTORED] * (block_bytes + 1)
+            row[offset : offset + width] = [cycle] * width
+            if cycle > row[-1]:
+                row[-1] = cycle
+        else:
+            self._record_store(addr, width, cycle)
+        if l0 is not None and hints.access is _PAR_ACCESS:
+            l0[cluster].store_update(addr, width, cycle)
         self.buses[cluster].grant(cycle)
         self.l1.store(addr)
 
@@ -351,7 +395,8 @@ class UnifiedMemory:
                 buffer.shift_time(delta)
         for bus in self.buses:
             bus.shift_time(delta)
-        self._last_store = {b: t + delta for b, t in self._last_store.items()}
+        for row in self._stamps.values():
+            row[:] = [t if t == _UNSTORED else t + delta for t in row]
 
     def state_fingerprint(self, time_base: int, horizon: int = 4096) -> tuple:
         """Canonical decision-relevant state, times relative to ``time_base``.
@@ -364,12 +409,14 @@ class UnifiedMemory:
         the architecture doc's soundness conditions).
         """
         ancient = time_base - horizon
-        recent = tuple(
-            (b, t - time_base)
-            for b, t in sorted(self._last_store.items())
-            if t >= ancient
-        )
-        old = tuple(b for b, t in sorted(self._last_store.items()) if t < ancient)
+        stamps = [
+            (block + offset, t)
+            for block, row in sorted(self._stamps.items())
+            for offset, t in enumerate(row[:-1])
+            if t != _UNSTORED
+        ]
+        recent = tuple((b, t - time_base) for b, t in stamps if t >= ancient)
+        old = tuple(b for b, t in stamps if t < ancient)
         return (
             self.l1.fingerprint(),
             tuple(

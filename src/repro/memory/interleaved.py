@@ -128,11 +128,13 @@ class WordInterleavedMemory:
         self.modules[home].store(addr)
         # Hardware keeps attraction buffers coherent: a store kills every
         # remotely-cached copy of the words it writes.
+        n = self.config.n_clusters
         first = addr // WORD
         last = (addr + width - 1) // WORD
         for word in range(first, last + 1):
+            word_home = word % n  # home_of(word * WORD)
             for other, buffer in enumerate(self.attraction):
-                if other != self.home_of(word * WORD):
+                if other != word_home:
                     buffer.invalidate(word)
 
     def prefetch(self, cluster: int, addr: int, width: int, cycle: int) -> None:

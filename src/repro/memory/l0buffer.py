@@ -36,12 +36,17 @@ class MapKind(enum.Enum):
     INTERLEAVED = "interleaved"
 
 
-@dataclass(eq=False)
+#: Tested on every lookup; bound once at module level.
+_LINEAR = MapKind.LINEAR
+
+
+@dataclass(eq=False, slots=True)
 class L0Entry:
     """One resident subblock.  Identity equality and hashing
     (``eq=False``): entries are mutable runtime objects keyed by identity
     in the buffer's LRU dict and removed by identity from its block index,
-    never confused with a value-equal twin."""
+    never confused with a value-equal twin.  ``slots=True`` makes the
+    field reads of the lookup loop plain slot loads."""
 
     kind: MapKind
     block_addr: int  # base address of the owning L1 block
@@ -176,7 +181,7 @@ class L0Buffer:
         n = self.n_clusters
         for idx in range(len(peers) - 1, -1, -1):
             entry = peers[idx]
-            if entry.kind is MapKind.LINEAR:
+            if entry.kind is _LINEAR:
                 lo = entry.position * sub
                 if lo <= offset and offset + width <= lo + sub:
                     break

@@ -61,6 +61,19 @@ class SetAssocCache:
         block_addr = addr // self.block
         return block_addr // self.n_sets in self._sets[block_addr % self.n_sets]
 
+    def touch(self, addr: int) -> None:
+        """A load whose reply is discarded (the L1 half of a parallel
+        L0/L1 probe that hit in L0).  Same as ``load`` when the line is
+        resident — LRU refresh and a load hit — and nothing at all when
+        it is not: no miss is counted and nothing is allocated."""
+        block_addr = addr // self.block
+        n_sets = self.n_sets
+        entries = self._sets[block_addr % n_sets]
+        tag = block_addr // n_sets
+        if tag in entries:
+            entries.move_to_end(tag)
+            self.stats.load_hits += 1
+
     def load(self, addr: int) -> bool:
         """Look up; allocate on miss (LRU eviction).  Returns hit?"""
         block_addr = addr // self.block

@@ -1,11 +1,31 @@
 """Property-based tests for the memory substrate models."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, example, find, given, settings, strategies as st
 
-from repro.isa import AccessPattern, ArrayRef
+from repro.isa import (
+    BYPASS_HINTS,
+    AccessHint,
+    AccessPattern,
+    ArrayRef,
+    HintBundle,
+    MapHint,
+    PrefetchHint,
+)
 from repro.ir.memdep import patterns_may_alias
-from repro.memory import L0Buffer, L0Entry, L0Stats, MapKind, SetAssocCache
+from repro.machine import interleaved_config, l0_config
+from repro.memory import (
+    WORD,
+    BusStats,
+    ClusterBus,
+    L0Buffer,
+    L0Entry,
+    L0Stats,
+    MapKind,
+    SetAssocCache,
+    UnifiedMemory,
+    WordInterleavedMemory,
+)
 
 QUICK = settings(max_examples=60, deadline=None)
 
@@ -285,6 +305,181 @@ def test_l0_matches_list_scan_model_long(geometry, capacity, addrs, ops):
     _check_against_list_model(geometry, capacity, addrs, ops)
 
 
+class ByteStampOracle:
+    """Reference model of the coherence audit: one dict entry per stored
+    byte, every accessed byte read on every L0 hit.  ``UnifiedMemory``
+    keeps the stamps as per-block rows and skips the byte scan when the
+    block's newest stamp is not newer than the entry; both must count the
+    same violations and render the same store stamps."""
+
+    def __init__(self):
+        self.last_store = {}
+        self.violations = 0
+
+    def store(self, addr, width, cycle):
+        for byte in range(addr, addr + width):
+            self.last_store[byte] = cycle
+
+    def hit(self, entry, addr, width):
+        get = self.last_store.get
+        newest = max(get(byte, -1) for byte in range(addr, addr + width))
+        if newest > entry.update_time:
+            self.violations += 1
+
+    def shift_time(self, delta):
+        self.last_store = {b: t + delta for b, t in self.last_store.items()}
+
+    def fingerprint(self, time_base, horizon):
+        """The store-stamp parts of ``UnifiedMemory.state_fingerprint``."""
+        ancient = time_base - horizon
+        stamps = sorted(self.last_store.items())
+        recent = tuple((b, t - time_base) for b, t in stamps if t >= ancient)
+        old = tuple(b for b, t in stamps if t < ancient)
+        return recent, old
+
+
+# Table 2's geometry, a narrower and a wider block, fewer clusters;
+# bounded and unbounded buffers.  A 1 KB L1 keeps the per-operation
+# fingerprint cheap and makes L1 misses and evictions common.
+COHERENCE_MACHINES = st.sampled_from(
+    [
+        l0_config(4, l1_size=1024),
+        l0_config(None, l1_size=1024, l1_block=16),
+        l0_config(2, l1_size=1024, l1_block=64, n_clusters=2),
+        l0_config(8, l1_size=1024, n_clusters=1),
+    ]
+)
+#: Small, so state_fingerprint's "ancient" stamp bucket fills up too.
+COHERENCE_HORIZON = 12
+#: Every hint bundle: each access, mapping and prefetch hint, distance
+#: 1 and 2 (one draw per op; building bundles field by field is slower).
+HINTS = st.sampled_from(
+    [
+        HintBundle(access, mapping, prefetch, distance)
+        for access in AccessHint
+        for mapping in MapHint
+        for prefetch in PrefetchHint
+        for distance in (1, 2)
+    ]
+)
+# Ops draw a (byte, width) point from a small per-example pool in two
+# adjacent blocks, so the same bytes are filled, stored to and hit
+# again.  Loads and prefetches round the width down to a power of two
+# and the byte down to a width multiple, as the simulator issues them;
+# stores keep both, so they may be unaligned and cross into the next
+# block.  The pool starts two blocks up, so hint prefetches reach below
+# and above it.
+COHERENCE_POINTS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=127),
+        st.integers(min_value=1, max_value=8),
+    ),
+    min_size=1,
+    max_size=6,
+)
+COHERENCE_OP_NAMES = "load load load store store replica prefetch invalidate shift"
+# (name, cluster, pool slot, hints, cycles the clock advances).
+COHERENCE_OP = st.tuples(
+    st.sampled_from(COHERENCE_OP_NAMES.split()),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=5),
+    HINTS,
+    st.integers(min_value=0, max_value=4),
+)
+
+
+def _run_coherence_oracle(config, points, ops):
+    """Drive ``UnifiedMemory`` and the byte-dict model side by side and
+    compare them after every operation; returns the violations seen."""
+    mem = UnifiedMemory(config)
+    ref = ByteStampOracle()
+    block = config.l1_block
+    clock = 0
+    for name, cluster, slot, hints, dt in ops:
+        cluster %= config.n_clusters
+        clock += dt
+        byte, width = points[slot % len(points)]
+        addr = 2 * block + byte % (2 * block)
+        load_width = 1 << (width.bit_length() - 1)
+        aligned = addr // load_width * load_width
+        if name == "load":
+            if hints.access is not AccessHint.NO_ACCESS:
+                entry = mem.l0[cluster].find(aligned, load_width)
+                if entry is not None:
+                    ref.hit(entry, aligned, load_width)
+            mem.load(cluster, aligned, load_width, hints, clock)
+        elif name in ("store", "replica"):
+            primary = name == "store"
+            if primary:
+                ref.store(addr, width, clock)
+            mem.store(cluster, addr, width, hints, clock, is_primary=primary)
+        elif name == "prefetch":
+            mem.prefetch(cluster, aligned, load_width, clock)
+        elif name == "invalidate":
+            mem.invalidate_l0(clock)
+        else:
+            mem.shift_time(dt)
+            ref.shift_time(dt)
+        assert mem.stats.coherence_violations == ref.violations, name
+        fingerprint = mem.state_fingerprint(clock, COHERENCE_HORIZON)
+        assert fingerprint[3:] == ref.fingerprint(clock, COHERENCE_HORIZON), name
+    return ref.violations
+
+
+PAR_LINEAR = HintBundle(AccessHint.PAR_ACCESS)
+# The boundary the block filter must not blur.  Cluster 0 fills bytes
+# 64-71 (ready at cycle 16), a PAR store at cycle 20 stamps 64-67 and
+# refreshes the entry to cycle 20, a store at 21 stamps 72-75 in the same
+# block, and the last load of 64-67 is not stale (stamp 20 == update
+# time 20) although the block's newest stamp (21) is newer than the entry.
+FILTER_BOUNDARY_OPS = (
+    [("load", 0, 0, PAR_LINEAR, 0)]
+    + [("load", 1, 1, BYPASS_HINTS, 4)] * 5
+    + [
+        ("store", 0, 0, PAR_LINEAR, 0),
+        ("store", 1, 1, BYPASS_HINTS, 1),
+        ("load", 0, 0, PAR_LINEAR, 1),
+    ]
+)
+
+
+@QUICK
+@given(
+    config=COHERENCE_MACHINES,
+    points=COHERENCE_POINTS,
+    ops=st.lists(COHERENCE_OP, min_size=20, max_size=80),
+)
+@example(config=l0_config(4), points=[(0, 4), (8, 4)], ops=FILTER_BOUNDARY_OPS)
+def test_coherence_audit_matches_byte_oracle(config, points, ops):
+    _run_coherence_oracle(config, points, ops)
+
+
+@pytest.mark.slow
+@settings(max_examples=500, deadline=None)
+@given(
+    config=COHERENCE_MACHINES,
+    points=COHERENCE_POINTS,
+    ops=st.lists(COHERENCE_OP, min_size=100, max_size=400),
+)
+def test_coherence_audit_matches_byte_oracle_long(config, points, ops):
+    _run_coherence_oracle(config, points, ops)
+
+
+def test_coherence_oracle_generator_reaches_violations():
+    """The generator above produces sequences with stale L0 hits, so the
+    comparison covers the counting, not only the all-zero case."""
+    case = find(
+        st.tuples(
+            COHERENCE_MACHINES,
+            COHERENCE_POINTS,
+            st.lists(COHERENCE_OP, min_size=20, max_size=80),
+        ),
+        lambda case: _run_coherence_oracle(*case) > 0,
+        settings=settings(max_examples=60, database=None, phases=[Phase.generate]),
+    )
+    assert _run_coherence_oracle(*case) > 0
+
+
 @pytest.mark.parametrize("n_clusters", [1, 2, 3, 4, 8])
 def test_l0_edge_element_closed_form(n_clusters):
     """The closed-form interleaved edge test equals the owned-element list
@@ -308,6 +503,7 @@ def test_l0_edge_element_closed_form(n_clusters):
                         j == owned[0]
                     )
 
+
 @QUICK
 @given(
     sequence=st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=200)
@@ -325,6 +521,154 @@ def test_cache_hit_iff_recently_used(sequence):
             cache.load(block_idx * 32)
         # Not all guaranteed (set conflicts), but at least half must hit.
         assert cache.stats.load_hits - hits_before >= len(blocks) // 2
+
+
+@QUICK
+@given(
+    geometry=st.sampled_from([(256, 2, 32), (128, 1, 16), (512, 4, 32)]),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from("load load touch touch store invalidate".split()),
+            st.integers(min_value=0, max_value=95),
+        ),
+        min_size=10,
+        max_size=120,
+    ),
+)
+def test_cache_touch_matches_probe_then_load(geometry, ops):
+    """``touch`` is the parallel-probe reply the L0 path discards: equal
+    to ``load`` after a successful ``probe``, and to nothing otherwise."""
+    size, assoc, block = geometry
+    cache = SetAssocCache(size=size, assoc=assoc, block=block)
+    ref = SetAssocCache(size=size, assoc=assoc, block=block)
+    for name, unit in ops:
+        addr = unit * 8
+        if name == "touch":
+            cache.touch(addr)
+            if ref.probe(addr):
+                ref.load(addr)
+        else:
+            assert getattr(cache, name)(addr) == getattr(ref, name)(addr)
+        assert cache.stats == ref.stats, name
+        assert cache.fingerprint() == ref.fingerprint(), name
+
+
+class MarkBus:
+    """Reference model: the cluster bus recomputing
+    ``cycle - mark >= 2 * PRUNE_WINDOW`` on every grant.  ``ClusterBus``
+    compares the cycle with a precomputed prune cycle instead; both must
+    grant, prune and shift identically."""
+
+    WINDOW = ClusterBus.PRUNE_WINDOW
+
+    def __init__(self):
+        self.busy = set()
+        self.mark = 0
+        self.stats = BusStats()
+
+    def is_free(self, cycle):
+        return cycle not in self.busy
+
+    def grant(self, cycle):
+        grant = cycle
+        while grant in self.busy:
+            grant += 1
+        self.busy.add(grant)
+        self.stats.grants += 1
+        if grant != cycle:
+            self.stats.delayed_grants += 1
+            self.stats.total_delay += grant - cycle
+        if cycle - self.mark >= 2 * self.WINDOW:
+            self.busy = {c for c in self.busy if c >= cycle - self.WINDOW}
+            self.mark = cycle
+        return grant
+
+    def shift_time(self, delta):
+        self.busy = {c + delta for c in self.busy}
+        self.mark += delta
+
+    def fingerprint(self, time_base):
+        horizon = time_base - self.WINDOW
+        return tuple(sorted(c - time_base for c in self.busy if c >= horizon))
+
+
+# (name, cycles the clock advances, request lead over the clock).  Runs
+# of zero advance contend for the same slots; the long jumps cross the
+# 512-cycle prune period within a few ops.
+BUS_OP = st.tuples(
+    st.sampled_from("grant grant grant free shift".split()),
+    st.one_of(
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=600),
+    ),
+    st.integers(min_value=-8, max_value=8),
+)
+
+
+@QUICK
+@given(ops=st.lists(BUS_OP, min_size=10, max_size=120))
+def test_bus_matches_mark_model(ops):
+    bus, ref = ClusterBus(), MarkBus()
+    window = ClusterBus.PRUNE_WINDOW
+    clock = 0
+    for name, advance, lead in ops:
+        if name == "shift":
+            bus.shift_time(advance)
+            ref.shift_time(advance)
+        clock += advance
+        cycle = max(0, clock + lead)
+        if name == "grant":
+            assert bus.grant(cycle) == ref.grant(cycle)
+        else:
+            assert bus.is_free(cycle) == ref.is_free(cycle)
+        assert bus.stats == ref.stats, name
+        assert bus.fingerprint(clock) == ref.fingerprint(clock), name
+        # Every slot either model still holds (a prune keeps one window
+        # back and recurs within two), so the prunes happened together.
+        old = clock - 2 * window
+        assert bus.fingerprint(old) == ref.fingerprint(old), name
+
+
+class HomeLoopInterleaved(WordInterleavedMemory):
+    """Reference model: the store asks ``home_of`` for every written
+    word once per attraction buffer, as the model did before hoisting
+    the word's home out of the buffer loop."""
+
+    def store(self, cluster, addr, width, hints, cycle, is_primary=True):
+        self.modules[self.home_of(addr)].store(addr)
+        for word in range(addr // WORD, (addr + width - 1) // WORD + 1):
+            for other, buffer in enumerate(self.attraction):
+                if other != self.home_of(word * WORD):
+                    buffer.invalidate(word)
+
+
+@QUICK
+@given(
+    n_clusters=st.sampled_from([1, 2, 4, 8]),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["load", "load", "store"]),
+            st.integers(min_value=0, max_value=7),
+            st.integers(min_value=0, max_value=95),
+            st.integers(min_value=1, max_value=8),
+        ),
+        min_size=10,
+        max_size=120,
+    ),
+)
+def test_interleaved_store_matches_home_loop_model(n_clusters, ops):
+    config = interleaved_config(n_clusters=n_clusters)
+    mem, ref = WordInterleavedMemory(config), HomeLoopInterleaved(config)
+    for cycle, (name, cluster, addr, width) in enumerate(ops):
+        cluster %= n_clusters
+        if name == "load":
+            got = mem.load(cluster, addr, width, BYPASS_HINTS, cycle)
+            assert got == ref.load(cluster, addr, width, BYPASS_HINTS, cycle)
+        else:
+            mem.store(cluster, addr, width, BYPASS_HINTS, cycle)
+            ref.store(cluster, addr, width, BYPASS_HINTS, cycle)
+        assert mem.stats == ref.stats, name
+        assert mem.state_fingerprint(cycle) == ref.state_fingerprint(cycle), name
 
 
 @QUICK
