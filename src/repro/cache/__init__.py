@@ -17,11 +17,8 @@ directories the pipeline persists — the result store (``ResultCache``,
 
 The directories default to the names CI persists (``.result-cache``,
 ``.compile-cache``, ``.fuzz-cache``); a missing directory is skipped,
-never created.  Every store opens in the layout it was written in:
-flat, or sharded by key prefix as the sweep service (``repro.service``)
-writes results — ``KeyedFileStore`` detects the layout and runs the
-same save/load/gc/verify code over one shard or many, never creating a
-missing shard directory.
+never created.  Every store is one flat directory of ``<key><suffix>``
+files under one ``manifest.json`` (``KeyedFileStore``).
 """
 
 from __future__ import annotations
@@ -106,7 +103,6 @@ def cmd_stats(args) -> int:
             name = e.fingerprint or "unknown"
             by_fp[name] = by_fp.get(name, 0) + 1
         print(f"{label}: {store.path}")
-        print(f"  shards: {len(store.shards())} (prefix width {store.shard_width})")
         print(f"  entries: {len(entries)}  bytes: {total} ({format_size(total)})")
         for fp, count in sorted(by_fp.items(), key=lambda kv: -kv[1]):
             tag = " (current)" if fp == current else ""

@@ -14,10 +14,10 @@ Four layers, consumed bottom-up by the rest of the stack:
 * **Result cache** (:mod:`.cache`) — content-addressed
   ``(benchmark, MachineConfig, SimOptions)`` -> :class:`ProgramResult`
   store with an optional on-disk JSON mirror.
-* **Executor + session** (:mod:`.executor`, :mod:`.session`) — serial or
-  supervised process-parallel fan-out of simulation requests behind the
-  cache; ``repro.eval.ExperimentContext`` runs everything through a
-  session.
+* **Executor + session** (:mod:`.executor`, :mod:`.fleet`,
+  :mod:`.session`) — serial or process-parallel fan-out of simulation
+  requests over a supervised worker fleet, behind the cache;
+  ``repro.eval.ExperimentContext`` runs everything through a session.
 """
 
 from .artifact import (
@@ -35,7 +35,6 @@ from .cache import (
     decode_result,
     describe_config,
     describe_options,
-    detect_shard_width,
     encode_result,
     result_fingerprint,
     result_schema_digest,
@@ -58,6 +57,7 @@ from .executor import (
     execute_request,
     make_executor,
 )
+from .fleet import JobFailure, JobFailureError
 from .manifest import GCReport, ManifestEntry, StoreManifest, VerifyReport
 from .passes import (
     DEFAULT_PIPELINE,
@@ -82,6 +82,8 @@ __all__ = [
     "CompileOptions",
     "CompiledLoopCache",
     "GCReport",
+    "JobFailure",
+    "JobFailureError",
     "KeyedFileStore",
     "ManifestEntry",
     "ParallelExecutor",
@@ -105,7 +107,6 @@ __all__ = [
     "describe_config",
     "describe_options",
     "describe_request",
-    "detect_shard_width",
     "drop_compile_cache",
     "encode_result",
     "execute_request",

@@ -38,10 +38,9 @@ class CompileOptions:
     heuristic engine — or ``"exact"``; see
     ``repro.pipeline.passes.SCHEDULER_PASSES``).  The ``exact_*`` knobs
     configure the exact backend's search: a node budget (placement
-    trials before falling back to SMS), an optional stage horizon, and
-    an optional wall-clock budget in seconds (``None`` keeps compiles
-    deterministic; all three are inert under ``scheduler="sms"`` but
-    still participate in compile-cache keys like every other option).
+    trials before falling back to SMS) and an optional stage horizon
+    (both inert under ``scheduler="sms"`` but still participating in
+    compile-cache keys like every other option).
 
     ``analyze`` runs the independent static certifier
     (``repro.analysis``) over the finished artifact before it is cached;
@@ -57,7 +56,6 @@ class CompileOptions:
     scheduler: str = "sms"
     exact_node_budget: int = 60_000
     exact_max_stages: int | None = None
-    exact_time_budget_s: float | None = None
     analyze: bool = False
 
 

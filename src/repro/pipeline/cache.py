@@ -115,18 +115,12 @@ def _result_classes() -> dict[str, type]:
 
 
 def encode_result(value):
-    """Encode a result record (nested dataclasses of scalars) as JSON data.
-
-    Plain dicts (``ProgramResult.meta``) are allowed with string keys;
-    ``__type__`` is reserved as the dataclass tag."""
+    """Encode a result record (nested dataclasses of scalars) as JSON data;
+    each dataclass becomes a dict tagged with its ``__type__``."""
     if is_dataclass(value) and not isinstance(value, type):
         data = {f.name: encode_result(getattr(value, f.name)) for f in fields(value)}
         data["__type__"] = type(value).__name__
         return data
-    if isinstance(value, dict):
-        if "__type__" in value:
-            raise TypeError("result dicts must not carry a __type__ key")
-        return {str(k): encode_result(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [encode_result(v) for v in value]
     if value is None or isinstance(value, (bool, int, float, str)):
@@ -137,11 +131,6 @@ def encode_result(value):
 def decode_result(data):
     if isinstance(data, dict):
         name = data.get("__type__")
-        if name is None:
-            # A plain mapping (e.g. ProgramResult.meta); the top-level
-            # envelope decode still insists on a ProgramResult, so a
-            # tag-stripped entry is caught there as corruption.
-            return {k: decode_result(v) for k, v in data.items()}
         cls = _result_classes().get(name)
         if cls is None:
             raise ValueError(f"result store references unknown type {name!r}")
@@ -168,12 +157,12 @@ def result_fingerprint(result: ProgramResult) -> str:
 #: as the *schema* is unchanged.  Bump this whenever a stat dataclass
 #: gains, loses or renames a field — the pinned
 #: :func:`result_schema_digest` test will insist.
-RESULT_SCHEMA_VERSION = 4  # v4: ProgramResult.meta provenance annotations
+RESULT_SCHEMA_VERSION = 5  # v5: ProgramResult.meta removed
 
 #: Expected value of :func:`result_schema_digest` for
 #: :data:`RESULT_SCHEMA_VERSION`.  A test recomputes the digest from
 #: the live dataclasses; if they drift without a version bump it fails.
-RESULT_SCHEMA_DIGEST = "983bd4da05394927"
+RESULT_SCHEMA_DIGEST = "c59ecb2af5ce0c2d"
 
 
 def result_schema_digest() -> str:
@@ -222,44 +211,10 @@ def describe_options(options) -> dict:
     return _non_defaults(options, structured=lambda v: str(_canonical(v)))
 
 
-#: Shard-prefix widths a store may use (1 hex char = 16 shards, 2 = 256).
-SHARD_WIDTHS = (1, 2)
-
-
-def _is_shard_name(name: str, width: int) -> bool:
-    return len(name) == width and all(c in "0123456789abcdef" for c in name)
-
-
-def detect_shard_width(path: str | Path) -> int:
-    """Shard-prefix width of an existing store directory; 0 if flat or new.
-
-    A sharded store is recognised by its hex-prefix subdirectories
-    (``0``..``f`` or ``00``..``ff``); a flat store has none.
-    """
-    path = Path(path)
-    if path.is_dir():
-        names = sorted(child.name for child in path.iterdir() if child.is_dir())
-        for width in SHARD_WIDTHS:
-            if any(_is_shard_name(name, width) for name in names):
-                return width
-    return 0
-
-
 class KeyedFileStore:
     """On-disk store of content-keyed entries, shared by the result,
-    compile and fuzz caches: one ``<key><suffix>`` file per entry.
-
-    ``shard_width`` picks the layout.  0 is flat: every entry lives at
-    ``path/<key><suffix>`` under one sidecar manifest.  1 or 2 partition
-    by key prefix: entry ``<key>`` lives in
-    ``path/<key[:width]>/<key><suffix>`` and every shard directory keeps
-    its *own* manifest, so N workers writing results land on different
-    shards with probability ``1 - 1/16**width`` and their read-merge-
-    write manifest flushes (and GC passes) stop contending on one file.
-    A flat store is simply the one-shard case rooted at ``path``.
-    ``None`` (the default) opens an existing directory in the layout it
-    was written in, and a new one flat.  Only ``save`` creates a shard
-    directory; reads and maintenance skip missing shards.
+    compile and fuzz caches: one ``path/<key><suffix>`` file per entry,
+    under one sidecar manifest.
 
     Concurrency contract (multiple processes may share one directory):
     writes go to a per-process tmp name and are installed by atomic
@@ -269,59 +224,21 @@ class KeyedFileStore:
     have written, tolerating entries another process unlinked first.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        suffix: str,
-        encode,
-        decode,
-        *,
-        shard_width: int | None = None,
-    ) -> None:
+    def __init__(self, path: str | Path, suffix: str, encode, decode) -> None:
         self.path = Path(path)
-        if shard_width is None:
-            shard_width = detect_shard_width(self.path)
-        if shard_width and shard_width not in SHARD_WIDTHS:
-            raise ValueError(
-                f"shard width must be 0 or one of {SHARD_WIDTHS}: {shard_width}"
-            )
         self.path.mkdir(parents=True, exist_ok=True)
         self.suffix = suffix
-        self.shard_width = shard_width
         self._encode = encode  # value -> bytes
         self._decode = decode  # bytes -> value (raises on corruption)
-        self._manifests: dict[str, StoreManifest] = {}  # shard name -> manifest
-
-    def _manifest(self, shard: str) -> StoreManifest:
-        manifest = self._manifests.get(shard)
-        if manifest is None:
-            manifest = StoreManifest(self.path / shard, self.suffix)
-            self._manifests[shard] = manifest
-        return manifest
-
-    @property
-    def manifest(self) -> StoreManifest:
-        """A flat store's manifest (a sharded one keeps one per shard)."""
-        return self._manifest("")
-
-    def shards(self) -> list[str]:
-        """Names of the existing shard directories; ``[""]`` when flat."""
-        if not self.shard_width:
-            return [""]
-        return [
-            child.name
-            for child in sorted(self.path.iterdir())
-            if child.is_dir() and _is_shard_name(child.name, self.shard_width)
-        ]
+        self.manifest = StoreManifest(self.path, suffix)
 
     def _file(self, key: str) -> Path:
-        return self.path / key[: self.shard_width] / f"{key}{self.suffix}"
+        return self.path / f"{key}{self.suffix}"
 
     def load(self, key: str):
         file = self._file(key)
         if not file.exists():
             return None
-        manifest = self._manifest(key[: self.shard_width])
         try:
             value = self._decode(file.read_bytes())
         except Exception:
@@ -331,21 +248,18 @@ class KeyedFileStore:
                 file.unlink(missing_ok=True)
             except OSError:
                 pass
-            manifest.forget(key)
-            manifest.flush()
+            self.manifest.forget(key)
+            self.manifest.flush()
             return None
-        manifest.touch(key)
+        self.manifest.touch(key)
         return value
 
     def save(self, key: str, value, *, description: dict | None = None) -> None:
         # Persistence is best-effort: callers already serve the value
         # from memory, so a disk failure must not abort the sweep.
-        shard = key[: self.shard_width]
-        directory = self.path / shard
-        tmp = directory / f".{key}.{os.getpid()}.tmp"
+        tmp = self.path / f".{key}.{os.getpid()}.tmp"
         try:
             blob = self._encode(value)
-            directory.mkdir(exist_ok=True)
             tmp.write_bytes(blob)
             tmp.replace(self._file(key))
         except OSError:
@@ -354,7 +268,7 @@ class KeyedFileStore:
             except OSError:
                 pass
             return
-        self._manifest(shard).record(
+        self.manifest.record(
             key,
             size=len(blob),
             fingerprint=code_fingerprint(),
@@ -364,31 +278,25 @@ class KeyedFileStore:
     def clear(self) -> None:
         """Remove all entries — only files this store wrote, never the
         directory's unrelated contents."""
-        for shard in self.shards():
-            directory = self.path / shard
-            for file in directory.glob(f"*{self.suffix}"):
-                if _is_key(file.stem):
-                    file.unlink(missing_ok=True)
-            # Orphaned tmp files from writers killed mid-save.
-            for tmp in directory.glob(".*.tmp"):
-                if _is_key(tmp.name[1:].split(".")[0]):
-                    tmp.unlink(missing_ok=True)
-            self._manifest(shard).reset()
+        for file in self.path.glob(f"*{self.suffix}"):
+            if _is_key(file.stem):
+                file.unlink(missing_ok=True)
+        # Orphaned tmp files from writers killed mid-save.
+        for tmp in self.path.glob(".*.tmp"):
+            if _is_key(tmp.name[1:].split(".")[0]):
+                tmp.unlink(missing_ok=True)
+        self.manifest.reset()
 
     # -- introspection and maintenance ----------------------------------
 
     def flush(self) -> None:
         """Persist buffered manifest updates (recency hits, new rows)."""
-        for manifest in self._manifests.values():
-            manifest.flush()
+        self.manifest.flush()
 
     def entries(self) -> dict[str, ManifestEntry]:
         """Manifest view reconciled against the directory (see
-        :meth:`StoreManifest.entries`), over every shard."""
-        out: dict[str, ManifestEntry] = {}
-        for shard in self.shards():
-            out.update(self._manifest(shard).entries())
-        return out
+        :meth:`StoreManifest.entries`)."""
+        return self.manifest.entries()
 
     def total_bytes(self) -> int:
         return sum(e.size for e in self.entries().values())
@@ -416,37 +324,18 @@ class KeyedFileStore:
           younger than ``min_age_s`` are skipped (grace period for
           concurrent writers), so the cap is a target, not a guarantee.
 
-        Shards are collected one by one, with the size cap split evenly
-        across the existing ones: content keys are uniform sha256, so an
-        even split is a global cap in expectation, and independent
-        shards are what let many workers collect without a store-wide
-        lock.
-
         Concurrent safety: eviction unlinks only *installed* files;
         in-flight ``.tmp`` writes are never touched, and a concurrent
         writer's atomic rename simply reinstalls its entry.
         """
-        shards = self.shards()
-        cap = None if max_bytes is None else max_bytes // max(1, len(shards))
-        keep = None if keep_fingerprints is None else set(keep_fingerprints)
-        report = GCReport(path=str(self.path))
-        for shard in shards:
-            self._gc_shard(shard, cap, keep, min_age_s, report)
-        return report
-
-    def _gc_shard(
-        self,
-        shard: str,
-        max_bytes: int | None,
-        keep: set | None,
-        min_age_s: float,
-        report: GCReport,
-    ) -> None:
-        manifest = self._manifest(shard)
+        manifest = self.manifest
         manifest.flush()
         entries = manifest.entries()
-        report.entries_before += len(entries)
-        report.bytes_before += sum(e.size for e in entries.values())
+        report = GCReport(
+            path=str(self.path),
+            entries_before=len(entries),
+            bytes_before=sum(e.size for e in entries.values()),
+        )
 
         def _drop(key: str) -> bool:
             try:
@@ -456,7 +345,8 @@ class KeyedFileStore:
             manifest.forget(key)
             return True
 
-        if keep is not None:
+        if keep_fingerprints is not None:
+            keep = set(keep_fingerprints)
             for key, entry in list(entries.items()):
                 known_foreign = (
                     entry.fingerprint is not None and entry.fingerprint not in keep
@@ -482,33 +372,32 @@ class KeyedFileStore:
 
         manifest.rewrite()
         remaining = manifest.entries()
-        report.entries_after += len(remaining)
-        report.bytes_after += sum(e.size for e in remaining.values())
+        report.entries_after = len(remaining)
+        report.bytes_after = sum(e.size for e in remaining.values())
+        return report
 
     def verify(self) -> VerifyReport:
         """Decode every entry; drop the corrupt."""
         report = VerifyReport(path=str(self.path))
-        for shard in self.shards():
-            manifest = self._manifest(shard)
-            for file in sorted((self.path / shard).glob(f"*{self.suffix}")):
-                if not _is_key(file.stem):
-                    continue
+        for file in sorted(self.path.glob(f"*{self.suffix}")):
+            if not _is_key(file.stem):
+                continue
+            try:
+                data = file.read_bytes()
+            except OSError:  # vanished under a concurrent clear/gc
+                continue
+            try:
+                self._decode(data)
+            except Exception:
                 try:
-                    data = file.read_bytes()
-                except OSError:  # vanished under a concurrent clear/gc
-                    continue
-                try:
-                    self._decode(data)
-                except Exception:
-                    try:
-                        file.unlink(missing_ok=True)
-                    except OSError:
-                        pass
-                    manifest.forget(file.stem)
-                    report.corrupt.append(file.stem)
-                else:
-                    report.ok += 1
-            manifest.rewrite()
+                    file.unlink(missing_ok=True)
+                except OSError:
+                    pass
+                self.manifest.forget(file.stem)
+                report.corrupt.append(file.stem)
+            else:
+                report.ok += 1
+        self.manifest.rewrite()
         return report
 
 
@@ -538,27 +427,15 @@ def _decode_result_bytes(data: bytes) -> ProgramResult:
 
 
 class ResultCache:
-    """In-memory result cache with an optional on-disk JSON store.
+    """In-memory result cache with an optional on-disk JSON store."""
 
-    ``shard_width`` is the store's (see :class:`KeyedFileStore`): by
-    default an existing directory opens in the layout it was written
-    in; 0 forces flat; 1 or 2 a sharded layout — the sweep service's
-    many-writer mode.
-    """
-
-    def __init__(
-        self, path: str | Path | None = None, *, shard_width: int | None = None
-    ) -> None:
+    def __init__(self, path: str | Path | None = None) -> None:
         self._memory: dict[str, ProgramResult] = {}
         self.path = Path(path) if path is not None else None
         self._store = None
         if path is not None:
             self._store = KeyedFileStore(
-                path,
-                ".json",
-                _encode_result_bytes,
-                _decode_result_bytes,
-                shard_width=shard_width,
+                path, ".json", _encode_result_bytes, _decode_result_bytes
             )
 
     @property
@@ -574,18 +451,10 @@ class ResultCache:
         return result
 
     def put(
-        self,
-        key: str,
-        result: ProgramResult,
-        *,
-        description: dict | None = None,
-        persist: bool = True,
+        self, key: str, result: ProgramResult, *, description: dict | None = None
     ) -> None:
-        """Record a result.  ``persist=False`` keeps it memory-only —
-        used when another process (a sweep-service worker) already wrote
-        the disk entry, so the server must not write it a second time."""
         self._memory[key] = result
-        if persist and self._store is not None:
+        if self._store is not None:
             self._store.save(key, result, description=description)
 
     def clear(self) -> None:

@@ -197,14 +197,8 @@ def compile_cached(
     passes = scheduler_pipeline(options.scheduler)  # raises for unknown schedulers
     cache = cache if cache is not None else get_compile_cache(None)
 
-    # A wall-clock search budget makes the exact backend's output depend
-    # on machine load: such artifacts must never be served to (or from)
-    # other runs, so the cache is bypassed entirely.  The SMS backend
-    # never reads the knob and stays cacheable.
-    cacheable = options.exact_time_budget_s is None or options.scheduler == "sms"
-
     key = compile_key(loop, config, options)
-    compiled = cache.get(key) if cacheable else None
+    compiled = cache.get(key)
     if compiled is not None:
         cache.stats.full_hits += 1
         return compiled
@@ -223,17 +217,16 @@ def compile_cached(
         from ..analysis.certify import certify_compiled
 
         certify_compiled(compiled, artifact_key=key)
-    if cacheable:
-        cache.put(
-            key,
-            compiled,
-            description={
-                "loop": loop.name,
-                "scheduler": options.scheduler,
-                "config": describe_config(config),
-                "options": describe_options(options),
-            },
-        )
+    cache.put(
+        key,
+        compiled,
+        description={
+            "loop": loop.name,
+            "scheduler": options.scheduler,
+            "config": describe_config(config),
+            "options": describe_options(options),
+        },
+    )
     return compiled
 
 

@@ -24,6 +24,7 @@ from ..machine.config import MachineConfig
 from ..sim.runner import SimOptions
 from ..sim.stats import ProgramResult
 from .cache import cache_key, describe_config, describe_options
+from .fleet import Fleet
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class RunRequest:
 def describe_request(request: RunRequest) -> dict:
     """Human-readable description of one run: what someone needs to
     recognise it (benchmark, scheduler, non-default config/options).
-    Used for store-manifest rows and dead-letter records alike."""
+    Used for store-manifest rows and job-failure records alike."""
     return {
         "benchmark": request.benchmark,
         "scheduler": request.options.scheduler,
@@ -52,15 +53,14 @@ def describe_request(request: RunRequest) -> dict:
 
 
 class RequestError(RuntimeError):
-    """A worker-side failure tagged with the request that caused it.
+    """A simulation failure tagged with the request that caused it.
 
-    Raw exceptions surfaced through ``executor.map`` are useless for a
-    sweep operator: a ``KeyError`` from a worker process names neither the
-    benchmark nor the configuration that blew up.  ``execute_request``
-    wraps every failure in this type, carrying the content key and the
-    human description, so retry layers can file an actionable
-    dead-letter record.  All state rides in ``args`` so the exception
-    pickles across process boundaries intact.
+    A raw ``KeyError`` from a run names neither the benchmark nor the
+    configuration that blew up.  ``execute_request`` wraps every failure
+    in this type, carrying the content key and the human description,
+    so the error a serial map raises, and the message a fleet worker
+    sends back, say which run failed.  All state rides in ``args``, so
+    the exception pickles intact.
     """
 
     def __init__(
@@ -110,83 +110,39 @@ class SerialExecutor:
 
 
 class ParallelExecutor:
-    """Fans jobs out across a supervised worker fleet.
+    """Fans jobs out across a worker fleet (:class:`~repro.pipeline.fleet.Fleet`).
 
     ``fn`` must be a module-level (picklable) callable; jobs cross the
     process boundary pickled.  Results come back in request order, so
     swapping this in for :class:`SerialExecutor` changes wall-clock time
     and nothing else.
 
-    The fleet (a :class:`~repro.service.supervisor.Supervisor`) forks
-    at the first multi-job :meth:`map` and serves every later batch
-    until :meth:`shutdown` or interpreter exit.  Its policy is fixed:
-    no per-job deadline; a worker that dies or stops heartbeating is
-    replaced and its job retried; an exception raised by a job fails
-    the map at once with a :class:`~repro.service.retry.JobFailureError`
-    naming the request.
+    The fleet forks at the first multi-job :meth:`map` and serves every
+    later batch until :meth:`shutdown` or interpreter exit.  A worker
+    that dies or stops heartbeating is replaced and its job retried; an
+    exception raised by a job fails the map at once with a
+    :class:`~repro.pipeline.fleet.JobFailureError` naming the request.
     """
 
     def __init__(self, workers: int | None = None) -> None:
         self.workers = workers or os.cpu_count() or 1
-        self._loop = None  # the asyncio event loop the fleet runs on
-        self._fleet = None
-        self._submitted = 0  # numbers jobs: supervisor keys stay unique
+        self._fleet: Fleet | None = None
 
     def map(self, requests, fn=execute_request) -> list:
         requests = list(requests)
         if len(requests) <= 1 or self.workers <= 1:
             return SerialExecutor().map(requests, fn)
         if self._fleet is None:
-            from ..service.retry import RetryPolicy
-            from ..service.worker import spawn
-
-            policy = RetryPolicy(timeout_s=None)
-            interval = policy.heartbeat_interval_s
-            # Fork first: a worker forked after this process imports
-            # asyncio would carry a copy of it.
-            forked = [spawn(_call, i, interval) for i in range(self.workers)]
-
-            import asyncio
-
-            from ..service.supervisor import Supervisor
-
-            self._loop = asyncio.new_event_loop()
-            self._fleet = Supervisor(_call, workers=self.workers, policy=policy)
-            self._loop.run_until_complete(self._fleet.start(forked))
+            self._fleet = Fleet(self.workers)
             atexit.register(self.shutdown)
-        return self._loop.run_until_complete(self._gather(requests, fn))
-
-    async def _gather(self, requests, fn) -> list:
-        import asyncio
-
-        futures = []
-        for request in requests:
-            self._submitted += 1
-            key, description = f"job#{self._submitted}", None
-            if isinstance(request, RunRequest):
-                key = f"{request.key}#{self._submitted}"
-                description = describe_request(request)
-            futures.append(self._fleet.submit(key, (fn, request), description))
-        try:
-            return await asyncio.gather(*futures)
-        except BaseException:
-            for future in futures:
-                future.cancel()  # withdraws the jobs not yet dispatched
-            raise
+        return self._fleet.map(fn, requests)
 
     def shutdown(self) -> None:
         """Stop the fleet and reap its workers; a later map forks anew."""
         if self._fleet is not None:
-            self._loop.run_until_complete(self._fleet.stop())
-            self._loop.close()
-            self._fleet = self._loop = None
+            self._fleet.close()
+            self._fleet = None
             atexit.unregister(self.shutdown)
-
-
-def _call(payload, fault):
-    """Worker-side runner of :meth:`ParallelExecutor.map`: ``fn(item)``."""
-    fn, item = payload
-    return fn(item)
 
 
 def make_executor(workers: int | None):

@@ -162,7 +162,7 @@ def _exact_schedule(artifact: CompilationArtifact) -> None:
 
     Runs the heuristic engine first (fallback + upper bound), then
     searches every II in ``[MII, II(SMS) - 1]`` within the configured
-    node/time budget; ``artifact.schedule.meta`` records the outcome.
+    node budget; ``artifact.schedule.meta`` records the outcome.
     """
     from ..scheduler.exact import ExactScheduler
 
@@ -172,7 +172,6 @@ def _exact_schedule(artifact: CompilationArtifact) -> None:
         artifact.policy,
         node_budget=artifact.options.exact_node_budget,
         max_stages=artifact.options.exact_max_stages,
-        time_budget_s=artifact.options.exact_time_budget_s,
     )
     artifact.schedule = engine.schedule()
 

@@ -90,7 +90,6 @@ def compile_loop(
     scheduler: str = "sms",
     exact_node_budget: int | None = None,
     exact_max_stages: int | None = None,
-    exact_time_budget_s: float | None = None,
 ) -> CompiledLoop:
     """Compile one inner loop for one machine configuration.
 
@@ -122,7 +121,5 @@ def compile_loop(
         kwargs["exact_node_budget"] = exact_node_budget
     if exact_max_stages is not None:
         kwargs["exact_max_stages"] = exact_max_stages
-    if exact_time_budget_s is not None:
-        kwargs["exact_time_budget_s"] = exact_time_budget_s
     options = CompileOptions(**kwargs)
     return compile_cached(loop, config, options)

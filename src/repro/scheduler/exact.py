@@ -33,9 +33,8 @@ Search strategy
   loses no generality.  Every other node's window comes from its placed
   neighbours, clipped to ``anchor ± horizon``.
 * **Budget / fallback.**  The search charges one unit per placement
-  trial; when ``node_budget`` (or the optional wall-clock
-  ``time_budget_s``) is exhausted the searcher abandons the deepening
-  loop and returns the SMS schedule, marked ``fallback`` in
+  trial; when ``node_budget`` is exhausted the searcher abandons the
+  deepening loop and returns the SMS schedule, marked ``fallback`` in
   ``schedule.meta``.
 
 Exactness caveats (all recorded in ``meta`` where they matter):
@@ -62,8 +61,6 @@ records ``scheduler``, ``mii``, ``ii_sms``, ``improved``,
 
 from __future__ import annotations
 
-import time
-
 from ..ir.ddg import DDG, DepKind
 from ..ir.stride import is_candidate
 from ..machine.config import ArchKind, MachineConfig
@@ -82,13 +79,9 @@ from .sms import sms_order
 #: to under a second.
 DEFAULT_NODE_BUDGET = 60_000
 
-#: How often (in placement trials) the optional wall-clock budget is
-#: polled; node budgets alone keep the search deterministic.
-_TIME_POLL = 1024
-
 
 class BudgetExhausted(Exception):
-    """Raised internally when the node/time budget runs out mid-search."""
+    """Raised internally when the node budget runs out mid-search."""
 
 
 class ExactScheduler(ClusterScheduler):
@@ -107,14 +100,11 @@ class ExactScheduler(ClusterScheduler):
         *,
         node_budget: int = DEFAULT_NODE_BUDGET,
         max_stages: int | None = None,
-        time_budget_s: float | None = None,
     ) -> None:
         super().__init__(ddg, config, policy)
         self.node_budget = node_budget
         self.max_stages = max_stages
-        self.time_budget_s = time_budget_s
         self.nodes_explored = 0
-        self._deadline: float | None = None
         # Lower-bound load latencies for MII/ASAP/ordering purposes: the
         # smallest latency any (cluster, latency) option could assign.
         # Computed once, while the policy is still pristine.
@@ -165,10 +155,6 @@ class ExactScheduler(ClusterScheduler):
             return baseline
 
         self.nodes_explored = 0
-        if self.time_budget_s is not None:
-            # Deliberate: the wall-clock budget is opt-in, and such
-            # artifacts bypass the compile cache entirely.
-            self._deadline = time.monotonic() + self.time_budget_s  # analysis: allow(A102)
         exhausted = False
         found: ModuloSchedule | None = None
         for ii in range(mii, baseline.ii):
@@ -385,12 +371,6 @@ class ExactScheduler(ClusterScheduler):
     def _charge(self) -> None:
         self.nodes_explored += 1
         if self.nodes_explored > self.node_budget:
-            raise BudgetExhausted
-        if (
-            self._deadline is not None
-            and self.nodes_explored % _TIME_POLL == 0
-            and time.monotonic() > self._deadline  # analysis: allow(A102)
-        ):
             raise BudgetExhausted
 
     # ------------------------------------------------------------------

@@ -111,13 +111,6 @@ class ProgramResult:
     #: architecture-specific memory statistics object (MemoryStats /
     #: InterleavedStats / MSIStats)
     memory_stats: object | None = None
-    #: Provenance annotations stamped by execution layers (plain JSON
-    #: scalars only).  The sweep service records graceful degradation
-    #: here — e.g. ``{"degraded": "exact->sms", "degraded_after":
-    #: "timeout"}`` when a budget-starved exact compile was retried with
-    #: the SMS backend — so a served result is always honest about how
-    #: it was produced.  Empty for a run that executed as requested.
-    meta: dict = field(default_factory=dict)
 
     @property
     def compute_cycles(self) -> int:

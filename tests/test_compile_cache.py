@@ -104,29 +104,6 @@ class TestCacheSemantics:
         assert cache.stats.full_hits == 2
         assert cache.stats.compilations == 2
 
-    def test_time_budgeted_compiles_bypass_the_full_layer(self):
-        """A wall-clock budget makes the exact backend's output depend on
-        machine load; such artifacts must never be cached."""
-        cache = CompiledLoopCache()
-        options = CompileOptions(scheduler="exact", exact_time_budget_s=1e6)
-        first = compile_cached(make_saxpy(), l0_config(8), options, cache=cache)
-        again = compile_cached(make_saxpy(), l0_config(8), options, cache=cache)
-        assert cache.stats.full_hits == 0
-        assert cache.stats.compilations == 2  # recompiled both times
-        assert first.ii == again.ii
-        assert again.schedule.validate(again.ddg) == []
-
-    def test_time_budget_under_sms_stays_cacheable(self):
-        """The SMS backend never reads the wall-clock knob, so it keeps
-        full caching even when the knob is set (e.g. a sweep flipping
-        only the scheduler field)."""
-        cache = CompiledLoopCache()
-        options = CompileOptions(scheduler="sms", exact_time_budget_s=5.0)
-        compile_cached(make_saxpy(), l0_config(8), options, cache=cache)
-        compile_cached(make_saxpy(), l0_config(8), options, cache=cache)
-        assert cache.stats.compilations == 1
-        assert cache.stats.full_hits == 1
-
     def test_unknown_scheduler_fails_fast(self):
         from repro.pipeline import PipelineError
 
