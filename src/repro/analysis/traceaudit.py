@@ -14,7 +14,8 @@ module turns them into per-artifact machine checks:
 * **A013** — the trace simply disagrees with the schedule: an event
   at the wrong position, a memory event missing or invented, a
   readiness ring slot absent, a history window too small to hold the
-  deepest loop-carried lookback, or a wrong convergence period.
+  deepest loop-carried lookback, or a wrong input period (the period
+  at which the trace executor memoises batch addresses).
 
 The expected trace content is recomputed here from the schedule and
 DDG alone; only the trace *format* (event kinds, field layout) is
@@ -330,7 +331,7 @@ def audit_trace(compiled: CompiledLoop) -> list[Diagnostic]:
             )
         )
 
-    # Convergence period ------------------------------------------------
+    # Input period (batch address memoisation) ---------------------------
     period: int | None = 1
     patterns = [
         op.instr.pattern
@@ -353,7 +354,7 @@ def audit_trace(compiled: CompiledLoop) -> list[Diagnostic]:
         out.append(
             Diagnostic.new(
                 "A013",
-                f"trace claims convergence period {trace.input_period} but "
+                f"trace claims address-memoisation period {trace.input_period} but "
                 f"the access streams repeat every "
                 f"{'∞' if period is None else period} iterations",
             )

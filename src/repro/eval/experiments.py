@@ -42,8 +42,8 @@ class NormalizedTime:
     total: float
     stall: float
     #: Cycle-weighted fraction of the bar that was actually interpreted
-    #: cycle by cycle (the rest was exact fast-forward or statistical
-    #: sim-cap scaling) — honesty metadata for the figure tables.
+    #: cycle by cycle (the rest was statistical sim-cap scaling) —
+    #: honesty metadata for the figure tables.
     measured: float = 1.0
 
     @property
@@ -237,8 +237,9 @@ def table2() -> list[tuple[str, str]]:
         ),
         (
             "L0 buffers",
+            # The paper's port count; the model does not limit L0 ports.
             f"{cfg.l0_latency} cycle latency + fully associative + "
-            f"{cfg.subblock_bytes}-byte subblocks + {cfg.l0_ports} read/write ports",
+            f"{cfg.subblock_bytes}-byte subblocks + 2 read/write ports",
         ),
         (
             "L1 cache",

@@ -37,7 +37,7 @@ def _measured_row(series: dict[str, list[NormalizedTime]]) -> str:
     """Bottom table row: per-series measured (interpreted) fraction.
 
     The simulator reports how much of every bar was interpreted cycle by
-    cycle versus covered by exact fast-forward / statistical scaling
+    cycle versus covered by statistical scaling
     (``LoopResult.simulated_iterations``); the arithmetic mean over the
     column's benchmarks lands here so figure tables carry the honesty
     metadata next to the numbers it qualifies.

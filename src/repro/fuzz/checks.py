@@ -142,9 +142,7 @@ def check_fast_vs_ref(
     n = compiled.loop.trip_count
     ref_mem, fast_mem = make_memory(config), make_memory(config)
     ref = LoopExecutor(compiled, ref_mem, MemoryLayout(align=config.l1_block))
-    fast = TraceExecutor(
-        compiled, fast_mem, MemoryLayout(align=config.l1_block), convergence=True
-    )
+    fast = TraceExecutor(compiled, fast_mem, MemoryLayout(align=config.l1_block))
     ref_result = ref.run(n)
     fast_result = fast.run(n)
 

@@ -164,8 +164,9 @@ def _build_edge_corpus() -> dict[str, KernelGenotype]:
         )
     )
 
-    # Random table lookups: non-affine streams make the convergence
-    # early-exit ineligible and stress the late-load interlocks.
+    # Random table lookups: non-affine streams have no input period, so
+    # batch addresses are recomputed every window; they also stress the
+    # late-load interlocks.
     add(
         _edge(
             "random_table",

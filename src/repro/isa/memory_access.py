@@ -117,9 +117,9 @@ class AccessPattern:
 
         ``(offset + i*stride) mod n`` is periodic with period
         ``n / gcd(|stride|, n)``; random streams never repeat
-        (``None``).  The convergence early-exit uses the lcm of these
-        periods as the only window length at which the simulator's
-        *inputs* provably recur.
+        (``None``).  The trace executor's batch address memoisation uses
+        the lcm of these periods as the window length at which every
+        address provably recurs.
         """
         if self.kind is not PatternKind.STRIDED:
             return None

@@ -79,7 +79,6 @@ class MachineConfig:
     # L0 buffers (only meaningful for ArchKind.L0)
     l0_entries: int | None = 8
     l0_latency: int = 1
-    l0_ports: int = 2
 
     # Unified L1 (also the backing store of the distributed designs)
     l1_latency: int = 6  # 2 request + 2 access + 2 response

@@ -69,28 +69,6 @@ class ClusterBus:
         self._busy = {c for c in self._busy if c >= horizon}
         self._prune_at = cycle + 2 * self.PRUNE_WINDOW
 
-    def shift_time(self, delta: int) -> None:
-        """Advance every reserved slot by ``delta`` cycles.
-
-        Used by the fast path's convergence early-exit to realign the
-        bus with the simulation clock after fast-forwarding whole steady
-        periods, so post-skip arbitration sees exactly the occupancy the
-        reference interpreter would have.
-        """
-        self._busy = {c + delta for c in self._busy}
-        self._prune_at += delta
-
-    def fingerprint(self, time_base: int) -> tuple:
-        """Occupancy relative to ``time_base``, for state-recurrence checks.
-
-        Slots further than :data:`PRUNE_WINDOW` in the past can never
-        influence a future grant (requests only arrive at or after the
-        current cycle) and may or may not have been pruned, so they are
-        excluded rather than hashed.
-        """
-        horizon = time_base - self.PRUNE_WINDOW
-        return tuple(sorted(c - time_base for c in self._busy if c >= horizon))
-
     def reset(self) -> None:
         self._busy.clear()
         self._prune_at = 2 * self.PRUNE_WINDOW

@@ -339,7 +339,7 @@ class UnifiedMemory:
         self.__init__(self.config, with_l0=self.l0 is not None)
 
     # ------------------------------------------------------------------
-    # Fast-path hooks: batch entry points + convergence certificate
+    # Fast-path hooks: batch entry points
     # ------------------------------------------------------------------
 
     def load_run(self, clusters, addrs, widths, hints_list, cycles) -> list[int]:
@@ -380,49 +380,3 @@ class UnifiedMemory:
                 cycles[k],
                 is_primary=primaries[k],
             )
-
-    def shift_time(self, delta: int) -> None:
-        """Advance every internal timestamp by ``delta`` cycles.
-
-        After the convergence early-exit fast-forwards ``m`` whole
-        steady periods, the simulation clock jumps while the memory
-        state was only evolved up to the skip point; shifting realigns
-        fills-in-flight, store stamps, and bus occupancy with the clock
-        so post-skip behaviour is byte-identical to the reference.
-        """
-        if self.l0 is not None:
-            for buffer in self.l0:
-                buffer.shift_time(delta)
-        for bus in self.buses:
-            bus.shift_time(delta)
-        for row in self._stamps.values():
-            row[:] = [t if t == _UNSTORED else t + delta for t in row]
-
-    def state_fingerprint(self, time_base: int, horizon: int = 4096) -> tuple:
-        """Canonical decision-relevant state, times relative to ``time_base``.
-
-        Equal fingerprints at two cycles with identical upcoming access
-        streams certify that the simulation evolves identically from
-        both points — the convergence early-exit's state-recurrence
-        check.  Store stamps older than ``horizon`` are bucketed (they
-        can only order against equally ancient L0 update stamps; see
-        the architecture doc's soundness conditions).
-        """
-        ancient = time_base - horizon
-        stamps = [
-            (block + offset, t)
-            for block, row in sorted(self._stamps.items())
-            for offset, t in enumerate(row[:-1])
-            if t != _UNSTORED
-        ]
-        recent = tuple((b, t - time_base) for b, t in stamps if t >= ancient)
-        old = tuple(b for b, t in stamps if t < ancient)
-        return (
-            self.l1.fingerprint(),
-            tuple(
-                buffer.fingerprint(time_base, horizon) for buffer in self.l0 or ()
-            ),
-            tuple(bus.fingerprint(time_base) for bus in self.buses),
-            recent,
-            old,
-        )

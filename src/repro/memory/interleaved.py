@@ -168,12 +168,3 @@ class WordInterleavedMemory:
                 cycles[k],
                 is_primary=primaries[k],
             )
-
-    def shift_time(self, delta: int) -> None:
-        return None  # latencies are fixed offsets; no timestamps kept
-
-    def state_fingerprint(self, time_base: int, horizon: int = 4096) -> tuple:
-        return (
-            tuple(m.fingerprint() for m in self.modules),
-            tuple(tuple(b._words) for b in self.attraction),
-        )

@@ -351,40 +351,3 @@ class L0Buffer:
 
     def entries(self) -> list[L0Entry]:
         return list(self._lru)
-
-    # ------------------------------------------------------------------
-    # Fast-path hooks (convergence early-exit)
-    # ------------------------------------------------------------------
-
-    def shift_time(self, delta: int) -> None:
-        """Advance every entry's fill/update stamp by ``delta`` cycles."""
-        for entry in self._lru:
-            entry.ready += delta
-            entry.update_time += delta
-
-    def fingerprint(self, time_base: int, horizon: int) -> tuple:
-        """Canonical content + LRU order, times relative to ``time_base``.
-
-        Stamps older than ``horizon`` cycles are bucketed as "ancient":
-        their exact value can no longer change a stall (fills completed
-        long ago) and only orders against equally ancient store stamps —
-        the documented soundness condition of the early-exit.
-        """
-
-        def rel(t: int) -> int:
-            d = t - time_base
-            return d if d >= -horizon else -horizon - 1
-
-        return tuple(
-            (
-                e.kind.value,
-                e.block_addr,
-                e.position,
-                e.granularity,
-                rel(e.ready),
-                rel(e.update_time),
-                e.from_prefetch,
-                e.touched,
-            )
-            for e in self._lru
-        )

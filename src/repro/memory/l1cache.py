@@ -114,14 +114,5 @@ class SetAssocCache:
     def resident_blocks(self) -> int:
         return sum(len(entries) for entries in self._sets)
 
-    def fingerprint(self) -> tuple:
-        """Canonical tag content + per-set LRU order (no timestamps).
-
-        Used by the fast path's state-recurrence certificate: two equal
-        fingerprints mean every future lookup/eviction decision evolves
-        identically from here.
-        """
-        return tuple(tuple(entries) for entries in self._sets)
-
 
 _MISSING = object()

@@ -181,13 +181,3 @@ class MultiVLIWMemory:
                 cycles[k],
                 is_primary=primaries[k],
             )
-
-    def shift_time(self, delta: int) -> None:
-        return None  # the MSI model keeps no timestamps
-
-    def state_fingerprint(self, time_base: int, horizon: int = 4096) -> tuple:
-        return (
-            tuple(tuple(module) for module in self._modules),
-            tuple(sorted((b, tuple(sorted(s))) for b, s in self._sharers.items())),
-            tuple(sorted(self._owner.items())),
-        )

@@ -80,15 +80,10 @@ class SimOptions:
     #: process-wide cache only).
     compile_cache_dir: str | None = field(default=None, metadata={"no_cache_key": True})
     #: Use the precompiled-trace fast-path executor (byte-identical to
-    #: the reference interpreter; the ``REPRO_FAST_SIM`` environment
-    #: variable overrides — "0" forces the reference, "interp" the fast
-    #: interpreter without the early-exit).  Excluded from cache keys:
-    #: the measured cycles and stats are identical either way (only the
-    #: diagnostic ``simulated_iterations`` fields can differ).
+    #: the reference interpreter in every result field; the
+    #: ``REPRO_FAST_SIM`` environment variable overrides, see
+    #: :func:`_fast_mode`).  Excluded from cache keys for that reason.
     fast_sim: bool = field(default=True, metadata={"no_cache_key": True})
-    #: Allow the fast path's convergence early-exit (exact fast-forward
-    #: of proven-periodic steady state).
-    fast_convergence: bool = field(default=True, metadata={"no_cache_key": True})
 
     def __post_init__(self) -> None:
         # Normalise the two spellings of the scheduler knob: a
@@ -113,20 +108,28 @@ def _compile(loop, config: MachineConfig, options: SimOptions) -> CompiledLoop:
     )
 
 
-def _fast_mode(options: SimOptions) -> tuple[bool, bool]:
-    """Resolve the (fast executor?, convergence?) pair.
+#: ``REPRO_FAST_SIM`` spellings (case-insensitive).  The on spellings,
+#: like an unset variable, defer to ``SimOptions.fast_sim``.
+_FAST_SIM_ON = ("", "1", "on", "true")
+_FAST_SIM_OFF = ("0", "off", "false")
+
+
+def _fast_mode(options: SimOptions) -> bool:
+    """Use the fast executor?
 
     The ``REPRO_FAST_SIM`` environment variable is the debugging
     override: ``0``/``off``/``false`` force the reference interpreter,
-    ``interp`` forces the fast interpreter without the early-exit, and
-    anything else defers to the options.
+    and unset, empty, ``1``/``on``/``true`` defer to the options.  Any
+    other value raises, so a stale setting fails loudly.
     """
-    env = os.environ.get("REPRO_FAST_SIM", "").strip().lower()
-    if env in ("0", "off", "false"):
-        return False, False
-    if env == "interp":
-        return True, False
-    return options.fast_sim, options.fast_convergence
+    raw = os.environ.get("REPRO_FAST_SIM", "")
+    env = raw.strip().lower()
+    if env in _FAST_SIM_OFF:
+        return False
+    if env not in _FAST_SIM_ON:
+        accepted = ", ".join(repr(v) for v in _FAST_SIM_ON + _FAST_SIM_OFF)
+        raise ValueError(f"REPRO_FAST_SIM={raw!r}: expected one of {accepted}")
+    return options.fast_sim
 
 
 def make_loop_executor(
@@ -137,32 +140,28 @@ def make_loop_executor(
 ):
     """The executor ``run_loop`` drives: fast path unless opted out."""
     options = options or SimOptions()
-    fast, converge = _fast_mode(options)
-    if not fast:
+    if not _fast_mode(options):
         return LoopExecutor(compiled, memory, layout)
     from .trace import TraceExecutor
 
-    return TraceExecutor(compiled, memory, layout, convergence=converge)
+    return TraceExecutor(compiled, memory, layout)
 
 
 def _extrapolated(
     executor, iterations: int, cap: int, clock: int
-) -> tuple[LoopRunResult, int, str]:
+) -> tuple[LoopRunResult, int, bool]:
     """Run up to ``cap`` iterations and extrapolate the steady state.
 
     Returns the (possibly scaled) run result, the advanced clock, and
-    how the unsimulated remainder was covered: ``"none"`` (everything
-    interpreted), ``"exact"`` (the fast path's convergence early-exit —
-    cycle counts still exact), ``"statistical"`` (sim-cap extrapolation)
-    or ``"exact+statistical"``.  ``result.simulated_iterations`` is the
-    honest count of iterations actually interpreted.
+    whether the sim-cap extrapolation scaled an unsimulated remainder.
+    ``result.simulated_iterations`` is the honest count of iterations
+    actually interpreted.
     """
     simulated = min(iterations, cap)
     result = executor.run(simulated, start_cycle=clock)
     clock += result.total_cycles
-    exact = getattr(executor, "last_converged", False)
     if simulated == iterations:
-        return result, clock, ("exact" if exact else "none")
+        return result, clock, False
     # Steady-state stall rate from the second half of the simulated run
     # (the first half absorbs cold misses).
     history = executor.last_stall_by_iteration
@@ -181,7 +180,7 @@ def _extrapolated(
     clock += (total.compute_cycles - result.compute_cycles) + int(
         round(rate * remaining)
     )
-    return total, clock, ("exact+statistical" if exact else "statistical")
+    return total, clock, True
 
 
 def run_loop(
@@ -210,11 +209,10 @@ def run_loop(
     trip = compiled.loop.trip_count
     l0_arch = compiled.schedule.config.arch is ArchKind.L0
 
-    cold, clock, kind = _extrapolated(executor, trip, options.sim_cap, clock)
+    cold, clock, statistical = _extrapolated(executor, trip, options.sim_cap, clock)
     compute = cold.compute_cycles
     stall = cold.stall_cycles
     simulated_iters = cold.simulated_iterations
-    kinds = {kind}
     if invocations > 1:
         if flush_between:
             memory.invalidate_l0(clock)
@@ -222,8 +220,8 @@ def run_loop(
         warm_compute = warm_stall = 0
         warm: LoopRunResult | None = None
         for _ in range(warm_runs):
-            warm, clock, kind = _extrapolated(executor, trip, options.sim_cap, clock)
-            kinds.add(kind)
+            warm, clock, scaled = _extrapolated(executor, trip, options.sim_cap, clock)
+            statistical = statistical or scaled
             simulated_iters += warm.simulated_iterations
             if flush_between:
                 memory.invalidate_l0(clock)
@@ -235,7 +233,7 @@ def run_loop(
             # Unsimulated invocations replicate the last warm run — a
             # statistical extrapolation like the sim-cap scaling, and
             # reported as such.
-            kinds.add("statistical")
+            statistical = True
         compute += warm_compute + remaining * warm.compute_cycles
         stall += warm_stall + remaining * warm.stall_cycles
     if flush_after and (invocations == 1 or not flush_between):
@@ -248,18 +246,6 @@ def run_loop(
         compute += overhead
         clock += overhead
 
-    # Commutative reductions: set order cannot affect the result.
-    exact = any(k.startswith("exact") for k in kinds)  # analysis: allow(A103)
-    statistical = any(k.endswith("statistical") for k in kinds)  # analysis: allow(A103)
-    extrapolated = (
-        "exact+statistical"
-        if exact and statistical
-        else "exact"
-        if exact
-        else "statistical"
-        if statistical
-        else "none"
-    )
     result = LoopResult(
         name=compiled.loop.name,
         ii=compiled.schedule.ii,
@@ -269,7 +255,7 @@ def run_loop(
         compute_cycles=compute,
         stall_cycles=stall,
         simulated_iterations=simulated_iters,
-        extrapolated=extrapolated,
+        extrapolated="statistical" if statistical else "none",
     )
     return result, clock
 

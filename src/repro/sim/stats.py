@@ -41,24 +41,13 @@ class LoopRunResult:
     stall_cycles: int
     late_loads: int = 0
     #: Kernel iterations the executor actually interpreted cycle by
-    #: cycle.  Equal to ``iterations`` unless the fast path's
-    #: convergence early-exit proved a periodic steady state and
-    #: fast-forwarded the rest exactly (the cycle counts are still exact
-    #: either way; 0 on records predating the field).
+    #: cycle: all of ``iterations``, or the capped count when the
+    #: sim-cap extrapolation scaled the rest.
     simulated_iterations: int = 0
 
     @property
     def total_cycles(self) -> int:
         return self.compute_cycles + self.stall_cycles
-
-    def scaled(self, factor: float) -> "LoopRunResult":
-        return LoopRunResult(
-            iterations=int(self.iterations * factor),
-            compute_cycles=int(round(self.compute_cycles * factor)),
-            stall_cycles=int(round(self.stall_cycles * factor)),
-            late_loads=int(round(self.late_loads * factor)),
-            simulated_iterations=int(self.simulated_iterations * factor),
-        )
 
 
 @dataclass
@@ -74,13 +63,12 @@ class LoopResult:
     stall_cycles: int
     #: Kernel iterations interpreted cycle by cycle across the simulated
     #: invocations (honest measurement count — the rest of the bar was
-    #: scaled or fast-forwarded).
+    #: scaled).
     simulated_iterations: int = 0
     #: How the unsimulated remainder was covered: "none" (everything
-    #: interpreted), "exact" (convergence early-exit, cycle counts still
-    #: exact), "statistical" (sim-cap extrapolation from the steady-state
-    #: stall rate and/or unsimulated invocations replicating the last
-    #: warm run), or "exact+statistical" (both applied).
+    #: interpreted) or "statistical" (sim-cap extrapolation from the
+    #: steady-state stall rate and/or unsimulated invocations
+    #: replicating the last warm run).
     extrapolated: str = "none"
 
     @property
@@ -127,7 +115,7 @@ class ProgramResult:
     @property
     def measured_fraction(self) -> float:
         """Cycle-weighted share of the bar that was actually interpreted
-        (the rest was exact fast-forward or statistical scaling)."""
+        (the rest was statistical scaling)."""
         total = sum(l.total_cycles for l in self.loops)
         if not total:
             return 1.0

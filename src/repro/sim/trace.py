@@ -7,7 +7,7 @@ lookup keyed on ``(uid, iteration)`` and a polymorphic
 ``pattern.address()`` call.  But a modulo-scheduled kernel is *static*:
 instance ``i`` of item ``k`` fires at ``start_k + i*II``, so the event
 order inside any kernel window of ``II`` cycles is a fixed permutation.
-This module exploits that three ways, producing byte-identical results:
+This module exploits that two ways, producing byte-identical results:
 
 1. **Precompiled event traces** — :func:`static_trace` flattens the
    schedule once per compiled loop into per-window event tuples (kind,
@@ -28,30 +28,14 @@ This module exploits that three ways, producing byte-identical results:
    events are issued through the memory models' ``load_run`` /
    ``store_run`` batch entry points.
 
-3. **Convergence early-exit** — the executor digests every steady
-   window (stall deltas with their stage attribution, load-completion
-   offsets, memory-counter deltas).  All access streams repeat exactly
-   every ``L = lcm(pattern input periods)`` iterations, so when the
-   digests have matched period-``L`` for a full period *and* the
-   memory's state fingerprint recurs across one aligned period, the
-   remaining whole periods provably replay the recorded one: the
-   executor adds ``m x`` the per-period stall/stat deltas, replays the
-   per-iteration stall history, relabels the readiness ring and shifts
-   the memory's timestamps by the skipped cycles.  This is an *exact*
-   fast-forward — every counter, stall and the final memory state match
-   the reference interpreter bit for bit (soundness conditions in
-   docs/architecture.md).
-
 Set ``REPRO_FAST_SIM=0`` (or ``SimOptions.fast_sim=False``) to fall
-back to the reference interpreter; ``REPRO_FAST_SIM=interp`` keeps the
-fast interpreter but disables the early-exit.
+back to the reference interpreter.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from typing import Any
 
 from ..ir.ddg import DepKind
@@ -63,17 +47,9 @@ from .stats import LoopRunResult
 #: Event kinds in trace tuples.
 EV_LOAD, EV_STORE, EV_PREFETCH, EV_CHECK = 0, 1, 2, 3
 
-#: Largest input period (iterations) the convergence detector tracks.
-CONV_PERIOD_CAP = 1024
-
-#: Minimum steady windows (in multiples of the period) that make the
-#: digest bookkeeping worthwhile: two aligned periods to detect plus at
-#: least one to skip.
-CONV_MIN_PERIODS = 3
-
-#: Cycles after which timestamps are bucketed as "ancient" in state
-#: fingerprints (see the soundness conditions in docs/architecture.md).
-CONV_TIME_HORIZON = 4096
+#: Largest input period (iterations) whose batch addresses are memoised
+#: per phase; longer periods recompute each window's addresses.
+ADDR_MEMO_PERIOD_CAP = 2048
 
 
 @dataclass
@@ -109,8 +85,10 @@ class StaticTrace:
     stage_max: int
     history_window: int
     ring_slots: dict  # producer-load uid -> ring slot
-    #: lcm of the access streams' input periods; None when any stream is
-    #: non-affine (random) — the early-exit is then ineligible.
+    #: lcm of the access streams' input periods: every window's batch
+    #: addresses repeat with this period, which is what lets the batch
+    #: runs memoise them per phase.  None when any stream is non-affine
+    #: (random); addresses are then recomputed every window.
     input_period: int | None
 
 
@@ -267,18 +245,6 @@ def _batch_addrs(params, q: int) -> list:
     ]
 
 
-def _stat_leaves(stats) -> list:
-    """Flat (object, field) list over a nested stats dataclass."""
-    leaves = []
-    for f in fields(stats):
-        value = getattr(stats, f.name)
-        if is_dataclass(value) and not isinstance(value, type):
-            leaves.extend(_stat_leaves(value))
-        elif isinstance(value, (int, float)):
-            leaves.append((stats, f.name))
-    return leaves
-
-
 class TraceExecutor:
     """Fast-path executor: byte-identical to the reference interpreter.
 
@@ -286,14 +252,7 @@ class TraceExecutor:
     per-run inner loop walks precompiled window plans instead of a heap.
     """
 
-    def __init__(
-        self,
-        compiled: CompiledLoop,
-        memory,
-        layout: MemoryLayout,
-        *,
-        convergence: bool = True,
-    ) -> None:
+    def __init__(self, compiled: CompiledLoop, memory, layout: MemoryLayout) -> None:
         self.compiled = compiled
         self.schedule = compiled.schedule
         self.config = compiled.schedule.config
@@ -303,13 +262,13 @@ class TraceExecutor:
             layout.ensure(array)
 
         self.static = static_trace(compiled)
-        self._bind(convergence)
+        self._bind()
 
     # ------------------------------------------------------------------
     # Binding: resolve addresses against the layout, plan the windows
     # ------------------------------------------------------------------
 
-    def _bind(self, convergence: bool) -> None:
+    def _bind(self) -> None:
         st = self.static
         self.ii = st.ii
         self._window = st.history_window
@@ -358,20 +317,10 @@ class TraceExecutor:
         self._events = events
         cache_period = (
             st.input_period
-            if st.input_period is not None and st.input_period <= 2 * CONV_PERIOD_CAP
+            if st.input_period is not None and st.input_period <= ADDR_MEMO_PERIOD_CAP
             else None
         )
         self._segments = self._plan_segments(events, cache_period)
-
-        mem = self.memory
-        self._convergence = (
-            convergence
-            and st.input_period is not None
-            and st.input_period <= CONV_PERIOD_CAP
-            and hasattr(mem, "state_fingerprint")
-            and hasattr(mem, "shift_time")
-        )
-        self._stat_leaves = _stat_leaves(mem.stats) if self._convergence else []
 
     @staticmethod
     def _batch_meta(evs, cache_period) -> tuple:
@@ -461,10 +410,9 @@ class TraceExecutor:
     def run(self, iterations: int, *, start_cycle: int = 0) -> LoopRunResult:
         """Execute ``iterations`` kernel iterations; returns cycle counts.
 
-        Byte-identical to ``LoopExecutor.run`` — same stall totals and
+        Byte-identical to ``LoopExecutor.run``: same stall totals and
         per-iteration history, same memory-system calls in the same
-        order at the same cycles — while interpreting only the windows
-        the convergence certificate cannot fast-forward.
+        order at the same cycles.
         """
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
@@ -474,7 +422,6 @@ class TraceExecutor:
         stall = 0
         late = 0
         history = [0] * n
-        skipped = 0
         W = self._window
         ring_iter = [[-1] * W for _ in range(self._n_slots)]
         ring_val = [[0] * W for _ in range(self._n_slots)]
@@ -492,29 +439,8 @@ class TraceExecutor:
             q_last = -1
             steady_lo, steady_hi = 0, -1
 
-        # Convergence machinery (armed only when it can pay off).
-        L = self.static.input_period if self._convergence else None
-        conv_on = (
-            L is not None
-            and steady_hi - steady_lo + 1 >= CONV_MIN_PERIODS * L + 2
-        )
-        dig_hist: deque = deque(maxlen=L) if conv_on else deque()
-        period_records: deque = deque(maxlen=L) if conv_on else deque()
-        streak = 0
-        fp_prev = None
-        leaves = self._stat_leaves
-
-        q = 0
-        while q <= q_last:
-            in_steady = steady_lo <= q <= steady_hi
-            digesting = conv_on and in_steady
-            if digesting:
-                stall0, late0 = stall, late
-                stats_before = [getattr(o, f) for o, f in leaves]
-                win_stalls: list = []
-                win_dones: list = []
-
-            if in_steady:
+        for q in range(q_last + 1):
+            if steady_lo <= q <= steady_hi:
                 plan = self._segments
             else:
                 plan = (
@@ -561,8 +487,6 @@ class TraceExecutor:
                                 delta = r - t_eff
                                 stall += delta
                                 history[i] += delta
-                                if digesting:
-                                    win_stalls.append((stage, delta))
                                 t_eff = r
                         if kind == EV_LOAD:
                             if strd is not None:
@@ -576,8 +500,6 @@ class TraceExecutor:
                                 ring_val[slot][rs] = done
                             if done > t_eff + lat:
                                 late += 1
-                            if digesting:
-                                win_dones.append(done - t_eff)
                         elif kind == EV_STORE:
                             if strd is not None:
                                 addr = base + ((off0 + i * strd) % nelems) * esize
@@ -633,8 +555,6 @@ class TraceExecutor:
                             ring_val[slot][rs] = done
                         if done > cycles[k] + lats[k]:
                             late += 1
-                        if digesting:
-                            win_dones.append(done - cycles[k])
                 elif mode == 2:  # stores
                     mem.store_run(
                         clusters, addrs, widths, hints_list, cycles, extras
@@ -643,138 +563,15 @@ class TraceExecutor:
                     for k, addr in enumerate(addrs):
                         mem_prefetch(clusters[k], addr, widths[k], cycles[k])
 
-            if digesting:
-                stats_delta = tuple(
-                    getattr(o, f) - b for (o, f), b in zip(leaves, stats_before)
-                )
-                digest = (
-                    stall - stall0,
-                    tuple(win_stalls),
-                    tuple(win_dones),
-                    stats_delta,
-                    late - late0,
-                )
-                if len(dig_hist) == L and dig_hist[0] == digest:
-                    streak += 1
-                else:
-                    streak = 0
-                dig_hist.append(digest)
-                period_records.append(
-                    (tuple(win_stalls), stats_delta, late - late0, stall - stall0)
-                )
-
-                if (q - steady_lo) % L == L - 1:
-                    if streak >= L:
-                        fp = self._fingerprint(
-                            q, ii, stall, start_cycle, ring_iter, ring_val, W
-                        )
-                        if fp_prev == fp and fp_prev is not None:
-                            m = (steady_hi - q) // L
-                            if m >= 1:
-                                skipped += m * L
-                                stall, late = self._fast_forward(
-                                    q,
-                                    m,
-                                    L,
-                                    period_records,
-                                    history,
-                                    leaves,
-                                    stall,
-                                    late,
-                                    ring_iter,
-                                    ring_val,
-                                    W,
-                                )
-                                q += m * L
-                                conv_on = False  # nothing left worth skipping
-                        fp_prev = fp
-                    else:
-                        fp_prev = None
-            q += 1
-
         compute = (n - 1) * ii + self.static.span
         self._last_stall_by_iteration = history
-        self._last_converged = skipped > 0
         return LoopRunResult(
             iterations=n,
             compute_cycles=compute,
             stall_cycles=stall,
             late_loads=late,
-            simulated_iterations=n - skipped,
+            simulated_iterations=n,
         )
-
-    # ------------------------------------------------------------------
-    # Convergence helpers
-    # ------------------------------------------------------------------
-
-    def _fingerprint(self, q, ii, stall, start_cycle, ring_iter, ring_val, W):
-        """State certificate after window ``q``: memory + readiness ring,
-        timestamps and iteration labels relative to the next window."""
-        time_base = (q + 1) * ii + stall + start_cycle
-        ring = []
-        for slot in range(self._n_slots):
-            iters = ring_iter[slot]
-            vals = ring_val[slot]
-            live = tuple(
-                sorted(
-                    (iters[p] - q, vals[p] - time_base)
-                    for p in range(W)
-                    if iters[p] >= 0 and q - iters[p] < W
-                )
-            )
-            ring.append(live)
-        return (
-            self.memory.state_fingerprint(time_base, CONV_TIME_HORIZON),
-            tuple(ring),
-        )
-
-    def _fast_forward(
-        self,
-        q,
-        m,
-        L,
-        period_records,
-        history,
-        leaves,
-        stall,
-        late,
-        ring_iter,
-        ring_val,
-        W,
-    ):
-        """Apply ``m`` whole periods' worth of evolution exactly.
-
-        ``period_records[u]`` describes window ``q - L + 1 + u``; window
-        ``q + 1 + j`` of the skipped range replays record ``j % L``.
-        """
-        sigma = sum(rec[3] for rec in period_records)
-        lam = sum(rec[2] for rec in period_records)
-        records = list(period_records)
-        for j in range(m * L):
-            w = q + 1 + j
-            for stage, amount in records[j % L][0]:
-                history[w - stage] += amount
-        for idx, (obj, name) in enumerate(leaves):
-            total = sum(rec[1][idx] for rec in records)
-            if total:
-                setattr(obj, name, getattr(obj, name) + m * total)
-        delta_t = m * L * self.ii + m * sigma
-        self.memory.shift_time(delta_t)
-        shift = m * L
-        for slot in range(self._n_slots):
-            iters = ring_iter[slot]
-            vals = ring_val[slot]
-            new_i = [-1] * W
-            new_v = [0] * W
-            for p in range(W):
-                it = iters[p]
-                if it >= 0:
-                    ni = it + shift
-                    new_i[ni % W] = ni
-                    new_v[ni % W] = vals[p] + delta_t
-            ring_iter[slot] = new_i
-            ring_val[slot] = new_v
-        return stall + m * sigma, late + m * lam
 
     # ------------------------------------------------------------------
     # Introspection (mirrors the reference executor)
@@ -787,5 +584,5 @@ class TraceExecutor:
 
     @property
     def last_converged(self) -> bool:
-        """Did the most recent run() fast-forward any steady periods?"""
-        return getattr(self, "_last_converged", False)
+        """The trace executor interprets every window; never early-exits."""
+        return False

@@ -3,9 +3,9 @@
 Every test here asserts *byte-identity*: same ``LoopRunResult`` cycle
 counts, same per-iteration stall history, same memory-statistics record
 (nested dataclass equality covers every counter) — over the kernel zoo,
-the four memory models, both scheduler backends, and with the
-convergence early-exit both off and firing.  The fast lane runs a
-representative subset; the ``slow``-marked matrix is exhaustive.
+the four memory models, both scheduler backends, and long runs that walk
+their arrays many times.  The fast lane runs a representative subset;
+the ``slow``-marked matrix is exhaustive.
 """
 
 from __future__ import annotations
@@ -44,27 +44,20 @@ from repro.workloads import build, kernels
 # ----------------------------------------------------------------------
 
 
-def _run_pair(loop, config, iterations=None, convergence=True, **compile_kwargs):
+def _run_pair(loop, config, iterations=None, **compile_kwargs):
     """Compile once, execute on both paths against private memories."""
     compiled = compile_loop(copy.deepcopy(loop), config, **compile_kwargs)
     n = iterations or compiled.loop.trip_count
     ref_mem, fast_mem = make_memory(config), make_memory(config)
     ref = LoopExecutor(compiled, ref_mem, MemoryLayout(align=config.l1_block))
-    fast = TraceExecutor(
-        compiled,
-        fast_mem,
-        MemoryLayout(align=config.l1_block),
-        convergence=convergence,
-    )
+    fast = TraceExecutor(compiled, fast_mem, MemoryLayout(align=config.l1_block))
     ref_result = ref.run(n)
     fast_result = fast.run(n)
     return ref, ref_mem, ref_result, fast, fast_mem, fast_result
 
 
-def assert_identical(loop, config, iterations=None, convergence=True, **kw):
-    ref, ref_mem, r, fast, fast_mem, f = _run_pair(
-        loop, config, iterations, convergence, **kw
-    )
+def assert_identical(loop, config, iterations=None, **kw):
+    ref, ref_mem, r, fast, fast_mem, f = _run_pair(loop, config, iterations, **kw)
     label = (loop.name, config.arch.value)
     assert (r.iterations, r.compute_cycles, r.stall_cycles, r.late_loads) == (
         f.iterations,
@@ -130,59 +123,45 @@ def test_fast_path_short_runs_cover_prologue_epilogue():
 
 
 # ----------------------------------------------------------------------
-# Convergence early-exit: exactness when it fires
+# Long runs: small working sets walked many times over
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
-def test_convergence_exit_is_exact(config_name):
-    """Small working sets + long trips: the early-exit must fire and the
-    results must still match a full reference interpretation."""
+def test_long_periodic_run_matches_reference(config_name):
+    """Small working sets + long trips: a steady state that repeats
+    every array walk must still match a full reference interpretation."""
     config = CONFIGS[config_name]()
     fast, result = assert_identical(
         kernels.make_saxpy(trip=3000, n=64), config, iterations=3000
     )
-    assert fast.last_converged
-    assert result.simulated_iterations < 3000
-    assert result.iterations == 3000
+    assert result.iterations == result.simulated_iterations == 3000
 
 
-def test_convergence_exit_recurrence_kernel():
+def test_long_recurrence_run_matches_reference():
     fast, result = assert_identical(
         kernels.make_dpcm(trip=2500, n=128), l0_config(8), iterations=2500
     )
-    assert fast.last_converged
-    assert result.simulated_iterations < result.iterations
+    assert result.iterations == result.simulated_iterations == 2500
 
 
-def test_convergence_disabled_never_skips():
-    fast, result = assert_identical(
-        kernels.make_saxpy(trip=2000, n=64),
-        unified_config(),
-        iterations=2000,
-        convergence=False,
-    )
-    assert not fast.last_converged
-    assert result.simulated_iterations == 2000
-
-
-def test_random_streams_disable_convergence():
+def test_random_streams_have_no_input_period():
     """RANDOM patterns have no input period: the trace must record that
-    and the executor must never arm the early-exit."""
+    (batch addresses are then recomputed every window) and a long run
+    must still match the reference."""
     loop = kernels.table_mix("tm", trip=64, n_stream=256, n_table=64)
     compiled = compile_loop(loop, unified_config())
     assert static_trace(compiled).input_period is None
-    fast, result = assert_identical(
+    assert_identical(
         kernels.table_mix("tm", trip=2000, n_stream=64, n_table=32),
         unified_config(),
         iterations=2000,
     )
-    assert not fast.last_converged
 
 
-def test_convergence_multi_invocation_state_carryover():
-    """After a fast-forward the memory state (shifted timestamps) must
-    behave exactly like the reference's across invocation boundaries."""
+def test_multi_invocation_long_runs_match_reference():
+    """Memory state carried from one long invocation into the next (with
+    the L0 flush between them) behaves exactly like the reference's."""
     for config in (unified_config(), l0_config(8)):
         loop = kernels.make_saxpy(trip=3000, n=64)
         results = {}
@@ -205,9 +184,10 @@ def test_convergence_multi_invocation_state_carryover():
             c1,
         )
         assert s0 == s1
-        # Early-exit fired (exact) AND one unsimulated invocation was
-        # replicated from the warm run (statistical).
-        assert r1.extrapolated == "exact+statistical"
+        # Every field agrees, the interpretation metadata included.
+        assert r0 == r1
+        # One unsimulated invocation was replicated from the warm run.
+        assert r1.extrapolated == "statistical"
         assert r1.measured_fraction < 1.0
 
 
@@ -242,8 +222,8 @@ def test_loop_result_reports_extrapolation_kind():
     assert result.extrapolated == "statistical"
     assert result.simulated_iterations == 200
     assert 0.0 < result.measured_fraction < 1.0
-    # trip <= cap, no convergence fire: everything interpreted.  (Trip
-    # counts are in *kernel* iterations — the unrolled body's.)
+    # trip <= cap: everything interpreted.  (Trip counts are in *kernel*
+    # iterations — the unrolled body's.)
     compiled = compile_loop(kernels.make_saxpy(trip=128, n=1024), config)
     result, _ = run_loop(
         compiled,
@@ -258,22 +238,30 @@ def test_loop_result_reports_extrapolation_kind():
 
 def test_make_loop_executor_honors_env_opt_out(monkeypatch):
     compiled = compile_loop(kernels.make_saxpy(trip=32, n=64), unified_config())
-    options = SimOptions()
-    monkeypatch.setenv("REPRO_FAST_SIM", "0")
-    ex = make_loop_executor(
-        compiled, make_memory(unified_config()), MemoryLayout(), options
-    )
-    assert isinstance(ex, LoopExecutor)
-    monkeypatch.setenv("REPRO_FAST_SIM", "interp")
-    ex = make_loop_executor(
-        compiled, make_memory(unified_config()), MemoryLayout(), options
-    )
-    assert isinstance(ex, TraceExecutor) and not ex._convergence
+
+    def executor(**options):
+        memory = make_memory(unified_config())
+        return make_loop_executor(
+            compiled, memory, MemoryLayout(), SimOptions(**options)
+        )
+
+    for value in ("0", "off", "false", " OFF "):
+        monkeypatch.setenv("REPRO_FAST_SIM", value)
+        assert isinstance(executor(), LoopExecutor), value
+    for value in ("", "1", "on", "true", "True"):
+        monkeypatch.setenv("REPRO_FAST_SIM", value)
+        assert isinstance(executor(), TraceExecutor), value
+        # The on spellings defer to the options, like an unset variable.
+        assert isinstance(executor(fast_sim=False), LoopExecutor)
+    # A stale or misspelt value fails loudly and names the spellings.
+    for value in ("interp", "yes", "2"):
+        monkeypatch.setenv("REPRO_FAST_SIM", value)
+        with pytest.raises(ValueError, match="'0', 'off', 'false'") as info:
+            executor()
+        assert repr(value) in str(info.value)
     monkeypatch.delenv("REPRO_FAST_SIM")
-    ex = make_loop_executor(
-        compiled, make_memory(unified_config()), MemoryLayout(), options
-    )
-    assert isinstance(ex, TraceExecutor)
+    assert isinstance(executor(), TraceExecutor)
+    assert isinstance(executor(fast_sim=False), LoopExecutor)
 
 
 # ----------------------------------------------------------------------
@@ -288,10 +276,8 @@ def test_readiness_ring_is_bounded():
     config = l0_config(8)
     loop = kernels.make_dpcm(trip=6000, n=128)
     compiled = compile_loop(loop, config)
-    fast = TraceExecutor(
-        compiled, make_memory(config), MemoryLayout(align=config.l1_block),
-        convergence=False,
-    )
+    layout = MemoryLayout(align=config.l1_block)
+    fast = TraceExecutor(compiled, make_memory(config), layout)
     window = fast.static.history_window
     fast.run(6000)
     # Rebind-time structures only: slots x window ints, however long the run.
@@ -481,7 +467,7 @@ def test_full_matrix_exact_scheduler(kernel, config_name):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
-def test_full_matrix_convergence_long_runs(config_name):
+def test_full_matrix_long_runs(config_name):
     config = CONFIGS[config_name]()
     for make in (
         lambda: kernels.make_saxpy(trip=4000, n=64),

@@ -178,34 +178,21 @@ class ListL0:
         self.lru.clear()
         self.stats.invalidate_alls += 1
 
-    def shift_time(self, delta):
-        for e in self.lru:
-            e.ready += delta
-            e.update_time += delta
-
-    def fingerprint(self, time_base, horizon):
-        def rel(t):
-            return max(t - time_base, -horizon - 1)
-
-        return tuple(
-            (
-                e.kind.value,
-                e.block_addr,
-                e.position,
-                e.granularity,
-                rel(e.ready),
-                rel(e.update_time),
-                e.from_prefetch,
-                e.touched,
-            )
-            for e in self.lru
-        )
-
 
 def _entry_key(result):
     if isinstance(result, L0Entry):
         return (result.kind, result.block_addr, result.position, result.granularity)
     return result
+
+
+def _entry_state(entry):
+    """Everything an L0 entry holds, times exact."""
+    return _entry_key(entry) + (
+        entry.ready,
+        entry.update_time,
+        entry.from_prefetch,
+        entry.touched,
+    )
 
 
 def _apply(buf, op, addr, width, block_bytes, n_clusters):
@@ -227,9 +214,8 @@ def _apply(buf, op, addr, width, block_bytes, n_clusters):
         return buf.store_update(addr, width, time)
     if name == "invalidate":
         return buf.invalidate_matching(addr, width)
-    if name == "invalidate_all":
-        return buf.invalidate_all()
-    return buf.shift_time(time)
+    assert name == "invalidate_all", name
+    return buf.invalidate_all()
 
 
 # (block_bytes, n_clusters) pairs: Table 2's 32/4 plus narrower and wider
@@ -252,7 +238,7 @@ L0_ADDRS = st.lists(
 )
 L0_OP_NAMES = (
     "linear linear inter inter access access access find store store "
-    "invalidate invalidate_all shift"
+    "invalidate invalidate_all"
 ).split()
 L0_OP = st.tuples(
     st.integers(min_value=0, max_value=7),
@@ -276,10 +262,10 @@ def _check_against_list_model(geometry, capacity, addrs, ops):
         want = _apply(ref, op, addr, width, block_bytes, n_clusters)
         assert _entry_key(got) == _entry_key(want), op
         assert buf.stats == ref.stats, op
-        assert [_entry_key(e) for e in buf.entries()] == [
-            _entry_key(e) for e in ref.lru
+        # Content and LRU order, every stamp exact.
+        assert [_entry_state(e) for e in buf.entries()] == [
+            _entry_state(e) for e in ref.lru
         ], op
-        assert buf.fingerprint(0, 4096) == ref.fingerprint(0, 4096), op
 
 
 @QUICK
@@ -310,7 +296,7 @@ class ByteStampOracle:
     byte, every accessed byte read on every L0 hit.  ``UnifiedMemory``
     keeps the stamps as per-block rows and skips the byte scan when the
     block's newest stamp is not newer than the entry; both must count the
-    same violations and render the same store stamps."""
+    same violations and hold the same store stamps."""
 
     def __init__(self):
         self.last_store = {}
@@ -326,21 +312,23 @@ class ByteStampOracle:
         if newest > entry.update_time:
             self.violations += 1
 
-    def shift_time(self, delta):
-        self.last_store = {b: t + delta for b, t in self.last_store.items()}
-
-    def fingerprint(self, time_base, horizon):
-        """The store-stamp parts of ``UnifiedMemory.state_fingerprint``."""
-        ancient = time_base - horizon
-        stamps = sorted(self.last_store.items())
-        recent = tuple((b, t - time_base) for b, t in stamps if t >= ancient)
-        old = tuple(b for b, t in stamps if t < ancient)
-        return recent, old
+    def stamp_rows(self, block_bytes):
+        """``UnifiedMemory._stamps`` as it must be: per stored-to block,
+        each byte's newest store (-1 if none), then the block's newest.
+        The clock never runs backwards, so the block's newest stamp is
+        its newest byte stamp."""
+        rows = {}
+        for byte, cycle in self.last_store.items():
+            block = byte - byte % block_bytes
+            row = rows.setdefault(block, [-1] * (block_bytes + 1))
+            row[byte - block] = cycle
+            row[-1] = max(row[-1], cycle)
+        return rows
 
 
 # Table 2's geometry, a narrower and a wider block, fewer clusters;
-# bounded and unbounded buffers.  A 1 KB L1 keeps the per-operation
-# fingerprint cheap and makes L1 misses and evictions common.
+# bounded and unbounded buffers.  A 1 KB L1 makes L1 misses and
+# evictions common.
 COHERENCE_MACHINES = st.sampled_from(
     [
         l0_config(4, l1_size=1024),
@@ -349,8 +337,6 @@ COHERENCE_MACHINES = st.sampled_from(
         l0_config(8, l1_size=1024, n_clusters=1),
     ]
 )
-#: Small, so state_fingerprint's "ancient" stamp bucket fills up too.
-COHERENCE_HORIZON = 12
 #: Every hint bundle: each access, mapping and prefetch hint, distance
 #: 1 and 2 (one draw per op; building bundles field by field is slower).
 HINTS = st.sampled_from(
@@ -377,7 +363,7 @@ COHERENCE_POINTS = st.lists(
     min_size=1,
     max_size=6,
 )
-COHERENCE_OP_NAMES = "load load load store store replica prefetch invalidate shift"
+COHERENCE_OP_NAMES = "load load load store store replica prefetch invalidate"
 # (name, cluster, pool slot, hints, cycles the clock advances).
 COHERENCE_OP = st.tuples(
     st.sampled_from(COHERENCE_OP_NAMES.split()),
@@ -415,14 +401,10 @@ def _run_coherence_oracle(config, points, ops):
             mem.store(cluster, addr, width, hints, clock, is_primary=primary)
         elif name == "prefetch":
             mem.prefetch(cluster, aligned, load_width, clock)
-        elif name == "invalidate":
-            mem.invalidate_l0(clock)
         else:
-            mem.shift_time(dt)
-            ref.shift_time(dt)
+            mem.invalidate_l0(clock)
         assert mem.stats.coherence_violations == ref.violations, name
-        fingerprint = mem.state_fingerprint(clock, COHERENCE_HORIZON)
-        assert fingerprint[3:] == ref.fingerprint(clock, COHERENCE_HORIZON), name
+        assert mem._stamps == ref.stamp_rows(block), name
     return ref.violations
 
 
@@ -523,6 +505,11 @@ def test_cache_hit_iff_recently_used(sequence):
         assert cache.stats.load_hits - hits_before >= len(blocks) // 2
 
 
+def _lru_sets(cache):
+    """Each set's resident tags, least recently used first."""
+    return [list(entries) for entries in cache._sets]
+
+
 @QUICK
 @given(
     geometry=st.sampled_from([(256, 2, 32), (128, 1, 16), (512, 4, 32)]),
@@ -550,14 +537,14 @@ def test_cache_touch_matches_probe_then_load(geometry, ops):
         else:
             assert getattr(cache, name)(addr) == getattr(ref, name)(addr)
         assert cache.stats == ref.stats, name
-        assert cache.fingerprint() == ref.fingerprint(), name
+        assert _lru_sets(cache) == _lru_sets(ref), name
 
 
 class MarkBus:
     """Reference model: the cluster bus recomputing
     ``cycle - mark >= 2 * PRUNE_WINDOW`` on every grant.  ``ClusterBus``
     compares the cycle with a precomputed prune cycle instead; both must
-    grant, prune and shift identically."""
+    grant and prune identically."""
 
     WINDOW = ClusterBus.PRUNE_WINDOW
 
@@ -583,20 +570,12 @@ class MarkBus:
             self.mark = cycle
         return grant
 
-    def shift_time(self, delta):
-        self.busy = {c + delta for c in self.busy}
-        self.mark += delta
-
-    def fingerprint(self, time_base):
-        horizon = time_base - self.WINDOW
-        return tuple(sorted(c - time_base for c in self.busy if c >= horizon))
-
 
 # (name, cycles the clock advances, request lead over the clock).  Runs
 # of zero advance contend for the same slots; the long jumps cross the
 # 512-cycle prune period within a few ops.
 BUS_OP = st.tuples(
-    st.sampled_from("grant grant grant free shift".split()),
+    st.sampled_from("grant grant grant free".split()),
     st.one_of(
         st.integers(min_value=0, max_value=2),
         st.integers(min_value=0, max_value=600),
@@ -612,9 +591,6 @@ def test_bus_matches_mark_model(ops):
     window = ClusterBus.PRUNE_WINDOW
     clock = 0
     for name, advance, lead in ops:
-        if name == "shift":
-            bus.shift_time(advance)
-            ref.shift_time(advance)
         clock += advance
         cycle = max(0, clock + lead)
         if name == "grant":
@@ -622,11 +598,9 @@ def test_bus_matches_mark_model(ops):
         else:
             assert bus.is_free(cycle) == ref.is_free(cycle)
         assert bus.stats == ref.stats, name
-        assert bus.fingerprint(clock) == ref.fingerprint(clock), name
-        # Every slot either model still holds (a prune keeps one window
-        # back and recurs within two), so the prunes happened together.
-        old = clock - 2 * window
-        assert bus.fingerprint(old) == ref.fingerprint(old), name
+        # The same busy slots, and the next prune at the same cycle.
+        assert bus._busy == ref.busy, name
+        assert bus._prune_at == ref.mark + 2 * window, name
 
 
 class HomeLoopInterleaved(WordInterleavedMemory):
@@ -640,6 +614,14 @@ class HomeLoopInterleaved(WordInterleavedMemory):
             for other, buffer in enumerate(self.attraction):
                 if other != self.home_of(word * WORD):
                     buffer.invalidate(word)
+
+
+def _interleaved_state(mem):
+    """Every module's sets and every attraction buffer, in LRU order."""
+    return (
+        [_lru_sets(module) for module in mem.modules],
+        [list(buffer._words) for buffer in mem.attraction],
+    )
 
 
 @QUICK
@@ -668,7 +650,7 @@ def test_interleaved_store_matches_home_loop_model(n_clusters, ops):
             mem.store(cluster, addr, width, BYPASS_HINTS, cycle)
             ref.store(cluster, addr, width, BYPASS_HINTS, cycle)
         assert mem.stats == ref.stats, name
-        assert mem.state_fingerprint(cycle) == ref.state_fingerprint(cycle), name
+        assert _interleaved_state(mem) == _interleaved_state(ref), name
 
 
 @QUICK
