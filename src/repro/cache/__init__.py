@@ -29,6 +29,7 @@ import sys
 import time
 from pathlib import Path
 
+from ..pipeline.artifact import CompileOptions
 from ..pipeline.cache import ResultCache, code_fingerprint
 from ..pipeline.compilecache import CompiledLoopCache
 
@@ -44,6 +45,15 @@ def parse_size(text: str) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a size: {text!r}") from None
     return int(value * _SIZE_UNITS[unit])
+
+
+def parse_exact_budget(text: str) -> int:
+    """An ``--exact-budget`` node budget that ``CompileOptions`` accepts, so
+    a bad value is a usage error before any job runs."""
+    try:
+        return CompileOptions(exact_node_budget=int(text)).exact_node_budget
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def format_size(n: int) -> str:

@@ -16,7 +16,7 @@ import argparse
 import sys
 import time
 
-from ..cache import parse_size
+from ..cache import parse_exact_budget, parse_size
 from ..sim.runner import SimOptions
 from . import (
     ExperimentContext,
@@ -101,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--exact-budget",
-        type=int,
+        type=parse_exact_budget,
         default=None,
         help="node budget (placement trials) for the exact scheduler "
         "before it falls back to SMS",

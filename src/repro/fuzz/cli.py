@@ -19,6 +19,7 @@ import json
 import sys
 from pathlib import Path
 
+from ..cache import parse_exact_budget
 from ..workloads.generator import PROFILES
 from .checks import CHECKS, FAULTS, FuzzOptions
 from .corpus import edge_kernel_ids, resolve_kernel, seed_kernel_ids
@@ -257,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--exact-budget",
-            type=int,
+            type=parse_exact_budget,
             default=20_000,
             help="node budget for the exact scheduler (default 20000)",
         )

@@ -40,7 +40,8 @@ class CompileOptions:
     configure the exact backend's search: a node budget (placement
     trials before falling back to SMS) and an optional stage horizon
     (both inert under ``scheduler="sms"`` but still participating in
-    compile-cache keys like every other option).
+    compile-cache keys like every other option).  Both must be at least
+    1; a smaller value raises ``ValueError``.
 
     ``analyze`` runs the independent static certifier
     (``repro.analysis``) over the finished artifact before it is cached;
@@ -57,6 +58,18 @@ class CompileOptions:
     exact_node_budget: int = 60_000
     exact_max_stages: int | None = None
     analyze: bool = False
+
+    def __post_init__(self) -> None:
+        # Fail closed: a budget of 0 would fall back at the first trial,
+        # and a horizon below one stage cannot hold a schedule.
+        if self.exact_node_budget < 1:
+            raise ValueError(
+                f"exact_node_budget must be >= 1, got {self.exact_node_budget}"
+            )
+        if self.exact_max_stages is not None and self.exact_max_stages < 1:
+            raise ValueError(
+                f"exact_max_stages must be >= 1, got {self.exact_max_stages}"
+            )
 
 
 @dataclass

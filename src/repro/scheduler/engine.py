@@ -38,11 +38,12 @@ class ClusterScheduler:
     Construction builds the per-compile node tables the placement loops
     read by uid: each node's FU index (:data:`~.mrt.FU_INDEX`, or
     :data:`NO_FU`), whether the memory policy picks its latency, the
-    fixed latency of every other node, and its register neighbours.
-    They replace per-trial ``Instruction`` property, config and
-    enum-keyed dict lookups; every value is a pure function of the loop,
-    its DDG and the config, so reading it from a table cannot change a
-    schedule.
+    fixed latency of every other node, and its dependence edges as plain
+    tuples, with the register edges and neighbours derived from them.
+    They replace per-trial ``Instruction`` property, config, ``Edge``
+    attribute and enum-keyed dict lookups; every value is a pure
+    function of the loop, its DDG and the config, so reading it from a
+    table cannot change a schedule.
     """
 
     #: How many II values above MII to try before giving up.
@@ -70,12 +71,37 @@ class ClusterScheduler:
             self._is_memory[uid] = instr.is_memory
             if not instr.is_memory:
                 self._latency[uid] = config.latency_of(instr.opcode)
+        #: Each node's non-self predecessor and successor edges, in DDG
+        #: order, as ``(other uid, distance, fixed latency, is REG)``.
+        #: Self edges constrain the II alone: a node is never placed while
+        #: it is being placed, so no placement loop needs them here.
+        self._preds: dict[int, list[tuple[int, int, int | None, bool]]] = {}
+        self._succs: dict[int, list[tuple[int, int, int | None, bool]]] = {}
+        #: Register values each node reads from other nodes, and sends to
+        #: them (none when it writes no register), as ``(other uid,
+        #: distance, fixed latency)``: the transfers ``_plan_comms`` plans.
+        self._reg_in: dict[int, list[tuple[int, int, int | None]]] = {}
+        self._reg_out: dict[int, list[tuple[int, int, int | None]]] = {}
         #: Other ends of each node's register edges, one entry per edge.
-        self._reg_neighbours: dict[int, list[int]] = {
-            uid: [e.src for e in ddg.preds[uid] if e.kind is DepKind.REG]
-            + [e.dst for e in ddg.succs[uid] if e.kind is DepKind.REG]
-            for uid in ddg.nodes
-        }
+        self._reg_neighbours: dict[int, list[int]] = {}
+        for instr in self.loop.body:
+            uid = instr.uid
+            preds = [
+                (e.src, e.distance, e.fixed_latency, e.kind is DepKind.REG)
+                for e in ddg.preds[uid]
+                if e.src != uid
+            ]
+            succs = [
+                (e.dst, e.distance, e.fixed_latency, e.kind is DepKind.REG)
+                for e in ddg.succs[uid]
+                if e.dst != uid
+            ]
+            self._preds[uid], self._succs[uid] = preds, succs
+            reg_in = [(o, d, f) for o, d, f, reg in preds if reg]
+            reg_out = [(o, d, f) for o, d, f, reg in succs if reg]
+            self._reg_in[uid] = reg_in
+            self._reg_out[uid] = reg_out if instr.dest is not None else []
+            self._reg_neighbours[uid] = [o for o, _, _ in reg_in + reg_out]
 
         # Per-attempt state
         self._asap: dict[int, int] | None = None
@@ -234,32 +260,29 @@ class ClusterScheduler:
     ) -> tuple[int | None, int | None]:
         """[earliest, latest] start bounds from already-placed neighbours."""
         bus = self.config.bus_latency
+        placed = self.placed
         earliest: int | None = None
         latest: int | None = None
-        for edge in self.ddg.preds[instr.uid]:
-            src_op = self.placed.get(edge.src)
-            if src_op is None or edge.src == instr.uid:
+        for src, distance, fixed, is_reg in self._preds[instr.uid]:
+            src_op = placed.get(src)
+            if src_op is None:
                 continue
-            lat = edge.fixed_latency
-            if lat is None:
-                lat = src_op.latency
-            low = src_op.start + lat - ii * edge.distance
-            if edge.kind is DepKind.REG and src_op.cluster != cluster:
-                existing = self._comm_index.get((edge.src, cluster))
+            lat = src_op.latency if fixed is None else fixed
+            low = src_op.start + lat - ii * distance
+            if is_reg and src_op.cluster != cluster:
+                existing = self._comm_index.get((src, cluster))
                 if existing is not None:
-                    low = existing.start + existing.latency - ii * edge.distance
+                    low = existing.start + existing.latency - ii * distance
                 else:
-                    low = src_op.start + lat + bus - ii * edge.distance
+                    low += bus
             earliest = low if earliest is None else max(earliest, low)
-        for edge in self.ddg.succs[instr.uid]:
-            dst_op = self.placed.get(edge.dst)
-            if dst_op is None or edge.dst == instr.uid:
+        for dst, distance, fixed, is_reg in self._succs[instr.uid]:
+            dst_op = placed.get(dst)
+            if dst_op is None:
                 continue
-            lat = edge.fixed_latency
-            if lat is None:
-                lat = latency
-            high = dst_op.start + ii * edge.distance - lat
-            if edge.kind is DepKind.REG and dst_op.cluster != cluster:
+            lat = latency if fixed is None else fixed
+            high = dst_op.start + ii * distance - lat
+            if is_reg and dst_op.cluster != cluster:
                 high -= bus
             latest = high if latest is None else min(latest, high)
         return earliest, latest
@@ -322,23 +345,24 @@ class ClusterScheduler:
         fu = self._fu[op.instr.uid]
         if fu != NO_FU:
             self.mrt.release(op.start, fu, op.cluster)
-        for comm in new_comms:
-            self.mrt.bus_remove(comm.start)
-            self.comms.remove(comm)
-            key = (comm.producer_uid, comm.dst_cluster)
-            if self._comm_index.get(key) is comm:
-                del self._comm_index[key]
+        if new_comms:
+            for comm in new_comms:
+                self.mrt.bus_remove(comm.start)
+                key = (comm.producer_uid, comm.dst_cluster)
+                if self._comm_index.get(key) is comm:
+                    del self._comm_index[key]
+            # _try_place appended them last and the policy adds no engine
+            # comms, so they are the tail: cut them off by position.
+            del self.comms[-len(new_comms) :]
         del self.placed[op.instr.uid]
 
     def _placed_neighbours(self, uid: int) -> list[int]:
         """Placed DDG neighbours of ``uid`` (the nodes pinning its window)."""
         neighbours: dict[int, None] = {}
-        for edge in self.ddg.preds[uid]:
-            if edge.src != uid and edge.src in self.placed:
-                neighbours[edge.src] = None
-        for edge in self.ddg.succs[uid]:
-            if edge.dst != uid and edge.dst in self.placed:
-                neighbours[edge.dst] = None
+        for edges in (self._preds[uid], self._succs[uid]):
+            for other, _, _, _ in edges:
+                if other in self.placed:
+                    neighbours[other] = None
         return list(neighbours)
 
     def _eject(self, uid: int) -> None:
@@ -350,12 +374,16 @@ class ClusterScheduler:
             self.mrt.release(op.start, fu, op.cluster)
         self._cluster_ops[op.cluster] -= 1
         self._cluster_fu_ops[fu][op.cluster] -= 1
-        for comm in [c for c in self.comms if c.producer_uid == uid]:
+        kept: list[PlacedComm] = []
+        for comm in self.comms:
+            if comm.producer_uid != uid:
+                kept.append(comm)
+                continue
             self.mrt.bus_remove(comm.start)
-            self.comms.remove(comm)
-            index_key = (comm.producer_uid, comm.dst_cluster)
+            index_key = (uid, comm.dst_cluster)
             if self._comm_index.get(index_key) is comm:
                 del self._comm_index[index_key]
+        self.comms = kept
         if self._is_memory[uid]:
             self.policy.ejected(op, self)
 
@@ -369,34 +397,31 @@ class ClusterScheduler:
         be placed on a bus in time.
         """
         assert self.mrt is not None
+        uid = instr.uid
+        placed = self.placed
         bus = self.config.bus_latency
         new_comms: dict[tuple[int, int], PlacedComm] = {}
         pending_bus_rows: dict[int, int] = {}  # rows new_comms occupy
 
         # Values arriving from producers in other clusters.
-        for edge in self.ddg.preds[instr.uid]:
-            if edge.kind is not DepKind.REG:
-                continue
-            src_op = self.placed.get(edge.src)
+        for src, distance, fixed in self._reg_in[uid]:
+            src_op = placed.get(src)
             if src_op is None or src_op.cluster == cluster:
                 continue
-            deadline = start + ii * edge.distance
-            key = (edge.src, cluster)
+            deadline = start + ii * distance
+            key = (src, cluster)
             existing = self._comm_index.get(key)
             if existing is not None and existing.start + existing.latency <= deadline:
                 continue
             planned = new_comms.get(key)
             if planned is not None and planned.start + planned.latency <= deadline:
                 continue
-            lat = edge.fixed_latency
-            if lat is None:
-                lat = src_op.latency
             comm = self._find_bus_slot(
-                src_op.start + lat,
+                src_op.start + (src_op.latency if fixed is None else fixed),
                 deadline - bus,
                 src_op.cluster,
                 cluster,
-                edge.src,
+                src,
                 ii,
                 pending_bus_rows,
             )
@@ -405,33 +430,27 @@ class ClusterScheduler:
             new_comms[key] = comm
 
         # Values this instruction produces for consumers in other clusters.
-        if instr.dest is not None:
-            for edge in self.ddg.succs[instr.uid]:
-                if edge.kind is not DepKind.REG:
-                    continue
-                dst_op = self.placed.get(edge.dst)
-                if dst_op is None or dst_op.cluster == cluster:
-                    continue
-                deadline = dst_op.start + ii * edge.distance
-                key = (instr.uid, dst_op.cluster)
-                planned = new_comms.get(key)
-                if planned is not None and planned.start + planned.latency <= deadline:
-                    continue
-                lat = edge.fixed_latency
-                if lat is None:
-                    lat = latency
-                comm = self._find_bus_slot(
-                    start + lat,
-                    deadline - bus,
-                    cluster,
-                    dst_op.cluster,
-                    instr.uid,
-                    ii,
-                    pending_bus_rows,
-                )
-                if comm is None:
-                    return None
-                new_comms[key] = comm
+        for dst, distance, fixed in self._reg_out[uid]:
+            dst_op = placed.get(dst)
+            if dst_op is None or dst_op.cluster == cluster:
+                continue
+            deadline = dst_op.start + ii * distance
+            key = (uid, dst_op.cluster)
+            planned = new_comms.get(key)
+            if planned is not None and planned.start + planned.latency <= deadline:
+                continue
+            comm = self._find_bus_slot(
+                start + (latency if fixed is None else fixed),
+                deadline - bus,
+                cluster,
+                dst_op.cluster,
+                uid,
+                ii,
+                pending_bus_rows,
+            )
+            if comm is None:
+                return None
+            new_comms[key] = comm
 
         return list(new_comms.values())
 
@@ -451,12 +470,14 @@ class ClusterScheduler:
         if not_after < not_before:
             return None
         assert self.mrt is not None
+        booked = self.mrt.bus_booked
+        capacity = self.mrt.bus_capacity
         # Scanning II consecutive cycles covers every kernel row.
         last = min(not_after, not_before + ii - 1)
         for cycle in range(not_before, last + 1):
             row = cycle % ii
             pending = pending_bus_rows.get(row, 0)
-            if self.mrt.bus_free(cycle) > pending:
+            if capacity - booked[row] > pending:
                 pending_bus_rows[row] = pending + 1
                 return PlacedComm(
                     producer_uid=producer_uid,

@@ -61,7 +61,7 @@ records ``scheduler``, ``mii``, ``ii_sms``, ``improved``,
 
 from __future__ import annotations
 
-from ..ir.ddg import DDG, DepKind
+from ..ir.ddg import DDG
 from ..ir.stride import is_candidate
 from ..machine.config import ArchKind, MachineConfig
 from .engine import NO_FU, ClusterScheduler
@@ -72,11 +72,11 @@ from .schedule import ModuloSchedule, PlacedComm, PlacedOp
 from .sms import sms_order
 
 #: Default number of placement trials before the search gives up and
-#: falls back to the SMS schedule.  A trial costs ~13.5 us (traced
-#: schedcompare, 13.3 s over 982,464 trials on a 2-core x86 box, Python
-#: 3.11; ~35 us there with a dict-keyed reservation table and
-#: per-trial enum lookups), so the default bounds one compile's search
-#: to under a second.
+#: falls back to the SMS schedule.  A trial costs ~5.6 us (traced
+#: schedcompare: the exact pass took 5.5 s over 982,464 trials, SMS
+#: baselines included, on a 2-core x86 box, Python 3.11; ~8.6 us there
+#: with each option's window re-derived from ``Edge`` objects), so the
+#: default bounds one compile's search to about a third of a second.
 DEFAULT_NODE_BUDGET = 60_000
 
 
@@ -101,6 +101,11 @@ class ExactScheduler(ClusterScheduler):
         node_budget: int = DEFAULT_NODE_BUDGET,
         max_stages: int | None = None,
     ) -> None:
+        if node_budget < 1 or (max_stages is not None and max_stages < 1):
+            raise ValueError(
+                f"node_budget and max_stages must be >= 1, got {node_budget} "
+                f"and {max_stages}"
+            )
         super().__init__(ddg, config, policy)
         self.node_budget = node_budget
         self.max_stages = max_stages
@@ -115,9 +120,14 @@ class ExactScheduler(ClusterScheduler):
         }
         # Weakly-connected DDG components (anchoring is per component).
         self._comp = self._components()
-        self._self_edges = {
-            uid: [e for e in ddg.succs[uid] if e.dst == uid] for uid in ddg.nodes
-        }
+        #: ``(distance, fixed latency)`` of each self edge, for the nodes
+        #: that have one.
+        self._self_edges: dict[int, list[tuple[int, int | None]]] = {}
+        for edge in ddg.edges:
+            if edge.src == edge.dst:
+                self._self_edges.setdefault(edge.src, []).append(
+                    (edge.distance, edge.fixed_latency)
+                )
 
     # ------------------------------------------------------------------
     # Top level: deepening loop around the SMS baseline
@@ -202,7 +212,7 @@ class ExactScheduler(ClusterScheduler):
         if stages is None:
             span = max(span_hint, max(asap.values()) + 1)
             stages = -(-span // ii) + 2
-        self._horizon = ii * max(1, stages)
+        self._horizon = ii * stages
         self._anchor: dict[int, int] = {}
 
         # No FU-demand pruning: the deepening loop starts at MII >= ResMII,
@@ -230,29 +240,47 @@ class ExactScheduler(ClusterScheduler):
         clusters = list(range(self.config.n_clusters))
         is_memory = self._is_memory[uid]
         if is_memory:
-            options = self.policy.options(instr, clusters)
+            # A policy may offer an option twice (say, an L0 latency equal
+            # to the L1 one); try each once, in first-offered order.
+            options = list(dict.fromkeys(self.policy.options(instr, clusters)))
         else:
             latency = self._latency[uid]
             options = [(c, latency) for c in clusters]
         comp = self._comp[uid]
-        tried: set[tuple[int, int]] = set()
+        # Every deeper placement is reverted before the next option is
+        # tried, so the anchor and the placed neighbours are the same for
+        # all of this node's options: gather their window terms once.
+        anchor = self._anchor.get(comp)
+        anchored = anchor is None
+        lo, hi, pred_terms, succ_terms = self._window_terms(uid, anchor, ii)
+        bus = self.config.bus_latency
+        self_edges = self._self_edges.get(uid)
         for cluster, latency in options:
-            if (cluster, latency) in tried:
+            if self_edges and not self._self_edges_feasible(self_edges, latency, ii):
                 continue
-            tried.add((cluster, latency))
-            if not self._self_edges_feasible(uid, latency, ii):
-                continue
-            bounds = self._bounds(instr, cluster, latency, ii, comp)
-            if bounds is None:
-                continue
-            lo, hi = bounds
-            for start in range(lo, hi + 1):
-                self._charge()
+            first = lo
+            for low, src_cluster in pred_terms:
+                if src_cluster != cluster:
+                    low += bus
+                if low > first:
+                    first = low
+            last = hi
+            for high, variable, dst_cluster in succ_terms:
+                if variable:
+                    high -= latency
+                if dst_cluster is not None and dst_cluster != cluster:
+                    high -= bus
+                if high < last:
+                    last = high
+            for start in range(first, last + 1):
+                # One budget unit per placement trial.
+                self.nodes_explored += 1
+                if self.nodes_explored > self.node_budget:
+                    raise BudgetExhausted
                 applied = self._apply(instr, cluster, latency, start, ii)
                 if applied is None:
                     continue
                 op, plan, replaced = applied
-                anchored = comp not in self._anchor
                 if anchored:
                     self._anchor[comp] = start
                 committed = True
@@ -303,75 +331,79 @@ class ExactScheduler(ClusterScheduler):
                 self._comm_index.pop(key, None)
             else:
                 self._comm_index[key] = old
-        for comm in plan:
-            self.mrt.bus_remove(comm.start)
-            self.comms.remove(comm)
+        if plan:
+            for comm in plan:
+                self.mrt.bus_remove(comm.start)
+            # _apply appended the plan last and every deeper placement is
+            # already reverted, so the plan is the tail of comms.
+            del self.comms[-len(plan) :]
         fu = self._fu[op.instr.uid]
         if fu != NO_FU:
             self.mrt.release(op.start, fu, op.cluster)
 
     # ------------------------------------------------------------------
-    # Windows, pruning and budgets
+    # Windows and pruning
     # ------------------------------------------------------------------
 
-    def _bounds(
-        self, instr, cluster: int, latency: int, ii: int, comp: int
-    ) -> tuple[int, int] | None:
-        """Complete start window for ``instr`` under current placements."""
-        anchor = self._anchor.get(comp)
+    def _window_terms(
+        self, uid: int, anchor: int | None, ii: int
+    ) -> tuple[int, int, list, list]:
+        """Start-window terms of ``uid`` under the current placements.
+
+        Returns ``(lo, hi, pred_terms, succ_terms)``.  ``lo``/``hi`` fold
+        every bound that is the same for all options: the anchor window
+        and the placed neighbours' non-REG edges with a fixed latency.
+        ``pred_terms`` holds ``(low, producer cluster)`` per placed REG
+        predecessor, and ``succ_terms`` ``(high, takes the option's
+        latency, consumer cluster or None)`` per other placed successor
+        edge; ``_dfs`` adds the bus latency to a REG term whose cluster
+        differs from the option's, and subtracts the option's latency
+        from a successor term without a fixed latency.
+        """
+        pred_terms: list[tuple[int, int]] = []
+        succ_terms: list[tuple[int, bool, int | None]] = []
         if anchor is None:
             # First node of its component: any schedule can be shifted by
             # a multiple of II, so II consecutive candidates suffice.
-            base = self._asap[instr.uid] if self._asap is not None else 0
-            return base, base + ii - 1
-        bus = self.config.bus_latency
+            lo = self._asap[uid]
+            return lo, lo + ii - 1, pred_terms, succ_terms
         lo = anchor - self._horizon
         hi = anchor + self._horizon
-        for edge in self.ddg.preds[instr.uid]:
-            if edge.src == instr.uid:
-                continue
-            src_op = self.placed.get(edge.src)
+        placed = self.placed
+        for src, distance, fixed, is_reg in self._preds[uid]:
+            src_op = placed.get(src)
             if src_op is None:
                 continue
-            lat = edge.fixed_latency
-            if lat is None:
-                lat = src_op.latency
-            low = src_op.start + lat - ii * edge.distance
-            if edge.kind is DepKind.REG and src_op.cluster != cluster:
+            low = src_op.start + (src_op.latency if fixed is None else fixed)
+            low -= ii * distance
+            if is_reg:
                 # Optimistic: a fresh transfer can arrive at produce+bus;
                 # _plan_comms verifies an actual bus slot exists.
-                low += bus
-            if low > lo:
+                pred_terms.append((low, src_op.cluster))
+            elif low > lo:
                 lo = low
-        for edge in self.ddg.succs[instr.uid]:
-            if edge.dst == instr.uid:
-                continue
-            dst_op = self.placed.get(edge.dst)
+        for dst, distance, fixed, is_reg in self._succs[uid]:
+            dst_op = placed.get(dst)
             if dst_op is None:
                 continue
-            lat = edge.fixed_latency
-            if lat is None:
-                lat = latency
-            high = dst_op.start + ii * edge.distance - lat
-            if edge.kind is DepKind.REG and dst_op.cluster != cluster:
-                high -= bus
-            if high < hi:
-                hi = high
-        if hi < lo:
-            return None
-        return lo, hi
+            high = dst_op.start + ii * distance
+            if fixed is not None:
+                high -= fixed
+                if not is_reg:
+                    if high < hi:
+                        hi = high
+                    continue
+            succ_terms.append((high, fixed is None, dst_op.cluster if is_reg else None))
+        return lo, hi, pred_terms, succ_terms
 
-    def _self_edges_feasible(self, uid: int, latency: int, ii: int) -> bool:
-        for edge in self._self_edges[uid]:
-            lat = edge.fixed_latency if edge.fixed_latency is not None else latency
-            if lat > ii * edge.distance:
+    @staticmethod
+    def _self_edges_feasible(
+        self_edges: list[tuple[int, int | None]], latency: int, ii: int
+    ) -> bool:
+        for distance, fixed in self_edges:
+            if (latency if fixed is None else fixed) > ii * distance:
                 return False
         return True
-
-    def _charge(self) -> None:
-        self.nodes_explored += 1
-        if self.nodes_explored > self.node_budget:
-            raise BudgetExhausted
 
     # ------------------------------------------------------------------
     # Construction-time helpers

@@ -46,6 +46,20 @@ from .schedule import (
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import ClusterScheduler
 
+#: Instruction kinds the option protocol branches on, bound per uid at
+#: construction.
+_OTHER, _LOAD, _STORE, _PREFETCH_OR_INVAL = range(4)
+
+
+def _kind_of(instr: Instruction) -> int:
+    if instr.opcode in (Opcode.PREFETCH, Opcode.INVAL_L0):
+        return _PREFETCH_OR_INVAL
+    if instr.is_store:
+        return _STORE
+    if instr.is_load:
+        return _LOAD
+    return _OTHER
+
 
 class L0Policy:
     """Memory policy for the proposed architecture (unified L1 + L0 buffers)."""
@@ -84,6 +98,11 @@ class L0Policy:
             i.uid for i in loop.body if i.is_load and is_candidate(i)
         ]
         self._instr = {i.uid: i for i in loop.body}
+        self._kind = {i.uid: _kind_of(i) for i in loop.body}
+        # The config is frozen, so its latencies are per-compile constants.
+        self._l0_latency = config.l0_latency
+        self._l1_latency = config.l1_latency
+        self._store_latency = config.latency_of(Opcode.STORE)
 
         # Step-2 assumption: all candidates start planned at the L0
         # latency (used for MII and the SMS ordering before any attempt).
@@ -104,20 +123,11 @@ class L0Policy:
     def unbounded(self) -> bool:
         return self.config.l0_entries is None
 
-    def _l0(self) -> int:
-        return self.config.l0_latency
-
-    def _l1(self) -> int:
-        return self.config.l1_latency
-
     def _total_free(self) -> float:
         return sum(self.free)
 
-    def _set_state(self, uid: int) -> SetState | None:
-        return self.sets.get(uid)
-
     def planned_latency(self, uid: int) -> int:
-        return self._l0() if uid in self.l0_planned else self._l1()
+        return self._l0_latency if uid in self.l0_planned else self._l1_latency
 
     def _slack_at(self, ddg: DDG, ii: int) -> dict[int, int]:
         """Per-node slack at ``ii`` under the current latency plan.
@@ -179,7 +189,7 @@ class L0Policy:
         if state.decided:
             return
         has_l0_load = any(
-            uid in self.l0_planned and self._instr[uid].is_load
+            uid in self.l0_planned and self._kind[uid] == _LOAD
             for uid in state.members
         )
         if self.allow_psr and has_l0_load:
@@ -204,36 +214,36 @@ class L0Policy:
         for cluster in clusters:
             if cluster not in order and self.free[cluster] >= cost:
                 order.append(cluster)
-        return [(c, self._l0()) for c in order]
+        return [(c, self._l0_latency) for c in order]
 
     def options(
         self, instr: Instruction, clusters: list[int]
     ) -> list[tuple[int, int]]:
-        store_lat = self.config.latency_of(Opcode.STORE)
-        if instr.opcode in (Opcode.PREFETCH, Opcode.INVAL_L0):
-            return [(c, store_lat) for c in clusters]
-        state = self._set_state(instr.uid)
+        kind = self._kind[instr.uid]
+        if kind == _PREFETCH_OR_INVAL:
+            return [(c, self._store_latency) for c in clusters]
+        state = self.sets.get(instr.uid)
         if state is not None:
             self._decide_scheme(state)
 
-        if instr.is_store:
+        if kind == _STORE:
             if (
                 state is not None
                 and state.scheme is CoherenceScheme.ONE_CLUSTER
                 and state.cluster is not None
             ):
-                return [(state.cluster, store_lat)]
-            return [(c, store_lat) for c in clusters]
+                return [(state.cluster, self._store_latency)]
+            return [(c, self._store_latency) for c in clusters]
 
         # Loads --------------------------------------------------------
-        l1_options = [(c, self._l1()) for c in clusters]
+        l1_options = [(c, self._l1_latency) for c in clusters]
         if instr.uid not in self.l0_planned:
             return l1_options
         if state is not None and state.scheme is CoherenceScheme.ONE_CLUSTER:
             if state.cluster is not None:
                 opts: list[tuple[int, int]] = []
                 if self.free[state.cluster] >= self.ENTRIES_PER_STREAM:
-                    opts.append((state.cluster, self._l0()))
+                    opts.append((state.cluster, self._l0_latency))
                 return opts + l1_options
             return self._l0_cluster_options(instr, clusters) + l1_options
         if state is not None and state.scheme is CoherenceScheme.NL0:
@@ -308,9 +318,10 @@ class L0Policy:
     def committed(
         self, instr: Instruction, op: PlacedOp, engine: "ClusterScheduler"
     ) -> bool:
-        state = self._set_state(instr.uid)
-        if instr.is_load:
-            if op.latency == self._l0():
+        kind = self._kind[instr.uid]
+        state = self.sets.get(instr.uid)
+        if kind == _LOAD:
+            if op.latency == self._l0_latency:
                 if not self.unbounded:
                     self.free[op.cluster] -= self.ENTRIES_PER_STREAM
                 if (
@@ -326,7 +337,7 @@ class L0Policy:
                 self.l0_planned.discard(instr.uid)
             self._reassign_latencies(engine)
             return True
-        if instr.is_store:
+        if kind == _STORE:
             if (
                 state is not None
                 and state.scheme is CoherenceScheme.ONE_CLUSTER
@@ -344,14 +355,14 @@ class L0Policy:
         is: it remains a valid — merely possibly suboptimal — constraint
         for the re-placement.
         """
-        instr = op.instr
-        if instr.is_load and op.latency == self._l0():
+        uid = op.instr.uid
+        if self._kind[uid] == _LOAD and op.latency == self._l0_latency:
             if not self.unbounded:
                 self.free[op.cluster] += self.ENTRIES_PER_STREAM
-            self.l0_planned.add(instr.uid)
-            state = self._set_state(instr.uid)
+            self.l0_planned.add(uid)
+            state = self.sets.get(uid)
             if state is not None:
-                state.l0_loads.discard(instr.uid)
+                state.l0_loads.discard(uid)
 
     # ------------------------------------------------------------------
     # Partial store replication
@@ -423,7 +434,7 @@ class L0Policy:
             return []
         by_origin: dict[int, list[PlacedOp]] = {}
         for op in schedule.placed.values():
-            if op.instr.is_load and op.latency == self._l0():
+            if op.instr.is_load and op.latency == self._l0_latency:
                 by_origin.setdefault(op.instr.origin, []).append(op)
         groups: list[list[PlacedOp]] = []
         for members in by_origin.values():
@@ -479,7 +490,7 @@ class L0Policy:
             if not instr.is_memory:
                 continue
             if instr.is_load:
-                if op.latency != self._l0():
+                if op.latency != self._l0_latency:
                     op.hints = HintBundle(access=AccessHint.NO_ACCESS)
                     continue
                 access = (
@@ -540,7 +551,7 @@ class L0Policy:
         return PrefetchHint.NONE, True
 
     def _store_hints(self, instr: Instruction) -> HintBundle:
-        state = self._set_state(instr.uid)
+        state = self.sets.get(instr.uid)
         if state is None:
             return HintBundle(access=AccessHint.NO_ACCESS)
         if state.scheme is CoherenceScheme.ONE_CLUSTER and state.l0_loads:

@@ -41,7 +41,9 @@ class ModuloReservationTable:
         )
         self.bus_capacity = config.n_buses
         self._fu = [[[0] * ii for _ in range(self.n_clusters)] for _ in FU_CLASSES]
-        self._bus = [0] * ii
+        #: Buses booked in each kernel row.  The bus-slot search reads it
+        #: directly; only the ``bus_*`` methods write it.
+        self.bus_booked = [0] * ii
 
     # Functional units by table index (unchecked) -------------------------
 
@@ -91,19 +93,19 @@ class ModuloReservationTable:
     # The shared bus pool -------------------------------------------------
 
     def bus_free(self, cycle: int) -> int:
-        return self.bus_capacity - self._bus[cycle % self.ii]
+        return self.bus_capacity - self.bus_booked[cycle % self.ii]
 
     def bus_can_place(self, cycle: int) -> bool:
-        return self._bus[cycle % self.ii] < self.bus_capacity
+        return self.bus_booked[cycle % self.ii] < self.bus_capacity
 
     def bus_place(self, cycle: int) -> None:
         row = cycle % self.ii
-        if self._bus[row] >= self.bus_capacity:
+        if self.bus_booked[row] >= self.bus_capacity:
             raise ValueError(f"resource bus full at row {row}")
-        self._bus[row] += 1
+        self.bus_booked[row] += 1
 
     def bus_remove(self, cycle: int) -> None:
         row = cycle % self.ii
-        if self._bus[row] <= 0:
+        if self.bus_booked[row] <= 0:
             raise ValueError(f"resource bus not placed at row {row}")
-        self._bus[row] -= 1
+        self.bus_booked[row] -= 1

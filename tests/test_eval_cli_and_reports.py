@@ -38,6 +38,13 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    @pytest.mark.parametrize("budget", ["0", "-3", "many"])
+    def test_exact_budget_below_one_is_a_usage_error(self, budget, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["schedcompare", "--benchmarks", "gsmenc", "--exact-budget", budget])
+        assert exc.value.code == 2
+        assert "argument --exact-budget" in capsys.readouterr().err
+
     def test_gc_max_bytes_bounds_both_stores(self, tmp_path, capsys):
         rc = main(
             [

@@ -257,6 +257,14 @@ def test_fuzz_cli_run_replay_stats_roundtrip(tmp_path, capsys):
     assert fuzz_main(["replay", "--dir", str(corpus), "--min", "2"]) == 0
 
 
+@pytest.mark.parametrize("command", ["run", "replay", "shrink"])
+def test_fuzz_cli_exact_budget_below_one_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        fuzz_main([command, "--exact-budget", "0"])
+    assert exc.value.code == 2
+    assert "argument --exact-budget" in capsys.readouterr().err
+
+
 def test_fuzz_cli_fault_drill_writes_a_shrunk_repro(tmp_path):
     repros = tmp_path / "repros"
     rc = fuzz_main(

@@ -84,6 +84,26 @@ class TestPassManager:
             artifact.compiled()
 
 
+class TestCompileOptions:
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"exact_node_budget": 0},
+            {"exact_node_budget": -5},
+            {"exact_max_stages": 0},
+            {"exact_max_stages": -1},
+        ],
+    )
+    def test_exact_search_limits_below_one_rejected(self, knobs):
+        (name,) = knobs
+        with pytest.raises(ValueError, match=name):
+            CompileOptions(**knobs)
+
+    def test_smallest_exact_search_limits_accepted(self):
+        options = CompileOptions(exact_node_budget=1, exact_max_stages=1)
+        assert (options.exact_node_budget, options.exact_max_stages) == (1, 1)
+
+
 class TestCacheKey:
     def test_stable_across_equal_values(self):
         assert cache_key("g721dec", l0_config(8), SimOptions()) == cache_key(
