@@ -1,10 +1,11 @@
 """``python -m repro.analysis`` — audit on-disk artifacts, run the lint.
 
 * ``audit`` (the default): open the compile-artifact store, certify
-  every artifact the manifest lists through the full checker stack, and
-  report findings by stable code.  Exits 1 when any *blocking* finding
-  (severity above NOTE) survives, or when ``--min`` artifacts were not
-  audited — so a CI lane cannot silently pass against an empty cache.
+  every artifact in it through the full checker stack, and report
+  findings by stable code, labelled with each artifact's loop and
+  scheduler.  Exits 1 when any *blocking* finding (severity above
+  NOTE) survives, or when ``--min`` artifacts were not audited — so a
+  CI lane cannot silently pass against an empty cache.
 * ``lint``: run the project's AST lint (A101-A103) over source trees;
   exits 1 on any finding.
 """
@@ -31,9 +32,8 @@ def audit_compile_store(
         echo(f"no compile-cache directory at {path}", file=sys.stderr)
         return 1 if min_artifacts else 0
     cache = CompiledLoopCache(path)
-    entries = cache.store.entries()
     audited = flagged = notes = 0
-    for key in sorted(entries):
+    for key in sorted(cache.store.entries()):
         compiled = cache.get(key)
         if compiled is None:
             continue  # torn/corrupt entry: `repro.cache verify` territory
@@ -43,17 +43,15 @@ def audit_compile_store(
         advisories = [d for d in diagnostics if not d.blocking]
         notes += len(advisories)
         if blockers or advisories:
-            desc = entries[key].description or {}
             verdict = "FLAGGED" if blockers else "certified"
             echo(
-                f"{verdict} {key[:12]} loop={desc.get('loop', '?')} "
-                f"scheduler={desc.get('scheduler', '?')}"
+                f"{verdict} {key[:12]} loop={compiled.loop.name} "
+                f"scheduler={compiled.schedule.meta.get('scheduler', '?')}"
             )
             for d in blockers + advisories:
                 echo("  " + d.render())
         if blockers:
             flagged += 1
-    cache.flush()
     echo(
         f"{audited} artifacts audited: {audited - flagged} certified, "
         f"{flagged} flagged, {notes} notes"

@@ -4,12 +4,11 @@
 directories the pipeline persists — the result store (``ResultCache``,
 ``<key>.json``), the compile-artifact store (``CompiledLoopCache``,
 ``<key>.pkl``) and the fuzz-job store (``repro.fuzz.FuzzStore``,
-``<key>.json``) — through their shared manifest/GC machinery:
+``<key>.json``) — through their shared ``KeyedFileStore``:
 
-* ``stats``  — entry counts, bytes, fingerprint breakdown per store;
-* ``ls``     — per-entry listing (size, age, last hit, description);
-* ``gc``     — bound the directories (``--max-bytes``, LRU by last
-  hit) and orphan-sweep entries from other code fingerprints;
+* ``stats``  — entry count, bytes and recency range per store;
+* ``gc``     — bound each directory to ``--max-bytes``, evicting the
+  least recently used entries (oldest file mtime) first;
 * ``verify`` — decode-check every entry and drop the corrupt,
   including result entries in any layout or schema other than the
   current one (exit 1 if anything was corrupt, so CI can assert a
@@ -18,22 +17,32 @@ directories the pipeline persists — the result store (``ResultCache``,
 The directories default to the names CI persists (``.result-cache``,
 ``.compile-cache``, ``.fuzz-cache``); a missing directory is skipped,
 never created.  Every store is one flat directory of ``<key><suffix>``
-files under one ``manifest.json`` (``KeyedFileStore``).
+files; a file's mtime is its entry's recency (written or last hit).
+``gc`` is the one way to bound a store: every key mixes the code
+fingerprint, so entries written by other code versions are never hit
+again and are the first the size cap evicts.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 import time
 from pathlib import Path
 
 from ..pipeline.artifact import CompileOptions
-from ..pipeline.cache import ResultCache, code_fingerprint
+from ..pipeline.cache import ResultCache
 from ..pipeline.compilecache import CompiledLoopCache
+from ..sim.runner import SimOptions
 
 _SIZE_UNITS = {"": 1, "K": 1024, "M": 1024**2, "G": 1024**3}
+
+
+def _finite_non_negative(value: float, text: str) -> float:
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a finite value >= 0: {text!r}")
+    return value
 
 
 def parse_size(text: str) -> int:
@@ -41,10 +50,19 @@ def parse_size(text: str) -> int:
     raw = str(text).strip().upper().removesuffix("B")
     unit = raw[-1:] if raw[-1:] in ("K", "M", "G") else ""
     try:
-        value = float(raw.removesuffix(unit)) if unit else float(raw)
+        value = float(raw.removesuffix(unit)) * _SIZE_UNITS[unit]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a size: {text!r}") from None
-    return int(value * _SIZE_UNITS[unit])
+    return int(_finite_non_negative(value, text))
+
+
+def parse_age(text: str) -> float:
+    """A ``--min-age`` in seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number of seconds: {text!r}") from None
+    return _finite_non_negative(value, text)
 
 
 def parse_exact_budget(text: str) -> int:
@@ -52,6 +70,15 @@ def parse_exact_budget(text: str) -> int:
     a bad value is a usage error before any job runs."""
     try:
         return CompileOptions(exact_node_budget=int(text)).exact_node_budget
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def parse_sim_cap(text: str) -> int:
+    """A ``--sim-cap`` that ``SimOptions`` accepts, so a bad value is a
+    usage error before anything compiles."""
+    try:
+        return SimOptions(sim_cap=int(text)).sim_cap
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -103,64 +130,29 @@ def open_stores(args) -> list[tuple[str, object]]:
 
 
 def cmd_stats(args) -> int:
-    current = code_fingerprint()
+    now = time.time()
     for label, cache in open_stores(args):
         store = cache.store
         entries = store.entries()
-        total = sum(e.size for e in entries.values())
-        by_fp: dict[str, int] = {}
-        for e in entries.values():
-            name = e.fingerprint or "unknown"
-            by_fp[name] = by_fp.get(name, 0) + 1
+        total = sum(stat.st_size for stat in entries.values())
         print(f"{label}: {store.path}")
         print(f"  entries: {len(entries)}  bytes: {total} ({format_size(total)})")
-        for fp, count in sorted(by_fp.items(), key=lambda kv: -kv[1]):
-            tag = " (current)" if fp == current else ""
-            print(f"  fingerprint {fp}{tag}: {count} entries")
         if entries:
-            now = time.time()
-            newest = max(e.last_hit for e in entries.values())
-            oldest = min(e.last_hit for e in entries.values())
+            mtimes = [stat.st_mtime for stat in entries.values()]
             print(
-                f"  last hit: newest {_age(now - newest)} ago, "
-                f"oldest {_age(now - oldest)} ago"
-            )
-    return 0
-
-
-def cmd_ls(args) -> int:
-    current = code_fingerprint()
-    now = time.time()
-    for label, cache in open_stores(args):
-        entries = sorted(cache.store.entries().values(), key=lambda e: -e.last_hit)
-        print(f"{label}: {cache.store.path} ({len(entries)} entries)")
-        for e in entries:
-            fp = "current" if e.fingerprint == current else (e.fingerprint or "unknown")
-            desc = ""
-            if e.description is not None:
-                desc = " " + json.dumps(
-                    e.description, sort_keys=True, separators=(",", ":")
-                )
-            print(
-                f"  {e.key[:12]}  {format_size(e.size):>10}  "
-                f"hit {_age(now - e.last_hit):>5} ago  [{fp}]{desc}"
+                f"  last used: newest {_age(now - max(mtimes))} ago, "
+                f"oldest {_age(now - min(mtimes))} ago"
             )
     return 0
 
 
 def cmd_gc(args) -> int:
-    keep = None if args.all_fingerprints else {code_fingerprint()}
     for label, cache in open_stores(args):
-        report = cache.gc(
-            max_bytes=args.max_bytes,
-            keep_fingerprints=keep,
-            min_age_s=args.min_age,
-        )
+        report = cache.gc(max_bytes=args.max_bytes, min_age_s=args.min_age)
         print(
             f"{label}: {report.entries_before} entries "
             f"({format_size(report.bytes_before)}) -> {report.entries_after} "
-            f"({format_size(report.bytes_after)}); evicted {len(report.evicted)}, "
-            f"orphans {len(report.orphans)}"
+            f"({format_size(report.bytes_after)}); evicted {len(report.evicted)}"
         )
     return 0
 
@@ -203,28 +195,21 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("stats", help="entry counts, bytes, fingerprints")
-    sub.add_parser("ls", help="list entries with manifest descriptions")
+    sub.add_parser("stats", help="entry counts, bytes, recency range")
 
-    gc = sub.add_parser("gc", help="bound the stores (LRU + orphan sweep)")
+    gc = sub.add_parser("gc", help="bound the stores (LRU by file mtime)")
     gc.add_argument(
         "--max-bytes",
         type=parse_size,
-        default=None,
-        help="evict least-recently-hit entries until each store fits "
+        required=True,
+        help="evict least recently used entries until each store fits "
         "(accepts K/M/G suffixes, e.g. 200M)",
     )
     gc.add_argument(
-        "--all-fingerprints",
-        action="store_true",
-        help="keep entries from other code fingerprints (default: "
-        "orphan-sweep them — their keys can never hit again)",
-    )
-    gc.add_argument(
         "--min-age",
-        type=float,
+        type=parse_age,
         default=60.0,
-        help="never evict entries younger than this many seconds "
+        help="never evict entries written or hit within this many seconds "
         "(grace period for concurrent writers)",
     )
 
@@ -244,7 +229,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handler = {
         "stats": cmd_stats,
-        "ls": cmd_ls,
         "gc": cmd_gc,
         "verify": cmd_verify,
     }[args.command]

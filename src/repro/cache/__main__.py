@@ -1,4 +1,4 @@
-"""Entry point: ``python -m repro.cache <stats|ls|gc|verify>``."""
+"""Entry point: ``python -m repro.cache <stats|gc|verify>``."""
 
 import os
 import sys

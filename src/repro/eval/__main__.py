@@ -16,7 +16,7 @@ import argparse
 import sys
 import time
 
-from ..cache import parse_exact_budget, parse_size
+from ..cache import parse_exact_budget, parse_sim_cap
 from ..sim.runner import SimOptions
 from . import (
     ExperimentContext,
@@ -63,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--sim-cap",
-        type=int,
+        type=parse_sim_cap,
         default=1500,
         help="max kernel iterations simulated per loop invocation",
     )
@@ -106,13 +106,6 @@ def main(argv: list[str] | None = None) -> int:
         help="node budget (placement trials) for the exact scheduler "
         "before it falls back to SMS",
     )
-    parser.add_argument(
-        "--gc-max-bytes",
-        type=parse_size,
-        default=None,
-        help="after the run, bound each on-disk cache to this many bytes "
-        "(LRU by last hit; accepts K/M/G suffixes, e.g. 200M)",
-    )
     args = parser.parse_args(argv)
 
     compile_kwargs = {}
@@ -130,7 +123,6 @@ def main(argv: list[str] | None = None) -> int:
         workers=args.workers,
         cache_dir=args.cache_dir,
         compile_cache_dir=args.compile_cache_dir,
-        gc_max_bytes=args.gc_max_bytes,
     )
 
     started = time.time()
@@ -200,17 +192,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{compile_stats.full_disk_hits} from disk)]"
         )
     print(trailer, file=sys.stderr)
-
-    # Teardown: flush buffered manifest recency and — with
-    # --gc-max-bytes — bound both on-disk stores, so a persisted CI
-    # cache cannot grow without limit (one implementation: the
-    # session's own close()).
-    for report in session.close():
-        print(
-            f"[gc {report.path or 'memory'}: {report.entries_before} -> "
-            f"{report.entries_after} entries, {report.bytes_after} bytes]",
-            file=sys.stderr,
-        )
     return 0
 
 

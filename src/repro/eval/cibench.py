@@ -41,6 +41,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from ..cache import parse_sim_cap
 from ..isa.memory_access import MemoryLayout
 from ..machine.config import l0_config, unified_config
 from ..pipeline.cache import code_fingerprint
@@ -110,7 +111,6 @@ def _run_phase(
     timings["fig5_s"] = time.perf_counter() - t0
     simulations = ctx.session.simulations
     cache_hits = ctx.session.cache_hits
-    ctx.session.close()
 
     if sched_benchmarks:
         sched_ctx = ExperimentContext(
@@ -128,7 +128,6 @@ def _run_phase(
         # simulating workload must not slip past the check).
         simulations += sched_ctx.session.simulations
         cache_hits += sched_ctx.session.cache_hits
-        sched_ctx.session.close()
 
     after = _compile_counters(compile_dir)
     summary = {
@@ -267,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         default=["gsmenc"],
         help="schedcompare subset (empty list disables the oracle pass)",
     )
-    parser.add_argument("--sim-cap", type=int, default=150)
+    parser.add_argument("--sim-cap", type=parse_sim_cap, default=150)
     parser.add_argument(
         "--root",
         default=None,

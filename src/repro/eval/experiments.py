@@ -67,7 +67,6 @@ class ExperimentContext:
     workers: int | None = None  # None/0/1 serial, N processes, -1 all cores
     cache_dir: str | Path | None = None
     compile_cache_dir: str | Path | None = None
-    gc_max_bytes: int | None = None  # bound both stores on session.close()
     session: Session = None  # type: ignore[assignment] - filled in post-init
 
     def __post_init__(self) -> None:
@@ -84,19 +83,17 @@ class ExperimentContext:
                 options=self.options,
                 cache=ResultCache(self.cache_dir),
                 workers=self.workers,
-                gc_max_bytes=self.gc_max_bytes,
             )
         else:
             if (
                 self.workers is not None
                 or self.cache_dir is not None
                 or self.compile_cache_dir is not None
-                or self.gc_max_bytes is not None
             ):
                 raise ValueError(
-                    "workers/cache_dir/compile_cache_dir/gc_max_bytes "
-                    "configure the context's own session; set them on "
-                    "the explicit Session instead"
+                    "workers/cache_dir/compile_cache_dir configure the "
+                    "context's own session; set them on the explicit "
+                    "Session instead"
                 )
             if self.options is not None and self.options != self.session.options:
                 raise ValueError(

@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from ..cache import parse_exact_budget
+from ..pipeline.cache import _is_key
 from ..workloads.generator import PROFILES
 from .checks import CHECKS, FAULTS, FuzzOptions
 from .corpus import edge_kernel_ids, resolve_kernel, seed_kernel_ids
@@ -219,7 +220,7 @@ def cmd_stats(args) -> int:
     total = clean = mismatched = skipped = foreign = 0
     by_config: dict[str, int] = {}
     for file in sorted(path.glob("*.json")):
-        if file.name == "manifest.json":
+        if not _is_key(file.stem):
             continue
         try:
             entry = json.loads(file.read_text())

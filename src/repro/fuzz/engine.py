@@ -202,23 +202,13 @@ def run_jobs(
         chunk = pending[cursor : cursor + chunk_size]
         cursor += len(chunk)
         entries = executor.map([(job, options) for _, job in chunk], execute_job)
-        for (key, job), entry in zip(chunk, entries):
+        for (key, _), entry in zip(chunk, entries):
             report.executed += 1
             report.skipped_checks += len(entry.get("skipped", []))
             if store is not None:
-                store.put(
-                    key,
-                    entry,
-                    description={
-                        "kernel": job.kernel_id,
-                        "config": job.config_name,
-                        "checks": ",".join(sorted(job.checks)),
-                    },
-                )
+                store.put(key, entry)
             if entry.get("mismatches"):
                 report.mismatched.append(entry)
     report.not_run = len(pending) - cursor
-    if store is not None:
-        store.flush()
     report.wall_s = time.monotonic() - started
     return report

@@ -9,8 +9,8 @@ unchanged — repeat nights skip already-clean jobs, and any source edit
 transparently invalidates everything it could have affected.
 
 Built on the same :class:`~repro.pipeline.cache.KeyedFileStore` as the
-result and compile stores, so the manifest/GC/verify machinery (and the
-``python -m repro.cache`` maintenance CLI) covers all three.
+result and compile stores, so its gc/verify (and the
+``python -m repro.cache`` maintenance CLI) cover all three.
 """
 
 from __future__ import annotations
@@ -19,8 +19,13 @@ import hashlib
 import json
 from pathlib import Path
 
-from ..pipeline.cache import KeyedFileStore, _canonical, code_fingerprint
-from ..pipeline.manifest import GCReport, VerifyReport
+from ..pipeline.cache import (
+    GCReport,
+    KeyedFileStore,
+    VerifyReport,
+    _canonical,
+    code_fingerprint,
+)
 
 #: On-disk fuzz-entry layout version.
 FUZZ_SCHEMA_VERSION = 1
@@ -67,7 +72,7 @@ def job_store_key(
 
 class FuzzStore:
     """Facade over the keyed file store, shaped like the other caches
-    so ``repro.cache``'s stats/ls/gc/verify drive it unchanged."""
+    so ``repro.cache``'s stats/gc/verify drive it unchanged."""
 
     def __init__(self, path: str | Path) -> None:
         self._store = KeyedFileStore(path, ".json", _encode_entry, _decode_entry)
@@ -79,11 +84,8 @@ class FuzzStore:
     def get(self, key: str) -> dict | None:
         return self._store.load(key)
 
-    def put(self, key: str, entry: dict, *, description: dict | None = None) -> None:
-        self._store.save(key, entry, description=description)
-
-    def flush(self) -> None:
-        self._store.flush()
+    def put(self, key: str, entry: dict) -> None:
+        self._store.save(key, entry)
 
     def gc(self, **kwargs) -> GCReport:
         return self._store.gc(**kwargs)

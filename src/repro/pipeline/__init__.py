@@ -13,7 +13,10 @@ Four layers, consumed bottom-up by the rest of the stack:
   wrapper over :func:`compile_cached`.
 * **Result cache** (:mod:`.cache`) — content-addressed
   ``(benchmark, MachineConfig, SimOptions)`` -> :class:`ProgramResult`
-  store with an optional on-disk JSON mirror.
+  store with an optional on-disk JSON mirror.  Every on-disk store is a
+  :class:`KeyedFileStore`: one flat directory of ``<key><suffix>``
+  files, whose mtimes are the LRU signal ``python -m repro.cache gc``
+  evicts by.
 * **Executor + session** (:mod:`.executor`, :mod:`.fleet`,
   :mod:`.session`) — serial or process-parallel fan-out of simulation
   requests over a supervised worker fleet, behind the cache;
@@ -28,8 +31,10 @@ from .artifact import (
 )
 from .cache import (
     RESULT_SCHEMA_VERSION,
+    GCReport,
     KeyedFileStore,
     ResultCache,
+    VerifyReport,
     cache_key,
     code_fingerprint,
     decode_result,
@@ -58,7 +63,6 @@ from .executor import (
     make_executor,
 )
 from .fleet import JobFailure, JobFailureError
-from .manifest import GCReport, ManifestEntry, StoreManifest, VerifyReport
 from .passes import (
     DEFAULT_PIPELINE,
     SCHEDULER_PASSES,
@@ -85,7 +89,6 @@ __all__ = [
     "JobFailure",
     "JobFailureError",
     "KeyedFileStore",
-    "ManifestEntry",
     "ParallelExecutor",
     "Pass",
     "PassManager",
@@ -96,7 +99,6 @@ __all__ = [
     "RunRequest",
     "SerialExecutor",
     "Session",
-    "StoreManifest",
     "VerifyReport",
     "available_passes",
     "cache_key",

@@ -20,13 +20,12 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from ..machine.config import MachineConfig
 from ..sim.runner import SimOptions
 from ..sim.stats import ProgramResult
-from .manifest import GCReport, ManifestEntry, StoreManifest, VerifyReport, _is_key
 
 
 def _canonical(value):
@@ -176,7 +175,7 @@ def result_schema_digest() -> str:
 
 
 def _non_defaults(value, *, skip=(), structured=lambda v: "non-default") -> dict:
-    """Manifest-compact field diff of a default-constructible dataclass.
+    """Compact field diff of a default-constructible dataclass.
 
     Scalar fields differing from the default are emitted verbatim;
     structured ones go through ``structured``.  Fields tagged
@@ -199,22 +198,54 @@ def _non_defaults(value, *, skip=(), structured=lambda v: "non-default") -> dict
 
 
 def describe_config(config: MachineConfig) -> dict:
-    """Human-readable, compact rendering of a config for the manifest:
+    """Human-readable, compact rendering of a config for error records:
     the architecture plus every non-default field (structured fields —
-    op_latencies — would bloat every row and are just flagged)."""
+    op_latencies — would bloat every record and are just flagged)."""
     return {"arch": config.arch.value, **_non_defaults(config, skip=("arch",))}
 
 
 def describe_options(options) -> dict:
-    """Non-default fields of ``SimOptions``/``CompileOptions`` for the
-    manifest; small structured values (compile_kwargs) are rendered."""
+    """Non-default fields of ``SimOptions``/``CompileOptions`` for error
+    records; small structured values (compile_kwargs) are rendered."""
     return _non_defaults(options, structured=lambda v: str(_canonical(v)))
+
+
+@dataclass
+class GCReport:
+    """What one :meth:`KeyedFileStore.gc` call found and removed."""
+
+    entries_before: int = 0
+    bytes_before: int = 0
+    entries_after: int = 0
+    bytes_after: int = 0
+    #: keys removed by the size cap, oldest mtime first
+    evicted: list[str] = field(default_factory=list)
+
+
+@dataclass
+class VerifyReport:
+    """What one :meth:`KeyedFileStore.verify` pass found."""
+
+    ok: int = 0
+    #: keys whose file failed to decode and was dropped
+    corrupt: list[str] = field(default_factory=list)
+
+
+def _is_key(stem: str) -> bool:
+    """Whether a filename stem is one of our sha256 content keys."""
+    return len(stem) == 64 and all(c in "0123456789abcdef" for c in stem)
 
 
 class KeyedFileStore:
     """On-disk store of content-keyed entries, shared by the result,
-    compile and fuzz caches: one ``path/<key><suffix>`` file per entry,
-    under one sidecar manifest.
+    compile and fuzz caches: one ``path/<key><suffix>`` file per entry.
+
+    The directory is the whole store.  A file's size is the entry's
+    size and its mtime the entry's recency: a save writes the file and
+    a disk hit refreshes its mtime, so :meth:`gc` can evict least
+    recently used entries from one directory scan.  Nothing is
+    buffered, so there is nothing to flush: another store on the same
+    directory, in this process or another, sees every save at once.
 
     Concurrency contract (multiple processes may share one directory):
     writes go to a per-process tmp name and are installed by atomic
@@ -230,10 +261,13 @@ class KeyedFileStore:
         self.suffix = suffix
         self._encode = encode  # value -> bytes
         self._decode = decode  # bytes -> value (raises on corruption)
-        self.manifest = StoreManifest(self.path, suffix)
 
     def _file(self, key: str) -> Path:
         return self.path / f"{key}{self.suffix}"
+
+    def _entry_files(self) -> list[Path]:
+        """The key-named files: the entries (nothing else is ours)."""
+        return [f for f in self.path.glob(f"*{self.suffix}") if _is_key(f.stem)]
 
     def load(self, key: str):
         file = self._file(key)
@@ -248,140 +282,86 @@ class KeyedFileStore:
                 file.unlink(missing_ok=True)
             except OSError:
                 pass
-            self.manifest.forget(key)
-            self.manifest.flush()
             return None
-        self.manifest.touch(key)
+        try:
+            os.utime(file)  # the hit makes the entry recent (the LRU signal)
+        except OSError:
+            pass  # removed since the read (concurrent gc/clear): still a hit
         return value
 
-    def save(self, key: str, value, *, description: dict | None = None) -> None:
+    def save(self, key: str, value) -> None:
         # Persistence is best-effort: callers already serve the value
         # from memory, so a disk failure must not abort the sweep.
         tmp = self.path / f".{key}.{os.getpid()}.tmp"
         try:
-            blob = self._encode(value)
-            tmp.write_bytes(blob)
+            tmp.write_bytes(self._encode(value))
             tmp.replace(self._file(key))
         except OSError:
             try:
                 tmp.unlink(missing_ok=True)
             except OSError:
                 pass
-            return
-        self.manifest.record(
-            key,
-            size=len(blob),
-            fingerprint=code_fingerprint(),
-            description=description,
-        )
 
     def clear(self) -> None:
         """Remove all entries — only files this store wrote, never the
         directory's unrelated contents."""
-        for file in self.path.glob(f"*{self.suffix}"):
-            if _is_key(file.stem):
-                file.unlink(missing_ok=True)
+        for file in self._entry_files():
+            file.unlink(missing_ok=True)
         # Orphaned tmp files from writers killed mid-save.
         for tmp in self.path.glob(".*.tmp"):
             if _is_key(tmp.name[1:].split(".")[0]):
                 tmp.unlink(missing_ok=True)
-        self.manifest.reset()
 
     # -- introspection and maintenance ----------------------------------
 
-    def flush(self) -> None:
-        """Persist buffered manifest updates (recency hits, new rows)."""
-        self.manifest.flush()
+    def entries(self) -> dict[str, os.stat_result]:
+        """``{key: stat}`` for every entry, from one directory scan:
+        ``st_size`` is the entry's size and ``st_mtime`` its recency
+        (when it was written or last hit)."""
+        out: dict[str, os.stat_result] = {}
+        for file in self._entry_files():
+            try:
+                out[file.stem] = file.stat()
+            except OSError:  # vanished under us (concurrent clear/gc)
+                continue
+        return out
 
-    def entries(self) -> dict[str, ManifestEntry]:
-        """Manifest view reconciled against the directory (see
-        :meth:`StoreManifest.entries`)."""
-        return self.manifest.entries()
+    def gc(self, *, max_bytes: int, min_age_s: float = 0.0) -> GCReport:
+        """Evict least recently used entries until the store fits
+        ``max_bytes``; returns what was removed.
 
-    def total_bytes(self) -> int:
-        return sum(e.size for e in self.entries().values())
-
-    def gc(
-        self,
-        *,
-        max_bytes: int | None = None,
-        keep_fingerprints=None,
-        min_age_s: float = 0.0,
-    ) -> GCReport:
-        """Garbage-collect the directory; returns what was removed.
-
-        Two policies, both opt-in per call:
-
-        * **Orphan sweep** — with ``keep_fingerprints`` (an iterable of
-          code fingerprints, usually ``{code_fingerprint()}``), entries
-          *known* to have been written by any other fingerprint are
-          removed: their keys mix the writer's fingerprint, so no
-          current run can ever hit them again.  Entries with an
-          *unknown* fingerprint (pre-manifest files, rebuilt manifests)
-          are conservatively kept — only the size cap can reclaim them.
-        * **LRU size cap** — with ``max_bytes``, least-recently-hit
-          entries are evicted until the directory fits.  Entries
-          younger than ``min_age_s`` are skipped (grace period for
-          concurrent writers), so the cap is a target, not a guarantee.
+        Entries go oldest mtime first.  Entries written or hit within
+        the last ``min_age_s`` seconds are spared (a grace period for
+        concurrent writers), so the cap is a target, not a guarantee.
 
         Concurrent safety: eviction unlinks only *installed* files;
         in-flight ``.tmp`` writes are never touched, and a concurrent
         writer's atomic rename simply reinstalls its entry.
         """
-        manifest = self.manifest
-        manifest.flush()
-        entries = manifest.entries()
-        report = GCReport(
-            path=str(self.path),
-            entries_before=len(entries),
-            bytes_before=sum(e.size for e in entries.values()),
-        )
-
-        def _drop(key: str) -> bool:
+        entries = self.entries()
+        total = sum(stat.st_size for stat in entries.values())
+        report = GCReport(entries_before=len(entries), bytes_before=total)
+        now = time.time()
+        by_lru = sorted(entries.items(), key=lambda item: (item[1].st_mtime, item[0]))
+        for key, stat in by_lru:
+            if total <= max_bytes:
+                break
+            if now - stat.st_mtime < min_age_s:
+                continue
             try:
                 self._file(key).unlink(missing_ok=True)
             except OSError:
-                return False
-            manifest.forget(key)
-            return True
-
-        if keep_fingerprints is not None:
-            keep = set(keep_fingerprints)
-            for key, entry in list(entries.items()):
-                known_foreign = (
-                    entry.fingerprint is not None and entry.fingerprint not in keep
-                )
-                if known_foreign and _drop(key):
-                    report.orphans.append(key)
-                    del entries[key]
-
-        if max_bytes is not None:
-            total = sum(e.size for e in entries.values())
-            now = time.time()
-            by_lru = sorted(
-                entries.values(), key=lambda e: (e.last_hit, e.created, e.key)
-            )
-            for entry in by_lru:
-                if total <= max_bytes:
-                    break
-                if now - entry.created < min_age_s:
-                    continue
-                if _drop(entry.key):
-                    report.evicted.append(entry.key)
-                    total -= entry.size
-
-        manifest.rewrite()
-        remaining = manifest.entries()
-        report.entries_after = len(remaining)
-        report.bytes_after = sum(e.size for e in remaining.values())
+                continue
+            report.evicted.append(key)
+            total -= stat.st_size
+        report.entries_after = len(entries) - len(report.evicted)
+        report.bytes_after = total
         return report
 
     def verify(self) -> VerifyReport:
         """Decode every entry; drop the corrupt."""
-        report = VerifyReport(path=str(self.path))
-        for file in sorted(self.path.glob(f"*{self.suffix}")):
-            if not _is_key(file.stem):
-                continue
+        report = VerifyReport()
+        for file in sorted(self._entry_files()):
             try:
                 data = file.read_bytes()
             except OSError:  # vanished under a concurrent clear/gc
@@ -393,11 +373,9 @@ class KeyedFileStore:
                     file.unlink(missing_ok=True)
                 except OSError:
                     pass
-                self.manifest.forget(file.stem)
                 report.corrupt.append(file.stem)
             else:
                 report.ok += 1
-        self.manifest.rewrite()
         return report
 
 
@@ -450,12 +428,10 @@ class ResultCache:
                 self._memory[key] = result
         return result
 
-    def put(
-        self, key: str, result: ProgramResult, *, description: dict | None = None
-    ) -> None:
+    def put(self, key: str, result: ProgramResult) -> None:
         self._memory[key] = result
         if self._store is not None:
-            self._store.save(key, result, description=description)
+            self._store.save(key, result)
 
     def clear(self) -> None:
         """Drop all entries — only files this cache wrote."""
@@ -464,11 +440,6 @@ class ResultCache:
             self._store.clear()
 
     # -- maintenance (no-ops for the memory-only cache) ------------------
-
-    def flush(self) -> None:
-        """Persist any buffered manifest updates (recency hits)."""
-        if self._store is not None:
-            self._store.flush()
 
     def gc(self, **kwargs) -> GCReport:
         if self._store is None:

@@ -7,9 +7,10 @@ identical inputs many times.  This module memoises each full artifact
 under a content hash of the whole triple (plus the code fingerprint),
 with the same in-memory + optional on-disk layout as
 :class:`~repro.pipeline.cache.ResultCache` (one file per key, atomic
-writes, corrupt entry == miss).  The disk store uses pickle: a
-``CompiledLoop`` is a closed graph of plain dataclasses and round-trips
-exactly.
+writes, corrupt entry == miss, a disk hit refreshes the file's mtime).
+The disk store uses pickle: a ``CompiledLoop`` is a closed graph of
+plain dataclasses and round-trips exactly.  Nothing bounds the store
+but ``python -m repro.cache gc``, which evicts oldest mtime first.
 
 A miss runs the scheduler's whole pass pipeline, the
 architecture-neutral unroll/memdep/DDG frontend included, even though
@@ -38,14 +39,7 @@ from pathlib import Path
 from ..ir.loop import Loop
 from ..machine.config import MachineConfig
 from .artifact import CompileOptions
-from .cache import (
-    KeyedFileStore,
-    _canonical,
-    code_fingerprint,
-    describe_config,
-    describe_options,
-)
-from .manifest import GCReport, VerifyReport
+from .cache import GCReport, KeyedFileStore, VerifyReport, _canonical, code_fingerprint
 from .passes import PassManager, scheduler_pipeline
 
 
@@ -78,7 +72,7 @@ class CompileCacheStats:
     full_hits: int = 0
     full_misses: int = 0
     #: Subset of ``full_hits`` served from the on-disk store (a disk hit
-    #: also records recency in the store manifest — the LRU signal).
+    #: also refreshes the entry file's mtime — the LRU signal).
     full_disk_hits: int = 0
 
     @property
@@ -138,7 +132,7 @@ class CompiledLoopCache:
     def get(self, key: str):
         blob = self._artifacts.get(key)
         if blob is None and self._store is not None:
-            blob = self._store.load(key)  # records recency in the manifest
+            blob = self._store.load(key)  # refreshes the entry's mtime
             if blob is not None:
                 self._artifacts[key] = blob
                 self.stats.full_disk_hits += 1
@@ -146,11 +140,11 @@ class CompiledLoopCache:
             return None
         return pickle.loads(blob)
 
-    def put(self, key: str, compiled, *, description: dict | None = None) -> None:
+    def put(self, key: str, compiled) -> None:
         blob = pickle.dumps(compiled)
         self._artifacts[key] = blob
         if self._store is not None:
-            self._store.save(key, blob, description=description)
+            self._store.save(key, blob)
 
     # -- maintenance ----------------------------------------------------
 
@@ -163,11 +157,6 @@ class CompiledLoopCache:
         self._artifacts.clear()
         if self._store is not None:
             self._store.clear()
-
-    def flush(self) -> None:
-        """Persist any buffered manifest updates (recency hits)."""
-        if self._store is not None:
-            self._store.flush()
 
     def gc(self, **kwargs) -> GCReport:
         if self._store is None:
@@ -217,16 +206,7 @@ def compile_cached(
         from ..analysis.certify import certify_compiled
 
         certify_compiled(compiled, artifact_key=key)
-    cache.put(
-        key,
-        compiled,
-        description={
-            "loop": loop.name,
-            "scheduler": options.scheduler,
-            "config": describe_config(config),
-            "options": describe_options(options),
-        },
-    )
+    cache.put(key, compiled)
     return compiled
 
 
@@ -247,12 +227,10 @@ def get_compile_cache(path: str | Path | None = None) -> CompiledLoopCache:
 
 
 def drop_compile_cache(path: str | Path | None = None) -> None:
-    """Forget the process-wide instance for ``path`` (manifest flushed).
+    """Forget the process-wide instance for ``path``.
 
     The next :func:`get_compile_cache` starts with empty memory, so a
     warm consumer genuinely re-reads the disk store — what the cibench
     perf lane needs to measure cross-process warm starts in-process.
     """
-    cache = _CACHES.pop(str(path) if path is not None else None, None)
-    if cache is not None:
-        cache.flush()
+    _CACHES.pop(str(path) if path is not None else None, None)

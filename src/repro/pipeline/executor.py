@@ -43,7 +43,7 @@ class RunRequest:
 def describe_request(request: RunRequest) -> dict:
     """Human-readable description of one run: what someone needs to
     recognise it (benchmark, scheduler, non-default config/options).
-    Used for store-manifest rows and job-failure records alike."""
+    Used for :class:`RequestError` and job-failure records."""
     return {
         "benchmark": request.benchmark,
         "scheduler": request.options.scheduler,

@@ -12,9 +12,8 @@ an executor and exposes two operations:
 and users can assert cache behaviour ("a second identical sweep
 performs zero new simulations").
 
-:meth:`Session.close` (or the context-manager form) flushes buffered
-store-manifest updates and — opt-in via ``gc_max_bytes`` — bounds the
-on-disk stores with the LRU garbage collector on teardown.
+The on-disk stores write through, so a session holds nothing to flush
+on teardown; ``python -m repro.cache gc`` is what bounds them.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from typing import Iterable, Sequence
 from ..machine.config import MachineConfig
 from ..sim.runner import SimOptions
 from ..sim.stats import ProgramResult
-from .cache import ResultCache, code_fingerprint
-from .executor import RunRequest, describe_request, execute_request, make_executor
+from .cache import ResultCache
+from .executor import RunRequest, execute_request, make_executor
 
 
 class Session:
@@ -36,7 +35,6 @@ class Session:
         cache: ResultCache | None = None,
         workers: int | None = None,
         executor=None,
-        gc_max_bytes: int | None = None,
     ) -> None:
         self.options = options or SimOptions()
         self.cache = cache if cache is not None else ResultCache()
@@ -47,8 +45,6 @@ class Session:
         #: this session avoided); re-reads of a result the session itself
         #: produced or already served are not counted
         self.cache_hits = 0
-        #: opt-in: bound the result store to this many bytes on close()
-        self.gc_max_bytes = gc_max_bytes
         self._seen: set[str] = set()
 
     def request(
@@ -66,7 +62,7 @@ class Session:
         if result is None:
             result = execute_request(request)
             self.simulations += 1
-            self.cache.put(key, result, description=describe_request(request))
+            self.cache.put(key, result)
         elif key not in self._seen:
             self.cache_hits += 1
         self._seen.add(key)
@@ -92,8 +88,8 @@ class Session:
         if missing:
             fresh = self.executor.map(list(missing.values()))
             self.simulations += len(missing)
-            for (key, request), result in zip(missing.items(), fresh):
-                self.cache.put(key, result, description=describe_request(request))
+            for key, result in zip(missing, fresh):
+                self.cache.put(key, result)
                 resolved[key] = result
         return [resolved[key] for key in keys]
 
@@ -101,34 +97,8 @@ class Session:
         """Warm the cache for a batch (run_many with the results ignored)."""
         self.run_many(requests)
 
-    def close(self) -> list:
-        """Teardown: flush manifests; optionally GC both on-disk stores.
+    def close(self) -> None:
+        """Nothing to release: a save or a hit reaches the disk at once.
 
-        With ``gc_max_bytes`` set, the result store *and* the compile
-        store this session's options point at are bounded by the LRU
-        policy, and entries from other code fingerprints are
-        orphan-swept (their keys mix the fingerprint, so this session
-        could never have hit them).  No grace period: entries the
-        session itself just wrote are fair game — bounding on exit is
-        the point.  Without the knob, only buffered recency updates are
-        persisted.  Idempotent; safe on memory-only caches.  Returns
-        the :class:`GCReport` per store (empty list when not GCing).
+        A no-op, kept because ``perfbench/cold.py`` calls it.
         """
-        from .compilecache import get_compile_cache
-
-        compile_cache = get_compile_cache(self.options.compile_cache_dir)
-        if self.gc_max_bytes is None:
-            self.cache.flush()
-            compile_cache.flush()
-            return []
-        keep = {code_fingerprint()}
-        return [
-            cache.gc(max_bytes=self.gc_max_bytes, keep_fingerprints=keep)
-            for cache in (self.cache, compile_cache)
-        ]
-
-    def __enter__(self) -> "Session":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -44,6 +44,10 @@ from .stats import LoopResult, LoopRunResult, ProgramResult, merge_stats
 #: (one VLIW cycle: the invalidate issues in all clusters).
 INVALIDATE_OVERHEAD = 1
 
+#: Warm invocations of a loop simulated after its cold first run; the
+#: remaining invocations replicate the last warm one.
+WARM_INVOCATIONS = 1
+
 
 def make_memory(config: MachineConfig):
     if config.arch in (ArchKind.UNIFIED, ArchKind.L0):
@@ -66,7 +70,6 @@ class SimOptions:
     """
 
     sim_cap: int = 1500  # max kernel iterations simulated per invocation
-    warm_invocations: int = 1  # warm invocations simulated before scaling
     compile_kwargs: dict = field(default_factory=dict)
     #: Scheduler backend every loop compiles with ("sms" or "exact").
     scheduler: str = "sms"
@@ -86,6 +89,8 @@ class SimOptions:
     fast_sim: bool = field(default=True, metadata={"no_cache_key": True})
 
     def __post_init__(self) -> None:
+        if self.sim_cap < 1:
+            raise ValueError(f"sim_cap must be >= 1, got {self.sim_cap}")
         # Normalise the two spellings of the scheduler knob: a
         # ``scheduler`` entry in ``compile_kwargs`` is hoisted into the
         # field (winning over it), so equivalent runs share one
@@ -216,7 +221,7 @@ def run_loop(
     if invocations > 1:
         if flush_between:
             memory.invalidate_l0(clock)
-        warm_runs = min(invocations - 1, options.warm_invocations)
+        warm_runs = min(invocations - 1, WARM_INVOCATIONS)
         warm_compute = warm_stall = 0
         warm: LoopRunResult | None = None
         for _ in range(warm_runs):

@@ -19,7 +19,7 @@ from repro.analysis.certify import _optimality_review, certify_compiled, certify
 from repro.analysis.l0check import audit_flush_plan
 from repro.machine import interleaved_config, l0_config, multivliw_config, unified_config
 from repro.pipeline.artifact import CompileOptions
-from repro.pipeline.compilecache import CompiledLoopCache, compile_cached
+from repro.pipeline.compilecache import CompiledLoopCache, compile_cached, compile_key
 from repro.pipeline.passes import PassManager, DEFAULT_PIPELINE
 from repro.sim.runner import LoopPlan
 from repro.workloads import kernels
@@ -111,13 +111,20 @@ def test_cli_audit_over_disk_store(tmp_path):
     compile_cached(
         kernels.make_saxpy(), l0_config(), CompileOptions(scheduler="exact"), cache=disk
     )
-    disk.flush()
     lines: list[str] = []
     assert audit_compile_store(store, echo=lambda m, file=None: lines.append(m)) == 0
     assert any("2 artifacts audited" in line for line in lines)
     # The --min floor guards CI against auditing an empty cache.
     assert audit_compile_store(store, min_artifacts=3) == 1
     assert audit_compile_store(tmp_path / "missing", min_artifacts=1) == 1
+    # A flagged artifact is labelled from its own loop and schedule.
+    key = compile_key(kernels.make_saxpy(), l0_config(), CompileOptions())
+    broken = disk.get(key)
+    broken.schedule.placed.pop(next(iter(broken.schedule.placed)))
+    disk.put(key, broken)
+    lines.clear()
+    assert audit_compile_store(store, echo=lambda m, file=None: lines.append(m)) == 1
+    assert f"FLAGGED {key[:12]} loop=saxpy scheduler=sms" in lines
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""Tests for the managed artifact store: manifest, GC, schema, CLI."""
+"""Tests for the artifact store: a directory of key-named files whose
+mtimes are the LRU signal; gc, verify, the result schema and the CLI."""
 
+import argparse
 import json
 import os
 import typing
@@ -7,7 +9,7 @@ import typing
 import pytest
 
 from repro.cache import main as cache_main
-from repro.cache import parse_size
+from repro.cache import parse_age, parse_size
 from repro.machine import l0_config, unified_config
 from repro.pipeline import (
     RESULT_SCHEMA_VERSION,
@@ -20,106 +22,147 @@ from repro.pipeline import (
     compile_cached,
     compile_key,
     encode_result,
+    make_executor,
     result_fingerprint,
     result_schema_digest,
 )
 from repro.pipeline.cache import RESULT_SCHEMA_DIGEST, code_fingerprint
-from repro.pipeline.manifest import MANIFEST_NAME
 from repro.sim import SimOptions
-from repro.workloads.kernels import make_dpcm, make_saxpy
+from repro.workloads.kernels import make_saxpy
 
 FAST = SimOptions(sim_cap=80)
 
 
-def _json_store(path) -> KeyedFileStore:
-    return KeyedFileStore(
-        path,
-        ".json",
-        lambda v: json.dumps(v).encode(),
-        lambda b: json.loads(b.decode()),
-    )
+def _json_store(path, decode=lambda b: json.loads(b.decode())) -> KeyedFileStore:
+    return KeyedFileStore(path, ".json", lambda v: json.dumps(v).encode(), decode)
 
 
 def _key(i: int) -> str:
     return f"{i:064x}"
 
 
-class TestManifest:
-    def test_round_trip_through_a_fresh_store(self, tmp_path):
-        store = _json_store(tmp_path)
-        desc = {"benchmark": "g721dec", "config": {"arch": "l0"}}
-        store.save(_key(1), {"x": 1}, description=desc)
-        store.manifest.flush()  # records are buffered; fold them in
+def _backdate(file, mtime: float) -> None:
+    os.utime(file, (mtime, mtime))
 
+
+class TestManifest:
+    """What the deleted ``manifest.json`` sidecar used to promise, now
+    kept by the directory alone: a reopened or concurrent store lists
+    every save with no flush, a hit's recency is the file's mtime, and a
+    ``manifest.json`` left by an older version is never read."""
+
+    def test_round_trip_through_a_fresh_store(self, tmp_path):
+        _json_store(tmp_path).save(_key(1), {"x": 1})
         reopened = _json_store(tmp_path)
         entries = reopened.entries()
         assert set(entries) == {_key(1)}
-        entry = entries[_key(1)]
-        assert entry.description == desc
-        assert entry.fingerprint == code_fingerprint()
-        assert entry.size == (tmp_path / f"{_key(1)}.json").stat().st_size
-        assert entry.created > 0 and entry.last_hit >= entry.created
+        stat = (tmp_path / f"{_key(1)}.json").stat()
+        assert entries[_key(1)].st_size == stat.st_size
+        assert entries[_key(1)].st_mtime == stat.st_mtime
+        assert reopened.load(_key(1)) == {"x": 1}
 
     def test_load_updates_recency(self, tmp_path):
+        """A disk hit refreshes a backdated mtime."""
         store = _json_store(tmp_path)
         store.save(_key(1), {"x": 1})
-        # Backdate the entry, then hit it: last_hit must move forward.
-        store.manifest.record(_key(1), size=8, now=100.0)
+        _backdate(tmp_path / f"{_key(1)}.json", 100.0)
+        assert store.entries()[_key(1)].st_mtime == 100.0
         assert store.load(_key(1)) == {"x": 1}
-        store.manifest.flush()
-        assert _json_store(tmp_path).entries()[_key(1)].last_hit > 100.0
+        assert store.entries()[_key(1)].st_mtime > 100.0
 
     def test_corrupt_manifest_rebuilt_from_dir_scan(self, tmp_path):
+        """A torn leftover ``manifest.json`` is not an entry: ``entries``,
+        ``verify`` and ``gc`` see only the key-named files."""
         store = _json_store(tmp_path)
         for i in range(3):
             store.save(_key(i), {"i": i})
-        (tmp_path / MANIFEST_NAME).write_text("{torn")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("{torn")
 
         reopened = _json_store(tmp_path)
         entries = reopened.entries()
         assert set(entries) == {_key(0), _key(1), _key(2)}
-        for entry in entries.values():
-            assert entry.size > 0  # stat-backed
-            assert entry.fingerprint is None  # authorship unknown
-        # ... and GC still functions over the rebuilt view.
+        assert all(stat.st_size > 0 for stat in entries.values())
+        report = reopened.verify()
+        assert (report.ok, report.corrupt) == (3, [])
         report = reopened.gc(max_bytes=0, min_age_s=0.0)
-        assert report.entries_after == 0
+        assert (report.entries_before, report.entries_after) == (3, 0)
+        assert manifest.read_text() == "{torn"
 
     def test_adversarially_corrupt_manifest_cannot_abort_gc(self, tmp_path):
-        """Malformed JSON is the easy case; bytes that *explode* inside
-        the decoder (deeply nested arrays raise RecursionError, not
-        ValueError) must equally mean "rebuild from the directory scan"
-        — a sidecar file may never take down a sweep mid-``gc``."""
+        """Bytes that explode inside a JSON decoder (deeply nested arrays
+        raise RecursionError) may sit next to the entries: nothing
+        decodes them, so ``gc`` and ``clear`` run to the end and leave
+        the file alone."""
         store = _json_store(tmp_path)
-        for i in range(3):
-            store.save(_key(i), {"i": i})
-        (tmp_path / MANIFEST_NAME).write_bytes(b"[" * 100_000)
-
-        reopened = _json_store(tmp_path)
-        report = reopened.gc(max_bytes=0, min_age_s=0.0)  # must not raise
-        assert report.entries_before == 3
-        assert report.entries_after == 0
-        # The rewrite healed the manifest for the next reader.
-        assert _json_store(tmp_path).entries() == {}
+        store.save(_key(1), {"v": 1})
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(b"[" * 100_000)
+        assert set(store.entries()) == {_key(1)}
+        report = store.verify()
+        assert (report.ok, report.corrupt) == (1, [])
+        report = _json_store(tmp_path).gc(max_bytes=0)  # must not raise
+        assert (report.entries_before, report.evicted) == (1, [_key(1)])
+        store.clear()
+        assert manifest.exists()
 
     def test_concurrent_writer_entries_survive_a_flush(self, tmp_path):
+        """No flush exists: a save is visible to every store on the
+        directory as soon as its atomic rename lands."""
         ours, theirs = _json_store(tmp_path), _json_store(tmp_path)
         theirs.save(_key(2), {"who": "them"})
-        theirs.manifest.flush()
-        # Our flush read-merge-writes: their freshly recorded entry must
-        # survive even though our in-process view never saw it.
         ours.save(_key(1), {"who": "us"})
-        ours.manifest.flush()
-        entries = _json_store(tmp_path).entries()
-        assert entries[_key(2)].fingerprint == code_fingerprint()
-        assert entries[_key(1)].fingerprint == code_fingerprint()
+        assert set(ours.entries()) == set(theirs.entries()) == {_key(1), _key(2)}
+        assert ours.load(_key(2)) == {"who": "them"}
+        assert theirs.load(_key(1)) == {"who": "us"}
 
     def test_clear_resets_manifest(self, tmp_path):
         store = _json_store(tmp_path)
         store.save(_key(1), {"x": 1})
         store.clear()
-        assert not (tmp_path / MANIFEST_NAME).exists()
-        assert _json_store(tmp_path).entries() == {}
+        assert list(tmp_path.iterdir()) == []
+        reopened = _json_store(tmp_path)
+        assert reopened.entries() == {}
+        assert reopened.load(_key(1)) is None
+
+
+class TestStore:
+    def test_hit_whose_file_vanishes_before_the_refresh_returns_its_value(
+        self, tmp_path
+    ):
+        file = tmp_path / f"{_key(1)}.json"
+
+        def decode_as_a_concurrent_gc_unlinks(blob):
+            file.unlink()
+            return json.loads(blob.decode())
+
+        _json_store(tmp_path).save(_key(1), {"x": 1})
+        store = _json_store(tmp_path, decode_as_a_concurrent_gc_unlinks)
+        assert store.load(_key(1)) == {"x": 1}
+        assert not file.exists()
+
+    def test_entries_list_every_file_a_worker_fleet_wrote(self, tmp_path):
+        """Fleet workers exit without running ``atexit`` hooks; nothing
+        is buffered, so every entry they wrote is listed."""
+        result_dir, compile_dir = tmp_path / "results", tmp_path / "compile"
+        options = SimOptions(sim_cap=80, compile_cache_dir=str(compile_dir))
+        session = Session(
+            options=options, cache=ResultCache(result_dir), executor=make_executor(2)
+        )
+        session.run_many(
+            [
+                RunRequest("g721dec", config, options)
+                for config in (unified_config(), l0_config(8))
+            ]
+        )
+        assert session.simulations == 2
+        for cache, suffix in (
+            (ResultCache(result_dir), ".json"),
+            (CompiledLoopCache(compile_dir), ".pkl"),
+        ):
+            files = {file.stem for file in cache.store.path.glob(f"*{suffix}")}
+            assert files
+            assert set(cache.store.entries()) == files
 
 
 class TestGC:
@@ -128,38 +171,16 @@ class TestGC:
         sizes = {}
         for i in range(4):
             store.save(_key(i), {"payload": "x" * 50})
-            sizes[_key(i)] = (tmp_path / f"{_key(i)}.json").stat().st_size
+            file = tmp_path / f"{_key(i)}.json"
+            sizes[_key(i)] = file.stat().st_size
             # Deterministic recency: key 0 coldest ... key 3 hottest.
-            store.manifest.record(_key(i), size=sizes[_key(i)], now=100.0 + i)
-        cap = sizes[_key(2)] + sizes[_key(3)]
+            _backdate(file, 100.0 + i)
+        store.load(_key(0))  # ... until a hit makes key 0 the hottest
+        cap = sizes[_key(3)] + sizes[_key(0)]
         report = store.gc(max_bytes=cap, min_age_s=0.0)
-        assert report.evicted == [_key(0), _key(1)]
-        assert set(store.entries()) == {_key(2), _key(3)}
-        assert report.bytes_after <= cap
-        # The manifest file was pruned along with the directory.
-        data = json.loads((tmp_path / MANIFEST_NAME).read_text())
-        assert set(data["entries"]) == {_key(2), _key(3)}
-
-    def test_orphan_sweep_by_fingerprint(self, tmp_path):
-        store = _json_store(tmp_path)
-        store.save(_key(1), {"v": 1})  # current fingerprint
-        store.save(_key(2), {"v": 2})
-        store.manifest.record(_key(2), size=8, fingerprint="dead0000dead0000")
-        report = store.gc(keep_fingerprints={code_fingerprint()})
-        assert report.orphans == [_key(2)]
-        assert set(store.entries()) == {_key(1)}
-
-    def test_unknown_fingerprint_survives_orphan_sweep(self, tmp_path):
-        """After a manifest loss, authorship is unknown; the sweep must
-        be conservative (only the size cap may reclaim those entries)."""
-        store = _json_store(tmp_path)
-        store.save(_key(1), {"v": 1})
-        store.manifest.flush()
-        (tmp_path / MANIFEST_NAME).unlink()
-        reopened = _json_store(tmp_path)
-        report = reopened.gc(keep_fingerprints={code_fingerprint()})
-        assert report.orphans == []
-        assert set(reopened.entries()) == {_key(1)}
+        assert report.evicted == [_key(1), _key(2)]
+        assert set(store.entries()) == {_key(0), _key(3)}
+        assert (report.entries_after, report.bytes_after) == (2, cap)
 
     def test_gc_never_touches_in_flight_writes(self, tmp_path):
         """A concurrent writer's tmp file must survive GC, and its
@@ -177,11 +198,16 @@ class TestGC:
         assert _json_store(tmp_path).load(_key(2)) == {"v": 2}
 
     def test_min_age_grace_period(self, tmp_path):
+        """Entries written or hit within ``min_age_s`` are spared."""
         store = _json_store(tmp_path)
-        store.save(_key(1), {"v": 1})  # created just now
+        for i in range(3):
+            store.save(_key(i), {"v": i})
+        _backdate(tmp_path / f"{_key(1)}.json", 100.0)
+        _backdate(tmp_path / f"{_key(2)}.json", 100.0)
+        store.load(_key(2))  # hit just now
         report = store.gc(max_bytes=0, min_age_s=3600.0)
-        assert report.evicted == []
-        assert set(store.entries()) == {_key(1)}
+        assert report.evicted == [_key(1)]
+        assert set(store.entries()) == {_key(0), _key(2)}
 
     def test_verify_drops_corrupt_entries(self, tmp_path):
         store = _json_store(tmp_path)
@@ -255,8 +281,7 @@ class TestCompileCacheDiskHits:
         warm = CompiledLoopCache(tmp_path)
         compile_cached(make_saxpy(), config, cache=warm)
         key = compile_key(make_saxpy(), config, CompileOptions())
-        warm.store.manifest.record(key, size=1, now=100.0)  # backdate
-        warm.flush()
+        _backdate(tmp_path / f"{key}.pkl", 100.0)
 
         reopened = CompiledLoopCache(tmp_path)
         compile_cached(make_saxpy(), config, cache=reopened)
@@ -268,36 +293,8 @@ class TestCompileCacheDiskHits:
         assert reopened.stats.full_hits == 2
         assert reopened.stats.full_disk_hits == 1
         assert reopened.stats.full_memory_hits == 1
-        # The disk hit refreshed the manifest's LRU signal.
-        reopened.flush()
-        assert CompiledLoopCache(tmp_path).store.entries()[key].last_hit > 100.0
-
-    def test_compile_entries_carry_descriptions(self, tmp_path):
-        cache = CompiledLoopCache(tmp_path)
-        compile_cached(make_dpcm(), l0_config(4), cache=cache)
-        (entry,) = cache.store.entries().values()
-        assert entry.description["loop"] == "dpcm"
-        assert entry.description["scheduler"] == "sms"
-        assert entry.description["config"]["l0_entries"] == 4
-
-
-class TestSessionTeardown:
-    def test_close_gc_bounds_the_store(self, tmp_path):
-        session = Session(options=FAST, cache=ResultCache(tmp_path), gc_max_bytes=0)
-        session.run(RunRequest("g721dec", unified_config(), FAST))
-        assert any(p.stem != "manifest" for p in tmp_path.glob("*.json"))
-        session.close()
-        assert session.cache.store.entries() == {}
-
-    def test_context_manager_flushes_recency(self, tmp_path):
-        request = RunRequest("g721dec", unified_config(), FAST)
-        Session(options=FAST, cache=ResultCache(tmp_path)).run(request)
-        cache = ResultCache(tmp_path)
-        cache.store.manifest.record(request.key, size=1, now=100.0)
-        with Session(options=FAST, cache=cache) as session:
-            session.run(request)  # disk hit -> buffered touch
-        entries = ResultCache(tmp_path).store.entries()
-        assert entries[request.key].last_hit > 100.0
+        # The disk hit refreshed the entry's mtime, the LRU signal.
+        assert reopened.store.entries()[key].st_mtime > 100.0
 
 
 class TestCacheCLI:
@@ -307,11 +304,8 @@ class TestCacheCLI:
         compile_dir = tmp_path / "compile"
         fuzz_dir = tmp_path / "fuzz"
         request = RunRequest("g721dec", l0_config(8), FAST)
-        with Session(options=FAST, cache=ResultCache(result_dir)) as session:
-            session.run(request)
-        compile_cache = CompiledLoopCache(compile_dir)
-        compile_cached(make_saxpy(), l0_config(8), cache=compile_cache)
-        compile_cache.flush()
+        Session(options=FAST, cache=ResultCache(result_dir)).run(request)
+        compile_cached(make_saxpy(), l0_config(8), cache=CompiledLoopCache(compile_dir))
         from repro.fuzz.engine import make_jobs, run_jobs
         from repro.fuzz.store import FuzzStore
 
@@ -335,24 +329,31 @@ class TestCacheCLI:
         assert cache_main(self._argv(dirs, "stats")) == 0
         out = capsys.readouterr().out
         assert "results:" in out and "compile:" in out and "fuzz:" in out
-        assert "(current)" in out
-
-    def test_ls_shows_descriptions(self, dirs, capsys):
-        assert cache_main(self._argv(dirs, "ls")) == 0
-        out = capsys.readouterr().out
-        assert "g721dec" in out  # result entry description
-        assert "saxpy" in out  # compile entry description
-        assert "edge:tiny" in out  # fuzz entry description
+        assert out.count("entries: 1 ") == 3
+        assert out.count("last used: newest") == 3
 
     def test_gc_bounds_all_dirs(self, dirs, capsys):
         argv = self._argv(dirs, "gc", "--max-bytes", "0", "--min-age", "0")
         assert cache_main(argv) == 0
         result_dir, compile_dir, fuzz_dir = dirs
-        leftovers = sorted(p.name for p in result_dir.glob("*.json"))
-        assert leftovers in ([], [MANIFEST_NAME])
+        assert not list(result_dir.glob("*.json"))
         assert not list(compile_dir.glob("*.pkl"))
-        fuzz_left = sorted(p.name for p in fuzz_dir.glob("*.json"))
-        assert fuzz_left in ([], [MANIFEST_NAME])
+        assert not list(fuzz_dir.glob("*.json"))
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ["--min-age", "0"],
+            ["--max-bytes=-5M", "--min-age", "0"],
+            ["--max-bytes", "inf", "--min-age", "0"],
+            ["--max-bytes", "0", "--min-age=-1"],
+        ],
+    )
+    def test_gc_bad_bounds_are_usage_errors(self, dirs, bounds, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cache_main(self._argv(dirs, "gc", *bounds))
+        assert exc.value.code == 2
+        assert all(len(list(d.iterdir())) == 1 for d in dirs)  # nothing evicted
 
     def test_verify_exits_nonzero_on_corruption(self, dirs, capsys):
         result_dir = dirs[0]
@@ -380,6 +381,15 @@ class TestCacheCLI:
         assert parse_size("1.5K") == 1536
         assert parse_size("4096") == 4096
         assert parse_size("2GB") == 2 * 1024**3
+        assert parse_size("0") == 0
+        for bad in ("-5M", "-1", "inf", "-inf", "nan", "1e308G", "many"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                parse_size(bad)
+        assert parse_age("0") == 0.0
+        assert parse_age("2.5") == 2.5
+        for bad in ("-1", "inf", "nan", "soon"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                parse_age(bad)
 
 
 class TestWarmReuseAfterGC:
@@ -395,10 +405,7 @@ class TestWarmReuseAfterGC:
         ]
         cold = Session(options=FAST, cache=ResultCache(result_dir))
         first = [cold.run(r) for r in requests]
-        cold.close()
-        compile_cache = CompiledLoopCache(compile_dir)
-        compile_cached(make_saxpy(), l0_config(8), cache=compile_cache)
-        compile_cache.flush()
+        compile_cached(make_saxpy(), l0_config(8), cache=CompiledLoopCache(compile_dir))
 
         # Generous cap: everything survives.
         argv = [

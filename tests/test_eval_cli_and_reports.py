@@ -45,25 +45,12 @@ class TestCLI:
         assert exc.value.code == 2
         assert "argument --exact-budget" in capsys.readouterr().err
 
-    def test_gc_max_bytes_bounds_both_stores(self, tmp_path, capsys):
-        rc = main(
-            [
-                "fig5",
-                "--benchmarks",
-                "g721dec",
-                "--sim-cap",
-                "100",
-                "--cache-dir",
-                str(tmp_path / "results"),
-                "--compile-cache-dir",
-                str(tmp_path / "compile"),
-                "--gc-max-bytes",
-                "1G",
-            ]
-        )
-        assert rc == 0
-        err = capsys.readouterr().err
-        assert err.count("[gc ") == 2  # result store + compile store
+    @pytest.mark.parametrize("cap", ["0", "-3", "many"])
+    def test_sim_cap_below_one_is_a_usage_error(self, cap, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig5", "--benchmarks", "g721dec", "--sim-cap", cap])
+        assert exc.value.code == 2
+        assert "argument --sim-cap" in capsys.readouterr().err
 
 
 class TestRenderers:

@@ -104,6 +104,16 @@ class TestCompileOptions:
         assert (options.exact_node_budget, options.exact_max_stages) == (1, 1)
 
 
+class TestSimOptions:
+    @pytest.mark.parametrize("sim_cap", [0, -3])
+    def test_sim_cap_below_one_rejected(self, sim_cap):
+        with pytest.raises(ValueError, match="sim_cap"):
+            SimOptions(sim_cap=sim_cap)
+
+    def test_smallest_sim_cap_accepted(self):
+        assert SimOptions(sim_cap=1).sim_cap == 1
+
+
 class TestCacheKey:
     def test_stable_across_equal_values(self):
         assert cache_key("g721dec", l0_config(8), SimOptions()) == cache_key(
