@@ -20,7 +20,6 @@ from repro.ir import LoopBuilder
 from repro.isa import MemoryLayout
 from repro.machine import l0_config
 from repro.scheduler import compile_loop
-from repro.scheduler.l0policy import L0Policy
 from repro.sim import make_memory, run_loop
 
 

@@ -13,6 +13,7 @@
 from __future__ import annotations
 
 import argparse
+import pickle
 import sys
 from pathlib import Path
 
@@ -23,7 +24,11 @@ def audit_compile_store(
     min_artifacts: int = 0,
     echo=print,
 ) -> int:
-    """Certify every artifact in a compile store; return an exit code."""
+    """Certify every artifact in a compile store; return an exit code.
+
+    Entries are read without refreshing their mtimes, which are the
+    recency ``python -m repro.cache gc`` evicts by: an audit is not a use.
+    """
     from ..pipeline.compilecache import CompiledLoopCache
     from .certify import certify_compiled
 
@@ -31,12 +36,14 @@ def audit_compile_store(
     if not path.is_dir():
         echo(f"no compile-cache directory at {path}", file=sys.stderr)
         return 1 if min_artifacts else 0
-    cache = CompiledLoopCache(path)
+    store = CompiledLoopCache(path).store
+    assert store is not None
     audited = flagged = notes = 0
-    for key in sorted(cache.store.entries()):
-        compiled = cache.get(key)
-        if compiled is None:
+    for key in sorted(store.entries()):
+        blob = store.peek(key)
+        if blob is None:
             continue  # torn/corrupt entry: `repro.cache verify` territory
+        compiled = pickle.loads(blob)
         diagnostics = certify_compiled(compiled, artifact_key=key)
         audited += 1
         blockers = [d for d in diagnostics if d.blocking]

@@ -28,7 +28,7 @@ from ..pipeline.executor import RunRequest
 from ..pipeline.session import Session
 from ..sim.runner import SimOptions
 from ..sim.stats import ProgramResult
-from ..workloads.mediabench import PAPER_TABLE1, Benchmark, build, suite
+from ..workloads.mediabench import PAPER_TABLE1, build
 
 AMEAN = "AMEAN"
 

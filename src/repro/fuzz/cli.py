@@ -24,7 +24,7 @@ from ..pipeline.cache import _is_key
 from ..workloads.generator import PROFILES
 from .checks import CHECKS, FAULTS, FuzzOptions
 from .corpus import edge_kernel_ids, resolve_kernel, seed_kernel_ids
-from .engine import FUZZ_CONFIGS, FuzzReport, make_jobs, run_jobs
+from .engine import FUZZ_CONFIGS, make_jobs, run_jobs
 from .regressions import (
     DEFAULT_REGRESSIONS_DIR,
     ReproCase,

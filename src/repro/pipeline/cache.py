@@ -289,6 +289,15 @@ class KeyedFileStore:
             pass  # removed since the read (concurrent gc/clear): still a hit
         return value
 
+    def peek(self, key: str):
+        """Decode an entry as :meth:`verify` does, leaving it untouched:
+        no mtime refresh, and a torn, corrupt or vanished entry is left
+        in place and read as None."""
+        try:
+            return self._decode(self._file(key).read_bytes())
+        except Exception:
+            return None
+
     def save(self, key: str, value) -> None:
         # Persistence is best-effort: callers already serve the value
         # from memory, so a disk failure must not abort the sweep.

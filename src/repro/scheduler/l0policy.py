@@ -77,6 +77,11 @@ class L0Policy:
     #: section 4.3) holds at run time, not just at schedule time.
     ENTRIES_PER_STREAM = 2
 
+    #: Sticky decisions taken so far (a set's coherence scheme, a 1C set's
+    #: cluster).  Ejection reverts neither, so :meth:`option_superset`
+    #: changes only when this count does.
+    decisions = 0
+
     def __init__(
         self,
         loop: Loop,
@@ -97,6 +102,7 @@ class L0Policy:
         self.candidate_loads: list[int] = [
             i.uid for i in loop.body if i.is_load and is_candidate(i)
         ]
+        self._candidates = frozenset(self.candidate_loads)
         self._instr = {i.uid: i for i in loop.body}
         self._kind = {i.uid: _kind_of(i) for i in loop.body}
         # The config is frozen, so its latencies are per-compile constants.
@@ -188,6 +194,7 @@ class L0Policy:
     def _decide_scheme(self, state: SetState) -> None:
         if state.decided:
             return
+        self.decisions += 1
         has_l0_load = any(
             uid in self.l0_planned and self._kind[uid] == _LOAD
             for uid in state.members
@@ -249,6 +256,53 @@ class L0Policy:
         if state is not None and state.scheme is CoherenceScheme.NL0:
             return l1_options
         return self._l0_cluster_options(instr, clusters) + l1_options
+
+    def option_superset(
+        self, instr: Instruction, clusters: list[int]
+    ) -> list[tuple[int, int]]:
+        """Every option :meth:`options` could offer ``instr`` from here on
+        down a search, entry shortages aside (see :meth:`entry_shortage`).
+
+        Built from the sticky decisions alone: the L0 plan is left out
+        (re-ranking may plan any candidate load again), an undecided set
+        may still become 1C or NL0, and a 1C set whose cluster is open may
+        still take any cluster.  Side-effect free, unlike :meth:`options`.
+        """
+        uid = instr.uid
+        kind = self._kind[uid]
+        if kind == _PREFETCH_OR_INVAL:
+            return [(c, self._store_latency) for c in clusters]
+        state = self.sets.get(uid)
+        pinned = (
+            state.cluster
+            if state is not None and state.scheme is CoherenceScheme.ONE_CLUSTER
+            else None
+        )
+        if kind == _STORE:
+            if pinned is not None:
+                return [(pinned, self._store_latency)]
+            return [(c, self._store_latency) for c in clusters]
+        l1_options = [(c, self._l1_latency) for c in clusters]
+        if uid not in self._candidates or (
+            state is not None and state.scheme is CoherenceScheme.NL0
+        ):
+            return l1_options
+        if pinned is not None:
+            return [(pinned, self._l0_latency)] + l1_options
+        return [(c, self._l0_latency) for c in clusters] + l1_options
+
+    def entry_shortage(self, uid: int, cluster: int, latency: int) -> bool:
+        """True when ``cluster`` lacks the entries an L0 option of load
+        ``uid`` at ``latency`` needs.  ``free`` only falls deeper in a
+        search, so such an option stays out of reach there.  Stores never
+        take entries, although their latency equals the L0 one, and an L0
+        latency equal to the L1 one is always offered as an L1 option.
+        """
+        return (
+            latency == self._l0_latency != self._l1_latency
+            and self._kind[uid] == _LOAD
+            and self.free[cluster] < self.ENTRIES_PER_STREAM
+        )
 
     # ------------------------------------------------------------------
     # Figure 4 — commitment bookkeeping (➑ ➒ ➓)
@@ -330,6 +384,7 @@ class L0Policy:
                     and state.cluster is None
                 ):
                     state.cluster = op.cluster
+                    self.decisions += 1
                 if state is not None:
                     state.l0_loads.add(instr.uid)
                 self._mark_related(instr, op, engine)
@@ -344,6 +399,7 @@ class L0Policy:
                 and state.cluster is None
             ):
                 state.cluster = op.cluster
+                self.decisions += 1
             if state is not None and state.scheme is CoherenceScheme.PSR:
                 return self._place_replicas(instr, op, engine)
         return True

@@ -40,7 +40,12 @@ class ModuloReservationTable:
             config.fp_units_per_cluster,
         )
         self.bus_capacity = config.n_buses
-        self._fu = [[[0] * ii for _ in range(self.n_clusters)] for _ in FU_CLASSES]
+        #: Slots booked per FU index, cluster and kernel row.  The exact
+        #: search's support checks read it directly; only ``reserve`` and
+        #: ``release`` (and the ``fu_*`` methods through them) write it.
+        self.fu_booked = [
+            [[0] * ii for _ in range(self.n_clusters)] for _ in FU_CLASSES
+        ]
         #: Buses booked in each kernel row.  The bus-slot search reads it
         #: directly; only the ``bus_*`` methods write it.
         self.bus_booked = [0] * ii
@@ -48,10 +53,10 @@ class ModuloReservationTable:
     # Functional units by table index (unchecked) -------------------------
 
     def can_reserve(self, cycle: int, fu: int, cluster: int) -> bool:
-        return self._fu[fu][cluster][cycle % self.ii] < self.fu_capacity[fu]
+        return self.fu_booked[fu][cluster][cycle % self.ii] < self.fu_capacity[fu]
 
     def reserve(self, cycle: int, fu: int, cluster: int) -> None:
-        counts = self._fu[fu][cluster]
+        counts = self.fu_booked[fu][cluster]
         row = cycle % self.ii
         if counts[row] >= self.fu_capacity[fu]:
             raise ValueError(
@@ -60,7 +65,7 @@ class ModuloReservationTable:
         counts[row] += 1
 
     def release(self, cycle: int, fu: int, cluster: int) -> None:
-        counts = self._fu[fu][cluster]
+        counts = self.fu_booked[fu][cluster]
         row = cycle % self.ii
         if counts[row] <= 0:
             raise ValueError(
@@ -79,7 +84,7 @@ class ModuloReservationTable:
         return fu
 
     def fu_used(self, cycle: int, fu_class: FUClass, cluster: int) -> int:
-        return self._fu[self._index(fu_class, cluster)][cluster][cycle % self.ii]
+        return self.fu_booked[self._index(fu_class, cluster)][cluster][cycle % self.ii]
 
     def fu_can_place(self, cycle: int, fu_class: FUClass, cluster: int) -> bool:
         return self.can_reserve(cycle, self._index(fu_class, cluster), cluster)

@@ -41,6 +41,24 @@ class MemoryPolicy(Protocol):
         """Ordered (cluster, latency) candidates for a memory instruction."""
         ...
 
+    #: Count of sticky decisions, ones no ejection reverts; a support the
+    #: exact search cached under an older count is searched for anew.
+    decisions: int
+
+    def option_superset(
+        self, instr: Instruction, clusters: list[int]
+    ) -> list[tuple[int, int]]:
+        """Every option :meth:`options` could still offer ``instr`` while
+        placements are only added (it may also list options that
+        :meth:`entry_shortage` rules out); a function of the sticky
+        decisions alone, without side effects."""
+        ...
+
+    def entry_shortage(self, uid: int, cluster: int, latency: int) -> bool:
+        """Whether ``(cluster, latency)`` is out of reach for ``uid`` only
+        because the cluster's buffer lacks entries."""
+        ...
+
     def committed(
         self, instr: Instruction, op: PlacedOp, engine: "ClusterScheduler"
     ) -> bool:
@@ -61,13 +79,27 @@ class MemoryPolicy(Protocol):
         ...
 
 
-class UnifiedPolicy:
+class _PureOptions:
+    """Options that are a pure function of the instruction (no
+    cross-placement state), so the exact scheduler's refutations are
+    complete and the options are their own superset."""
+
+    SEARCH_EXACT = True
+    decisions = 0
+
+    def option_superset(
+        self, instr: Instruction, clusters: list[int]
+    ) -> list[tuple[int, int]]:
+        return self.options(instr, clusters)  # type: ignore[attr-defined]
+
+    def entry_shortage(self, uid: int, cluster: int, latency: int) -> bool:
+        return False
+
+
+class UnifiedPolicy(_PureOptions):
     """Baseline: every load is an L1 access; memory ops carry no hints."""
 
     name = "unified"
-    #: Options are a pure function of the instruction (no cross-placement
-    #: state), so the exact scheduler's refutations are complete.
-    SEARCH_EXACT = True
 
     def __init__(self, loop: Loop, config: MachineConfig) -> None:
         self.loop = loop
@@ -99,7 +131,7 @@ class UnifiedPolicy:
                 op.hints = BYPASS_HINTS
 
 
-class MultiVLIWPolicy:
+class MultiVLIWPolicy(_PureOptions):
     """Distributed coherent L1: loads scheduled at the local-hit latency.
 
     The hardware moves/replicates blocks to the requesting cluster (MSI
@@ -109,7 +141,6 @@ class MultiVLIWPolicy:
     """
 
     name = "multivliw"
-    SEARCH_EXACT = True  # stateless options, like UnifiedPolicy
 
     def __init__(self, loop: Loop, config: MachineConfig) -> None:
         self.loop = loop
@@ -141,7 +172,7 @@ class MultiVLIWPolicy:
                 op.hints = BYPASS_HINTS
 
 
-class InterleavedPolicy:
+class InterleavedPolicy(_PureOptions):
     """Word-interleaved distributed L1 (Gibert et al., MICRO-35).
 
     Address word ``w`` lives in cluster ``w mod N``; a memory op is
@@ -157,9 +188,6 @@ class InterleavedPolicy:
     """
 
     name = "interleaved"
-    #: Home classification is precomputed from the loop alone; options
-    #: never depend on what has been placed, so searches are complete.
-    SEARCH_EXACT = True
 
     #: Iterations sampled when classifying an op's home-cluster stability.
     HOME_SAMPLE = 16

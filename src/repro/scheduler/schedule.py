@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from ..analysis.diagnostics import Diagnostic
 from ..isa.hints import BYPASS_HINTS, HintBundle
 from ..isa.instruction import Instruction
-from ..isa.operations import FUClass, Opcode
+from ..isa.operations import FUClass
 from ..ir.ddg import DDG
 from ..machine.config import MachineConfig
 

@@ -10,7 +10,7 @@ re-establish.
 from __future__ import annotations
 
 import copy
-import dataclasses
+import os
 
 import pytest
 
@@ -125,6 +125,42 @@ def test_cli_audit_over_disk_store(tmp_path):
     lines.clear()
     assert audit_compile_store(store, echo=lambda m, file=None: lines.append(m)) == 1
     assert f"FLAGGED {key[:12]} loop=saxpy scheduler=sms" in lines
+
+
+def test_audit_leaves_entry_mtimes_alone(tmp_path):
+    """Auditing reads every artifact but refreshes no mtime, so it cannot
+    reorder what ``repro.cache gc`` evicts: neither ``repro.analysis
+    audit`` nor ``repro.cache verify --analyze``."""
+    from repro.analysis.__main__ import audit_compile_store
+    from repro.cache import main as cache_main
+
+    store = tmp_path / "compile-cache"
+    disk = CompiledLoopCache(store)
+    compile_cached(kernels.make_saxpy(), l0_config(), CompileOptions(), cache=disk)
+    compile_cached(
+        kernels.make_saxpy(), l0_config(), CompileOptions(scheduler="exact"), cache=disk
+    )
+    files = sorted(store.glob("*.pkl"))
+    assert len(files) == 2
+    for age, file in enumerate(files):
+        os.utime(file, (1000.0 + age, 1000.0 + age))
+    before = {file.name: file.stat().st_mtime for file in files}
+    lines: list[str] = []
+    assert audit_compile_store(store, echo=lambda m, file=None: lines.append(m)) == 0
+    assert any("2 artifacts audited" in line for line in lines)
+    assert {file.name: file.stat().st_mtime for file in files} == before
+    argv = [
+        "--cache-dir",
+        str(tmp_path / "no-results"),
+        "--compile-cache-dir",
+        str(store),
+        "--fuzz-cache-dir",
+        str(tmp_path / "no-fuzz"),
+        "verify",
+        "--analyze",
+    ]
+    assert cache_main(argv) == 0
+    assert {file.name: file.stat().st_mtime for file in files} == before
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.ir import (
-    DepKind,
     LoopBuilder,
     StrideClass,
     build_ddg,
@@ -14,8 +13,6 @@ from repro.ir import (
     unroll,
 )
 from repro.machine import unified_config
-
-from repro.workloads.kernels import make_dpcm, make_saxpy
 
 
 L1 = 6

@@ -1,6 +1,5 @@
 """Executor behaviour around inter-cluster communication and late values."""
 
-import pytest
 
 from repro.ir import LoopBuilder
 from repro.isa import MemoryLayout

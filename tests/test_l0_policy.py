@@ -1,13 +1,12 @@
 """Tests for the L0-aware scheduling policy (the paper's Figure-4 algorithm)."""
 
-import pytest
 
 from repro.ir import LoopBuilder
-from repro.isa import AccessHint, MapHint, Opcode, PrefetchHint
+from repro.isa import AccessHint, MapHint, PrefetchHint
 from repro.machine import l0_config
-from repro.scheduler import CoherenceScheme, compile_loop
+from repro.scheduler import compile_loop
 
-from repro.workloads.kernels import make_column, make_dpcm, make_saxpy
+from repro.workloads.kernels import make_saxpy
 
 
 def loads_of(compiled):

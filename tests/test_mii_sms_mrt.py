@@ -15,7 +15,6 @@ from repro.scheduler import (
     sms_order,
 )
 
-from repro.workloads.kernels import make_dpcm, make_saxpy
 
 CFG = unified_config()
 L1 = lambda uid: 6  # noqa: E731

@@ -1,9 +1,7 @@
 """Tests for the MaxLive estimator and selective inter-loop flushing."""
 
-import pytest
 
 from repro.ir import LoopBuilder
-from repro.isa import MemoryLayout
 from repro.machine import l0_config, unified_config
 from repro.scheduler import (
     compile_loop,
@@ -11,16 +9,10 @@ from repro.scheduler import (
     max_live,
     value_lifetimes,
 )
-from repro.sim import (
-    SimOptions,
-    flush_needed,
-    loops_may_conflict,
-    make_memory,
-    run_program,
-)
+from repro.sim import SimOptions, flush_needed, loops_may_conflict, run_program
 from repro.workloads import Benchmark, LoopSpec, kernels
 
-from repro.workloads.kernels import make_dpcm, make_saxpy
+from repro.workloads.kernels import make_dpcm
 
 
 class TestMaxLive:

@@ -2,18 +2,14 @@
 
 import pytest
 
-from repro.ir import LoopBuilder, build_ddg, unroll
+from repro.ir import LoopBuilder, unroll
 from repro.machine import (
     interleaved_config,
     l0_config,
     multivliw_config,
     unified_config,
 )
-from repro.scheduler import (
-    SchedulingError,
-    choose_unroll_factor,
-    compile_loop,
-)
+from repro.scheduler import choose_unroll_factor, compile_loop
 
 from repro.workloads.kernels import make_column, make_dpcm, make_saxpy
 

@@ -7,8 +7,6 @@ from repro.ir.unroll import stride_group
 from repro.isa import MemoryLayout, Opcode
 from repro.machine import unified_config
 
-from repro.workloads.kernels import make_dpcm, make_saxpy
-
 
 class TestUnrollStructure:
     def test_factor_one_is_identity(self, saxpy):

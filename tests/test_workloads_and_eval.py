@@ -6,7 +6,6 @@ from repro.eval import (
     ExperimentContext,
     fig5,
     fig6,
-    fig7,
     render_fig5,
     render_table1,
     render_table2,
