@@ -31,7 +31,7 @@ import sys
 import time
 from pathlib import Path
 
-from ..pipeline.artifact import CompileOptions
+from ..pipeline.passes import CompileOptions
 from ..pipeline.cache import ResultCache
 from ..pipeline.compilecache import CompiledLoopCache
 from ..sim.runner import SimOptions

@@ -96,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
         "--scheduler",
         choices=("sms", "exact"),
         default="sms",
-        help="backend scheduling pass every loop compiles with "
+        help="scheduler every loop compiles with "
         "(exact = branch-and-bound with SMS fallback)",
     )
     parser.add_argument(

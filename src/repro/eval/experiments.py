@@ -441,7 +441,7 @@ def scheduler_comparison(
     exact`` evaluation run reuses every artifact produced here) and fan
     out across ``ctx.workers`` processes like every other experiment.
     """
-    from ..pipeline.artifact import CompileOptions
+    from ..pipeline.passes import CompileOptions
     from ..pipeline.executor import make_executor
 
     kwargs = {"scheduler": "exact"}

@@ -35,7 +35,7 @@ from ..analysis.diagnostics import blocking
 from ..ir.loop import Loop
 from ..isa.memory_access import MemoryLayout
 from ..machine.config import MachineConfig
-from ..pipeline.artifact import CompileOptions
+from ..pipeline.passes import CompileOptions
 from ..pipeline.compilecache import compile_cached
 from ..sim.executor import LoopExecutor
 from ..sim.runner import make_memory

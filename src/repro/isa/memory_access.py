@@ -208,7 +208,3 @@ class MemoryLayout:
     @property
     def arrays(self) -> list[ArrayRef]:
         return list(self._arrays.values())
-
-    @property
-    def footprint_bytes(self) -> int:
-        return sum(a.size_bytes for a in self._arrays.values())

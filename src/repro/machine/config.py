@@ -158,14 +158,6 @@ class MachineConfig:
     def latency_of(self, opcode: Opcode) -> int:
         return self.op_latencies[opcode]
 
-    @property
-    def load_l0_latency(self) -> int:
-        return self.l0_latency
-
-    @property
-    def load_l1_latency(self) -> int:
-        return self.l1_latency
-
     def with_l0_entries(self, entries: int | None) -> "MachineConfig":
         return replace(self, l0_entries=entries)
 

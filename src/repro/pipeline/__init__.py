@@ -1,16 +1,15 @@
-"""Pipeline subsystem: pass-managed compilation, cached + parallel runs.
+"""Pipeline subsystem: the compile function, cached + parallel runs.
 
 Four layers, consumed bottom-up by the rest of the stack:
 
-* **Pass manager** (:mod:`.passes`, :mod:`.artifact`) — the compile flow
-  as named, registered passes over a :class:`CompilationArtifact`;
-  :func:`scheduler_pipeline` names the full sequence for each scheduler
-  backend.
+* **Compile** (:mod:`.passes`) — :func:`compile_uncached` runs the
+  paper's compile flow, six fixed steps from unroll choice to modulo
+  scheduling, under one :class:`CompileOptions`.
 * **Compile cache** (:mod:`.compilecache`) — one content-addressed
   layer ``(loop, MachineConfig, CompileOptions)`` -> pickled
   ``CompiledLoop``, in memory plus an optional on-disk store; a miss
-  runs the whole pipeline.  ``repro.scheduler.compile_loop`` is a thin
-  wrapper over :func:`compile_cached`.
+  runs :func:`compile_uncached`.  ``repro.scheduler.compile_loop`` is a
+  thin wrapper over :func:`compile_cached`.
 * **Result cache** (:mod:`.cache`) — content-addressed
   ``(benchmark, MachineConfig, SimOptions)`` -> :class:`ProgramResult`
   store with an optional on-disk JSON mirror.  Every on-disk store is a
@@ -23,12 +22,6 @@ Four layers, consumed bottom-up by the rest of the stack:
   ``repro.eval.ExperimentContext`` runs everything through a session.
 """
 
-from .artifact import (
-    CompilationArtifact,
-    CompileOptions,
-    PassOrderError,
-    PipelineError,
-)
 from .cache import (
     RESULT_SCHEMA_VERSION,
     GCReport,
@@ -63,25 +56,11 @@ from .executor import (
     make_executor,
 )
 from .fleet import JobFailure, JobFailureError
-from .passes import (
-    DEFAULT_PIPELINE,
-    SCHEDULER_PASSES,
-    Pass,
-    PassManager,
-    available_passes,
-    get_pass,
-    make_policy,
-    register_pass,
-    register_scheduler,
-    scheduler_pipeline,
-)
+from .passes import CompileOptions, compile_uncached, make_policy, scheduler_inputs
 from .session import Session
 
 __all__ = [
-    "DEFAULT_PIPELINE",
     "RESULT_SCHEMA_VERSION",
-    "SCHEDULER_PASSES",
-    "CompilationArtifact",
     "CompileCacheStats",
     "CompileOptions",
     "CompiledLoopCache",
@@ -90,21 +69,17 @@ __all__ = [
     "JobFailureError",
     "KeyedFileStore",
     "ParallelExecutor",
-    "Pass",
-    "PassManager",
-    "PassOrderError",
-    "PipelineError",
     "RequestError",
     "ResultCache",
     "RunRequest",
     "SerialExecutor",
     "Session",
     "VerifyReport",
-    "available_passes",
     "cache_key",
     "code_fingerprint",
     "compile_cached",
     "compile_key",
+    "compile_uncached",
     "decode_result",
     "describe_config",
     "describe_options",
@@ -113,13 +88,10 @@ __all__ = [
     "encode_result",
     "execute_request",
     "get_compile_cache",
-    "get_pass",
     "loop_fingerprint",
     "make_executor",
     "make_policy",
-    "register_pass",
-    "register_scheduler",
     "result_fingerprint",
     "result_schema_digest",
-    "scheduler_pipeline",
+    "scheduler_inputs",
 ]

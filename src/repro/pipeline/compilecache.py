@@ -12,7 +12,8 @@ The disk store uses pickle: a ``CompiledLoop`` is a closed graph of
 plain dataclasses and round-trips exactly.  Nothing bounds the store
 but ``python -m repro.cache gc``, which evicts oldest mtime first.
 
-A miss runs the scheduler's whole pass pipeline, the
+A miss runs :func:`~repro.pipeline.passes.compile_uncached`, the one
+compile function: all six steps in their fixed order, the
 architecture-neutral unroll/memdep/DDG frontend included, even though
 configs that differ only in the memory system (Figure 5's L0 sizes)
 yield the same frontend products.  Sharing those is not worth a second
@@ -38,9 +39,8 @@ from pathlib import Path
 
 from ..ir.loop import Loop
 from ..machine.config import MachineConfig
-from .artifact import CompileOptions
 from .cache import GCReport, KeyedFileStore, VerifyReport, _canonical, code_fingerprint
-from .passes import PassManager, scheduler_pipeline
+from .passes import CompileOptions, compile_uncached
 
 
 def loop_fingerprint(loop: Loop) -> dict:
@@ -178,12 +178,12 @@ def compile_cached(
 ):
     """Compile a loop through the cache (the hot compile path).
 
-    A hit deserialises the stored artifact; a miss runs the full pass
-    pipeline of ``options.scheduler`` and stores the result.  Returns
-    the ``CompiledLoop``.
+    A hit deserialises the stored artifact; a miss runs
+    :func:`~repro.pipeline.passes.compile_uncached`, flattens the
+    simulator's trace, certifies when ``options.analyze`` asks, and
+    stores the result.  Returns the ``CompiledLoop``.
     """
     options = options or CompileOptions()
-    passes = scheduler_pipeline(options.scheduler)  # raises for unknown schedulers
     cache = cache if cache is not None else get_compile_cache(None)
 
     key = compile_key(loop, config, options)
@@ -193,7 +193,7 @@ def compile_cached(
         return compiled
     cache.stats.full_misses += 1
 
-    compiled = PassManager(passes).run(loop, config, options).compiled()
+    compiled = compile_uncached(loop, config, options)
     # Flatten the simulator's fast-path event trace now so it rides the
     # cached (and persisted) artifact: warm runs — in-memory or from
     # disk — skip both scheduling *and* trace compilation.

@@ -1,192 +1,166 @@
-"""The pass-manager compile pipeline.
+"""The compile flow: one fixed sequence of six steps.
 
-Every stage of the paper's compilation flow — unroll choice, unrolling,
-memory disambiguation, DDG construction, policy selection, modulo
-scheduling (which performs the L0 candidate assignment through the
-policy) — is a named :class:`Pass` over a
-:class:`~repro.pipeline.artifact.CompilationArtifact`.  The default
-sequence reproduces the hard-wired driver exactly; new architectures or
-schedulers slot in by registering a pass and naming it in a custom
-sequence rather than editing the driver.
+:func:`compile_uncached` runs the paper's compilation flow (sections
+4-5) in order — unroll choice, unrolling, memory disambiguation, DDG
+construction, the architecture's memory policy, then modulo scheduling
+(SMS or the exact search; the scheduler performs the L0 candidate
+assignment through the policy) — and packages the result as a
+``CompiledLoop``.  :func:`~repro.pipeline.compilecache.compile_cached`
+runs it on a cache miss; nothing else compiles in production.
 
-    manager = PassManager()                     # the default pipeline
-    artifact = manager.run(loop, config)
-    compiled = artifact.compiled()              # legacy CompiledLoop
+    compiled = compile_uncached(loop, config, CompileOptions(scheduler="exact"))
 
-Ordering is validated at construction time: a sequence whose pass
-requires a product no earlier pass provides raises
-:class:`~repro.pipeline.artifact.PassOrderError` before any work runs.
+Each step is a named :class:`Pass` that reads the compile state (a
+namespace holding ``loop``, ``config`` and ``options``) and sets the
+product it makes on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from types import SimpleNamespace
+from typing import Callable
 
 from ..ir import memdep
 from ..ir.ddg import build_ddg
 from ..ir.loop import Loop
 from ..ir.unroll import unroll
 from ..machine.config import ArchKind, MachineConfig
-from .artifact import CompilationArtifact, CompileOptions, PassOrderError, PipelineError
+from ..scheduler.driver import CompiledLoop, choose_unroll_factor
+from ..scheduler.engine import ClusterScheduler
+from ..scheduler.exact import ExactScheduler
+from ..scheduler.l0policy import L0Policy
+from ..scheduler.policies import InterleavedPolicy, MultiVLIWPolicy, UnifiedPolicy
+
+
+@dataclass(frozen=True)
+class CompileOptions:
+    """Per-compile knobs; ``compile_loop`` takes exactly these keywords.
+
+    ``unroll_factor=None`` applies the paper's static heuristic; an
+    integer forces that factor (tests and ablations).
+
+    ``scheduler`` selects the scheduling step (``"sms"`` — the heuristic
+    engine — or ``"exact"``; see :data:`SCHEDULERS`); any other name
+    raises ``ValueError``.  The ``exact_*`` knobs configure the exact
+    backend's search: a node budget (placement trials before falling
+    back to SMS) and an optional stage horizon (both inert under
+    ``scheduler="sms"`` but still participating in compile-cache keys
+    like every other option).  Both must be at least 1; a smaller value
+    raises ``ValueError``.
+
+    ``analyze`` runs the independent static certifier
+    (``repro.analysis``) over the compiled loop before it is cached;
+    the verdict lands in ``schedule.meta["analysis"]`` and rides every
+    future cache hit.
+    """
+
+    unroll_factor: int | None = None
+    interleaved_heuristic: int = 1
+    all_candidates: bool = False
+    allow_psr: bool = False
+    prefetch_distance: int = 1
+    scheduler: str = "sms"
+    exact_node_budget: int = 60_000
+    exact_max_stages: int | None = None
+    analyze: bool = False
+
+    def __post_init__(self) -> None:
+        # Fail closed: an unknown scheduler has no step to run, a budget
+        # of 0 would fall back at the first trial, and a horizon below
+        # one stage cannot hold a schedule.
+        if self.scheduler not in SCHEDULERS:
+            raise ValueError(
+                f"unknown scheduler {self.scheduler!r}; expected one of "
+                f"{sorted(SCHEDULERS)}"
+            )
+        if self.exact_node_budget < 1:
+            raise ValueError(
+                f"exact_node_budget must be >= 1, got {self.exact_node_budget}"
+            )
+        if self.exact_max_stages is not None and self.exact_max_stages < 1:
+            raise ValueError(
+                f"exact_max_stages must be >= 1, got {self.exact_max_stages}"
+            )
 
 
 @dataclass(frozen=True)
 class Pass:
-    """One named pipeline stage.
+    """One named compile step: ``run(state)`` sets one product on the state.
 
-    ``requires``/``provides`` name artifact product fields; they drive
-    the static ordering validation in :class:`PassManager`.
+    The steps could be plain calls.  They stay objects because the
+    benchmark's layer tracer (``perfbench/layers.py``) times each step
+    by wrapping ``Pass.__call__`` and mapping ``name`` to a layer.
     """
 
     name: str
-    run: Callable[[CompilationArtifact], None]
-    requires: tuple[str, ...] = ()
-    provides: tuple[str, ...] = ()
+    run: Callable[[SimpleNamespace], None]
 
-    def __call__(self, artifact: CompilationArtifact) -> None:
-        artifact.require(self.name, *self.requires)
-        self.run(artifact)
-        artifact.trace.append(self.name)
+    def __call__(self, state: SimpleNamespace) -> None:
+        self.run(state)
 
 
-_REGISTRY: dict[str, Pass] = {}
-
-
-def register_pass(
-    name: str,
-    *,
-    requires: Iterable[str] = (),
-    provides: Iterable[str] = (),
-) -> Callable[[Callable[[CompilationArtifact], None]], Pass]:
-    """Decorator: register ``fn`` as a named pass in the global registry."""
-    known = set(CompilationArtifact.product_fields())
-    bad = (set(requires) | set(provides)) - known
-    if bad:
-        raise PipelineError(
-            f"pass {name!r} names unknown artifact fields {sorted(bad)}"
-        )
-
-    def decorate(fn: Callable[[CompilationArtifact], None]) -> Pass:
-        if name in _REGISTRY:
-            raise PipelineError(f"pass {name!r} already registered")
-        p = Pass(
-            name=name,
-            run=fn,
-            requires=tuple(requires),
-            provides=tuple(provides),
-        )
-        _REGISTRY[name] = p
-        return p
-
-    return decorate
-
-
-def get_pass(name: str) -> Pass:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise PipelineError(
-            f"unknown pass {name!r}; registered: {sorted(_REGISTRY)}"
-        ) from None
-
-
-def available_passes() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
-
-
-# ----------------------------------------------------------------------
-# The default passes (the paper's compilation flow, sections 4-5)
-# ----------------------------------------------------------------------
-
-
-@register_pass("select-unroll", provides=("unroll_factor",))
-def _select_unroll(artifact: CompilationArtifact) -> None:
+def _select_unroll(state: SimpleNamespace) -> None:
     """Step 1: pick 1 or N via the static compute-time estimate."""
-    from ..scheduler.driver import choose_unroll_factor
-
-    forced = artifact.options.unroll_factor
-    artifact.unroll_factor = (
-        choose_unroll_factor(artifact.loop, artifact.config)
-        if forced is None
-        else forced
+    forced = state.options.unroll_factor
+    state.unroll_factor = (
+        choose_unroll_factor(state.loop, state.config) if forced is None else forced
     )
 
 
-@register_pass("apply-unroll", requires=("unroll_factor",), provides=("body",))
-def _apply_unroll(artifact: CompilationArtifact) -> None:
-    artifact.body = unroll(artifact.loop, artifact.unroll_factor)
+def _apply_unroll(state: SimpleNamespace) -> None:
+    state.body = unroll(state.loop, state.unroll_factor)
 
 
-@register_pass("mem-disambiguation", requires=("body",), provides=("dep_info",))
-def _mem_disambiguation(artifact: CompilationArtifact) -> None:
-    artifact.dep_info = memdep.analyze(artifact.body)
+def _mem_disambiguation(state: SimpleNamespace) -> None:
+    state.dep_info = memdep.analyze(state.body)
 
 
-@register_pass("build-ddg", requires=("body", "dep_info"), provides=("ddg",))
-def _build_ddg(artifact: CompilationArtifact) -> None:
-    artifact.ddg = build_ddg(artifact.body, artifact.config, artifact.dep_info)
+def _build_ddg(state: SimpleNamespace) -> None:
+    state.ddg = build_ddg(state.body, state.config, state.dep_info)
 
 
-@register_pass("select-policy", requires=("body", "dep_info"), provides=("policy",))
-def _select_policy(artifact: CompilationArtifact) -> None:
-    artifact.policy = make_policy(
-        artifact.body, artifact.config, artifact.dep_info, artifact.options
-    )
+def _select_policy(state: SimpleNamespace) -> None:
+    state.policy = make_policy(state.body, state.config, state.dep_info, state.options)
 
 
-@register_pass("modulo-schedule", requires=("ddg", "policy"), provides=("schedule",))
-def _modulo_schedule(artifact: CompilationArtifact) -> None:
+def _modulo_schedule(state: SimpleNamespace) -> None:
     """Cluster-aware SMS; the policy performs L0/mapping assignment."""
-    from ..scheduler.engine import ClusterScheduler
-
-    # Guard the default pipeline against silently ignoring a scheduler
-    # request: options asking for a different registered backend must
-    # not fall through to SMS.  (Explicitly naming exact-schedule in a
-    # custom sequence remains an explicit choice and is not guarded.)
-    requested = artifact.options.scheduler
-    if SCHEDULER_PASSES.get(requested, "modulo-schedule") != "modulo-schedule":
-        raise PipelineError(
-            f"options request scheduler {requested!r} but this pipeline runs "
-            "'modulo-schedule'; build the pipeline via scheduler_pipeline"
-            f"({requested!r}) or compile through compile_cached/compile_loop"
-        )
-    engine = ClusterScheduler(artifact.ddg, artifact.config, artifact.policy)
-    artifact.schedule = engine.schedule()
-    artifact.schedule.meta.setdefault("scheduler", "sms")
+    state.schedule = ClusterScheduler(state.ddg, state.config, state.policy).schedule()
+    state.schedule.meta.setdefault("scheduler", "sms")
 
 
-@register_pass("exact-schedule", requires=("ddg", "policy"), provides=("schedule",))
-def _exact_schedule(artifact: CompilationArtifact) -> None:
+def _exact_schedule(state: SimpleNamespace) -> None:
     """Exact CP/branch-and-bound modulo scheduling (SMS fallback).
 
     Runs the heuristic engine first (fallback + upper bound), then
     searches every II in ``[MII, II(SMS) - 1]`` within the configured
-    node budget; ``artifact.schedule.meta`` records the outcome.
+    node budget; ``schedule.meta`` records the outcome.
     """
-    from ..scheduler.exact import ExactScheduler
-
     engine = ExactScheduler(
-        artifact.ddg,
-        artifact.config,
-        artifact.policy,
-        node_budget=artifact.options.exact_node_budget,
-        max_stages=artifact.options.exact_max_stages,
+        state.ddg,
+        state.config,
+        state.policy,
+        node_budget=state.options.exact_node_budget,
+        max_stages=state.options.exact_max_stages,
     )
-    artifact.schedule = engine.schedule()
+    state.schedule = engine.schedule()
 
 
-@register_pass("analyze", requires=("ddg", "schedule"), provides=("analysis",))
-def _analyze(artifact: CompilationArtifact) -> None:
-    """Opt-in: certify the schedule with the independent static checker.
+#: Steps 1-5, in order: everything the scheduling step starts from.
+INPUT_STEPS: tuple[Pass, ...] = (
+    Pass("select-unroll", _select_unroll),
+    Pass("apply-unroll", _apply_unroll),
+    Pass("mem-disambiguation", _mem_disambiguation),
+    Pass("build-ddg", _build_ddg),
+    Pass("select-policy", _select_policy),
+)
 
-    Appended to a pipeline (or triggered via ``options.analyze`` on the
-    cached compile path) after a scheduler pass; the findings land in
-    ``artifact.analysis`` and the verdict in ``schedule.meta``.
-    """
-    from ..analysis.certify import certify_schedule
-
-    artifact.analysis = certify_schedule(artifact.schedule, artifact.ddg)
+#: Step 6: ``CompileOptions.scheduler`` -> its scheduling step.
+SCHEDULERS: dict[str, Pass] = {
+    "sms": Pass("modulo-schedule", _modulo_schedule),
+    "exact": Pass("exact-schedule", _exact_schedule),
+}
 
 
 def make_policy(
@@ -196,9 +170,6 @@ def make_policy(
     options: CompileOptions,
 ):
     """Instantiate the memory policy matching the target architecture."""
-    from ..scheduler.l0policy import L0Policy
-    from ..scheduler.policies import InterleavedPolicy, MultiVLIWPolicy, UnifiedPolicy
-
     if config.arch is ArchKind.UNIFIED:
         return UnifiedPolicy(loop, config)
     if config.arch is ArchKind.L0:
@@ -217,91 +188,28 @@ def make_policy(
     raise ValueError(f"unknown architecture {config.arch}")
 
 
-#: The paper's flow, in order.
-DEFAULT_PIPELINE: tuple[str, ...] = (
-    "select-unroll",
-    "apply-unroll",
-    "mem-disambiguation",
-    "build-ddg",
-    "select-policy",
-    "modulo-schedule",
-)
-
-#: Scheduler backends: ``CompileOptions.scheduler`` value -> the name of
-#: the registered pass that provides ``schedule``.  A third backend
-#: plugs in with ``@register_pass("my-schedule", requires=("ddg",
-#: "policy"), provides=("schedule",))`` + ``register_scheduler("mine",
-#: "my-schedule")`` — the compile cache, ``compile_loop(scheduler=...)``
-#: and the eval CLI pick it up through this table.
-SCHEDULER_PASSES: dict[str, str] = {
-    "sms": "modulo-schedule",
-    "exact": "exact-schedule",
-}
+def scheduler_inputs(
+    loop: Loop, config: MachineConfig, options: CompileOptions
+) -> SimpleNamespace:
+    """Run steps 1-5; the state holds the inputs plus ``unroll_factor``,
+    ``body`` (the unrolled loop), ``dep_info``, ``ddg`` and ``policy``."""
+    state = SimpleNamespace(loop=loop, config=config, options=options)
+    for step in INPUT_STEPS:
+        step(state)
+    return state
 
 
-def register_scheduler(name: str, pass_name: str) -> None:
-    """Expose a registered schedule-providing pass as a scheduler backend."""
-    if name in SCHEDULER_PASSES:
-        raise PipelineError(f"scheduler {name!r} already registered")
-    p = get_pass(pass_name)  # raises for unknown passes
-    if "schedule" not in p.provides:
-        raise PipelineError(
-            f"pass {pass_name!r} does not provide 'schedule'; cannot back a scheduler"
-        )
-    SCHEDULER_PASSES[name] = pass_name
-
-
-def scheduler_pipeline(scheduler: str = "sms") -> tuple[str, ...]:
-    """The full pass sequence for one scheduler backend: the paper's
-    flow with that backend's pass in the scheduling slot."""
-    try:
-        pass_name = SCHEDULER_PASSES[scheduler]
-    except KeyError:
-        raise PipelineError(
-            f"unknown scheduler {scheduler!r}; registered: {sorted(SCHEDULER_PASSES)}"
-        ) from None
-    return DEFAULT_PIPELINE[:-1] + (pass_name,)
-
-
-class PassManager:
-    """An ordered, validated sequence of passes.
-
-    Accepts pass names (resolved in the registry) or :class:`Pass`
-    objects; validates at construction that each pass's ``requires`` is
-    covered by the union of earlier passes' ``provides``.
-    """
-
-    def __init__(self, passes: Sequence[str | Pass] | None = None) -> None:
-        chosen = DEFAULT_PIPELINE if passes is None else passes
-        self.passes: tuple[Pass, ...] = tuple(
-            p if isinstance(p, Pass) else get_pass(p) for p in chosen
-        )
-        self._validate()
-
-    def _validate(self) -> None:
-        provided: set[str] = set()
-        for p in self.passes:
-            missing = set(p.requires) - provided
-            if missing:
-                raise PassOrderError(
-                    f"pass {p.name!r} requires {sorted(missing)} but the "
-                    f"preceding passes only provide {sorted(provided)}"
-                )
-            provided |= set(p.provides)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.passes)
-
-    def run(
-        self,
-        loop: Loop,
-        config: MachineConfig,
-        options: CompileOptions | None = None,
-    ) -> CompilationArtifact:
-        artifact = CompilationArtifact(
-            loop=loop, config=config, options=options or CompileOptions()
-        )
-        for p in self.passes:
-            p(artifact)
-        return artifact
+def compile_uncached(
+    loop: Loop, config: MachineConfig, options: CompileOptions | None = None
+) -> CompiledLoop:
+    """Compile one loop for one machine: all six steps, no cache."""
+    options = options or CompileOptions()
+    state = scheduler_inputs(loop, config, options)
+    SCHEDULERS[options.scheduler](state)
+    return CompiledLoop(
+        loop=state.body,
+        schedule=state.schedule,
+        ddg=state.ddg,
+        policy_name=state.policy.name,
+        unroll_factor=state.unroll_factor,
+    )

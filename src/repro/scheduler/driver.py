@@ -1,12 +1,13 @@
-"""Top-level compilation driver (compatibility wrapper).
+"""Top-level compilation driver.
 
-``compile_loop`` remains the public entry point, but the flow it used to
-hard-wire — unroll choice, unrolling, memory disambiguation, DDG build,
-policy selection, modulo scheduling — now lives in the pass-managed
-pipeline (:mod:`repro.pipeline.passes`).  This module keeps the legacy
-signature, the :class:`CompiledLoop` record, and the unroll heuristic
-(step 1 of the paper's algorithm; the same unrolling decision is used
-for every architecture so comparisons are not biased, sections 5.1-5.3).
+``compile_loop`` is the public entry point: it compiles through the
+compile cache, whose misses run the six compile steps of
+:func:`repro.pipeline.passes.compile_uncached` — unroll choice,
+unrolling, memory disambiguation, DDG build, policy selection, modulo
+scheduling.  This module also holds the :class:`CompiledLoop` record
+and the unroll heuristic (step 1 of the paper's algorithm; the same
+unrolling decision is used for every architecture so comparisons are
+not biased, sections 5.1-5.3).
 """
 
 from __future__ import annotations
@@ -78,48 +79,21 @@ def choose_unroll_factor(loop: Loop, config: MachineConfig) -> int:
     return 1
 
 
-def compile_loop(
-    loop: Loop,
-    config: MachineConfig,
-    *,
-    unroll_factor: int | None = None,
-    interleaved_heuristic: int = 1,
-    all_candidates: bool = False,
-    allow_psr: bool = False,
-    prefetch_distance: int = 1,
-    scheduler: str = "sms",
-    exact_node_budget: int | None = None,
-    exact_max_stages: int | None = None,
-) -> CompiledLoop:
+def compile_loop(loop: Loop, config: MachineConfig, **options) -> CompiledLoop:
     """Compile one inner loop for one machine configuration.
 
-    ``unroll_factor=None`` applies the paper's static unroll heuristic;
-    pass 1 or N to force a factor (used by tests and ablations).
-    ``scheduler`` picks the backend scheduling pass: ``"sms"`` (the
+    ``options`` are the fields of :class:`repro.pipeline.CompileOptions`
+    (an unknown keyword raises ``TypeError``): ``unroll_factor=None``
+    applies the paper's static unroll heuristic, 1 or N forces a factor
+    (used by tests and ablations); ``scheduler`` picks ``"sms"`` (the
     heuristic engine) or ``"exact"`` (branch-and-bound with SMS
     fallback; tune it with the ``exact_*`` knobs).
 
-    Thin wrapper over the cached pass pipeline
-    (:func:`repro.pipeline.compile_cached`): repeated compilations of an
-    identical (loop, config, options) triple are served from the
-    process-wide compile cache; any other triple runs the scheduler's
-    full pass pipeline.  Build a custom
-    :class:`repro.pipeline.PassManager` to change the flow itself.
+    Repeated compilations of an identical (loop, config, options) triple
+    are served from the process-wide compile cache
+    (:func:`repro.pipeline.compile_cached`).
     """
-    from ..pipeline.artifact import CompileOptions
     from ..pipeline.compilecache import compile_cached
+    from ..pipeline.passes import CompileOptions
 
-    kwargs = dict(
-        unroll_factor=unroll_factor,
-        interleaved_heuristic=interleaved_heuristic,
-        all_candidates=all_candidates,
-        allow_psr=allow_psr,
-        prefetch_distance=prefetch_distance,
-        scheduler=scheduler,
-    )
-    if exact_node_budget is not None:
-        kwargs["exact_node_budget"] = exact_node_budget
-    if exact_max_stages is not None:
-        kwargs["exact_max_stages"] = exact_max_stages
-    options = CompileOptions(**kwargs)
-    return compile_cached(loop, config, options)
+    return compile_cached(loop, config, CompileOptions(**options))

@@ -104,14 +104,6 @@ class ModuloSchedule:
     def row_of(self, uid: int) -> int:
         return self.placed[uid].start % self.ii
 
-    def stage_of(self, uid: int) -> int:
-        return self.placed[uid].start // self.ii
-
-    def issue_cycle(self, uid: int, iteration: int) -> int:
-        """Absolute issue cycle of instruction ``uid`` in ``iteration``
-        assuming no stalls."""
-        return self.placed[uid].start + iteration * self.ii
-
     # ------------------------------------------------------------------
     # Trace metadata (the simulators' static event order)
     # ------------------------------------------------------------------

@@ -98,12 +98,19 @@ class SimOptions:
         if "scheduler" in self.compile_kwargs:
             self.compile_kwargs = dict(self.compile_kwargs)
             self.scheduler = self.compile_kwargs.pop("scheduler")
+        # Fail closed: an unknown scheduler or compile knob, or a value
+        # CompileOptions rejects, raises here rather than at the first
+        # compile (possibly inside a fleet worker) after being hashed
+        # into a result-cache key.
+        from ..pipeline.passes import CompileOptions
+
+        CompileOptions(scheduler=self.scheduler, **self.compile_kwargs)
 
 
 def _compile(loop, config: MachineConfig, options: SimOptions) -> CompiledLoop:
     """Compile one loop through the compile-artifact cache."""
-    from ..pipeline.artifact import CompileOptions
     from ..pipeline.compilecache import compile_cached, get_compile_cache
+    from ..pipeline.passes import CompileOptions
 
     return compile_cached(
         loop,

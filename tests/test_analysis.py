@@ -18,9 +18,8 @@ from repro.analysis import Diagnostic, Severity, blocking
 from repro.analysis.certify import _optimality_review, certify_compiled, certify_schedule
 from repro.analysis.l0check import audit_flush_plan
 from repro.machine import interleaved_config, l0_config, multivliw_config, unified_config
-from repro.pipeline.artifact import CompileOptions
 from repro.pipeline.compilecache import CompiledLoopCache, compile_cached, compile_key
-from repro.pipeline.passes import PassManager, DEFAULT_PIPELINE
+from repro.pipeline.passes import CompileOptions
 from repro.sim.runner import LoopPlan
 from repro.workloads import kernels
 
@@ -82,14 +81,6 @@ def test_certify_stamps_provenance(cache):
 # ----------------------------------------------------------------------
 # Pipeline / compile-path wiring
 # ----------------------------------------------------------------------
-
-
-def test_analyze_pass_in_pipeline():
-    manager = PassManager(DEFAULT_PIPELINE + ("analyze",))
-    artifact = manager.run(kernels.make_saxpy(), unified_config())
-    assert artifact.analysis == []
-    assert artifact.schedule.meta["analysis"]["verdict"] == "certified"
-    assert "analyze" in artifact.trace
 
 
 def test_compile_cached_analyze_option(cache):

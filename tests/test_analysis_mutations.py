@@ -21,7 +21,7 @@ import pytest
 from repro.analysis.certify import certify_compiled
 from repro.isa import MemoryLayout
 from repro.machine import l0_config, multivliw_config, unified_config
-from repro.pipeline.artifact import CompileOptions
+from repro.pipeline.passes import CompileOptions
 from repro.pipeline.compilecache import CompiledLoopCache, compile_cached
 from repro.sim import LoopExecutor, TraceExecutor, make_memory
 from repro.sim.trace import EV_CHECK, EV_LOAD

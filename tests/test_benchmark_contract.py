@@ -39,3 +39,37 @@ def test_compile_stats_reads_the_cache_counters():
     stats = get_compile_cache(None).stats
     for name, value in counters.items():
         assert value == getattr(stats, name.removeprefix("compile."))
+
+
+def test_compile_steps_reach_their_layers(monkeypatch):
+    """Each compile runs every step once through ``Pass.__call__``, so the
+    traced ``frontend.*`` and ``scheduler.*`` metrics see every compile."""
+    from repro.machine import l0_config
+    from repro.pipeline import CompileOptions, CompiledLoopCache, compilecache
+    from repro.workloads.kernels import make_saxpy
+
+    monkeypatch.setattr(layers, "_WORKER_RECORDER", layers._WORKER_RECORDER)
+    rec = layers.Recorder()
+    undo = layers.install(rec, layers.Recorder())
+    try:
+        cache = CompiledLoopCache()
+        for scheduler in ("sms", "exact"):
+            compilecache.compile_cached(
+                make_saxpy(),
+                l0_config(8),
+                CompileOptions(scheduler=scheduler),
+                cache=cache,
+            )
+    finally:
+        layers.uninstall(undo)
+    # Four frontend steps per compile; SMS inside the exact search is
+    # not a step of its own.
+    expected = {
+        "frontend": 8,
+        "scheduler.policy": 2,
+        "scheduler.sms": 1,
+        "scheduler.exact": 1,
+        "compile": 2,
+    }
+    outer_calls = {layer: rec.totals.get(layer, [0])[0] for layer in expected}
+    assert outer_calls == expected

@@ -9,9 +9,9 @@ from repro.machine import l0_config, unified_config
 from repro.pipeline import (
     CompileOptions,
     CompiledLoopCache,
-    PassManager,
     compile_cached,
     compile_key,
+    compile_uncached,
 )
 from repro.scheduler import compile_loop
 from repro.sim import LoopExecutor, make_memory
@@ -105,25 +105,8 @@ class TestCacheSemantics:
         assert cache.stats.compilations == 2
 
     def test_unknown_scheduler_fails_fast(self):
-        from repro.pipeline import PipelineError
-
-        with pytest.raises(PipelineError, match="unknown scheduler"):
-            compile_cached(
-                make_saxpy(),
-                l0_config(8),
-                CompileOptions(scheduler="smt"),
-                cache=CompiledLoopCache(),
-            )
-
-    def test_default_pipeline_rejects_foreign_scheduler_request(self):
-        """PassManager(DEFAULT_PIPELINE) runs the SMS pass; options
-        requesting the exact backend must error, not silently get SMS."""
-        from repro.pipeline import PipelineError
-
-        with pytest.raises(PipelineError, match="scheduler_pipeline"):
-            PassManager().run(
-                make_saxpy(), l0_config(8), CompileOptions(scheduler="exact")
-            )
+        with pytest.raises(ValueError, match="unknown scheduler 'smt'"):
+            CompileOptions(scheduler="smt")
 
     def test_hit_matches_fresh_compilation(self):
         cache = CompiledLoopCache()
@@ -145,13 +128,14 @@ class TestCacheSemantics:
         assert again.schedule.validate(again.ddg) == []
 
     def test_compile_loop_wrapper_equivalent_to_pass_manager(self):
+        """``compile_loop`` serves what the uncached compile function builds."""
         loop = make_saxpy()
         config = l0_config(8)
-        artifact = PassManager().run(loop, config)
+        uncached = compile_uncached(loop, config)
         compiled = compile_loop(loop, config)
-        assert compiled.schedule.ii == artifact.schedule.ii
-        assert compiled.unroll_factor == artifact.unroll_factor
-        assert compiled.policy_name == artifact.policy_name
+        assert compiled.schedule.ii == uncached.schedule.ii
+        assert compiled.unroll_factor == uncached.unroll_factor
+        assert compiled.policy_name == uncached.policy_name
 
 
 class TestSerialisationRoundTrip:

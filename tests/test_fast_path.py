@@ -24,7 +24,7 @@ from repro.machine import (
     multivliw_config,
     unified_config,
 )
-from repro.pipeline.artifact import CompileOptions
+from repro.pipeline.passes import CompileOptions
 from repro.pipeline.compilecache import CompiledLoopCache, compile_cached
 from repro.scheduler import compile_loop
 from repro.sim import (

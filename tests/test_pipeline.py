@@ -9,10 +9,6 @@ from repro.machine import l0_config, unified_config
 from repro.pipeline import (
     CompileOptions,
     ParallelExecutor,
-    Pass,
-    PassManager,
-    PassOrderError,
-    PipelineError,
     ResultCache,
     RunRequest,
     SerialExecutor,
@@ -20,68 +16,24 @@ from repro.pipeline import (
     cache_key,
     decode_result,
     encode_result,
+    compile_uncached,
     make_executor,
     result_fingerprint,
 )
-from repro.pipeline.passes import DEFAULT_PIPELINE
-from repro.scheduler import compile_loop
 from repro.sim import SimOptions
-from repro.workloads.kernels import make_dpcm, make_saxpy
+from repro.workloads.kernels import make_saxpy
 
 FAST = SimOptions(sim_cap=80)
 TWO_BENCHMARKS = ("g721dec", "gsmdec")
 
 
-class TestPassManager:
-    def test_default_pipeline_matches_legacy_driver(self):
-        loop = make_saxpy()
-        config = l0_config(8)
-        artifact = PassManager().run(loop, config)
-        legacy = compile_loop(loop, config)
-        assert artifact.trace == list(DEFAULT_PIPELINE)
-        assert artifact.schedule.ii == legacy.schedule.ii
-        assert artifact.unroll_factor == legacy.unroll_factor
-        assert artifact.policy_name == legacy.policy_name
-
+class TestCompileUncached:
     def test_forced_unroll_flows_through_options(self):
-        artifact = PassManager().run(
+        compiled = compile_uncached(
             make_saxpy(), l0_config(8), CompileOptions(unroll_factor=1)
         )
-        assert artifact.unroll_factor == 1
-        assert artifact.body.unroll_factor == 1
-
-    def test_misordered_pipeline_rejected_before_running(self):
-        passes = list(DEFAULT_PIPELINE)
-        passes.remove("mem-disambiguation")
-        with pytest.raises(PassOrderError, match="dep_info"):
-            PassManager(passes)
-
-    def test_schedule_before_ddg_rejected(self):
-        with pytest.raises(PassOrderError):
-            PassManager(["select-unroll", "apply-unroll", "modulo-schedule"])
-
-    def test_unknown_pass_rejected(self):
-        with pytest.raises(PipelineError, match="unknown pass"):
-            PassManager(["select-unroll", "no-such-pass"])
-
-    def test_custom_pass_slots_in(self):
-        seen = []
-        probe = Pass(
-            name="probe",
-            run=lambda artifact: seen.append(artifact.unroll_factor),
-            requires=("unroll_factor",),
-        )
-        passes = list(DEFAULT_PIPELINE)
-        passes.insert(2, probe)
-        artifact = PassManager(passes).run(make_dpcm(), unified_config())
-        assert seen == [artifact.unroll_factor]
-        assert "probe" in artifact.trace
-
-    def test_compiled_requires_schedule(self):
-        manager = PassManager(DEFAULT_PIPELINE[:2])
-        artifact = manager.run(make_saxpy(), unified_config())
-        with pytest.raises(PassOrderError):
-            artifact.compiled()
+        assert compiled.unroll_factor == 1
+        assert compiled.loop.unroll_factor == 1
 
 
 class TestCompileOptions:
@@ -112,6 +64,18 @@ class TestSimOptions:
 
     def test_smallest_sim_cap_accepted(self):
         assert SimOptions(sim_cap=1).sim_cap == 1
+
+    def test_unknown_scheduler_rejected(self):
+        with pytest.raises(ValueError, match="unknown scheduler 'smt'"):
+            SimOptions(scheduler="smt")
+
+    def test_unknown_compile_knob_rejected(self):
+        with pytest.raises(TypeError, match="bogus"):
+            SimOptions(compile_kwargs={"bogus": 1})
+
+    def test_rejected_compile_knob_value_rejected(self):
+        with pytest.raises(ValueError, match="exact_node_budget"):
+            SimOptions(compile_kwargs={"exact_node_budget": 0})
 
 
 class TestCacheKey:

@@ -41,7 +41,7 @@ from repro.machine import (
     multivliw_config,
     unified_config,
 )
-from repro.pipeline import CompileOptions, PassManager, scheduler_pipeline
+from repro.pipeline import CompileOptions, compile_uncached
 from repro.workloads.mediabench import PAPER_TABLE1, build
 
 #: (label, config) pairs of the tier-1 SMS sample.
@@ -115,8 +115,7 @@ def render(schedule, *, trials: bool = True) -> str:
 
 
 def _compile(loop, config, **options):
-    passes = PassManager(scheduler_pipeline(options.get("scheduler", "sms")))
-    return passes.run(loop, config, CompileOptions(**options)).schedule
+    return compile_uncached(loop, config, CompileOptions(**options)).schedule
 
 
 def _digest(blocks, *, trials: bool = True) -> str:

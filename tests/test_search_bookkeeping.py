@@ -45,7 +45,7 @@ from repro.machine import (
     multivliw_config,
     unified_config,
 )
-from repro.pipeline import DEFAULT_PIPELINE, CompileOptions, PassManager
+from repro.pipeline import CompileOptions, scheduler_inputs
 from repro.scheduler import ClusterScheduler, ExactScheduler
 from repro.scheduler.engine import NO_FU
 from repro.scheduler.exact import INF
@@ -73,10 +73,8 @@ EXACT_SAMPLE = (
 
 def _frontend(loop, config, **options):
     """The compile products the schedulers start from (DDG and policy)."""
-    artifact = PassManager(DEFAULT_PIPELINE[:-1]).run(
-        loop, config, CompileOptions(**options)
-    )
-    return artifact.ddg, artifact.policy
+    state = scheduler_inputs(loop, config, CompileOptions(**options))
+    return state.ddg, state.policy
 
 
 # ----------------------------------------------------------------------
