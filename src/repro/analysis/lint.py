@@ -191,7 +191,9 @@ def lint_source(
             iters: list[tuple[ast.AST, int]] = []
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 iters.append((node.iter, node.iter.lineno))
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            elif isinstance(
+                node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+            ):
                 for gen in node.generators:
                     iters.append((gen.iter, gen.iter.lineno))
             for iter_node, lineno in iters:

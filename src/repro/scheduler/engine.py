@@ -7,7 +7,9 @@ BASE algorithm's skeleton: iterate the II upward from MII, order nodes
 with the SMS heuristic, and place one instruction at a time in the
 cluster that minimises inter-cluster communication while balancing
 workload, inserting bus communication operations whenever a register
-value crosses clusters.
+value crosses clusters.  An attempt whose placement/ejection loop comes
+back to a state it was in before fails at once: from there it could
+only cycle until its ejection budget ran out.
 """
 
 from __future__ import annotations
@@ -105,7 +107,6 @@ class ClusterScheduler:
 
         # Per-attempt state
         self._asap: dict[int, int] | None = None
-        self._min_start: dict[int, int] = {}
         self.mrt: ModuloReservationTable | None = None
         self.placed: dict[int, PlacedOp] = {}
         self.comms: list[PlacedComm] = []
@@ -148,7 +149,6 @@ class ClusterScheduler:
         self._comm_index = {}
         self._cluster_ops = [0] * n_clusters
         self._cluster_fu_ops = [[0] * n_clusters for _ in range(NO_FU + 1)]
-        self._min_start = {}
         self.policy.begin_attempt(ii, self)
 
         # ASAP lower bounds for this attempt: placing any node earlier
@@ -167,14 +167,17 @@ class ClusterScheduler:
                     self.ddg.nodes, key=lambda u: (self._asap[u], u)
                 )
             ]
+        # A node sweeps in the direction its order gave it, requeued or not.
         direction_of = dict(order)
-        work = deque(order)
+        work = deque(uid for uid, _ in order)
         ejection_budget = 12 * len(order)
         ejections = 0
+        seen: set[tuple] = set()
         while work:
-            uid, direction = work.popleft()
+            uid = work.popleft()
             if uid in self.placed:
                 continue
+            direction = direction_of[uid]
             instr = self.ddg.instruction(uid)
             clusters = self._cluster_order(uid)
             is_memory = self._is_memory[uid]
@@ -203,10 +206,17 @@ class ClusterScheduler:
             ejections += len(victims) + 1
             if not victims or ejections > ejection_budget:
                 return None
+            # From here the loop is a function of this snapshot, so a
+            # repeat would cycle until the budget ran out: fail now
+            # (docs/architecture.md, "SMS livelock cut").
+            size = len(seen)
+            seen.add(self._snapshot(uid, work))
+            if len(seen) == size:
+                return None
             for victim in victims:
                 self._eject(victim)
-                work.append((victim, direction_of[victim]))
-            work.appendleft((uid, direction))
+                work.append(victim)
+            work.appendleft(uid)
 
         schedule = ModuloSchedule(
             loop_name=self.loop.name,
@@ -222,6 +232,33 @@ class ClusterScheduler:
     def _note_placement(self, op: PlacedOp) -> None:
         self._cluster_ops[op.cluster] += 1
         self._cluster_fu_ops[self._fu[op.instr.uid]][op.cluster] += 1
+
+    def _snapshot(self, uid: int, work: deque[int]) -> tuple:
+        """The attempt's state at a failed placement of ``uid``: the work
+        list, the placements (as a set), the comms in order, each with
+        whether ``_comm_index`` maps its key to it, and the policy's
+        :meth:`~.policies.MemoryPolicy.attempt_state`.  The reservation
+        table and the per-cluster counters follow from these."""
+        index = self._comm_index
+        return (
+            uid,
+            tuple(work),
+            frozenset(
+                (u, op.cluster, op.start, op.latency) for u, op in self.placed.items()
+            ),
+            tuple(
+                (
+                    c.producer_uid,
+                    c.dst_cluster,
+                    c.src_cluster,
+                    c.start,
+                    c.latency,
+                    index.get((c.producer_uid, c.dst_cluster)) is c,
+                )
+                for c in self.comms
+            ),
+            self.policy.attempt_state(),
+        )
 
     # ------------------------------------------------------------------
     # Cluster preference (BASE heuristic: comms then balance)

@@ -115,6 +115,8 @@ class L0Policy:
         self.l0_planned: set[int] = set(self.candidate_loads)
         self.recommended: dict[int, int] = {}
         self.sets: dict[int, SetState] = {}
+        #: The distinct states of ``sets``, one per coherence set.
+        self._set_states: list[SetState] = []
         self.free: list[float] = []
         self.replicas: list[PlacedOp] = []
         self.replica_comms: list[PlacedComm] = []
@@ -171,9 +173,11 @@ class L0Policy:
         self.replicas = []
         self.replica_comms = []
         self.sets = {}
+        self._set_states = []
         for dep_set in self.dep.sets:
             if self.dep.needs_coherence(dep_set):
                 state = SetState(members=dep_set)
+                self._set_states.append(state)
                 for uid in dep_set:
                     self.sets[uid] = state
 
@@ -419,6 +423,27 @@ class L0Policy:
             state = self.sets.get(uid)
             if state is not None:
                 state.l0_loads.discard(uid)
+
+    def attempt_state(self) -> tuple:
+        """The attempt's mutable protocol state (see
+        :meth:`~.policies.MemoryPolicy.attempt_state`).
+
+        ``replicas`` and ``replica_comms`` only grow within an attempt, so
+        their lengths stand for them.  ``decisions`` and the slack memo
+        stay out: neither changes an answer of :meth:`options`,
+        :meth:`committed` or :meth:`ejected`.
+        """
+        return (
+            tuple(self.free),
+            frozenset(self.l0_planned),
+            tuple(self.recommended.items()),
+            tuple(
+                (state.scheme, state.cluster, frozenset(state.l0_loads))
+                for state in self._set_states
+            ),
+            len(self.replicas),
+            len(self.replica_comms),
+        )
 
     # ------------------------------------------------------------------
     # Partial store replication

@@ -69,6 +69,19 @@ class MemoryPolicy(Protocol):
         """A previously committed placement was removed (ejection)."""
         ...
 
+    def attempt_state(self) -> tuple:
+        """Every piece of mutable state that the policy's later
+        :meth:`options`, :meth:`committed` and :meth:`ejected` answers
+        depend on, and the reservation-table slots the policy booked
+        itself, as a hashable value.
+
+        The SMS engine ends an attempt when its snapshot, this value
+        included, repeats at a failed placement.  State left out makes
+        that cut unsound: two equal snapshots would no longer promise the
+        same future.  A policy without such state returns ``()``.
+        """
+        ...
+
     def finalize(
         self,
         schedule: ModuloSchedule,
@@ -94,6 +107,9 @@ class _PureOptions:
 
     def entry_shortage(self, uid: int, cluster: int, latency: int) -> bool:
         return False
+
+    def attempt_state(self) -> tuple:
+        return ()
 
 
 class UnifiedPolicy(_PureOptions):

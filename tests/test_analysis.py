@@ -15,9 +15,18 @@ import os
 import pytest
 
 from repro.analysis import Diagnostic, Severity, blocking
-from repro.analysis.certify import _optimality_review, certify_compiled, certify_schedule
+from repro.analysis.certify import (
+    _optimality_review,
+    certify_compiled,
+    certify_schedule,
+)
 from repro.analysis.l0check import audit_flush_plan
-from repro.machine import interleaved_config, l0_config, multivliw_config, unified_config
+from repro.machine import (
+    interleaved_config,
+    l0_config,
+    multivliw_config,
+    unified_config,
+)
 from repro.pipeline.compilecache import CompiledLoopCache, compile_cached, compile_key
 from repro.pipeline.passes import CompileOptions
 from repro.sim.runner import LoopPlan

@@ -116,7 +116,9 @@ def _check_oracle(loop, config):
         result = _simulate(compiled, config)
         trip = compiled.loop.trip_count
         assert result.iterations == trip
-        assert result.compute_cycles == (trip - 1) * compiled.ii + compiled.schedule.span
+        assert (
+            result.compute_cycles == (trip - 1) * compiled.ii + compiled.schedule.span
+        )
         assert result.stall_cycles >= 0
         again = _simulate(compiled, config)
         assert (again.compute_cycles, again.stall_cycles, again.late_loads) == (

@@ -128,7 +128,9 @@ class TestRunLoop:
         options = SimOptions(sim_cap=200)
         result, _ = run_loop(compiled, memory, layout, options=options)
         trip = compiled.loop.trip_count
-        assert result.compute_cycles == (trip - 1) * compiled.ii + compiled.schedule.span
+        assert (
+            result.compute_cycles == (trip - 1) * compiled.ii + compiled.schedule.span
+        )
 
     def test_l0_flushed_between_invocations(self):
         loop = make_saxpy(trip=64, n=256)

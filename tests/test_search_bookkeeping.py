@@ -419,6 +419,10 @@ class _VetoEveryOther(UnifiedPolicy):
         self.calls += 1
         return self.calls % 2 == 0
 
+    def attempt_state(self):
+        # The next veto depends on the parity of the calls so far.
+        return (self.calls % 2,)
+
 
 #: Random loops in which some vetoed placement had planned a transfer.
 VETO_SEEDS = (0, 4, 8, 11)
