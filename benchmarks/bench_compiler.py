@@ -7,12 +7,12 @@ real pipeline, not a compile-cache lookup.
 """
 
 from repro.machine import l0_config, unified_config
-from repro.pipeline import CompiledLoopCache, compile_cached
+from repro.pipeline import KeyedCache, compile_cached
 from repro.workloads import build
 
 
 def _compile_suite(config):
-    cache = CompiledLoopCache()
+    cache = KeyedCache()
     compiled = []
     for name in ("g721dec", "jpegdec", "rasta"):
         for spec in build(name).loops:

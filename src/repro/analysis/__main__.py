@@ -29,15 +29,14 @@ def audit_compile_store(
     Entries are read without refreshing their mtimes, which are the
     recency ``python -m repro.cache gc`` evicts by: an audit is not a use.
     """
-    from ..pipeline.compilecache import CompiledLoopCache
+    from ..pipeline.cache import KeyedFileStore
     from .certify import certify_compiled
 
     path = Path(compile_cache_dir)
     if not path.is_dir():
         echo(f"no compile-cache directory at {path}", file=sys.stderr)
         return 1 if min_artifacts else 0
-    store = CompiledLoopCache(path).store
-    assert store is not None
+    store = KeyedFileStore(path)
     audited = flagged = notes = 0
     for key in sorted(store.entries()):
         blob = store.peek(key)

@@ -1,22 +1,20 @@
 """Maintenance CLI over the on-disk artifact stores.
 
 ``python -m repro.cache <command>`` operates on the three cache
-directories the pipeline persists — the result store (``ResultCache``,
-``<key>.json``), the compile-artifact store (``CompiledLoopCache``,
-``<key>.pkl``) and the fuzz-job store (``repro.fuzz.FuzzStore``,
-``<key>.json``) — through their shared ``KeyedFileStore``:
+directories the pipeline persists — the result store, the
+compile-artifact store and the fuzz-job store — each opened as one
+``KeyedCache`` over its ``KeyedFileStore``:
 
 * ``stats``  — entry count, bytes and recency range per store;
 * ``gc``     — bound each directory to ``--max-bytes``, evicting the
   least recently used entries (oldest file mtime) first;
-* ``verify`` — decode-check every entry and drop the corrupt,
-  including result entries in any layout or schema other than the
-  current one (exit 1 if anything was corrupt, so CI can assert a
-  restored cache is sound).
+* ``verify`` — unpickle-check every entry and drop the corrupt,
+  including entries left in an older format (``<key>.json``); exit 1
+  if anything was dropped, so CI can assert a restored cache is sound.
 
 The directories default to the names CI persists (``.result-cache``,
 ``.compile-cache``, ``.fuzz-cache``); a missing directory is skipped,
-never created.  Every store is one flat directory of ``<key><suffix>``
+never created.  Every store is one flat directory of ``<key>.pkl``
 files; a file's mtime is its entry's recency (written or last hit).
 ``gc`` is the one way to bound a store: every key mixes the code
 fingerprint, so entries written by other code versions are never hit
@@ -31,9 +29,8 @@ import sys
 import time
 from pathlib import Path
 
+from ..pipeline.cache import KeyedCache
 from ..pipeline.passes import CompileOptions
-from ..pipeline.cache import ResultCache
-from ..pipeline.compilecache import CompiledLoopCache
 from ..sim.runner import SimOptions
 
 _SIZE_UNITS = {"": 1, "K": 1024, "M": 1024**2, "G": 1024**3}
@@ -102,28 +99,23 @@ def _age(seconds: float) -> str:
     return f"{seconds / 86400:.1f}d"
 
 
-def open_stores(args) -> list[tuple[str, object]]:
+def open_stores(args) -> list[tuple[str, KeyedCache]]:
     """The caches named by the CLI flags whose directories exist.
 
     Never creates a directory: a maintenance tool that mkdirs the thing
     it is asked to clean up would mask typos.
     """
-    from ..fuzz.store import FuzzStore
-
-    stores: list[tuple[str, object]] = []
-    result_dir = Path(args.cache_dir)
-    compile_dir = Path(args.compile_cache_dir)
-    fuzz_dir = Path(args.fuzz_cache_dir)
-    if result_dir.is_dir():
-        stores.append(("results", ResultCache(result_dir)))
-    if compile_dir.is_dir():
-        stores.append(("compile", CompiledLoopCache(compile_dir)))
-    if fuzz_dir.is_dir():
-        stores.append(("fuzz", FuzzStore(fuzz_dir)))
+    dirs = {
+        "results": Path(args.cache_dir),
+        "compile": Path(args.compile_cache_dir),
+        "fuzz": Path(args.fuzz_cache_dir),
+    }
+    stores = [
+        (label, KeyedCache(path)) for label, path in dirs.items() if path.is_dir()
+    ]
     if not stores:
         print(
-            f"no cache directories found "
-            f"({result_dir} / {compile_dir} / {fuzz_dir})",
+            f"no cache directories found ({' / '.join(map(str, dirs.values()))})",
             file=sys.stderr,
         )
     return stores
@@ -165,7 +157,7 @@ def cmd_verify(args) -> int:
         corrupt += len(report.corrupt)
         print(f"{label}: {report.ok} entries ok, {len(report.corrupt)} corrupt removed")
         if getattr(args, "analyze", False) and label == "compile":
-            # Beyond decode soundness: run the static certifier over
+            # Beyond entry soundness: run the static certifier over
             # every artifact that survived verification.
             from ..analysis.__main__ import audit_compile_store
 
@@ -215,9 +207,8 @@ def main(argv: list[str] | None = None) -> int:
 
     verify = sub.add_parser(
         "verify",
-        help="decode-check every entry and drop the corrupt, including "
-        "result entries in an old layout or schema (exit 1 if anything "
-        "was corrupt)",
+        help="unpickle-check every entry and drop the corrupt, including "
+        "entries in an older format (exit 1 if anything was corrupt)",
     )
     verify.add_argument(
         "--analyze",

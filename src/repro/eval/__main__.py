@@ -78,19 +78,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help="persist simulation results as JSON under this directory",
+        help="persist simulation results (pickled) under this directory",
     )
     parser.add_argument(
         "--compile-cache-dir",
         default=None,
         help="persist compile artifacts (pickled CompiledLoops) under this directory",
-    )
-    parser.add_argument(
-        "--loop-workers",
-        type=int,
-        default=None,
-        help="worker processes for per-program loop fan-out (default serial; "
-        "-1 = all cores); results are byte-identical to serial",
     )
     parser.add_argument(
         "--scheduler",
@@ -113,7 +106,6 @@ def main(argv: list[str] | None = None) -> int:
         compile_kwargs["exact_node_budget"] = args.exact_budget
     options = SimOptions(
         sim_cap=args.sim_cap,
-        loop_workers=args.loop_workers,
         scheduler=args.scheduler,
         compile_kwargs=compile_kwargs,
     )
@@ -174,11 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         f"[{time.time() - started:.1f}s, {session.simulations} simulations, "
         f"{session.cache_hits} cache hits"
     )
-
-    def _parallel(workers: int | None) -> bool:
-        return workers is not None and workers not in (0, 1)
-
-    if _parallel(args.workers) or _parallel(args.loop_workers):
+    if args.workers is not None and args.workers not in (0, 1):
         # Compilation happened inside worker processes; this process's
         # compile-cache counters cannot reflect it, so don't print them.
         trailer += ", compile stats in workers]"
@@ -187,9 +175,9 @@ def main(argv: list[str] | None = None) -> int:
 
         compile_stats = get_compile_cache(args.compile_cache_dir).stats
         trailer += (
-            f", {compile_stats.compilations} compilations "
-            f"({compile_stats.full_hits} compile-cache hits, "
-            f"{compile_stats.full_disk_hits} from disk)]"
+            f", {compile_stats.misses} compilations "
+            f"({compile_stats.hits} compile-cache hits, "
+            f"{compile_stats.disk_hits} from disk)]"
         )
     print(trailer, file=sys.stderr)
     return 0

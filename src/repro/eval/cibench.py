@@ -76,9 +76,9 @@ SIM_BENCH_ROUNDS = 5
 def _compile_counters(cache_dir: str | None) -> dict:
     stats = get_compile_cache(cache_dir).stats
     return {
-        "compilations": stats.compilations,
-        "full_hits": stats.full_hits,
-        "full_disk_hits": stats.full_disk_hits,
+        "compilations": stats.misses,
+        "full_hits": stats.hits,
+        "full_disk_hits": stats.disk_hits,
     }
 
 

@@ -12,7 +12,7 @@ is taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ..ir import stride
@@ -23,7 +23,7 @@ from ..machine.config import (
     multivliw_config,
     unified_config,
 )
-from ..pipeline.cache import ResultCache
+from ..pipeline.cache import KeyedCache
 from ..pipeline.executor import RunRequest
 from ..pipeline.session import Session
 from ..sim.runner import SimOptions
@@ -67,42 +67,22 @@ class ExperimentContext:
     workers: int | None = None  # None/0/1 serial, N processes, -1 all cores
     cache_dir: str | Path | None = None
     compile_cache_dir: str | Path | None = None
-    session: Session = None  # type: ignore[assignment] - filled in post-init
+    session: Session = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.session is None:
-            if self.options is None:
-                self.options = SimOptions()
-            if self.compile_cache_dir is not None:
-                # Rides inside the options (excluded from cache keys) so
-                # worker processes inherit it through pickled requests.
-                self.options = replace(
-                    self.options, compile_cache_dir=str(self.compile_cache_dir)
-                )
-            self.session = Session(
-                options=self.options,
-                cache=ResultCache(self.cache_dir),
-                workers=self.workers,
+        if self.options is None:
+            self.options = SimOptions()
+        if self.compile_cache_dir is not None:
+            # Rides inside the options (excluded from cache keys) so
+            # worker processes inherit it through pickled requests.
+            self.options = replace(
+                self.options, compile_cache_dir=str(self.compile_cache_dir)
             )
-        else:
-            if (
-                self.workers is not None
-                or self.cache_dir is not None
-                or self.compile_cache_dir is not None
-            ):
-                raise ValueError(
-                    "workers/cache_dir/compile_cache_dir configure the "
-                    "context's own session; set them on the explicit "
-                    "Session instead"
-                )
-            if self.options is not None and self.options != self.session.options:
-                raise ValueError(
-                    "options conflicts with the explicit session's options; "
-                    "pass one or the other"
-                )
-            # The session owns the authoritative options: ctx.options must
-            # never diverge from what the session simulates with.
-            self.options = self.session.options
+        self.session = Session(
+            options=self.options,
+            cache=KeyedCache(self.cache_dir),
+            workers=self.workers,
+        )
 
     def names(self) -> tuple[str, ...]:
         if self.benchmarks is not None:
@@ -131,7 +111,7 @@ class ExperimentContext:
 
     def prefetch(self, requests) -> None:
         """Warm the cache for a batch (the parallel fan-out point)."""
-        self.session.prefetch(list(requests))
+        self.session.run_many(requests)
 
     def run(
         self,

@@ -9,8 +9,8 @@ from fixed test suites into a continuously-running engine:
   random kernels drawn from the parametric generator's structure
   profiles;
 * pluggable **checks** (``checks``) run per (kernel, config) job;
-* a content-addressed **store** (``store``, ``.fuzz-cache``) that
-  dedupes jobs across runs and nights;
+* a content-addressed **store** (a ``KeyedCache`` over
+  ``.fuzz-cache``) that dedupes jobs across runs and nights;
 * a deterministic **shrinker** (``shrink``) that reduces any mismatch
   to a 1-minimal kernel;
 * **repro files** (``regressions``) that make shrunk findings permanent
@@ -26,7 +26,15 @@ from .corpus import (
     resolve_kernel,
     seed_kernel_ids,
 )
-from .engine import FUZZ_CONFIGS, FuzzJob, FuzzReport, execute_job, make_jobs, run_jobs
+from .engine import (
+    FUZZ_CONFIGS,
+    FuzzJob,
+    FuzzReport,
+    execute_job,
+    job_store_key,
+    make_jobs,
+    run_jobs,
+)
 from .regressions import (
     DEFAULT_REGRESSIONS_DIR,
     ReproCase,
@@ -36,7 +44,6 @@ from .regressions import (
     write_repro,
 )
 from .shrink import ShrinkResult, shrink
-from .store import FUZZ_SCHEMA_VERSION, FuzzStore, job_store_key
 
 __all__ = [
     "CHECKS",
@@ -44,12 +51,10 @@ __all__ = [
     "EDGE_CORPUS",
     "FAULTS",
     "FUZZ_CONFIGS",
-    "FUZZ_SCHEMA_VERSION",
     "CheckSkipped",
     "FuzzJob",
     "FuzzOptions",
     "FuzzReport",
-    "FuzzStore",
     "ReproCase",
     "ShrinkResult",
     "edge_kernel_ids",

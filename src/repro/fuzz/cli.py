@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import pickle
 import sys
 from pathlib import Path
 
 from ..cache import parse_exact_budget
-from ..pipeline.cache import _is_key
+from ..pipeline.cache import KeyedCache, KeyedFileStore
 from ..workloads.generator import PROFILES
 from .checks import CHECKS, FAULTS, FuzzOptions
 from .corpus import edge_kernel_ids, resolve_kernel, seed_kernel_ids
@@ -34,7 +35,6 @@ from .regressions import (
     write_repro,
 )
 from .shrink import shrink
-from .store import FUZZ_SCHEMA_VERSION, FuzzStore
 
 
 def _parse_seed_range(text: str) -> tuple[int, int]:
@@ -108,7 +108,7 @@ def cmd_run(args) -> int:
     kernel_ids = seed_kernel_ids(start, stop, args.profiles)
     jobs.extend(make_jobs(kernel_ids, args.configs, checks, spread=args.spread))
 
-    store = None if args.no_store else FuzzStore(args.store)
+    store = None if args.no_store else KeyedCache(args.store)
     report = run_jobs(
         jobs,
         options=options,
@@ -217,17 +217,13 @@ def cmd_stats(args) -> int:
     if not path.is_dir():
         print(f"no fuzz store at {path}", file=sys.stderr)
         return 1
+    store = KeyedFileStore(path)
     total = clean = mismatched = skipped = foreign = 0
     by_config: dict[str, int] = {}
-    for file in sorted(path.glob("*.json")):
-        if not _is_key(file.stem):
-            continue
-        try:
-            entry = json.loads(file.read_text())
-        except (OSError, json.JSONDecodeError):
-            foreign += 1
-            continue
-        if not isinstance(entry, dict) or entry.get("schema") != FUZZ_SCHEMA_VERSION:
+    for key in sorted(store.entries()):
+        blob = store.peek(key)  # None unless <key>.pkl unpickles
+        entry = pickle.loads(blob) if blob is not None else None
+        if not isinstance(entry, dict) or "job" not in entry:
             foreign += 1
             continue
         total += 1
@@ -236,7 +232,7 @@ def cmd_stats(args) -> int:
         else:
             clean += 1
         skipped += len(entry.get("skipped", []))
-        config = entry.get("job", {}).get("config_name", "?")
+        config = entry["job"].get("config_name", "?")
         by_config[config] = by_config.get(config, 0) + 1
     print(f"fuzz store: {path}")
     print(

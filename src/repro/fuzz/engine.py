@@ -1,16 +1,25 @@
 """Job generation and differential execution for the fuzzing engine.
 
 A :class:`FuzzJob` is one (kernel id, config name, check set) triple.
-:func:`run_jobs` deduplicates jobs against the content-addressed
-:class:`~repro.fuzz.store.FuzzStore` (clean *and* mismatching results
-are both recorded — a second identical run re-simulates nothing), fans
-the misses out through the pipeline's serial/process executors, and
-folds everything into a :class:`FuzzReport` whose JSON rendering is
-what CI gates on.
+:func:`run_jobs` deduplicates jobs against the fuzz store, a
+:class:`~repro.pipeline.cache.KeyedCache` keyed by
+:func:`job_store_key` (clean *and* mismatching results are both
+recorded — a second identical run re-simulates nothing), fans the
+misses out through the pipeline's serial/process executors, and folds
+everything into a :class:`FuzzReport` whose JSON rendering is what CI
+gates on.
+
+A store entry is the dict :func:`execute_job` returns.  Keys mix the
+code fingerprint, so a store persisted across commits (CI's nightly
+``actions/cache``) serves hits only while the tree is unchanged —
+repeat nights skip already-clean jobs, and any source edit
+invalidates everything it could have affected.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from dataclasses import dataclass, field
 
@@ -21,10 +30,10 @@ from ..machine import (
     multivliw_config,
     unified_config,
 )
+from ..pipeline.cache import KeyedCache, _canonical, code_fingerprint
 from ..pipeline.executor import make_executor
 from .checks import CheckSkipped, FuzzOptions, run_check
 from .corpus import resolve_kernel
-from .store import FuzzStore, job_store_key
 
 #: Named machine configurations jobs draw from.  The defaults are
 #: 4-cluster machines (cross-cluster traffic included); the ``*_2cl``
@@ -40,6 +49,26 @@ FUZZ_CONFIGS: dict[str, MachineConfig] = {
     "multivliw": multivliw_config(),
     "interleaved": interleaved_config(),
 }
+
+
+def job_store_key(
+    kernel_fingerprint: str, config, checks: tuple[str, ...], options
+) -> str:
+    """Content key of one fuzz job.
+
+    Mixes the kernel's genotype fingerprint (not its id: a seed kernel
+    and an identical committed repro share one entry), the canonical
+    config, the check set, the check options and the code fingerprint.
+    """
+    payload = {
+        "checks": sorted(checks),
+        "code": code_fingerprint(),
+        "config": _canonical(config),
+        "kernel": kernel_fingerprint,
+        "options": options.to_json(),
+    }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -158,7 +187,7 @@ def run_jobs(
     jobs: list[FuzzJob],
     *,
     options: FuzzOptions | None = None,
-    store: FuzzStore | None = None,
+    store: KeyedCache | None = None,
     workers: int | None = None,
     time_budget_s: float | None = None,
     max_jobs: int | None = None,

@@ -5,17 +5,16 @@ Four layers, consumed bottom-up by the rest of the stack:
 * **Compile** (:mod:`.passes`) — :func:`compile_uncached` runs the
   paper's compile flow, six fixed steps from unroll choice to modulo
   scheduling, under one :class:`CompileOptions`.
-* **Compile cache** (:mod:`.compilecache`) — one content-addressed
-  layer ``(loop, MachineConfig, CompileOptions)`` -> pickled
-  ``CompiledLoop``, in memory plus an optional on-disk store; a miss
-  runs :func:`compile_uncached`.  ``repro.scheduler.compile_loop`` is a
-  thin wrapper over :func:`compile_cached`.
-* **Result cache** (:mod:`.cache`) — content-addressed
-  ``(benchmark, MachineConfig, SimOptions)`` -> :class:`ProgramResult`
-  store with an optional on-disk JSON mirror.  Every on-disk store is a
-  :class:`KeyedFileStore`: one flat directory of ``<key><suffix>``
-  files, whose mtimes are the LRU signal ``python -m repro.cache gc``
-  evicts by.
+* **Caches** (:mod:`.cache`, :mod:`.compilecache`) — one
+  content-addressed :class:`KeyedCache` class: memory first, pickled
+  bytes, optionally written through to a :class:`KeyedFileStore`
+  directory of ``<key>.pkl`` files whose mtimes are the LRU signal
+  ``python -m repro.cache gc`` evicts by.  One instance per directory
+  holds compile artifacts, keyed by ``(loop, MachineConfig,
+  CompileOptions)`` (a miss runs :func:`compile_uncached`;
+  ``repro.scheduler.compile_loop`` is a thin wrapper over
+  :func:`compile_cached`); each session holds one of
+  ``(benchmark, MachineConfig, SimOptions)`` -> ``ProgramResult``.
 * **Executor + session** (:mod:`.executor`, :mod:`.fleet`,
   :mod:`.session`) — serial or process-parallel fan-out of simulation
   requests over a supervised worker fleet, behind the cache;
@@ -23,23 +22,17 @@ Four layers, consumed bottom-up by the rest of the stack:
 """
 
 from .cache import (
-    RESULT_SCHEMA_VERSION,
     GCReport,
+    KeyedCache,
+    KeyedCacheStats,
     KeyedFileStore,
-    ResultCache,
     VerifyReport,
     cache_key,
     code_fingerprint,
-    decode_result,
     describe_config,
     describe_options,
-    encode_result,
-    result_fingerprint,
-    result_schema_digest,
 )
 from .compilecache import (
-    CompileCacheStats,
-    CompiledLoopCache,
     compile_cached,
     compile_key,
     drop_compile_cache,
@@ -60,17 +53,15 @@ from .passes import CompileOptions, compile_uncached, make_policy, scheduler_inp
 from .session import Session
 
 __all__ = [
-    "RESULT_SCHEMA_VERSION",
-    "CompileCacheStats",
     "CompileOptions",
-    "CompiledLoopCache",
     "GCReport",
     "JobFailure",
     "JobFailureError",
+    "KeyedCache",
+    "KeyedCacheStats",
     "KeyedFileStore",
     "ParallelExecutor",
     "RequestError",
-    "ResultCache",
     "RunRequest",
     "SerialExecutor",
     "Session",
@@ -80,18 +71,14 @@ __all__ = [
     "compile_cached",
     "compile_key",
     "compile_uncached",
-    "decode_result",
     "describe_config",
     "describe_options",
     "describe_request",
     "drop_compile_cache",
-    "encode_result",
     "execute_request",
     "get_compile_cache",
     "loop_fingerprint",
     "make_executor",
     "make_policy",
-    "result_fingerprint",
-    "result_schema_digest",
     "scheduler_inputs",
 ]

@@ -1,15 +1,21 @@
-"""Content-addressed cache of simulation results.
+"""Content-addressed caching: keys, the one cache class, its disk store.
 
-A run is fully determined by ``(benchmark, MachineConfig, SimOptions)``
-— the simulator is deterministic (random access patterns are seeded) —
-so results are keyed by a SHA-256 digest of a canonical JSON rendering
-of those three values.  Experiments that share a configuration share
-cache entries automatically, regardless of what display label each
-experiment uses.
+A simulation is fully determined by ``(benchmark, MachineConfig,
+SimOptions)`` — the simulator is deterministic (random access patterns
+are seeded) — so results are keyed by a SHA-256 digest of a canonical
+JSON rendering of those three values plus :func:`code_fingerprint`.
+Experiments that share a configuration share cache entries
+automatically, regardless of what display label each experiment uses.
+Compile artifacts and fuzz jobs are keyed the same way.
 
-The cache is in-memory first with an optional on-disk JSON store
-(one file per key), so sweeps can survive process restarts and be
-shared between the CLI and the benchmark harness.
+:class:`KeyedCache` is the one cache class: the session's results, the
+compile artifacts (``get_compile_cache``) and the fuzz jobs each live in
+one instance.  It holds pickled bytes in memory, optionally written
+through to a :class:`KeyedFileStore` (one ``<key>.pkl`` file per
+entry), so sweeps survive process restarts and are shared between the
+CLI and the benchmark harness.  Every key mixes the code fingerprint,
+so only the code that wrote an entry ever looks it up, and the entry
+format needs no schema version.
 """
 
 from __future__ import annotations
@@ -19,13 +25,13 @@ import functools
 import hashlib
 import json
 import os
+import pickle
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from ..machine.config import MachineConfig
 from ..sim.runner import SimOptions
-from ..sim.stats import ProgramResult
 
 
 def _canonical(value):
@@ -85,95 +91,6 @@ def cache_key(benchmark: str, config: MachineConfig, options: SimOptions) -> str
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# ----------------------------------------------------------------------
-# ProgramResult <-> JSON
-# ----------------------------------------------------------------------
-
-
-def _result_classes() -> dict[str, type]:
-    from ..memory.bus import BusStats
-    from ..memory.hierarchy import MemoryStats
-    from ..memory.interleaved import InterleavedStats
-    from ..memory.l0buffer import L0Stats
-    from ..memory.l1cache import CacheStats
-    from ..memory.multivliw import MSIStats
-    from ..sim.stats import LoopResult, LoopRunResult
-
-    classes = (
-        ProgramResult,
-        LoopResult,
-        LoopRunResult,
-        MemoryStats,
-        L0Stats,
-        CacheStats,
-        BusStats,
-        InterleavedStats,
-        MSIStats,
-    )
-    return {cls.__name__: cls for cls in classes}
-
-
-def encode_result(value):
-    """Encode a result record (nested dataclasses of scalars) as JSON data;
-    each dataclass becomes a dict tagged with its ``__type__``."""
-    if is_dataclass(value) and not isinstance(value, type):
-        data = {f.name: encode_result(getattr(value, f.name)) for f in fields(value)}
-        data["__type__"] = type(value).__name__
-        return data
-    if isinstance(value, (list, tuple)):
-        return [encode_result(v) for v in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    raise TypeError(f"cannot encode {type(value).__name__} into the result store")
-
-
-def decode_result(data):
-    if isinstance(data, dict):
-        name = data.get("__type__")
-        cls = _result_classes().get(name)
-        if cls is None:
-            raise ValueError(f"result store references unknown type {name!r}")
-        kwargs = {k: decode_result(v) for k, v in data.items() if k != "__type__"}
-        return cls(**kwargs)
-    if isinstance(data, list):
-        return [decode_result(v) for v in data]
-    return data
-
-
-def result_fingerprint(result: ProgramResult) -> str:
-    """Canonical byte string of one result row (executor-parity checks)."""
-    return json.dumps(encode_result(result), sort_keys=True, separators=(",", ":"))
-
-
-# ----------------------------------------------------------------------
-# Result-store schema
-# ----------------------------------------------------------------------
-
-#: Version of the on-disk result-entry layout.  Entries are stored in a
-#: versioned JSON envelope (schema + writer fingerprint + the explicit
-#: per-dataclass stat fields), so a persisted directory stays
-#: introspectable and decodable across code-fingerprint bumps as long
-#: as the *schema* is unchanged.  Bump this whenever a stat dataclass
-#: gains, loses or renames a field — the pinned
-#: :func:`result_schema_digest` test will insist.
-RESULT_SCHEMA_VERSION = 5  # v5: ProgramResult.meta removed
-
-#: Expected value of :func:`result_schema_digest` for
-#: :data:`RESULT_SCHEMA_VERSION`.  A test recomputes the digest from
-#: the live dataclasses; if they drift without a version bump it fails.
-RESULT_SCHEMA_DIGEST = "c59ecb2af5ce0c2d"
-
-
-def result_schema_digest() -> str:
-    """Digest of the result schema: every stat class and its fields."""
-    spec = {
-        name: [f.name for f in fields(cls)]
-        for name, cls in sorted(_result_classes().items())
-    }
-    text = json.dumps(spec, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 def _non_defaults(value, *, skip=(), structured=lambda v: "non-default") -> dict:
     """Compact field diff of a default-constructible dataclass.
 
@@ -227,8 +144,13 @@ class VerifyReport:
     """What one :meth:`KeyedFileStore.verify` pass found."""
 
     ok: int = 0
-    #: keys whose file failed to decode and was dropped
+    #: keys whose file was not a ``<key>.pkl`` that unpickles, and was dropped
     corrupt: list[str] = field(default_factory=list)
+
+
+def _key_of(file: Path) -> str:
+    """The key a store file is named for: its name up to the first dot."""
+    return file.name.partition(".")[0]
 
 
 def _is_key(stem: str) -> bool:
@@ -236,9 +158,23 @@ def _is_key(stem: str) -> bool:
     return len(stem) == 64 and all(c in "0123456789abcdef" for c in stem)
 
 
+def _unpickles(blob: bytes) -> bool:
+    try:
+        pickle.loads(blob)
+    except Exception:
+        return False
+    return True
+
+
+def _unlink(file: Path) -> None:
+    try:
+        file.unlink(missing_ok=True)
+    except OSError:
+        pass
+
+
 class KeyedFileStore:
-    """On-disk store of content-keyed entries, shared by the result,
-    compile and fuzz caches: one ``path/<key><suffix>`` file per entry.
+    """On-disk store of pickled entries: one ``path/<key>.pkl`` file each.
 
     The directory is the whole store.  A file's size is the entry's
     size and its mtime the entry's recency: a save writes the file and
@@ -247,72 +183,79 @@ class KeyedFileStore:
     buffered, so there is nothing to flush: another store on the same
     directory, in this process or another, sees every save at once.
 
+    Every key-named file is an entry, whatever its suffix: one left in
+    an older format (``<key>.json``) is never loaded, but the scan
+    counts it, :meth:`verify` drops it and :meth:`gc` evicts it.
+
     Concurrency contract (multiple processes may share one directory):
     writes go to a per-process tmp name and are installed by atomic
     rename, so readers never see a half-written entry; a torn, corrupt
-    or vanished entry decodes as a miss (and is dropped), never a
-    crash; ``clear()`` removes only key-named files this store could
-    have written, tolerating entries another process unlinked first.
+    or vanished entry is a miss (and is dropped), never a crash;
+    ``clear()`` removes only key-named files, tolerating entries
+    another process unlinked first.
     """
 
-    def __init__(self, path: str | Path, suffix: str, encode, decode) -> None:
+    suffix = ".pkl"
+
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
-        self.suffix = suffix
-        self._encode = encode  # value -> bytes
-        self._decode = decode  # bytes -> value (raises on corruption)
 
     def _file(self, key: str) -> Path:
         return self.path / f"{key}{self.suffix}"
 
     def _entry_files(self) -> list[Path]:
         """The key-named files: the entries (nothing else is ours)."""
-        return [f for f in self.path.glob(f"*{self.suffix}") if _is_key(f.stem)]
+        return [f for f in self.path.iterdir() if _is_key(_key_of(f))]
 
-    def load(self, key: str):
-        file = self._file(key)
-        if not file.exists():
-            return None
-        try:
-            value = self._decode(file.read_bytes())
-        except Exception:
-            # Treat as a miss and drop the entry so a fresh value can
-            # overwrite it (OSError covers races with concurrent clear()).
+    def _scan(self) -> list[tuple[Path, os.stat_result]]:
+        out = []
+        for file in self._entry_files():
             try:
-                file.unlink(missing_ok=True)
-            except OSError:
-                pass
+                out.append((file, file.stat()))
+            except OSError:  # vanished under us (concurrent clear/gc)
+                continue
+        return out
+
+    def load(self, key: str) -> bytes | None:
+        """The entry's bytes, or None.  An entry that does not unpickle
+        is a miss and is dropped, so a fresh value can overwrite it."""
+        file = self._file(key)
+        try:
+            blob = file.read_bytes()
+        except OSError:  # absent, or removed by a concurrent clear/gc
+            return None
+        if not _unpickles(blob):
+            _unlink(file)
             return None
         try:
             os.utime(file)  # the hit makes the entry recent (the LRU signal)
         except OSError:
             pass  # removed since the read (concurrent gc/clear): still a hit
-        return value
+        return blob
 
-    def peek(self, key: str):
-        """Decode an entry as :meth:`verify` does, leaving it untouched:
+    def peek(self, key: str) -> bytes | None:
+        """Read an entry as :meth:`verify` does, leaving it untouched:
         no mtime refresh, and a torn, corrupt or vanished entry is left
         in place and read as None."""
         try:
-            return self._decode(self._file(key).read_bytes())
-        except Exception:
+            blob = self._file(key).read_bytes()
+        except OSError:
             return None
+        return blob if _unpickles(blob) else None
 
-    def save(self, key: str, value) -> None:
+    def save(self, key: str, blob: bytes) -> None:
         # Persistence is best-effort: callers already serve the value
         # from memory, so a disk failure must not abort the sweep.
         tmp = self.path / f".{key}.{os.getpid()}.tmp"
         try:
-            tmp.write_bytes(self._encode(value))
+            tmp.write_bytes(blob)
             tmp.replace(self._file(key))
         except OSError:
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
+            _unlink(tmp)
 
     def clear(self) -> None:
-        """Remove all entries — only files this store wrote, never the
+        """Remove all entries — only key-named files, never the
         directory's unrelated contents."""
         for file in self._entry_files():
             file.unlink(missing_ok=True)
@@ -327,13 +270,7 @@ class KeyedFileStore:
         """``{key: stat}`` for every entry, from one directory scan:
         ``st_size`` is the entry's size and ``st_mtime`` its recency
         (when it was written or last hit)."""
-        out: dict[str, os.stat_result] = {}
-        for file in self._entry_files():
-            try:
-                out[file.stem] = file.stat()
-            except OSError:  # vanished under us (concurrent clear/gc)
-                continue
-        return out
+        return {_key_of(file): stat for file, stat in self._scan()}
 
     def gc(self, *, max_bytes: int, min_age_s: float = 0.0) -> GCReport:
         """Evict least recently used entries until the store fits
@@ -347,116 +284,123 @@ class KeyedFileStore:
         in-flight ``.tmp`` writes are never touched, and a concurrent
         writer's atomic rename simply reinstalls its entry.
         """
-        entries = self.entries()
-        total = sum(stat.st_size for stat in entries.values())
-        report = GCReport(entries_before=len(entries), bytes_before=total)
+        scanned = self._scan()
+        total = sum(stat.st_size for _, stat in scanned)
+        report = GCReport(entries_before=len(scanned), bytes_before=total)
         now = time.time()
-        by_lru = sorted(entries.items(), key=lambda item: (item[1].st_mtime, item[0]))
-        for key, stat in by_lru:
+        for file, stat in sorted(scanned, key=lambda e: (e[1].st_mtime, e[0].name)):
             if total <= max_bytes:
                 break
             if now - stat.st_mtime < min_age_s:
                 continue
             try:
-                self._file(key).unlink(missing_ok=True)
+                file.unlink(missing_ok=True)
             except OSError:
                 continue
-            report.evicted.append(key)
+            report.evicted.append(_key_of(file))
             total -= stat.st_size
-        report.entries_after = len(entries) - len(report.evicted)
+        report.entries_after = len(scanned) - len(report.evicted)
         report.bytes_after = total
         return report
 
     def verify(self) -> VerifyReport:
-        """Decode every entry; drop the corrupt."""
+        """Check that every entry is a ``<key>.pkl`` file that unpickles;
+        drop the rest."""
         report = VerifyReport()
         for file in sorted(self._entry_files()):
+            key = _key_of(file)
             try:
-                data = file.read_bytes()
+                sound = file == self._file(key) and _unpickles(file.read_bytes())
             except OSError:  # vanished under a concurrent clear/gc
                 continue
-            try:
-                self._decode(data)
-            except Exception:
-                try:
-                    file.unlink(missing_ok=True)
-                except OSError:
-                    pass
-                report.corrupt.append(file.stem)
-            else:
+            if sound:
                 report.ok += 1
+            else:
+                _unlink(file)
+                report.corrupt.append(key)
         return report
 
 
-def _encode_result_bytes(result: ProgramResult) -> bytes:
-    """The versioned envelope around the stat fields."""
-    envelope = {
-        "schema": RESULT_SCHEMA_VERSION,
-        "fingerprint": code_fingerprint(),
-        "result": encode_result(result),
-    }
-    return json.dumps(envelope, sort_keys=True).encode()
+@dataclass
+class KeyedCacheStats:
+    """Lookup counters of one :class:`KeyedCache`."""
 
-
-def _decode_result_bytes(data: bytes) -> ProgramResult:
-    """Decode one envelope; any other layout or schema raises (a miss)."""
-    payload = json.loads(data.decode())
-    schema = payload.get("schema") if isinstance(payload, dict) else None
-    if schema != RESULT_SCHEMA_VERSION:
-        raise ValueError(
-            f"result entry has schema {schema!r}, this code reads "
-            f"{RESULT_SCHEMA_VERSION}"
-        )
-    decoded = decode_result(payload["result"])
-    if not isinstance(decoded, ProgramResult):
-        raise ValueError("result entry does not decode to a ProgramResult")
-    return decoded
-
-
-class ResultCache:
-    """In-memory result cache with an optional on-disk JSON store."""
-
-    def __init__(self, path: str | Path | None = None) -> None:
-        self._memory: dict[str, ProgramResult] = {}
-        self.path = Path(path) if path is not None else None
-        self._store = None
-        if path is not None:
-            self._store = KeyedFileStore(
-                path, ".json", _encode_result_bytes, _decode_result_bytes
-            )
+    hits: int = 0
+    misses: int = 0
+    #: Subset of ``hits`` served from the on-disk store (a disk hit
+    #: also refreshes the entry file's mtime, the LRU signal).
+    disk_hits: int = 0
 
     @property
-    def store(self) -> KeyedFileStore | None:
-        return self._store
+    def memory_hits(self) -> int:
+        """Hits served without touching the disk store."""
+        return self.hits - self.disk_hits
 
-    def get(self, key: str) -> ProgramResult | None:
-        result = self._memory.get(key)
-        if result is None and self._store is not None:
-            result = self._store.load(key)
-            if result is not None:
-                self._memory[key] = result
-        return result
+    # Read-only views kept for perfbench/layers.py, which reports the
+    # compile cache's counters under these names: every miss runs the
+    # whole compile, frontend included, and no compile is a frontend hit.
+    @property
+    def full_misses(self) -> int:
+        return self.misses
 
-    def put(self, key: str, result: ProgramResult) -> None:
-        self._memory[key] = result
-        if self._store is not None:
-            self._store.save(key, result)
+    @property
+    def frontend_hits(self) -> int:
+        return 0
+
+    @property
+    def frontend_misses(self) -> int:
+        return self.misses
+
+
+class KeyedCache:
+    """Content-addressed cache of pickled values, memory first, with an
+    optional :class:`KeyedFileStore` it writes through to.
+
+    Memory and disk both hold pickled bytes, so every hit deserialises
+    a private copy: callers may mutate what they get back (the
+    schedule-validation tests corrupt schedules on purpose) without
+    poisoning the cache.
+    """
+
+    def __init__(self, path: str | Path | None = None) -> None:
+        self._memory: dict[str, bytes] = {}
+        self.stats = KeyedCacheStats()
+        self.store = KeyedFileStore(path) if path is not None else None
+
+    def get(self, key: str):
+        blob = self._memory.get(key)
+        if blob is None and self.store is not None:
+            blob = self.store.load(key)  # refreshes the entry's mtime
+            if blob is not None:
+                self._memory[key] = blob
+                self.stats.disk_hits += 1
+        if blob is None:
+            self.stats.misses += 1
+            return None
+        self.stats.hits += 1
+        return pickle.loads(blob)
+
+    def put(self, key: str, value) -> None:
+        blob = pickle.dumps(value)
+        self._memory[key] = blob
+        if self.store is not None:
+            self.store.save(key, blob)
 
     def clear(self) -> None:
-        """Drop all entries — only files this cache wrote."""
+        """Drop all entries — only key-named files on disk."""
         self._memory.clear()
-        if self._store is not None:
-            self._store.clear()
+        if self.store is not None:
+            self.store.clear()
 
-    # -- maintenance (no-ops for the memory-only cache) ------------------
+    # -- maintenance (no-ops for a memory-only cache) --------------------
 
     def gc(self, **kwargs) -> GCReport:
-        if self._store is None:
+        if self.store is None:
             return GCReport()
-        return self._store.gc(**kwargs)
+        return self.store.gc(**kwargs)
 
     def verify(self) -> VerifyReport:
-        """Decode-check every disk entry, dropping the corrupt."""
-        if self._store is None:
+        """Unpickle-check every disk entry, dropping the corrupt."""
+        if self.store is None:
             return VerifyReport()
-        return self._store.verify()
+        return self.store.verify()

@@ -8,8 +8,7 @@ deterministic simulator — makes serial and parallel execution produce
 identical result rows.
 
 :func:`make_executor` is the one factory every fan-out goes through:
-sessions, ``run_program``'s loop phase, the scheduler comparison and
-the fuzz engine.
+sessions, the scheduler comparison and the fuzz engine.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Session: the cache-aware front door to the simulation pipeline.
 
-A :class:`Session` owns a :class:`~repro.pipeline.cache.ResultCache` and
-an executor and exposes two operations:
+A :class:`Session` owns a :class:`~repro.pipeline.cache.KeyedCache` of
+results and an executor and exposes two operations:
 
 * :meth:`Session.run` — one request, served from the cache or simulated;
 * :meth:`Session.run_many` — a batch: deduplicates by content key,
@@ -10,7 +10,8 @@ an executor and exposes two operations:
 
 ``session.simulations`` counts actual simulator executions, so tests
 and users can assert cache behaviour ("a second identical sweep
-performs zero new simulations").
+performs zero new simulations").  A cache hit is a private copy of the
+stored result, equal to it field by field.
 
 The on-disk stores write through, so a session holds nothing to flush
 on teardown; ``python -m repro.cache gc`` is what bounds them.
@@ -18,12 +19,12 @@ on teardown; ``python -m repro.cache gc`` is what bounds them.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..machine.config import MachineConfig
 from ..sim.runner import SimOptions
 from ..sim.stats import ProgramResult
-from .cache import ResultCache
+from .cache import KeyedCache
 from .executor import RunRequest, execute_request, make_executor
 
 
@@ -32,12 +33,12 @@ class Session:
         self,
         *,
         options: SimOptions | None = None,
-        cache: ResultCache | None = None,
+        cache: KeyedCache | None = None,
         workers: int | None = None,
         executor=None,
     ) -> None:
         self.options = options or SimOptions()
-        self.cache = cache if cache is not None else ResultCache()
+        self.cache = cache if cache is not None else KeyedCache()
         self.executor = executor if executor is not None else make_executor(workers)
         #: number of simulator executions performed by this session
         self.simulations = 0
@@ -92,10 +93,6 @@ class Session:
                 self.cache.put(key, result)
                 resolved[key] = result
         return [resolved[key] for key in keys]
-
-    def prefetch(self, requests: Sequence[RunRequest]) -> None:
-        """Warm the cache for a batch (run_many with the results ignored)."""
-        self.run_many(requests)
 
     def close(self) -> None:
         """Nothing to release: a save or a hit reaches the disk at once.

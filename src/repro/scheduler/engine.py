@@ -120,7 +120,15 @@ class ClusterScheduler:
     # ------------------------------------------------------------------
 
     def schedule(self) -> ModuloSchedule:
-        mii = compute_mii(self.loop, self.ddg, self.config, self.policy.planned_latency)
+        return self._schedule_from(self._mii())
+
+    def _mii(self) -> int:
+        latency = self.policy.planned_latency
+        return compute_mii(self.loop, self.ddg, self.config, latency)
+
+    def _schedule_from(self, mii: int) -> ModuloSchedule:
+        """The SMS search from ``mii`` up, the engine's :meth:`schedule`
+        once the MII is known (the exact scheduler reuses its own)."""
         for ii in range(mii, mii + self.MAX_II_SLACK + 1):
             result = self._attempt(ii)
             if result is None:

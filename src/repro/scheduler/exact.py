@@ -86,7 +86,6 @@ from ..ir.ddg import DDG
 from ..ir.stride import is_candidate
 from ..machine.config import ArchKind, MachineConfig
 from .engine import NO_FU, ClusterScheduler
-from .mii import compute_mii
 from .mrt import ModuloReservationTable
 from .policies import MemoryPolicy
 from .schedule import ModuloSchedule, PlacedComm, PlacedOp
@@ -171,8 +170,8 @@ class ExactScheduler(ClusterScheduler):
     # ------------------------------------------------------------------
 
     def schedule(self) -> ModuloSchedule:
-        mii = compute_mii(self.loop, self.ddg, self.config, self.policy.planned_latency)
-        baseline = ClusterScheduler.schedule(self)
+        mii = self._mii()
+        baseline = self._schedule_from(mii)
         # A stateful policy (the L0 protocol) makes option enumeration
         # path-dependent: a refuted II may still be feasible under option
         # sequences the protocol no longer offers, so optimality proofs

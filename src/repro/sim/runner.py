@@ -12,13 +12,12 @@ inter-loop coherence flush).
    space and decide every loop's flush policy — between-invocation
    flushes from the loop's own reuse pattern, after-loop flushes from
    the selective-flush analysis against everything left unflushed.
-2. **Simulate** (pure, parallelisable): each loop compiles (through the
-   compile-artifact cache) and simulates against a *private* memory
-   instance at clock zero.  Loops are independent jobs, so they fan out
-   across worker processes (``SimOptions.loop_workers``) and produce
-   byte-identical results to the serial path by construction.
-3. **Stitch** (sequential): advance the program's memory clock loop by
-   loop and merge the per-loop statistics into one program record.
+2. **Simulate** (pure): each loop, in program order, compiles (through
+   the compile-artifact cache) and simulates against a *private* memory
+   instance at clock zero.  Fan-out happens one level up: experiments
+   run whole programs in parallel through ``ExperimentContext(workers=N)``.
+3. **Stitch** (sequential): merge the per-loop statistics into one
+   program record.
 
 The private-memory split means program-order L1 warm-up across loop
 boundaries is not modelled (each loop's own invocations still warm its
@@ -63,10 +62,10 @@ def make_memory(config: MachineConfig):
 class SimOptions:
     """Knobs shared by all experiments.
 
-    ``loop_workers`` and ``compile_cache_dir`` tune *how* a simulation
-    executes, never what it computes (loop fan-out is byte-identical to
-    serial; the compile cache is content-addressed), so they are
-    excluded from result-cache keys via ``no_cache_key``.
+    ``compile_cache_dir`` and ``fast_sim`` tune *how* a simulation
+    executes, never what it computes (the compile cache is
+    content-addressed; the two executors agree in every result field),
+    so they are excluded from result-cache keys via ``no_cache_key``.
     """
 
     sim_cap: int = 1500  # max kernel iterations simulated per invocation
@@ -76,9 +75,6 @@ class SimOptions:
     #: Skip the end-of-loop L0 flush when the next loop provably touches
     #: disjoint data (paper section 4.1's selective-flushing remark).
     selective_flush: bool = False
-    #: Worker processes for the per-loop simulate phase of one program
-    #: (None/0/1 serial, N processes, negative = all cores).
-    loop_workers: int | None = field(default=None, metadata={"no_cache_key": True})
     #: Persist compile artifacts under this directory (None = in-memory
     #: process-wide cache only).
     compile_cache_dir: str | None = field(default=None, metadata={"no_cache_key": True})
@@ -281,9 +277,9 @@ def run_loop(
 class LoopPlan:
     """Phase-1 output: one loop's simulation job, flush policy decided.
 
-    Everything a worker process needs crosses the boundary here: the
-    loop IR, the shared program-wide memory layout (so addresses match
-    the serial path exactly) and the pre-decided flush flags.
+    Everything the simulate phase needs: the loop IR, the shared
+    program-wide memory layout (so every loop addresses one program
+    address space) and the pre-decided flush flags.
     """
 
     loop: object  # repro.ir.Loop
@@ -300,9 +296,6 @@ class SimulatedLoop:
     """Phase-2 output: one loop simulated against a private memory."""
 
     result: LoopResult
-    #: The loop's own advanced memory clock (simulation started at zero).
-    #: Diagnostic only: program stitching does not thread a shared clock.
-    clock_advance: int
     memory_stats: object
 
 
@@ -359,7 +352,7 @@ def plan_program(
 
 
 def simulate_plan(plan: LoopPlan) -> SimulatedLoop:
-    """Phase 2: compile + simulate one planned loop (pure, picklable).
+    """Phase 2: compile + simulate one planned loop (pure).
 
     Runs against a private memory instance at clock zero; the cycle
     counts are invariant to the absolute clock (all timestamps shift
@@ -368,7 +361,7 @@ def simulate_plan(plan: LoopPlan) -> SimulatedLoop:
     """
     memory = make_memory(plan.config)
     compiled = _compile(plan.loop, plan.config, plan.options)
-    result, clock = run_loop(
+    result, _ = run_loop(
         compiled,
         memory,
         plan.layout,
@@ -378,7 +371,7 @@ def simulate_plan(plan: LoopPlan) -> SimulatedLoop:
         flush_between=plan.flush_between,
         flush_after=plan.flush_after,
     )
-    return SimulatedLoop(result=result, clock_advance=clock, memory_stats=memory.stats)
+    return SimulatedLoop(result=result, memory_stats=memory.stats)
 
 
 def run_program(
@@ -390,24 +383,15 @@ def run_program(
     """Compile and simulate a whole benchmark on one architecture.
 
     ``benchmark`` is a ``repro.workloads.Benchmark``: named, weighted
-    loop specs sharing one address space.  With
-    ``options.loop_workers`` set, the per-loop simulate phase fans out
-    across processes; results are byte-identical to the serial path.
+    loop specs sharing one address space.
     """
     options = options or SimOptions()
     plans = plan_program(benchmark, config, options)
-
-    from ..pipeline.executor import make_executor
-
-    # Serial inside a worker of a program-level fan-out (make_executor
-    # never nests fleets); parallel results are byte-identical anyway.
-    simulated = make_executor(options.loop_workers).map(plans, fn=simulate_plan)
+    simulated = [simulate_plan(plan) for plan in plans]
 
     # Phase 3: sequential stats stitching in program order.  No shared
-    # clock is threaded between loops any more — each loop simulated at
-    # clock zero against private memory (see the module docstring);
-    # ``SimulatedLoop.clock_advance`` records each loop's own span for
-    # diagnostics.
+    # clock is threaded between loops: each loop simulated at clock zero
+    # against private memory (see the module docstring).
     result = ProgramResult(
         benchmark=benchmark.name,
         arch=config.arch.value,

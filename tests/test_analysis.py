@@ -27,7 +27,8 @@ from repro.machine import (
     multivliw_config,
     unified_config,
 )
-from repro.pipeline.compilecache import CompiledLoopCache, compile_cached, compile_key
+from repro.pipeline import KeyedCache
+from repro.pipeline.compilecache import compile_cached, compile_key
 from repro.pipeline.passes import CompileOptions
 from repro.sim.runner import LoopPlan
 from repro.workloads import kernels
@@ -47,7 +48,7 @@ def _zoo():
 
 @pytest.fixture(scope="module")
 def cache():
-    return CompiledLoopCache()
+    return KeyedCache()
 
 
 # ----------------------------------------------------------------------
@@ -106,7 +107,7 @@ def test_cli_audit_over_disk_store(tmp_path):
     from repro.analysis.__main__ import audit_compile_store
 
     store = tmp_path / "compile-cache"
-    disk = CompiledLoopCache(store)
+    disk = KeyedCache(store)
     compile_cached(kernels.make_saxpy(), l0_config(), CompileOptions(), cache=disk)
     compile_cached(
         kernels.make_saxpy(), l0_config(), CompileOptions(scheduler="exact"), cache=disk
@@ -135,7 +136,7 @@ def test_audit_leaves_entry_mtimes_alone(tmp_path):
     from repro.cache import main as cache_main
 
     store = tmp_path / "compile-cache"
-    disk = CompiledLoopCache(store)
+    disk = KeyedCache(store)
     compile_cached(kernels.make_saxpy(), l0_config(), CompileOptions(), cache=disk)
     compile_cached(
         kernels.make_saxpy(), l0_config(), CompileOptions(scheduler="exact"), cache=disk

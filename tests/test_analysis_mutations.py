@@ -22,12 +22,13 @@ from repro.analysis.certify import certify_compiled
 from repro.isa import MemoryLayout
 from repro.machine import l0_config, multivliw_config, unified_config
 from repro.pipeline.passes import CompileOptions
-from repro.pipeline.compilecache import CompiledLoopCache, compile_cached
+from repro.pipeline import KeyedCache
+from repro.pipeline.compilecache import compile_cached
 from repro.sim import LoopExecutor, TraceExecutor, make_memory
 from repro.sim.trace import EV_CHECK, EV_LOAD
 from repro.workloads import kernels
 
-_CACHE = CompiledLoopCache()
+_CACHE = KeyedCache()
 
 
 def _fresh(loop=None, config=None, scheduler="sms"):

@@ -45,14 +45,14 @@ def test_compile_steps_reach_their_layers(monkeypatch):
     """Each compile runs every step once through ``Pass.__call__``, so the
     traced ``frontend.*`` and ``scheduler.*`` metrics see every compile."""
     from repro.machine import l0_config
-    from repro.pipeline import CompileOptions, CompiledLoopCache, compilecache
+    from repro.pipeline import CompileOptions, KeyedCache, compilecache
     from repro.workloads.kernels import make_saxpy
 
     monkeypatch.setattr(layers, "_WORKER_RECORDER", layers._WORKER_RECORDER)
     rec = layers.Recorder()
     undo = layers.install(rec, layers.Recorder())
     try:
-        cache = CompiledLoopCache()
+        cache = KeyedCache()
         for scheduler in ("sms", "exact"):
             compilecache.compile_cached(
                 make_saxpy(),

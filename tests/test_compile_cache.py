@@ -8,7 +8,7 @@ from repro.isa import MemoryLayout
 from repro.machine import l0_config, unified_config
 from repro.pipeline import (
     CompileOptions,
-    CompiledLoopCache,
+    KeyedCache,
     compile_cached,
     compile_key,
     compile_uncached,
@@ -66,34 +66,34 @@ class TestCacheSemantics:
     def test_fig5_sweep_compiles_each_size_once(self):
         """Every Figure-5 L0 size is its own full key: one compilation
         each, and no hits within a single sweep."""
-        cache = CompiledLoopCache()
+        cache = KeyedCache()
         for entries in FIG5_SIZES:
             compile_cached(make_saxpy(), l0_config(entries), cache=cache)
-        assert cache.stats.compilations == len(FIG5_SIZES)
-        assert cache.stats.full_hits == 0
+        assert cache.stats.misses == len(FIG5_SIZES)
+        assert cache.stats.hits == 0
 
     def test_repeated_sweep_recompiles_nothing(self):
-        cache = CompiledLoopCache()
+        cache = KeyedCache()
         for entries in FIG5_SIZES:
             compile_cached(make_saxpy(), l0_config(entries), cache=cache)
-        compilations = cache.stats.compilations
+        compilations = cache.stats.misses
         for entries in FIG5_SIZES:
             compile_cached(make_saxpy(), l0_config(entries), cache=cache)
-        assert cache.stats.compilations == compilations
-        assert cache.stats.full_hits == len(FIG5_SIZES)
+        assert cache.stats.misses == compilations
+        assert cache.stats.hits == len(FIG5_SIZES)
 
     def test_sms_and_exact_compile_distinct_artifacts(self):
         """The scheduler is part of the full key: one compilation per
         scheduler, and a repeat of either recompiles nothing."""
-        cache = CompiledLoopCache()
+        cache = KeyedCache()
         loop = make_dpcm()
         config = l0_config(8)
         sms = compile_cached(loop, config, CompileOptions(scheduler="sms"), cache=cache)
         exact = compile_cached(
             loop, config, CompileOptions(scheduler="exact"), cache=cache
         )
-        assert cache.stats.compilations == 2
-        assert cache.stats.full_hits == 0
+        assert cache.stats.misses == 2
+        assert cache.stats.hits == 0
         # Artifacts really are the two different backends' outputs.
         assert sms.schedule.meta["scheduler"] == "sms"
         assert exact.schedule.meta["scheduler"] == "exact"
@@ -101,15 +101,15 @@ class TestCacheSemantics:
         # Repeats of both are pure hits.
         compile_cached(loop, config, CompileOptions(scheduler="sms"), cache=cache)
         compile_cached(loop, config, CompileOptions(scheduler="exact"), cache=cache)
-        assert cache.stats.full_hits == 2
-        assert cache.stats.compilations == 2
+        assert cache.stats.hits == 2
+        assert cache.stats.misses == 2
 
     def test_unknown_scheduler_fails_fast(self):
         with pytest.raises(ValueError, match="unknown scheduler 'smt'"):
             CompileOptions(scheduler="smt")
 
     def test_hit_matches_fresh_compilation(self):
-        cache = CompiledLoopCache()
+        cache = KeyedCache()
         first = compile_cached(make_dpcm(), l0_config(8), cache=cache)
         hit = compile_cached(make_dpcm(), l0_config(8), cache=cache)
         assert hit.ii == first.ii
@@ -120,7 +120,7 @@ class TestCacheSemantics:
     def test_hits_hand_out_private_objects(self):
         """Mutating a served artifact must not poison the cache (the
         schedule-validation tests corrupt schedules on purpose)."""
-        cache = CompiledLoopCache()
+        cache = KeyedCache()
         first = compile_cached(make_saxpy(), unified_config(), cache=cache)
         uid = next(iter(first.schedule.placed))
         del first.schedule.placed[uid]  # corrupt the caller's copy
@@ -141,7 +141,7 @@ class TestCacheSemantics:
 class TestSerialisationRoundTrip:
     def test_pickle_round_trip_simulates_identically(self):
         config = l0_config(8)
-        compiled = compile_cached(make_dpcm(), config, cache=CompiledLoopCache())
+        compiled = compile_cached(make_dpcm(), config, cache=KeyedCache())
         clone = pickle.loads(pickle.dumps(compiled))
         assert clone.ii == compiled.ii
         assert clone.unroll_factor == compiled.unroll_factor
@@ -156,37 +156,37 @@ class TestSerialisationRoundTrip:
 
     def test_disk_store_survives_new_cache(self, tmp_path):
         config = l0_config(8)
-        warm = CompiledLoopCache(tmp_path)
+        warm = KeyedCache(tmp_path)
         compile_cached(make_saxpy(), config, cache=warm)
-        assert warm.stats.compilations == 1
+        assert warm.stats.misses == 1
 
-        reopened = CompiledLoopCache(tmp_path)
+        reopened = KeyedCache(tmp_path)
         compiled = compile_cached(make_saxpy(), config, cache=reopened)
-        assert reopened.stats.compilations == 0
-        assert reopened.stats.full_hits == 1
+        assert reopened.stats.misses == 0
+        assert reopened.stats.hits == 1
         assert compiled.schedule.validate(compiled.ddg) == []
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         config = l0_config(8)
         key = compile_key(make_saxpy(), config, CompileOptions())
         (tmp_path / f"{key}.pkl").write_bytes(b"torn write")
-        cache = CompiledLoopCache(tmp_path)
+        cache = KeyedCache(tmp_path)
         compiled = compile_cached(make_saxpy(), config, cache=cache)
-        assert cache.stats.compilations == 1  # recompiled, no crash
+        assert cache.stats.misses == 1  # recompiled, no crash
         assert compiled.schedule.validate(compiled.ddg) == []
         # ... and the fresh artifact replaced the corrupt file
-        reopened = CompiledLoopCache(tmp_path)
+        reopened = KeyedCache(tmp_path)
         compile_cached(make_saxpy(), config, cache=reopened)
-        assert reopened.stats.compilations == 0
+        assert reopened.stats.misses == 0
 
     def test_clear_touches_only_cache_entries(self, tmp_path):
-        cache = CompiledLoopCache(tmp_path)
+        cache = KeyedCache(tmp_path)
         compile_cached(make_saxpy(), l0_config(8), cache=cache)
         user_file = tmp_path / "notes.pkl"
         user_file.write_bytes(b"mine")
         cache.clear()
         assert user_file.exists()
         assert not list(tmp_path.glob("[0-9a-f]" * 8 + "*.pkl"))
-        reopened = CompiledLoopCache(tmp_path)
+        reopened = KeyedCache(tmp_path)
         compile_cached(make_saxpy(), l0_config(8), cache=reopened)
-        assert reopened.stats.compilations == 1
+        assert reopened.stats.misses == 1

@@ -25,7 +25,8 @@ from repro.machine import (
     unified_config,
 )
 from repro.pipeline.passes import CompileOptions
-from repro.pipeline.compilecache import CompiledLoopCache, compile_cached
+from repro.pipeline import KeyedCache
+from repro.pipeline.compilecache import compile_cached
 from repro.scheduler import compile_loop
 from repro.sim import (
     LoopExecutor,
@@ -387,13 +388,13 @@ def test_load_store_run_match_scalar_paths():
 
 
 def test_static_trace_rides_compile_cache(tmp_path):
-    cache = CompiledLoopCache(path=tmp_path)
+    cache = KeyedCache(path=tmp_path)
     loop = kernels.make_saxpy(trip=32, n=64)
     compiled = compile_cached(loop, unified_config(), CompileOptions(), cache=cache)
     assert compiled.static_trace is not None
     # The persisted pickle carries the trace: a fresh cache instance
     # over the same directory serves it without rebuilding.
-    reloaded = CompiledLoopCache(path=tmp_path)
+    reloaded = KeyedCache(path=tmp_path)
     warm = compile_cached(loop, unified_config(), CompileOptions(), cache=reloaded)
     assert warm.static_trace is not None
     assert warm.static_trace.ii == compiled.static_trace.ii

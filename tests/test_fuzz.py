@@ -24,10 +24,10 @@ from repro.fuzz.corpus import (
     resolve_kernel,
     seed_kernel_ids,
 )
-from repro.fuzz.engine import FUZZ_CONFIGS, FuzzJob, make_jobs, run_jobs
+from repro.fuzz.engine import FUZZ_CONFIGS, FuzzJob, job_store_key, make_jobs, run_jobs
 from repro.fuzz.regressions import load_repros
 from repro.fuzz.shrink import shrink
-from repro.fuzz.store import FuzzStore, job_store_key
+from repro.pipeline import KeyedCache
 from repro.workloads.generator import (
     PROFILES,
     KernelGenotype,
@@ -132,33 +132,34 @@ def test_run_jobs_dedups_through_the_store(tmp_path):
     jobs = make_jobs(
         ["edge:tiny", "edge:carry_chain"], ["unified"], ("fast_vs_ref",), spread=False
     )
-    store = FuzzStore(tmp_path / "store")
+    store = KeyedCache(tmp_path / "store")
     cold = run_jobs(jobs, store=store)
     assert (cold.executed, cold.store_hits) == (2, 0)
     assert cold.clean
-    warm = run_jobs(jobs, store=FuzzStore(tmp_path / "store"))
+    warm = run_jobs(jobs, store=KeyedCache(tmp_path / "store"))
     assert (warm.executed, warm.store_hits) == (0, 2)
     assert warm.clean
     # A duplicate job (same content key) is collapsed before execution.
-    doubled = run_jobs(jobs + jobs, store=FuzzStore(tmp_path / "store"))
+    doubled = run_jobs(jobs + jobs, store=KeyedCache(tmp_path / "store"))
     assert (doubled.total, doubled.executed, doubled.store_hits) == (4, 0, 2)
 
 
 def test_store_records_mismatches_for_replay(tmp_path):
     jobs = make_jobs([DRILL_KERNEL], [DRILL_CONFIG], ("fast_vs_ref",), spread=False)
     options = FuzzOptions(fault=DRILL_FAULT)
-    store = FuzzStore(tmp_path / "store")
+    store = KeyedCache(tmp_path / "store")
     report = run_jobs(jobs, options=options, store=store)
     assert not report.clean and len(report.mismatched) == 1
     # The verdict (not just cleanliness) is cached: a second run serves
     # the same mismatch from the store without re-simulating.
-    again = run_jobs(jobs, options=options, store=FuzzStore(tmp_path / "store"))
+    again = run_jobs(jobs, options=options, store=KeyedCache(tmp_path / "store"))
     assert again.executed == 0 and len(again.mismatched) == 1
     entry = again.mismatched[0]
     assert entry["job"] == report.mismatched[0]["job"]
     assert entry["mismatches"] == report.mismatched[0]["mismatches"]
     assert entry["job"]["kernel_id"] == DRILL_KERNEL
-    assert entry["schema"] == 1
+    # The entry is what execute_job returned, with no envelope around it.
+    assert set(entry) == {"job", "mismatches", "skipped"}
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +309,7 @@ def test_fuzz_cli_fault_drill_writes_a_shrunk_repro(tmp_path):
 def test_cache_cli_covers_the_fuzz_store(tmp_path, capsys):
     store = tmp_path / "store"
     jobs = make_jobs(["edge:tiny"], ["unified"], ("certify",), spread=False)
-    assert run_jobs(jobs, store=FuzzStore(store)).clean
+    assert run_jobs(jobs, store=KeyedCache(store)).clean
     argv = [
         "--cache-dir",
         str(tmp_path / "absent-results"),
@@ -324,7 +325,23 @@ def test_cache_cli_covers_the_fuzz_store(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "1 entries ok, 0 corrupt" in out
     # Corrupt the entry on disk: verify must drop it and exit non-zero.
-    [entry_file] = store.glob("*.json")
-    entry_file.write_text("{not json")
+    [entry_file] = store.glob("*.pkl")
+    entry_file.write_bytes(b"torn write")
     assert cache_main(argv + ["verify"]) == 1
     assert not entry_file.exists()
+
+
+def test_fuzz_stats_counts_an_entry_that_does_not_unpickle_as_corrupt(
+    tmp_path, capsys
+):
+    store = tmp_path / "store"
+    jobs = make_jobs(["edge:tiny"], ["unified"], ("certify",), spread=False)
+    assert run_jobs(jobs, store=KeyedCache(store)).clean
+    torn = store / f"{'0' * 64}.pkl"
+    torn.write_bytes(b"torn write")
+    assert fuzz_main(["stats", "--store", str(store)]) == 0
+    out = capsys.readouterr().out
+    assert "entries: 1 (1 clean, 0 mismatched" in out
+    assert "1 foreign/corrupt" in out
+    assert "unified: 1" in out
+    assert torn.exists()  # stats only reads; verify is what drops

@@ -98,6 +98,33 @@ class TestRecMII:
         assert compiled.schedule.meta["mii"] == 10
         assert compiled.ii >= 10
 
+    @pytest.mark.parametrize("scheduler", ["sms", "exact"])
+    def test_one_compute_mii_per_compile(self, monkeypatch, scheduler):
+        """The exact scheduler hands its MII to the SMS baseline it runs
+        first, so every compile computes the MII once."""
+        from repro.pipeline import CompileOptions, compile_uncached
+        from repro.scheduler import engine, exact
+        from repro.workloads import mediabench
+
+        real = engine.compute_mii
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0].name)
+            return real(*args)
+
+        monkeypatch.setattr(engine, "compute_mii", counting)
+        monkeypatch.setattr(exact, "compute_mii", counting, raising=False)
+        loops = [spec.loop for spec in mediabench.build("gsmenc").loops]
+        options = CompileOptions(scheduler=scheduler)
+        improved = 0
+        for loop in loops:
+            meta = compile_uncached(loop, l0_config(8), options).schedule.meta
+            improved += meta.get("improved", False)
+        assert len(calls) == len(loops)
+        if scheduler == "exact":
+            assert improved  # the search ran past the baseline somewhere
+
 
 class TestSMSOrder:
     def test_all_nodes_ordered_once(self, saxpy):

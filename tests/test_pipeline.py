@@ -1,24 +1,19 @@
 """Tests for the pipeline subsystem: passes, cache, executors, session."""
 
-import json
-
 import pytest
 
 from repro.eval import ExperimentContext, fig5, fig6
 from repro.machine import l0_config, unified_config
 from repro.pipeline import (
     CompileOptions,
+    KeyedCache,
     ParallelExecutor,
-    ResultCache,
     RunRequest,
     SerialExecutor,
     Session,
     cache_key,
-    decode_result,
-    encode_result,
     compile_uncached,
     make_executor,
-    result_fingerprint,
 )
 from repro.sim import SimOptions
 from repro.workloads.kernels import make_saxpy
@@ -102,10 +97,9 @@ class TestCacheKey:
         )
 
     def test_execution_tuning_knobs_share_entries(self):
-        """loop_workers / compile_cache_dir change how a run executes,
-        never what it computes — they must not split cache keys."""
+        """compile_cache_dir changes how a run executes, never what it
+        computes — it must not split cache keys."""
         base = cache_key("g721dec", l0_config(8), SimOptions())
-        assert cache_key("g721dec", l0_config(8), SimOptions(loop_workers=4)) == base
         assert (
             cache_key(
                 "g721dec", l0_config(8), SimOptions(compile_cache_dir="/tmp/x")
@@ -116,68 +110,75 @@ class TestCacheKey:
 
 class TestResultCacheRoundTrip:
     def test_encode_decode_preserves_everything(self):
+        """A result goes in pickled and comes back as an equal copy."""
         request = RunRequest("g721dec", l0_config(8), FAST)
         result = SerialExecutor().map([request])[0]
-        clone = decode_result(json.loads(json.dumps(encode_result(result))))
-        assert result_fingerprint(clone) == result_fingerprint(result)
+        cache = KeyedCache()
+        cache.put(request.key, result)
+        clone = cache.get(request.key)
+        assert clone == result and clone is not result
         assert clone.total_cycles == result.total_cycles
         assert clone.memory_stats.l0.hit_rate == result.memory_stats.l0.hit_rate
         assert clone.average_unroll_factor == result.average_unroll_factor
 
     def test_disk_store_survives_new_cache(self, tmp_path):
         request = RunRequest("gsmdec", unified_config(), FAST)
-        session = Session(options=FAST, cache=ResultCache(tmp_path))
+        session = Session(options=FAST, cache=KeyedCache(tmp_path))
         first = session.run(request)
         assert session.simulations == 1
 
-        reopened = Session(options=FAST, cache=ResultCache(tmp_path))
+        reopened = Session(options=FAST, cache=KeyedCache(tmp_path))
         second = reopened.run(request)
         assert reopened.simulations == 0
         assert reopened.cache_hits == 1
-        assert result_fingerprint(second) == result_fingerprint(first)
+        assert second == first
 
     def test_clear_touches_only_cache_entries(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = KeyedCache(tmp_path)
         session = Session(options=FAST, cache=cache)
         request = session.request("g721dec", l0_config(8))
         session.run(request)
-        user_file = tmp_path / "user-data.json"
-        user_file.write_text("{}")
+        entry = tmp_path / f"{request.key}.pkl"
+        assert entry.exists()
+        user_file = tmp_path / "user-data.pkl"
+        user_file.write_bytes(b"mine")
         orphan_tmp = tmp_path / f".{'ab' * 32}.999.tmp"
         orphan_tmp.write_text("half-written")
 
         cache.clear()
         assert user_file.exists()  # unrelated files are never touched
         assert not orphan_tmp.exists()
-        assert not (tmp_path / f"{request.key}.json").exists()
-        assert ResultCache(tmp_path).get(request.key) is None
+        assert not entry.exists()
+        assert KeyedCache(tmp_path).get(request.key) is None
 
     def test_clear_tolerates_concurrently_removed_entries(self, tmp_path, monkeypatch):
-        """Two processes clearing one directory race glob vs unlink."""
+        """Two processes clearing one directory race the scan vs unlink."""
         from pathlib import Path
 
-        cache = ResultCache(tmp_path)
-        ghost = tmp_path / f"{'0' * 64}.json"  # matched but never created
-        real_glob = Path.glob
+        cache = KeyedCache(tmp_path)
+        ghost = tmp_path / f"{'0' * 64}.pkl"  # listed but never created
+        real_iterdir = Path.iterdir
+        listed = []
 
-        def racing_glob(self, pattern):
-            results = list(real_glob(self, pattern))
-            if pattern == "*.json":
-                results.append(ghost)
-            return results
+        def racing_iterdir(self):
+            listed.append(self)
+            return [*real_iterdir(self), ghost]
 
-        monkeypatch.setattr(Path, "glob", racing_glob)
+        monkeypatch.setattr(Path, "iterdir", racing_iterdir)
         cache.clear()  # must not raise on the vanished entry
+        assert listed == [tmp_path]
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         request = RunRequest("gsmdec", unified_config(), FAST)
-        (tmp_path / f"{request.key}.json").write_text("{torn write")
-        session = Session(options=FAST, cache=ResultCache(tmp_path))
+        entry = tmp_path / f"{request.key}.pkl"
+        entry.write_bytes(b"torn write")
+        session = Session(options=FAST, cache=KeyedCache(tmp_path))
         result = session.run(request)
         assert session.simulations == 1  # re-simulated, no crash
         assert result.total_cycles > 0
         # ... and the fresh result replaced the corrupt file on disk
-        reopened = Session(options=FAST, cache=ResultCache(tmp_path))
+        assert entry.read_bytes() != b"torn write"
+        reopened = Session(options=FAST, cache=KeyedCache(tmp_path))
         assert reopened.run(request).total_cycles == result.total_cycles
         assert reopened.simulations == 0
 
@@ -189,7 +190,8 @@ class TestSessionCaching:
         first = session.run(request)
         second = session.run(session.request("g721dec", l0_config(8)))
         assert session.simulations == 1
-        assert second is first
+        # a hit is a private copy of the stored result
+        assert second == first and second is not first
         # re-reading the session's own product is not a "hit": cache_hits
         # counts only work a pre-existing cache entry avoided
         assert session.cache_hits == 0
@@ -224,9 +226,7 @@ class TestExecutorParity:
         requests = _sweep_requests(FAST)
         serial = SerialExecutor().map(requests)
         parallel = make_executor(2).map(requests)
-        assert [result_fingerprint(r) for r in parallel] == [
-            result_fingerprint(r) for r in serial
-        ]
+        assert parallel == serial
 
     def test_parallel_session_experiment_matches_serial(self):
         def rows(workers):

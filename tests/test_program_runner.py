@@ -3,7 +3,6 @@
 from repro.ir import LoopBuilder
 from repro.isa import MemoryLayout
 from repro.machine import l0_config, unified_config
-from repro.pipeline import result_fingerprint
 from repro.scheduler import compile_loop
 from repro.sim import (
     INVALIDATE_OVERHEAD,
@@ -151,56 +150,7 @@ class TestFlushOverheadAccounting:
 
 
 class TestLoopLevelParallelism:
-    def test_parallel_rows_byte_identical_to_serial(self):
-        bench = build("gsmdec")
-        serial = run_program(bench, l0_config(8), options=SimOptions(sim_cap=120))
-        parallel = run_program(
-            bench,
-            l0_config(8),
-            options=SimOptions(sim_cap=120, loop_workers=2),
-        )
-        assert result_fingerprint(parallel) == result_fingerprint(serial)
-
-    def test_parallel_parity_holds_under_selective_flush(self):
-        bench = Benchmark(
-            name="sf-parity",
-            loops=(
-                LoopSpec(kernels.stream_map("sp_a", trip=150, n=256, elem=4,
-                                            taps=1, alu_depth=3), 3),
-                LoopSpec(kernels.stream_map("sp_b", trip=150, n=256, elem=4,
-                                            taps=1, alu_depth=3,
-                                            in_place=True), 2),
-            ),
-        )
-        options = SimOptions(sim_cap=100, selective_flush=True)
-        serial = run_program(bench, l0_config(8), options=options)
-        parallel = run_program(
-            bench,
-            l0_config(8),
-            options=SimOptions(sim_cap=100, selective_flush=True, loop_workers=2),
-        )
-        assert result_fingerprint(parallel) == result_fingerprint(serial)
-        assert serial.memory_stats.coherence_violations == 0
-
-    def test_nested_fanout_degrades_to_serial_loops(self):
-        """Program-level workers + loop-level workers must not nest
-        process pools (fork-based nesting can deadlock): inside a
-        worker the loop phase runs serial, and rows stay identical."""
-        from repro.pipeline import RunRequest, make_executor
-
-        options = SimOptions(sim_cap=100, loop_workers=2)
-        requests = [
-            RunRequest("gsmdec", l0_config(8), options),
-            RunRequest("g721dec", l0_config(8), options),
-        ]
-        nested = make_executor(2).map(requests)
-        serial = [
-            run_program(build(r.benchmark), r.config, options=SimOptions(sim_cap=100))
-            for r in requests
-        ]
-        assert [result_fingerprint(r) for r in nested] == [
-            result_fingerprint(r) for r in serial
-        ]
+    """Per-loop simulation stitched into one program record."""
 
     def test_program_stats_are_merged_across_loops(self):
         bench = build("gsmdec")
