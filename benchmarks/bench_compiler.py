@@ -6,6 +6,7 @@ Compiles through a fresh per-call cache so every iteration measures the
 real pipeline, not a compile-cache lookup.
 """
 
+from repro.analysis import check_schedule
 from repro.machine import l0_config, unified_config
 from repro.pipeline import KeyedCache, compile_cached
 from repro.workloads import build
@@ -22,9 +23,9 @@ def _compile_suite(config):
 
 def test_compile_throughput_baseline(benchmark):
     results = benchmark(_compile_suite, unified_config())
-    assert all(r.schedule.validate(r.ddg) == [] for r in results)
+    assert all(check_schedule(r.schedule, r.ddg) == [] for r in results)
 
 
 def test_compile_throughput_l0(benchmark):
     results = benchmark(_compile_suite, l0_config(8))
-    assert all(r.schedule.validate(r.ddg) == [] for r in results)
+    assert all(check_schedule(r.schedule, r.ddg) == [] for r in results)

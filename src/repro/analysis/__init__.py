@@ -5,16 +5,17 @@ code with the schedulers, everything the compile pipeline claims about
 an artifact: schedule legality (dependences, comms, reservation
 tables), register lifetimes under modulo variable expansion, L0 buffer
 occupancy and flush coverage, and the fast-path trace's event
-prunings.  It also hosts the project's AST lint.  All findings are
-typed :class:`Diagnostic` records with stable codes.
-
-Only the diagnostics leaf is imported eagerly: the scheduler package
-imports :class:`Diagnostic` for its own ``validate()``, and the
-checkers import the scheduler's data types — loading them here would
-close an import cycle.  The heavier entry points resolve lazily.
+prunings.  Its checkers are the project's only implementation of those
+rules: the exact scheduler re-checks an improved schedule with
+:func:`check_schedule` before returning it.  It also hosts the
+project's AST lint.  All findings are typed :class:`Diagnostic`
+records with stable codes.
 """
 
+from .certify import certify_compiled
+from .dependence import check_schedule
 from .diagnostics import CODES, Diagnostic, Severity, blocking
+from .lint import lint_paths
 
 __all__ = [
     "CODES",
@@ -25,19 +26,3 @@ __all__ = [
     "check_schedule",
     "lint_paths",
 ]
-
-_LAZY = {
-    "certify_compiled": ("repro.analysis.certify", "certify_compiled"),
-    "check_schedule": ("repro.analysis.dependence", "check_schedule"),
-    "lint_paths": ("repro.analysis.lint", "lint_paths"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)

@@ -1,10 +1,12 @@
 """Checker 1: dependence, communication and reservation-table legality.
 
-A clean-room re-derivation of everything ``ModuloSchedule.validate()``
-asserts, written against the *raw* schedule records (``placed``,
-``comms``, ``prefetches``, ``replicas``) rather than the scheduler's
-helper methods, so a bug shared between the scheduling engine and its
-own validator cannot hide here.  The rules re-derived:
+The project's one implementation of the schedule-legality rules
+(A001-A007).  The certifier runs it on every artifact it audits, and
+the exact scheduler runs it on every schedule its search improves
+before handing that schedule back.  It reads the *raw* schedule records
+(``placed``, ``comms``, ``prefetches``, ``replicas``) rather than the
+scheduler's helper methods or reservation table, so a bug in the
+scheduling engine's own bookkeeping cannot hide here.  The rules:
 
 * every DDG edge's value is ready no later than its consumer issues
   (``src.start + latency <= dst.start + II * distance``), with load

@@ -1,15 +1,14 @@
-"""Typed diagnostics shared by the certifier, the linter and ``validate()``.
+"""Typed diagnostics shared by the certifier and the linter.
 
-Every finding any ``repro.analysis`` checker (or the legacy
-``ModuloSchedule.validate``) produces is a :class:`Diagnostic`: a stable
-machine-readable code, a severity, a human message and provenance
-(which loop / artifact / source line).  Codes are append-only — tests
-and CI gates key on them, so a code is never renumbered or reused.
+Every finding any ``repro.analysis`` checker produces is a
+:class:`Diagnostic`: a stable machine-readable code, a severity, a
+human message and provenance (which loop / artifact / source line).
+Codes are append-only — tests and CI gates key on them, so a code is
+never renumbered or reused.
 
 This module is a *leaf*: it imports nothing from the rest of the
-package, so the scheduler can emit typed diagnostics without creating
-an import cycle with the checkers (which import the scheduler's data
-types).
+package, so the checkers and the lint share it without importing each
+other.
 """
 
 from __future__ import annotations
@@ -36,11 +35,15 @@ class Severity(enum.Enum):
 #: Append-only; never renumber.  A001-A0xx are certifier codes, A1xx
 #: are lint codes.  docs/architecture.md renders this table.
 CODES: dict[str, tuple[Severity, str]] = {
-    # -- schedule legality (independent re-derivation of validate()) ----
+    # -- schedule legality --------------------------------------------
     "A001": (Severity.ERROR, "edge or comm references an unplaced instruction"),
     "A002": (Severity.ERROR, "dependence violated: value ready after consumer issue"),
     "A003": (Severity.ERROR, "cross-cluster value has no communication"),
-    "A004": (Severity.ERROR, "comm starts before its value is produced"),
+    "A004": (
+        Severity.ERROR,
+        "comm starts before its value is produced, or a store-address "
+        "broadcast arrives after its store issues",
+    ),
     "A005": (Severity.ERROR, "comm source cluster mismatch"),
     "A006": (Severity.ERROR, "functional unit oversubscribed in a kernel row"),
     "A007": (Severity.ERROR, "bus slots oversubscribed in a kernel row"),
@@ -76,12 +79,7 @@ CODES: dict[str, tuple[Severity, str]] = {
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One finding, with a stable code and artifact provenance.
-
-    ``str(diagnostic)`` returns the bare message — the shim that keeps
-    pre-migration consumers of ``ModuloSchedule.validate()`` (which
-    matched on message substrings) working unchanged.
-    """
+    """One finding, with a stable code and artifact provenance."""
 
     code: str
     message: str
@@ -121,9 +119,6 @@ class Diagnostic:
         return replace(
             self, loop=self.loop or loop, origin=self.origin or origin
         )
-
-    def __str__(self) -> str:
-        return self.message
 
     def render(self) -> str:
         """Full one-line rendering: code, severity, provenance, message."""

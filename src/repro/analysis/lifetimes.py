@@ -1,18 +1,15 @@
 """Checker 2: register lifetimes under modulo variable expansion.
 
 The paper's clustered register files cap the values simultaneously live
-in a cluster (``MachineConfig.max_live_per_cluster``); the scheduler
-estimates pressure through ``repro.scheduler.regpressure`` — which
-lives beside the engine and shares its conventions.  This checker
-re-derives per-cluster MaxLive from first principles:
+in a cluster (``MachineConfig.max_live_per_cluster``).  This module is
+the project's one MaxLive: it derives per-cluster register pressure
+from the schedule's raw records.
 
 A value produced at cycle ``p`` and last consumed at cycle ``e``
 occupies one register during every cycle of ``[p, e]``.  In steady
 state the kernel repeats every II cycles, so at kernel row ``r`` the
 value contributes one live instance per lifetime cycle congruent to
-``r`` (mod II) — counted here *directly*, cycle by cycle, rather than
-through the ``ceil(L / II)`` shortcut the scheduler-side estimator
-uses.  Residency rules:
+``r`` (mod II), counted directly, cycle by cycle.  Residency rules:
 
 * the producing cluster holds the value from production until its last
   local consumer's issue, and at least until every bus transfer of the

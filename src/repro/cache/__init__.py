@@ -11,6 +11,8 @@ compile-artifact store and the fuzz-job store — each opened as one
 * ``verify`` — unpickle-check every entry and drop the corrupt,
   including entries left in an older format (``<key>.json``); exit 1
   if anything was dropped, so CI can assert a restored cache is sound.
+  Certifying what the compile store holds is ``python -m repro.analysis
+  audit``'s job.
 
 The directories default to the names CI persists (``.result-cache``,
 ``.compile-cache``, ``.fuzz-cache``); a missing directory is skipped,
@@ -151,18 +153,11 @@ def cmd_gc(args) -> int:
 
 def cmd_verify(args) -> int:
     corrupt = 0
-    analysis_rc = 0
     for label, cache in open_stores(args):
         report = cache.verify()
         corrupt += len(report.corrupt)
         print(f"{label}: {report.ok} entries ok, {len(report.corrupt)} corrupt removed")
-        if getattr(args, "analyze", False) and label == "compile":
-            # Beyond entry soundness: run the static certifier over
-            # every artifact that survived verification.
-            from ..analysis.__main__ import audit_compile_store
-
-            analysis_rc = audit_compile_store(cache.store.path) or analysis_rc
-    return 1 if corrupt or analysis_rc else 0
+    return 1 if corrupt else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -205,16 +200,10 @@ def main(argv: list[str] | None = None) -> int:
         "(grace period for concurrent writers)",
     )
 
-    verify = sub.add_parser(
+    sub.add_parser(
         "verify",
         help="unpickle-check every entry and drop the corrupt, including "
         "entries in an older format (exit 1 if anything was corrupt)",
-    )
-    verify.add_argument(
-        "--analyze",
-        action="store_true",
-        help="additionally run the repro.analysis certifier over every "
-        "compile artifact (exit 1 on any blocking finding)",
     )
 
     args = parser.parse_args(argv)

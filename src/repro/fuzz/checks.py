@@ -14,8 +14,9 @@ Checks:
   interpreter byte for byte (cycles, stall history, every memory-stats
   counter).
 * ``exact_vs_sms`` — the PR-3 scheduler oracle:
-  ``MII <= II(exact) <= II(SMS)``, both schedules validate, and the
-  exact backend's meta claims are internally consistent.
+  ``MII <= II(exact) <= II(SMS)``, both schedules pass the certifier's
+  legality checks (``check_schedule``, A001-A007), and the exact
+  backend's meta claims are internally consistent.
 * ``certify`` — the PR-6 independent static certifier reports zero
   blocking diagnostics on the compiled artifact.
 
@@ -31,6 +32,7 @@ import copy
 from dataclasses import dataclass
 
 from ..analysis.certify import certify_compiled
+from ..analysis.dependence import check_schedule
 from ..analysis.diagnostics import blocking
 from ..ir.loop import Loop
 from ..isa.memory_access import MemoryLayout
@@ -222,14 +224,14 @@ def check_exact_vs_sms(
             )
         )
     for label, compiled in (("sms", sms), ("exact", exact)):
-        problems = compiled.schedule.validate(compiled.ddg)
+        problems = check_schedule(compiled.schedule, compiled.ddg)
         if problems:
             mismatches.append(
                 _mismatch(
                     "exact_vs_sms",
-                    "validate",
-                    f"{label} schedule fails validation: "
-                    f"{[str(p) for p in problems[:3]]}",
+                    "check_schedule",
+                    f"{label} schedule is illegal: "
+                    f"{[p.render() for p in problems[:3]]}",
                 )
             )
     return mismatches

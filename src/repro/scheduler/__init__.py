@@ -13,7 +13,6 @@ from .l0policy import L0Policy
 from .mii import compute_mii, rec_mii, res_mii
 from .mrt import ModuloReservationTable
 from .policies import InterleavedPolicy, MemoryPolicy, MultiVLIWPolicy, UnifiedPolicy
-from .regpressure import ValueLifetime, fits_register_file, max_live, value_lifetimes
 from .schedule import (
     ModuloSchedule,
     PlacedComm,
@@ -41,11 +40,7 @@ __all__ = [
     "SchedulingError",
     "SetState",
     "UnifiedPolicy",
-    "ValueLifetime",
     "choose_unroll_factor",
-    "fits_register_file",
-    "max_live",
-    "value_lifetimes",
     "compile_loop",
     "compute_mii",
     "estimate_compute_time",

@@ -210,8 +210,11 @@ class ExactScheduler(ClusterScheduler):
                 exhausted = True
                 break
             if found is not None:
-                if found.validate(self.ddg):
-                    # Defensive: a schedule that fails re-validation is a
+                # Deferred import: the certifier imports the scheduler.
+                from ..analysis.dependence import check_schedule
+
+                if check_schedule(found, self.ddg):
+                    # Defensive: a schedule the certifier rejects is a
                     # searcher bug; never hand it to the simulator.
                     found = None
                     exhausted = True

@@ -12,7 +12,6 @@ from .runner import (
     LoopPlan,
     SimOptions,
     SimulatedLoop,
-    make_loop_executor,
     make_memory,
     plan_program,
     run_loop,
@@ -37,7 +36,6 @@ __all__ = [
     "flush_needed_since",
     "invocation_flush_needed",
     "loops_may_conflict",
-    "make_loop_executor",
     "make_memory",
     "merge_stats",
     "plan_program",

@@ -27,7 +27,6 @@ the planned flushes and their cycle overheads.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from ..isa.memory_access import MemoryLayout
@@ -36,8 +35,8 @@ from ..memory.hierarchy import UnifiedMemory
 from ..memory.interleaved import WordInterleavedMemory
 from ..memory.multivliw import MultiVLIWMemory
 from ..scheduler.driver import CompiledLoop
-from .executor import LoopExecutor
 from .stats import LoopResult, LoopRunResult, ProgramResult, merge_stats
+from .trace import TraceExecutor
 
 #: Cycles charged per L0 flush for the invalidate_buffer instructions
 #: (one VLIW cycle: the invalidate issues in all clusters).
@@ -62,10 +61,10 @@ def make_memory(config: MachineConfig):
 class SimOptions:
     """Knobs shared by all experiments.
 
-    ``compile_cache_dir`` and ``fast_sim`` tune *how* a simulation
-    executes, never what it computes (the compile cache is
-    content-addressed; the two executors agree in every result field),
-    so they are excluded from result-cache keys via ``no_cache_key``.
+    ``compile_cache_dir`` tunes *where* compile artifacts persist,
+    never what a simulation computes (the compile cache is
+    content-addressed), so it is excluded from result-cache keys via
+    ``no_cache_key``.
     """
 
     sim_cap: int = 1500  # max kernel iterations simulated per invocation
@@ -78,11 +77,6 @@ class SimOptions:
     #: Persist compile artifacts under this directory (None = in-memory
     #: process-wide cache only).
     compile_cache_dir: str | None = field(default=None, metadata={"no_cache_key": True})
-    #: Use the precompiled-trace fast-path executor (byte-identical to
-    #: the reference interpreter in every result field; the
-    #: ``REPRO_FAST_SIM`` environment variable overrides, see
-    #: :func:`_fast_mode`).  Excluded from cache keys for that reason.
-    fast_sim: bool = field(default=True, metadata={"no_cache_key": True})
 
     def __post_init__(self) -> None:
         if self.sim_cap < 1:
@@ -114,45 +108,6 @@ def _compile(loop, config: MachineConfig, options: SimOptions) -> CompiledLoop:
         CompileOptions(scheduler=options.scheduler, **options.compile_kwargs),
         cache=get_compile_cache(options.compile_cache_dir),
     )
-
-
-#: ``REPRO_FAST_SIM`` spellings (case-insensitive).  The on spellings,
-#: like an unset variable, defer to ``SimOptions.fast_sim``.
-_FAST_SIM_ON = ("", "1", "on", "true")
-_FAST_SIM_OFF = ("0", "off", "false")
-
-
-def _fast_mode(options: SimOptions) -> bool:
-    """Use the fast executor?
-
-    The ``REPRO_FAST_SIM`` environment variable is the debugging
-    override: ``0``/``off``/``false`` force the reference interpreter,
-    and unset, empty, ``1``/``on``/``true`` defer to the options.  Any
-    other value raises, so a stale setting fails loudly.
-    """
-    raw = os.environ.get("REPRO_FAST_SIM", "")
-    env = raw.strip().lower()
-    if env in _FAST_SIM_OFF:
-        return False
-    if env not in _FAST_SIM_ON:
-        accepted = ", ".join(repr(v) for v in _FAST_SIM_ON + _FAST_SIM_OFF)
-        raise ValueError(f"REPRO_FAST_SIM={raw!r}: expected one of {accepted}")
-    return options.fast_sim
-
-
-def make_loop_executor(
-    compiled: CompiledLoop,
-    memory,
-    layout: MemoryLayout,
-    options: SimOptions | None = None,
-):
-    """The executor ``run_loop`` drives: fast path unless opted out."""
-    options = options or SimOptions()
-    if not _fast_mode(options):
-        return LoopExecutor(compiled, memory, layout)
-    from .trace import TraceExecutor
-
-    return TraceExecutor(compiled, memory, layout)
 
 
 def _extrapolated(
@@ -213,7 +168,7 @@ def run_loop(
     memory clock.
     """
     options = options or SimOptions()
-    executor = make_loop_executor(compiled, memory, layout, options)
+    executor = TraceExecutor(compiled, memory, layout)
     trip = compiled.loop.trip_count
     l0_arch = compiled.schedule.config.arch is ArchKind.L0
 

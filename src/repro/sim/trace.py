@@ -28,8 +28,9 @@ This module exploits that two ways, producing byte-identical results:
    events are issued through the memory models' ``load_run`` /
    ``store_run`` batch entry points.
 
-Set ``REPRO_FAST_SIM=0`` (or ``SimOptions.fast_sim=False``) to fall
-back to the reference interpreter.
+``run_loop`` always drives a :class:`TraceExecutor`.  The reference
+interpreter stays as the oracle the differential tests compare it
+against.
 """
 
 from __future__ import annotations

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import copy
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +106,26 @@ def test_compile_cached_analyze_option(cache):
     assert compiled.schedule.meta["analysis"]["verdict"] == "certified"
 
 
+def test_scheduler_and_experiments_load_no_checker():
+    """The checkers import the scheduler's data types, so the scheduler
+    imports them only inside the exact search's re-check, and a figure
+    run loads none of them."""
+    code = (
+        "import sys, repro.scheduler, repro.eval.experiments; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": paths},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def test_cli_audit_over_disk_store(tmp_path):
     from repro.analysis.__main__ import audit_compile_store
 
@@ -131,7 +154,7 @@ def test_cli_audit_over_disk_store(tmp_path):
 def test_audit_leaves_entry_mtimes_alone(tmp_path):
     """Auditing reads every artifact but refreshes no mtime, so it cannot
     reorder what ``repro.cache gc`` evicts: neither ``repro.analysis
-    audit`` nor ``repro.cache verify --analyze``."""
+    audit`` nor ``repro.cache verify``."""
     from repro.analysis.__main__ import audit_compile_store
     from repro.cache import main as cache_main
 
@@ -158,7 +181,6 @@ def test_audit_leaves_entry_mtimes_alone(tmp_path):
         "--fuzz-cache-dir",
         str(tmp_path / "no-fuzz"),
         "verify",
-        "--analyze",
     ]
     assert cache_main(argv) == 0
     assert {file.name: file.stat().st_mtime for file in files} == before
@@ -274,5 +296,4 @@ def test_unknown_code_rejected():
 
 def test_render_and_str_shim():
     d = Diagnostic.new("A002", "value late", loop="saxpy", origin="abc123")
-    assert str(d) == "value late"
     assert d.render() == "A002 [error] (loop=saxpy, abc123): value late"

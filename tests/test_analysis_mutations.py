@@ -4,7 +4,8 @@ A checker proves nothing until it has been shown to *fail*: each test
 here takes a certified-clean compiled artifact, applies one targeted
 corruption, and asserts the expected stable diagnostic code appears.
 Corruptions cover every certifier code (A001-A013) — the A014 advisory
-path has its own tests in test_analysis.py.
+path has its own tests in test_analysis.py — and PSR schedules, whose
+store-address broadcasts follow their own A004 rule.
 
 A companion property test closes the loop the other way: an artifact
 the certifier passes simulates cleanly on the reference interpreter,
@@ -31,13 +32,13 @@ from repro.workloads import kernels
 _CACHE = KeyedCache()
 
 
-def _fresh(loop=None, config=None, scheduler="sms"):
+def _fresh(loop=None, config=None, **options):
     """A private, certified-clean compiled artifact to corrupt."""
     loop = loop or kernels.multi_stream(
         "mut_mix", trip=64, n=512, inputs=6, alu_depth=8
     )
     compiled = compile_cached(
-        loop, config or l0_config(), CompileOptions(scheduler=scheduler), cache=_CACHE
+        loop, config or l0_config(), CompileOptions(**options), cache=_CACHE
     )
     compiled = copy.deepcopy(compiled)
     assert certify_compiled(compiled) == [], "fixture must start clean"
@@ -122,6 +123,40 @@ def test_a007_bus_oversubscription():
     for _ in range(sched.config.n_buses + 1):
         sched.comms.append(copy.copy(template))
     assert "A007" in codes(compiled)
+
+
+# ----------------------------------------------------------------------
+# PSR store-address broadcasts (A004)
+# ----------------------------------------------------------------------
+
+
+def _broadcasts(compiled):
+    return [comm for comm in compiled.schedule.comms if comm.dst_cluster == -1]
+
+
+@pytest.mark.parametrize(
+    "entries", [4, 8, 16, None], ids=["l0_4", "l0_8", "l0_16", "l0_unbounded"]
+)
+@pytest.mark.parametrize(
+    "make", [kernels.make_saxpy, kernels.make_dpcm], ids=["saxpy", "dpcm"]
+)
+def test_psr_broadcasts_certify_clean(make, entries):
+    """A PSR store's replicas wait for its address broadcast.  One that
+    arrives by the store's issue cycle is legal, although it departs
+    before the store's value is produced."""
+    compiled = compile_cached(
+        make(), l0_config(entries), CompileOptions(allow_psr=True), cache=_CACHE
+    )
+    assert _broadcasts(compiled), "fixture must replicate a store"
+    assert certify_compiled(compiled) == []
+
+
+def test_a004_broadcast_arrives_after_its_store():
+    compiled = _fresh(kernels.make_saxpy(), l0_config(8), allow_psr=True)
+    comm = _broadcasts(compiled)[0]
+    store = compiled.schedule.placed[comm.producer_uid]
+    comm.start = store.start - comm.latency + 1
+    assert "A004" in codes(compiled)
 
 
 # ----------------------------------------------------------------------

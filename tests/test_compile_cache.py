@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.analysis import check_schedule
 from repro.isa import MemoryLayout
 from repro.machine import l0_config, unified_config
 from repro.pipeline import (
@@ -115,7 +116,7 @@ class TestCacheSemantics:
         assert hit.ii == first.ii
         assert hit.unroll_factor == first.unroll_factor
         assert hit.policy_name == first.policy_name
-        assert hit.schedule.validate(hit.ddg) == []
+        assert check_schedule(hit.schedule, hit.ddg) == []
 
     def test_hits_hand_out_private_objects(self):
         """Mutating a served artifact must not poison the cache (the
@@ -125,7 +126,7 @@ class TestCacheSemantics:
         uid = next(iter(first.schedule.placed))
         del first.schedule.placed[uid]  # corrupt the caller's copy
         again = compile_cached(make_saxpy(), unified_config(), cache=cache)
-        assert again.schedule.validate(again.ddg) == []
+        assert check_schedule(again.schedule, again.ddg) == []
 
     def test_compile_loop_wrapper_equivalent_to_pass_manager(self):
         """``compile_loop`` serves what the uncached compile function builds."""
@@ -145,7 +146,7 @@ class TestSerialisationRoundTrip:
         clone = pickle.loads(pickle.dumps(compiled))
         assert clone.ii == compiled.ii
         assert clone.unroll_factor == compiled.unroll_factor
-        assert clone.schedule.validate(clone.ddg) == []
+        assert check_schedule(clone.schedule, clone.ddg) == []
         a = _simulate(compiled, config)
         b = _simulate(clone, config)
         assert (a.compute_cycles, a.stall_cycles, a.late_loads) == (
@@ -164,7 +165,7 @@ class TestSerialisationRoundTrip:
         compiled = compile_cached(make_saxpy(), config, cache=reopened)
         assert reopened.stats.misses == 0
         assert reopened.stats.hits == 1
-        assert compiled.schedule.validate(compiled.ddg) == []
+        assert check_schedule(compiled.schedule, compiled.ddg) == []
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         config = l0_config(8)
@@ -173,7 +174,7 @@ class TestSerialisationRoundTrip:
         cache = KeyedCache(tmp_path)
         compiled = compile_cached(make_saxpy(), config, cache=cache)
         assert cache.stats.misses == 1  # recompiled, no crash
-        assert compiled.schedule.validate(compiled.ddg) == []
+        assert check_schedule(compiled.schedule, compiled.ddg) == []
         # ... and the fresh artifact replaced the corrupt file
         reopened = KeyedCache(tmp_path)
         compile_cached(make_saxpy(), config, cache=reopened)

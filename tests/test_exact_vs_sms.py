@@ -5,7 +5,7 @@ small machine-config matrix, the exact scheduler must act as an oracle
 for the SMS heuristic:
 
 * ``MII <= II(exact) <= II(SMS)`` (the deepening loop's contract);
-* both schedules pass ``ModuloSchedule.validate(ddg)``;
+* both schedules pass the certifier's ``check_schedule(schedule, ddg)``;
 * simulating both yields consistent statistics (the exact compute-cycle
   identity ``(n - 1) * II + span`` and deterministic stall counts).
 
@@ -19,6 +19,7 @@ import os
 
 import pytest
 
+from repro.analysis import check_schedule
 from repro.isa import MemoryLayout
 from repro.machine import l0_config, unified_config
 from repro.pipeline import CompileOptions, compile_cached, get_compile_cache
@@ -108,8 +109,8 @@ def _check_oracle(loop, config):
         assert not meta["proved_optimal"]
 
     # Both schedules satisfy every dependence/resource constraint.
-    assert sms.schedule.validate(sms.ddg) == []
-    assert exact.schedule.validate(exact.ddg) == []
+    assert check_schedule(sms.schedule, sms.ddg) == []
+    assert check_schedule(exact.schedule, exact.ddg) == []
 
     # Both schedules drive the simulator to consistent statistics.
     for compiled in (sms, exact):

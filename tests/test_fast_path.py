@@ -32,7 +32,6 @@ from repro.sim import (
     LoopExecutor,
     SimOptions,
     TraceExecutor,
-    make_loop_executor,
     make_memory,
     run_loop,
     run_program,
@@ -160,25 +159,25 @@ def test_random_streams_have_no_input_period():
     )
 
 
-def test_multi_invocation_long_runs_match_reference():
+def test_multi_invocation_long_runs_match_reference(monkeypatch):
     """Memory state carried from one long invocation into the next (with
     the L0 flush between them) behaves exactly like the reference's."""
     for config in (unified_config(), l0_config(8)):
         loop = kernels.make_saxpy(trip=3000, n=64)
         results = {}
-        for fast_sim in (False, True):
+        for executor in (LoopExecutor, TraceExecutor):
+            monkeypatch.setattr("repro.sim.runner.TraceExecutor", executor)
             compiled = compile_loop(copy.deepcopy(loop), config)
             memory = make_memory(config)
-            options = SimOptions(fast_sim=fast_sim, sim_cap=5000)
             result, clock = run_loop(
                 compiled,
                 memory,
                 MemoryLayout(align=config.l1_block),
                 invocations=3,
-                options=options,
+                options=SimOptions(sim_cap=5000),
             )
-            results[fast_sim] = (result, clock, memory.stats)
-        (r0, c0, s0), (r1, c1, s1) = results[False], results[True]
+            results[executor] = (result, clock, memory.stats)
+        (r0, c0, s0), (r1, c1, s1) = results[LoopExecutor], results[TraceExecutor]
         assert (r0.compute_cycles, r0.stall_cycles, c0) == (
             r1.compute_cycles,
             r1.stall_cycles,
@@ -197,12 +196,11 @@ def test_multi_invocation_long_runs_match_reference():
 # ----------------------------------------------------------------------
 
 
-def test_run_program_fast_matches_reference():
+def test_run_program_fast_matches_reference(monkeypatch):
     bench = build("g721dec")
-    slow = run_program(
-        bench, l0_config(8), options=SimOptions(sim_cap=120, fast_sim=False)
-    )
     fast = run_program(bench, l0_config(8), options=SimOptions(sim_cap=120))
+    monkeypatch.setattr("repro.sim.runner.TraceExecutor", LoopExecutor)
+    slow = run_program(bench, l0_config(8), options=SimOptions(sim_cap=120))
     assert slow.total_cycles == fast.total_cycles
     assert slow.stall_cycles == fast.stall_cycles
     assert slow.memory_stats == fast.memory_stats
@@ -235,34 +233,6 @@ def test_loop_result_reports_extrapolation_kind():
     assert result.extrapolated == "none"
     assert result.simulated_iterations == compiled.loop.trip_count
     assert result.measured_fraction == 1.0
-
-
-def test_make_loop_executor_honors_env_opt_out(monkeypatch):
-    compiled = compile_loop(kernels.make_saxpy(trip=32, n=64), unified_config())
-
-    def executor(**options):
-        memory = make_memory(unified_config())
-        return make_loop_executor(
-            compiled, memory, MemoryLayout(), SimOptions(**options)
-        )
-
-    for value in ("0", "off", "false", " OFF "):
-        monkeypatch.setenv("REPRO_FAST_SIM", value)
-        assert isinstance(executor(), LoopExecutor), value
-    for value in ("", "1", "on", "true", "True"):
-        monkeypatch.setenv("REPRO_FAST_SIM", value)
-        assert isinstance(executor(), TraceExecutor), value
-        # The on spellings defer to the options, like an unset variable.
-        assert isinstance(executor(fast_sim=False), LoopExecutor)
-    # A stale or misspelt value fails loudly and names the spellings.
-    for value in ("interp", "yes", "2"):
-        monkeypatch.setenv("REPRO_FAST_SIM", value)
-        with pytest.raises(ValueError, match="'0', 'off', 'false'") as info:
-            executor()
-        assert repr(value) in str(info.value)
-    monkeypatch.delenv("REPRO_FAST_SIM")
-    assert isinstance(executor(), TraceExecutor)
-    assert isinstance(executor(fast_sim=False), LoopExecutor)
 
 
 # ----------------------------------------------------------------------
@@ -481,13 +451,13 @@ def test_full_matrix_long_runs(config_name):
 
 
 @pytest.mark.slow
-def test_full_program_parity_across_benchmarks():
+def test_full_program_parity_across_benchmarks(monkeypatch):
     for name in ("g721dec", "gsmdec"):
         for config in (unified_config(), l0_config(8)):
             bench = build(name)
-            slow = run_program(
-                bench, config, options=SimOptions(sim_cap=200, fast_sim=False)
-            )
             fast = run_program(bench, config, options=SimOptions(sim_cap=200))
+            with monkeypatch.context() as patch:
+                patch.setattr("repro.sim.runner.TraceExecutor", LoopExecutor)
+                slow = run_program(bench, config, options=SimOptions(sim_cap=200))
             assert slow.total_cycles == fast.total_cycles
             assert slow.memory_stats == fast.memory_stats

@@ -1,6 +1,7 @@
 """Tests for the L0-aware scheduling policy (the paper's Figure-4 algorithm)."""
 
 
+from repro.analysis import check_schedule
 from repro.ir import LoopBuilder
 from repro.isa import AccessHint, MapHint, PrefetchHint
 from repro.machine import l0_config
@@ -60,7 +61,7 @@ class TestLatencyAssignment:
     def test_schedule_validates(self, saxpy, dpcm, column):
         for loop in (saxpy, dpcm, column):
             compiled = compile_loop(loop, l0_config(8))
-            assert compiled.schedule.validate(compiled.ddg) == []
+            assert check_schedule(compiled.schedule, compiled.ddg) == []
 
 
 class TestCoherence:
@@ -91,7 +92,7 @@ class TestCoherence:
         ldp = next(op for op in loads_of(compiled) if op.instr.tag == "ldp")
         # 1-entry buffer: budget floor keeps at least one candidate, but
         # either way the schedule must be coherent and valid.
-        assert compiled.schedule.validate(compiled.ddg) == []
+        assert check_schedule(compiled.schedule, compiled.ddg) == []
         if ldp.latency == 1:
             st = stores_of(compiled)[0]
             assert st.cluster == ldp.cluster

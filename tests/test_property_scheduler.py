@@ -8,6 +8,7 @@ never read stale data out of an L0 buffer.
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from repro.analysis import check_schedule
 from repro.ir import build_ddg, unroll
 from repro.isa import MemoryLayout
 from repro.machine import (
@@ -163,7 +164,7 @@ def test_exact_matches_brute_force_optimum(seed):
     )
     meta = compiled.schedule.meta
     assume(not meta["fallback"])  # budget-bound examples prove nothing here
-    assert compiled.schedule.validate(compiled.ddg) == []
+    assert check_schedule(compiled.schedule, compiled.ddg) == []
     try:
         assert _brute_feasible(compiled.ddg, config, compiled.ii)
         for ii in range(1, compiled.ii):
@@ -184,7 +185,7 @@ def test_exact_budget_fallback_validates(seed):
     config = l0_config(4)
     sms = compile_loop(loop, config)
     starved = compile_loop(loop, config, scheduler="exact", exact_node_budget=1)
-    assert starved.schedule.validate(starved.ddg) == []
+    assert check_schedule(starved.schedule, starved.ddg) == []
     assert starved.ii <= sms.ii
     meta = starved.schedule.meta
     assert meta["scheduler"] == "exact"
@@ -200,7 +201,7 @@ def test_exact_budget_fallback_validates(seed):
 def test_base_schedule_validates(seed):
     loop = random_loop(seed)
     compiled = compile_loop(loop, unified_config())
-    assert compiled.schedule.validate(compiled.ddg) == []
+    assert check_schedule(compiled.schedule, compiled.ddg) == []
 
 
 @SLOW
@@ -208,7 +209,7 @@ def test_base_schedule_validates(seed):
 def test_l0_schedule_validates(seed):
     loop = random_loop(seed)
     compiled = compile_loop(loop, l0_config(8))
-    assert compiled.schedule.validate(compiled.ddg) == []
+    assert check_schedule(compiled.schedule, compiled.ddg) == []
 
 
 @SLOW
@@ -216,7 +217,7 @@ def test_l0_schedule_validates(seed):
 def test_l0_schedule_validates_across_sizes(seed, entries):
     loop = random_loop(seed)
     compiled = compile_loop(loop, l0_config(entries))
-    assert compiled.schedule.validate(compiled.ddg) == []
+    assert check_schedule(compiled.schedule, compiled.ddg) == []
 
 
 @SLOW
@@ -225,7 +226,7 @@ def test_distributed_schedules_validate(seed):
     loop = random_loop(seed)
     for config in (multivliw_config(), interleaved_config()):
         compiled = compile_loop(loop, config)
-        assert compiled.schedule.validate(compiled.ddg) == []
+        assert check_schedule(compiled.schedule, compiled.ddg) == []
 
 
 @SLOW

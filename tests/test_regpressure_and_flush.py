@@ -1,14 +1,14 @@
-"""Tests for the MaxLive estimator and selective inter-loop flushing."""
+"""Tests for register pressure (MaxLive) and selective inter-loop flushing."""
 
 
+from repro.analysis.lifetimes import (
+    check_register_pressure,
+    live_intervals,
+    max_live_per_cluster,
+)
 from repro.ir import LoopBuilder
 from repro.machine import l0_config, unified_config
-from repro.scheduler import (
-    compile_loop,
-    fits_register_file,
-    max_live,
-    value_lifetimes,
-)
+from repro.scheduler import compile_loop
 from repro.sim import SimOptions, flush_needed, loops_may_conflict, run_program
 from repro.workloads import Benchmark, LoopSpec, kernels
 
@@ -18,15 +18,15 @@ from repro.workloads.kernels import make_dpcm
 class TestMaxLive:
     def test_lifetimes_nonnegative_and_clustered(self, saxpy):
         compiled = compile_loop(saxpy, unified_config())
-        lifetimes = value_lifetimes(compiled.schedule, compiled.ddg)
-        assert lifetimes
-        for lt in lifetimes:
-            assert lt.length >= 1
-            assert 0 <= lt.cluster < 4
+        intervals = live_intervals(compiled.schedule, compiled.ddg)
+        assert intervals
+        for _uid, cluster, first, last in intervals:
+            assert last >= first
+            assert 0 <= cluster < 4
 
     def test_max_live_positive_where_values_flow(self, saxpy):
         compiled = compile_loop(saxpy, unified_config())
-        pressure = max_live(compiled.schedule, compiled.ddg)
+        pressure = max_live_per_cluster(compiled.schedule, compiled.ddg)
         assert set(pressure) == {0, 1, 2, 3}
         assert max(pressure.values()) >= 1
 
@@ -34,16 +34,16 @@ class TestMaxLive:
         """Shorter load latencies shorten lifetimes (paper section 4.2)."""
         base = compile_loop(make_dpcm(), unified_config(), unroll_factor=1)
         l0 = compile_loop(make_dpcm(), l0_config(8), unroll_factor=1)
-        base_p = max(max_live(base.schedule, base.ddg).values())
-        l0_p = max(max_live(l0.schedule, l0.ddg).values())
+        base_p = max(max_live_per_cluster(base.schedule, base.ddg).values())
+        l0_p = max(max_live_per_cluster(l0.schedule, l0.ddg).values())
         assert l0_p <= base_p
 
-    def test_suite_fits_register_files(self):
+    def test_suite_register_pressure_certifies_clean(self):
         from repro.workloads import build
 
         for spec in build("gsmdec").loops:
             compiled = compile_loop(spec.loop, l0_config(8))
-            assert fits_register_file(compiled.schedule, compiled.ddg)
+            assert check_register_pressure(compiled.schedule, compiled.ddg) == []
 
     def test_longer_lifetimes_raise_pressure(self):
         """A wide fan-in of long-lived loads needs more registers than a
@@ -61,8 +61,8 @@ class TestMaxLive:
 
         small = compile_loop(chain(2), unified_config(), unroll_factor=1)
         large = compile_loop(chain(6), unified_config(), unroll_factor=1)
-        assert sum(max_live(large.schedule, large.ddg).values()) >= sum(
-            max_live(small.schedule, small.ddg).values()
+        assert sum(max_live_per_cluster(large.schedule, large.ddg).values()) >= sum(
+            max_live_per_cluster(small.schedule, small.ddg).values()
         )
 
 

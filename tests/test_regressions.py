@@ -6,6 +6,7 @@ schedules, crashes or non-terminating searches.
 
 import pytest
 
+from repro.analysis import check_schedule
 from repro.ir import LoopBuilder, build_ddg, unroll
 from repro.machine import l0_config, unified_config
 from repro.scheduler import compile_loop
@@ -37,7 +38,7 @@ def test_diamond_with_long_latencies_schedules():
     s = b.iadd(x, y, tag="S")
     b.store(out, s, stride=1)
     compiled = compile_loop(b.build(), unified_config(), unroll_factor=1)
-    assert compiled.schedule.validate(compiled.ddg) == []
+    assert check_schedule(compiled.schedule, compiled.ddg) == []
 
 
 def test_multiple_edges_between_same_pair_dedup_in_ejection():
@@ -50,7 +51,7 @@ def test_multiple_edges_between_same_pair_dedup_in_ejection():
     for _ in range(3):
         v = b.iadd(v, b.live_in("k"))
     compiled = compile_loop(b.build(), l0_config(8))
-    assert compiled.schedule.validate(compiled.ddg) == []
+    assert check_schedule(compiled.schedule, compiled.ddg) == []
 
 
 @pytest.mark.parametrize("seed", [0, 6, 10, 14, 15, 16, 21, 28, 46, 50])
@@ -59,7 +60,7 @@ def test_historically_unschedulable_seeds(seed):
     loop = random_loop(seed)
     for config in (unified_config(), l0_config(8)):
         compiled = compile_loop(loop, config)
-        assert compiled.schedule.validate(compiled.ddg) == []
+        assert check_schedule(compiled.schedule, compiled.ddg) == []
 
 
 def test_inplace_stream_has_no_spurious_recurrence():

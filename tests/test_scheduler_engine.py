@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import check_schedule
 from repro.ir import LoopBuilder, unroll
 from repro.machine import (
     interleaved_config,
@@ -17,7 +18,7 @@ from repro.workloads.kernels import make_column, make_dpcm, make_saxpy
 class TestBaseScheduling:
     def test_saxpy_schedule_validates(self, saxpy):
         compiled = compile_loop(saxpy, unified_config())
-        assert compiled.schedule.validate(compiled.ddg) == []
+        assert check_schedule(compiled.schedule, compiled.ddg) == []
 
     def test_unrolled_saxpy_hits_res_mii(self, saxpy):
         compiled = compile_loop(saxpy, unified_config())
@@ -41,7 +42,7 @@ class TestBaseScheduling:
         clusters = {op.cluster for op in compiled.schedule.placed.values()}
         if len(clusters) > 1:
             assert compiled.schedule.comms
-        assert compiled.schedule.validate(compiled.ddg) == []
+        assert check_schedule(compiled.schedule, compiled.ddg) == []
 
     @pytest.mark.parametrize("scheduler", ["sms", "exact"])
     @pytest.mark.parametrize("make_loop", [make_saxpy, make_dpcm, make_column])
@@ -52,7 +53,7 @@ class TestBaseScheduling:
         assert config.n_clusters == 4
         compiled = compile_loop(make_loop(), config, scheduler=scheduler)
         assert compiled.schedule.comms == []
-        assert compiled.schedule.validate(compiled.ddg) == []
+        assert check_schedule(compiled.schedule, compiled.ddg) == []
 
     def test_all_loads_scheduled_with_l1_latency(self, saxpy):
         compiled = compile_loop(saxpy, unified_config())
@@ -104,7 +105,7 @@ class TestOtherPolicies:
         for op in compiled.schedule.placed.values():
             if op.instr.is_load:
                 assert op.latency == multivliw_config().distributed_local_latency
-        assert compiled.schedule.validate(compiled.ddg) == []
+        assert check_schedule(compiled.schedule, compiled.ddg) == []
 
     def test_interleaved_heuristic_2_remote_latency_for_unstable(self):
         cfg = interleaved_config()

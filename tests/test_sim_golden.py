@@ -43,6 +43,7 @@ from repro.machine import (
     multivliw_config,
     unified_config,
 )
+from repro.sim.executor import LoopExecutor
 from repro.sim.runner import SimOptions, run_program
 from repro.workloads.mediabench import PAPER_TABLE1, build
 
@@ -71,14 +72,6 @@ SAMPLE_CAP = 200
 FULL_CAP_SAMPLE = (("pgpdec", "l0-16"),)
 
 DEFAULT_CAP = SimOptions().sim_cap
-
-
-@pytest.fixture(autouse=True)
-def _default_executor(monkeypatch):
-    """Pin the fast path, so ``simulate``'s cache only ever holds
-    fast-path results and a stray ``REPRO_FAST_SIM`` cannot choose the
-    executor the digests are checked against."""
-    monkeypatch.delenv("REPRO_FAST_SIM", raising=False)
 
 
 def _counters(stats, prefix: str = ""):
@@ -205,7 +198,7 @@ def test_sim_figure_digest(name):
 def test_reference_interpreter_renders_sample_digests(monkeypatch):
     """The reference interpreter reproduces every sample digest.  Its
     runs bypass ``simulate``'s cache, which holds fast-path results."""
-    monkeypatch.setenv("REPRO_FAST_SIM", "0")
+    monkeypatch.setattr("repro.sim.runner.TraceExecutor", LoopExecutor)
     got = {name: sample_digest(name, simulate_uncached) for name in SAMPLE_DIGESTS}
     for case in FULL_CAP_SAMPLE:
         got["/".join(case)] = full_cap_digest(*case, simulate_uncached)

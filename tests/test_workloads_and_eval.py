@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import check_schedule
 from repro.eval import (
     ExperimentContext,
     fig5,
@@ -48,7 +49,7 @@ class TestSuiteDefinitions:
             for spec in bench.loops:
                 for config in (unified_config(), l0_config(8)):
                     compiled = compile_loop(spec.loop, config)
-                    assert compiled.schedule.validate(compiled.ddg) == []
+                    assert check_schedule(compiled.schedule, compiled.ddg) == []
 
 
 class TestRandomLoops:
