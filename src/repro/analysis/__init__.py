@@ -6,19 +6,21 @@ an artifact: schedule legality (dependences, comms, reservation
 tables), register lifetimes under modulo variable expansion, L0 buffer
 occupancy and flush coverage, and the fast-path trace's event
 prunings.  Its checkers are the project's only implementation of those
-rules: the exact scheduler re-checks an improved schedule with
-:func:`check_schedule` before returning it.  It also hosts the
-project's AST lint.  All findings are typed :class:`Diagnostic`
-records with stable codes.
+rules, and ``compile_cached`` is the one place they run on a compile:
+it certifies every artifact it stores and raises
+:class:`CertificationError` on a blocking finding.  The package also
+hosts the project's AST lint.  All findings are typed
+:class:`Diagnostic` records with stable codes.
 """
 
 from .certify import certify_compiled
 from .dependence import check_schedule
-from .diagnostics import CODES, Diagnostic, Severity, blocking
+from .diagnostics import CODES, CertificationError, Diagnostic, Severity, blocking
 from .lint import lint_paths
 
 __all__ = [
     "CODES",
+    "CertificationError",
     "Diagnostic",
     "Severity",
     "blocking",

@@ -1,10 +1,13 @@
 """The certifier: run every checker over an artifact, record a verdict.
 
-``certify_compiled`` is the single entry point the pipeline, the CLI
-and the tests share.  It runs the independent checkers (dependences,
-register lifetimes, L0 occupancy, trace audit), reviews the schedule's
-optimality claim, stamps the verdict into ``schedule.meta`` and returns
-the findings with provenance attached.
+``certify_compiled`` is the single entry point.  ``compile_cached``
+calls it on every artifact it compiles, before storing it, and raises
+:class:`~repro.analysis.diagnostics.CertificationError` on a blocking
+finding; the tests call it on artifacts they corrupt.  It runs the
+independent checkers (dependences, register lifetimes, L0 occupancy,
+trace audit), reviews the schedule's optimality claim, stamps the
+verdict into ``schedule.meta`` and returns the findings with
+provenance attached.
 
 Optimality review: the exact scheduler proves ``proved_optimal`` two
 ways.  A schedule at the MII lower bound stays proven — the bound is
@@ -17,12 +20,12 @@ rows it downgrades the claim to ``"unverified"`` and notes A014.
 
 from __future__ import annotations
 
-from ..ir.ddg import DDG
 from ..scheduler.schedule import ModuloSchedule
 from .dependence import bus_binding_rows, check_schedule
 from .diagnostics import Diagnostic, blocking
 from .l0check import check_l0
 from .lifetimes import check_register_pressure
+from .traceaudit import audit_trace
 
 
 def _optimality_review(schedule: ModuloSchedule) -> list[Diagnostic]:
@@ -48,12 +51,18 @@ def _optimality_review(schedule: ModuloSchedule) -> list[Diagnostic]:
     ]
 
 
-def _finish(
-    schedule: ModuloSchedule,
-    diagnostics: list[Diagnostic],
-    artifact_key: str | None,
-) -> list[Diagnostic]:
-    """Stamp provenance and the meta verdict; return the findings."""
+def certify_compiled(compiled, *, artifact_key: str | None = None) -> list[Diagnostic]:
+    """Certify a compiled artifact, its cached trace included.
+
+    Stamps provenance on every finding and the verdict into
+    ``schedule.meta["analysis"]``; returns the findings.
+    """
+    schedule = compiled.schedule
+    diagnostics = check_schedule(schedule, compiled.ddg)
+    diagnostics += check_register_pressure(schedule, compiled.ddg)
+    diagnostics += check_l0(schedule)
+    diagnostics += audit_trace(compiled)
+    diagnostics += _optimality_review(schedule)
     diagnostics = [
         d.with_provenance(loop=schedule.loop_name, origin=artifact_key)
         for d in diagnostics
@@ -64,30 +73,3 @@ def _finish(
         "bus_binding_rows": bus_binding_rows(schedule),
     }
     return diagnostics
-
-
-def certify_schedule(
-    schedule: ModuloSchedule,
-    ddg: DDG,
-    *,
-    artifact_key: str | None = None,
-) -> list[Diagnostic]:
-    """Certify a bare schedule (no trace): checkers 1-3 + A014 review."""
-    diagnostics = check_schedule(schedule, ddg)
-    diagnostics += check_register_pressure(schedule, ddg)
-    diagnostics += check_l0(schedule)
-    diagnostics += _optimality_review(schedule)
-    return _finish(schedule, diagnostics, artifact_key)
-
-
-def certify_compiled(compiled, *, artifact_key: str | None = None) -> list[Diagnostic]:
-    """Certify a full compiled artifact, including its cached trace."""
-    from .traceaudit import audit_trace
-
-    schedule = compiled.schedule
-    diagnostics = check_schedule(schedule, compiled.ddg)
-    diagnostics += check_register_pressure(schedule, compiled.ddg)
-    diagnostics += check_l0(schedule)
-    diagnostics += audit_trace(compiled)
-    diagnostics += _optimality_review(schedule)
-    return _finish(schedule, diagnostics, artifact_key)

@@ -1,12 +1,14 @@
 """Checker 1: dependence, communication and reservation-table legality.
 
 The project's one implementation of the schedule-legality rules
-(A001-A007).  The certifier runs it on every artifact it audits, and
-the exact scheduler runs it on every schedule its search improves
-before handing that schedule back.  It reads the *raw* schedule records
-(``placed``, ``comms``, ``prefetches``, ``replicas``) rather than the
-scheduler's helper methods or reservation table, so a bug in the
-scheduling engine's own bookkeeping cannot hide here.  The rules:
+(A001-A007), run on every artifact ``compile_cached`` stores.  It also
+states, once, the two timing facts the other checkers build on: when a
+value is produced (:func:`produce_time`) and when it first reaches
+another cluster (:func:`earliest_arrivals`).  It reads the *raw*
+schedule records (``placed``, ``comms``, ``prefetches``,
+``replicas``) rather than the scheduler's helper methods or
+reservation table, so a bug in the scheduling engine's own
+bookkeeping cannot hide here.  The rules:
 
 * every DDG edge's value is ready no later than its consumer issues
   (``src.start + latency <= dst.start + II * distance``), with load
@@ -32,7 +34,7 @@ from ..scheduler.schedule import ModuloSchedule
 from .diagnostics import Diagnostic
 
 
-def _produce_time(schedule: ModuloSchedule, uid: int) -> int:
+def produce_time(schedule: ModuloSchedule, uid: int) -> int:
     """Cycle the value of ``uid`` becomes available in its own cluster."""
     op = schedule.placed[uid]
     if op.instr.is_load:
@@ -40,7 +42,7 @@ def _produce_time(schedule: ModuloSchedule, uid: int) -> int:
     return op.start + schedule.config.latency_of(op.instr.opcode)
 
 
-def _best_arrivals(schedule: ModuloSchedule) -> dict[tuple[int, int], int]:
+def earliest_arrivals(schedule: ModuloSchedule) -> dict[tuple[int, int], int]:
     """Earliest comm arrival per (producer uid, destination cluster)."""
     best: dict[tuple[int, int], int] = {}
     for comm in schedule.comms:
@@ -55,7 +57,7 @@ def check_dependences(schedule: ModuloSchedule, ddg: DDG) -> list[Diagnostic]:
     """A001/A002/A003: every edge's value arrives before it is consumed."""
     out: list[Diagnostic] = []
     ii = schedule.ii
-    arrivals = _best_arrivals(schedule)
+    arrivals = earliest_arrivals(schedule)
     for edge in ddg.edges:
         src = schedule.placed.get(edge.src)
         dst = schedule.placed.get(edge.dst)
@@ -125,14 +127,14 @@ def check_comms(schedule: ModuloSchedule) -> list[Diagnostic]:
                         f"replicas issue at {producer.start}",
                     )
                 )
-        elif comm.start < _produce_time(schedule, comm.producer_uid):
+        elif comm.start < produce_time(schedule, comm.producer_uid):
             out.append(
                 Diagnostic.new(
                     "A004",
                     f"comm for value {comm.producer_uid} to cluster "
                     f"{comm.dst_cluster} starts at {comm.start}, before the "
                     f"value is produced at "
-                    f"{_produce_time(schedule, comm.producer_uid)}",
+                    f"{produce_time(schedule, comm.producer_uid)}",
                 )
             )
         if producer.cluster != comm.src_cluster:

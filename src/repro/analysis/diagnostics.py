@@ -14,6 +14,7 @@ other.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 
@@ -21,7 +22,8 @@ class Severity(enum.Enum):
     """How a diagnostic gates an artifact.
 
     ``ERROR`` and ``WARNING`` are *blocking*: the artifact fails
-    certification (CLI exit 1, ``verdict: "flagged"``).  ``NOTE`` is
+    certification (``verdict: "flagged"``, and ``compile_cached``
+    raises :class:`CertificationError`).  ``NOTE`` is
     advisory — a sound schedule about which the certifier still has
     something to say (e.g. an optimality claim it cannot re-prove).
     """
@@ -136,3 +138,22 @@ class Diagnostic:
 def blocking(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
     """The subset of findings that fail certification."""
     return [d for d in diagnostics if d.blocking]
+
+
+class CertificationError(RuntimeError):
+    """A compiled loop the certifier blocks.
+
+    ``compile_cached`` raises it instead of storing the artifact, so no
+    schedule with a blocking finding reaches the simulator.  The loop
+    name and the blocking diagnostics ride in ``args``, so the error
+    pickles intact, like ``RequestError``.
+    """
+
+    def __init__(self, loop: str, diagnostics: Sequence[Diagnostic]) -> None:
+        super().__init__(loop, tuple(diagnostics))
+        self.loop = loop
+        self.diagnostics = tuple(diagnostics)
+
+    def __str__(self) -> str:
+        rendered = "; ".join(d.render() for d in self.diagnostics)
+        return f"loop {self.loop!r} failed certification: {rendered}"

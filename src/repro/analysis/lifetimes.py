@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from ..ir.ddg import DDG, DepKind
 from ..scheduler.schedule import ModuloSchedule
+from .dependence import earliest_arrivals, produce_time
 from .diagnostics import Diagnostic
 
 
@@ -32,22 +33,12 @@ def live_intervals(
 ) -> list[tuple[int, int, int, int]]:
     """``(producer_uid, cluster, first_cycle, last_cycle)`` per residency."""
     ii = schedule.ii
-    arrivals: dict[tuple[int, int], int] = {}
-    for comm in schedule.comms:
-        key = (comm.producer_uid, comm.dst_cluster)
-        arrival = comm.start + comm.latency
-        if key not in arrivals or arrival < arrivals[key]:
-            arrivals[key] = arrival
-
+    arrivals = earliest_arrivals(schedule)
     intervals: list[tuple[int, int, int, int]] = []
     for uid, op in schedule.placed.items():
         if op.instr.dest is None:
             continue
-        produce = op.start + (
-            op.latency
-            if op.instr.is_load
-            else schedule.config.latency_of(op.instr.opcode)
-        )
+        produce = produce_time(schedule, uid)
         # Last cycle the value must survive, per resident cluster.
         holds: dict[int, int] = {}
         for edge in ddg.succs[uid]:

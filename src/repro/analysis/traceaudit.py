@@ -6,11 +6,12 @@ deterministic, register dependences on non-load producers whose static
 slack is provably non-positive.  Those arguments live in comments; this
 module turns them into per-artifact machine checks:
 
-* **A012** — a pruning whose justification does not hold against the
-  schedule the trace is paired with: an interlock-check event missing
-  for an instruction that consumes load results, a load dependence
-  missing from a kept event's table, or a pruned non-load dependence
-  whose static slack is actually positive (the producer can be late).
+* **A012** — a pruning the builder may not make: an interlock-check
+  event missing for an instruction that consumes load results, or a
+  load dependence missing from a kept event's table.  The pruning of
+  every non-load register dependence rests on its static slack being
+  non-positive, which is the dependence checker's A002 for that edge;
+  ``certify_compiled`` always runs both, so it is not restated here.
 * **A013** — the trace simply disagrees with the schedule: an event
   at the wrong position, a memory event missing or invented, a
   readiness ring slot absent, a history window too small to hold the
@@ -27,6 +28,7 @@ from __future__ import annotations
 from ..ir.ddg import DepKind
 from ..scheduler.driver import CompiledLoop
 from ..sim.trace import EV_CHECK, EV_LOAD, EV_PREFETCH, EV_STORE, StaticTrace
+from .dependence import earliest_arrivals
 from .diagnostics import Diagnostic
 
 _KIND_NAMES = {
@@ -48,12 +50,7 @@ def _expected_dep_tables(
     comms achieving the earliest arrival in the consumer's cluster.
     """
     schedule = compiled.schedule
-    best_arrival: dict[tuple[int, int], int] = {}
-    for comm in schedule.comms:
-        key = (comm.producer_uid, comm.dst_cluster)
-        arrival = comm.start + comm.latency
-        if key not in best_arrival or arrival < best_arrival[key]:
-            best_arrival[key] = arrival
+    best_arrival = earliest_arrivals(schedule)
     allowed_starts: dict[tuple[int, int], set[int]] = {}
     for comm in schedule.comms:
         key = (comm.producer_uid, comm.dst_cluster)
@@ -88,7 +85,7 @@ def _event_shapes(compiled: CompiledLoop, load_deps) -> list[tuple]:
         elif load_deps.get(uid):
             kind = EV_CHECK
         else:
-            continue  # prunable; the drop proof is checked separately
+            continue  # prunable; A002 checks the slack its drop rests on
         shapes.append(
             (
                 kind,
@@ -138,51 +135,6 @@ def _describe(shape: tuple) -> str:
     )
 
 
-def _pruned_slack_proofs(compiled: CompiledLoop) -> list[Diagnostic]:
-    """A012 for every dependence entry the trace builder prunes.
-
-    The builder keeps only load-producer REG dependences; everything
-    else is dropped on the comment-proof that its static slack is
-    non-positive.  Re-derive that slack from the schedule: ready time
-    (through the best comm for cross-cluster edges) versus the
-    consumer's issue deadline.
-    """
-    schedule = compiled.schedule
-    ii = schedule.ii
-    out: list[Diagnostic] = []
-    best_arrival: dict[tuple[int, int], int] = {}
-    for comm in schedule.comms:
-        key = (comm.producer_uid, comm.dst_cluster)
-        arrival = comm.start + comm.latency
-        if key not in best_arrival or arrival < best_arrival[key]:
-            best_arrival[key] = arrival
-    for edge in compiled.ddg.edges:
-        if edge.kind is not DepKind.REG:
-            continue
-        src = schedule.placed.get(edge.src)
-        dst = schedule.placed.get(edge.dst)
-        if src is None or dst is None or src.instr.is_load:
-            continue  # load-producer entries are kept, not pruned
-        latency = edge.fixed_latency if edge.fixed_latency is not None else src.latency
-        ready = src.start + latency
-        if src.cluster != dst.cluster:
-            arrival = best_arrival.get((edge.src, dst.cluster))
-            if arrival is None:
-                continue  # missing comm: the dependence checker's A003
-            ready = arrival
-        due = dst.start + ii * edge.distance
-        if ready > due:
-            out.append(
-                Diagnostic.new(
-                    "A012",
-                    f"trace prunes dependence {edge.src}->{edge.dst} "
-                    f"(distance {edge.distance}) but its static slack is "
-                    f"positive: ready at {ready}, due at {due}",
-                )
-            )
-    return out
-
-
 def audit_trace(compiled: CompiledLoop) -> list[Diagnostic]:
     """A012/A013: the cached trace faithfully represents the schedule."""
     trace = getattr(compiled, "static_trace", None)
@@ -203,7 +155,6 @@ def audit_trace(compiled: CompiledLoop) -> list[Diagnostic]:
         return out  # every downstream recomputation would be noise
 
     load_deps, allowed_starts = _expected_dep_tables(compiled)
-    out.extend(_pruned_slack_proofs(compiled))
 
     # Event multiset ----------------------------------------------------
     expected: dict[tuple, int] = {}

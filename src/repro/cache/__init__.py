@@ -11,8 +11,8 @@ compile-artifact store and the fuzz-job store — each opened as one
 * ``verify`` — unpickle-check every entry and drop the corrupt,
   including entries left in an older format (``<key>.json``); exit 1
   if anything was dropped, so CI can assert a restored cache is sound.
-  Certifying what the compile store holds is ``python -m repro.analysis
-  audit``'s job.
+  Nothing here certifies artifacts: ``compile_cached`` certified each
+  one before storing it, and every key mixes the code fingerprint.
 
 The directories default to the names CI persists (``.result-cache``,
 ``.compile-cache``, ``.fuzz-cache``); a missing directory is skipped,

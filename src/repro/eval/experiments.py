@@ -113,22 +113,11 @@ class ExperimentContext:
         """Warm the cache for a batch (the parallel fan-out point)."""
         self.session.run_many(requests)
 
-    def run(
-        self,
-        bench_name: str,
-        label: str,
-        config: MachineConfig,
-        *,
-        options: SimOptions | None = None,
-    ) -> ProgramResult:
-        del label  # results are content-addressed; labels are display-only
-        return self.session.run(self.request(bench_name, config, options))
-
     def baseline_request(self, bench_name: str) -> RunRequest:
         return self.request(bench_name, unified_config())
 
     def baseline(self, bench_name: str) -> ProgramResult:
-        return self.run(bench_name, "baseline", unified_config())
+        return self.session.run(self.baseline_request(bench_name))
 
     def scalar_cycles(self, bench_name: str) -> float:
         """Architecture-independent (non-loop) cycles, from the baseline."""

@@ -4,21 +4,25 @@ Each check is a function ``(loop, config, options) -> list[mismatch]``
 over one (kernel, config) pair; an empty list means the pair is clean
 under that oracle.  A check may raise :class:`CheckSkipped` to record
 that the job is out of its scope.  Mismatch records are plain dicts
-(``{"check", "kind", "detail"}``) so they serialise straight into the
-schema-1 fuzz-store entry and the CI summary.
+(``{"check", "kind", "detail"}``) so they pickle straight into the
+fuzz store's entry and the CI summary.
+
+Every compile goes through ``compile_cached``, which certifies the
+artifact and raises :class:`~repro.analysis.CertificationError` on a
+blocking finding; one that escapes a check is recorded by the engine
+as an ``error`` finding.
 
 Checks:
 
-* ``fast_vs_ref`` — the PR-5 differential oracle: the precompiled-trace
+* ``fast_vs_ref`` — the differential oracle: the precompiled-trace
   :class:`~repro.sim.trace.TraceExecutor` must match the reference
   interpreter byte for byte (cycles, stall history, every memory-stats
   counter).
-* ``exact_vs_sms`` — the PR-3 scheduler oracle:
-  ``MII <= II(exact) <= II(SMS)``, both schedules pass the certifier's
-  legality checks (``check_schedule``, A001-A007), and the exact
-  backend's meta claims are internally consistent.
-* ``certify`` — the PR-6 independent static certifier reports zero
-  blocking diagnostics on the compiled artifact.
+* ``exact_vs_sms`` — the scheduler oracle: ``MII <= II(exact) <=
+  II(SMS)``, both compiles certified, and the exact backend's meta
+  claims internally consistent.
+* ``certify`` — the independent static certifier reports zero blocking
+  diagnostics on the SMS artifact: one mismatch per diagnostic code.
 
 Fault injection (``FuzzOptions.fault``) deterministically corrupts the
 compiled artifact's static trace *on a private copy* before the fast
@@ -31,9 +35,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 
-from ..analysis.certify import certify_compiled
-from ..analysis.dependence import check_schedule
-from ..analysis.diagnostics import blocking
+from ..analysis import CertificationError
 from ..ir.loop import Loop
 from ..isa.memory_access import MemoryLayout
 from ..machine.config import MachineConfig
@@ -182,7 +184,8 @@ def check_fast_vs_ref(
 def check_exact_vs_sms(
     loop: Loop, config: MachineConfig, options: FuzzOptions
 ) -> list[dict]:
-    """The scheduler oracle: II chain, validity and meta consistency."""
+    """The scheduler oracle: II chain and meta consistency (both
+    compiles are certified on their way through the cache)."""
     sms = _compile(loop, config, "sms", options)
     exact = _compile(loop, config, "exact", options)
     meta = exact.schedule.meta
@@ -223,29 +226,30 @@ def check_exact_vs_sms(
                 "budget-exhausted fallback schedule claims proved_optimal",
             )
         )
-    for label, compiled in (("sms", sms), ("exact", exact)):
-        problems = check_schedule(compiled.schedule, compiled.ddg)
-        if problems:
-            mismatches.append(
-                _mismatch(
-                    "exact_vs_sms",
-                    "check_schedule",
-                    f"{label} schedule is illegal: "
-                    f"{[p.render() for p in problems[:3]]}",
-                )
-            )
     return mismatches
 
 
 def check_certify(
     loop: Loop, config: MachineConfig, options: FuzzOptions
 ) -> list[dict]:
-    """The independent certifier finds zero blocking diagnostics."""
-    compiled = _compile(loop, config, "sms", options)
-    diagnostics = blocking(certify_compiled(compiled))
-    return [
-        _mismatch("certify", d.code, d.render()) for d in diagnostics
-    ]
+    """The independent certifier finds zero blocking diagnostics.
+
+    ``compile_cached`` raises :class:`CertificationError` on a blocked
+    compile.  The check catches it and returns mismatches: the shrinker
+    counts an exception as a different finding, so only mismatches keep
+    the finding shrinkable.
+    """
+    try:
+        _compile(loop, config, "sms", options)
+    except CertificationError as exc:
+        by_code: dict[str, list[str]] = {}
+        for d in exc.diagnostics:
+            by_code.setdefault(d.code, []).append(d.render())
+        return [
+            _mismatch("certify", code, "; ".join(renders))
+            for code, renders in sorted(by_code.items())
+        ]
+    return []
 
 
 #: The pluggable registry: check name -> callable.

@@ -358,7 +358,7 @@ class KeyedCache:
 
     Memory and disk both hold pickled bytes, so every hit deserialises
     a private copy: callers may mutate what they get back (the
-    schedule-validation tests corrupt schedules on purpose) without
+    certifier's mutation tests corrupt schedules on purpose) without
     poisoning the cache.
     """
 

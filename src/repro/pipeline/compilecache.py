@@ -22,6 +22,13 @@ cache layer: on a cold serial Figure-5 sweep (2-core Linux box, Python
 3.11) the 46 distinct frontend runs take 0.065 s and all 230 take
 0.35 s, so sharing saves ~0.3 s (about 2%) of a ~17 s run.
 
+Every miss is certified before it is stored: the independent checkers
+of :mod:`repro.analysis` run over the artifact and its trace, and a
+blocking finding raises instead of caching a schedule the simulator
+must not run.  Certifying the 552 artifacts of the paper's
+configurations takes 0.23 s, against 3.1 s to compile them (2-core x86
+box, Python 3.11).
+
 Every hit deserialises a private object graph, so callers may freely
 mutate what they get back without poisoning the cache; a round-trip
 costs a fraction of a backend schedule.  ``cache.stats`` counts hits
@@ -73,8 +80,14 @@ def compile_cached(
 
     A hit deserialises the stored artifact; a miss runs
     :func:`~repro.pipeline.passes.compile_uncached`, flattens the
-    simulator's trace, certifies when ``options.analyze`` asks, and
-    stores the result.  Returns the ``CompiledLoop``.
+    simulator's trace, certifies the result and stores it.  Returns the
+    ``CompiledLoop``.
+
+    This is the one place a compile is certified.  A blocking finding
+    raises :class:`~repro.analysis.CertificationError` and stores
+    nothing, so every stored artifact (and so every artifact the
+    simulator runs) carries ``meta["analysis"]["verdict"] ==
+    "certified"``.
     """
     options = options or CompileOptions()
     cache = cache if cache is not None else get_compile_cache(None)
@@ -91,12 +104,14 @@ def compile_cached(
     from ..sim.trace import static_trace
 
     static_trace(compiled)
-    if options.analyze:
-        # Certify before the artifact is persisted so the meta verdict
-        # (and any proved_optimal downgrade) rides every future hit.
-        from ..analysis.certify import certify_compiled
+    # Certify before the artifact is stored, so the meta verdict (and
+    # any proved_optimal downgrade) rides every future hit.  Imported
+    # here: loading the pipeline loads no checker.
+    from ..analysis import CertificationError, blocking, certify_compiled
 
-        certify_compiled(compiled, artifact_key=key)
+    blockers = blocking(certify_compiled(compiled, artifact_key=key))
+    if blockers:
+        raise CertificationError(compiled.schedule.loop_name, blockers)
     cache.put(key, compiled)
     return compiled
 

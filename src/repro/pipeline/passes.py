@@ -6,7 +6,8 @@ construction, the architecture's memory policy, then modulo scheduling
 (SMS or the exact search; the scheduler performs the L0 candidate
 assignment through the policy) — and packages the result as a
 ``CompiledLoop``.  :func:`~repro.pipeline.compilecache.compile_cached`
-runs it on a cache miss; nothing else compiles in production.
+runs it on a cache miss, then certifies the result before storing it;
+nothing else compiles in production.
 
     compiled = compile_uncached(loop, config, CompileOptions(scheduler="exact"))
 
@@ -48,11 +49,6 @@ class CompileOptions:
     ``scheduler="sms"`` but still participating in compile-cache keys
     like every other option).  Both must be at least 1; a smaller value
     raises ``ValueError``.
-
-    ``analyze`` runs the independent static certifier
-    (``repro.analysis``) over the compiled loop before it is cached;
-    the verdict lands in ``schedule.meta["analysis"]`` and rides every
-    future cache hit.
     """
 
     unroll_factor: int | None = None
@@ -63,7 +59,6 @@ class CompileOptions:
     scheduler: str = "sms"
     exact_node_budget: int = 60_000
     exact_max_stages: int | None = None
-    analyze: bool = False
 
     def __post_init__(self) -> None:
         # Fail closed: an unknown scheduler has no step to run, a budget

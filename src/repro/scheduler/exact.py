@@ -210,14 +210,6 @@ class ExactScheduler(ClusterScheduler):
                 exhausted = True
                 break
             if found is not None:
-                # Deferred import: the certifier imports the scheduler.
-                from ..analysis.dependence import check_schedule
-
-                if check_schedule(found, self.ddg):
-                    # Defensive: a schedule the certifier rejects is a
-                    # searcher bug; never hand it to the simulator.
-                    found = None
-                    exhausted = True
                 break
         meta["nodes_explored"] = self.nodes_explored
         if found is not None:

@@ -6,7 +6,8 @@ was assigned to, its absolute start time within the flat schedule (stage
 hint bundle attached to it, and any communication operations the
 cluster assignment forced.  Legality (dependences, comms, reservation
 tables) is checked from outside, by
-:func:`repro.analysis.dependence.check_schedule`.
+:func:`repro.analysis.dependence.check_schedule`, which
+``compile_cached`` runs on every compile it stores.
 """
 
 from __future__ import annotations

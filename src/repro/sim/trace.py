@@ -13,10 +13,12 @@ This module exploits that two ways, producing byte-identical results:
    schedule once per compiled loop into per-window event tuples (kind,
    stage, row, pruned dependence table, access-pattern closed form).
    Events that can have no observable effect are dropped outright: a
-   register dependence on a non-load producer can never stall (the
+   register dependence on a non-load producer can never stall.  The
    producer's readiness is ``scheduled + latency`` under the *same or
-   older* stall offset, and schedule validation proved the static slack
-   non-positive), so ALU chains vanish from the trace and only loads,
+   older* stall offset, and the dependence's static slack is
+   non-positive: ``compile_cached`` certifies that (A002) for every
+   artifact it stores, and so for every artifact ``run_loop``
+   simulates.  So ALU chains vanish from the trace and only loads,
    stores, prefetches and load-consuming interlock checks remain.
    Readiness records live in a ring buffer indexed by
    ``slot x (iteration mod history_window)`` instead of a pruned dict.
@@ -100,9 +102,10 @@ def _load_dep_table(compiled: CompiledLoop) -> dict[int, tuple]:
     Mirrors the reference executor's dependence table with the
     provably-inert entries removed: a non-load producer's readiness is
     its effective issue time plus a fixed latency, computed under a
-    stall offset no newer than the consumer's, and schedule validation
-    already guarantees the static slack is non-positive — such an entry
-    can never raise ``r > t_eff``, with or without a communication hop.
+    stall offset no newer than the consumer's, and its static slack is
+    non-positive (``compile_cached`` certifies that, as A002, for every
+    artifact it stores) — such an entry can never raise ``r > t_eff``,
+    with or without a communication hop.
     """
     schedule = compiled.schedule
     comm_of: dict[tuple[int, int], PlacedComm] = {}

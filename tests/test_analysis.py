@@ -2,27 +2,25 @@
 
 The certifier (``repro.analysis``) re-derives schedule legality from
 scratch; these tests prove (a) the whole kernel zoo certifies cleanly
-under both scheduler backends, (b) the pipeline/CLI wiring works, and
-(c) the optimality review downgrades exactly the claims it cannot
-re-establish.
+under both scheduler backends, (b) ``compile_cached`` fails closed: a
+blocked compile raises and stores nothing, serially, through the
+worker fleet and from the exact search, and (c) the optimality review
+downgrades exactly the claims it cannot re-establish.
 """
 
 from __future__ import annotations
 
 import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import Diagnostic, Severity, blocking
-from repro.analysis.certify import (
-    _optimality_review,
-    certify_compiled,
-    certify_schedule,
-)
+from repro.analysis import CertificationError, Diagnostic, Severity, blocking
+from repro.analysis.certify import _optimality_review, certify_compiled
 from repro.analysis.l0check import audit_flush_plan
 from repro.machine import (
     interleaved_config,
@@ -30,10 +28,10 @@ from repro.machine import (
     multivliw_config,
     unified_config,
 )
-from repro.pipeline import KeyedCache
-from repro.pipeline.compilecache import compile_cached, compile_key
+from repro.pipeline import JobFailureError, KeyedCache, RunRequest, Session
+from repro.pipeline.compilecache import compile_cached
 from repro.pipeline.passes import CompileOptions
-from repro.sim.runner import LoopPlan
+from repro.sim.runner import LoopPlan, SimOptions
 from repro.workloads import kernels
 
 CONFIGS = (unified_config(), l0_config(), multivliw_config(), interleaved_config())
@@ -96,22 +94,12 @@ def test_certify_stamps_provenance(cache):
 # ----------------------------------------------------------------------
 
 
-def test_compile_cached_analyze_option(cache):
-    compiled = compile_cached(
-        kernels.make_dpcm(),
-        l0_config(),
-        CompileOptions(analyze=True),
-        cache=cache,
-    )
-    assert compiled.schedule.meta["analysis"]["verdict"] == "certified"
-
-
 def test_scheduler_and_experiments_load_no_checker():
-    """The checkers import the scheduler's data types, so the scheduler
-    imports them only inside the exact search's re-check, and a figure
-    run loads none of them."""
+    """Loading the scheduler, the pipeline or the figure code loads no
+    checker: the checkers import the scheduler's data types, and
+    ``compile_cached`` imports the certifier inside the call."""
     code = (
-        "import sys, repro.scheduler, repro.eval.experiments; "
+        "import sys, repro.scheduler, repro.pipeline, repro.eval.experiments; "
         "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -126,36 +114,87 @@ def test_scheduler_and_experiments_load_no_checker():
     assert result.stdout.strip() == "[]"
 
 
-def test_cli_audit_over_disk_store(tmp_path):
-    from repro.analysis.__main__ import audit_compile_store
+#: Table 2's machine with a 2-register file per cluster: every jpegdec
+#: loop needs more, so the certifier blocks all four (A008).
+CAPPED = l0_config(8, max_live_per_cluster=2)
 
-    store = tmp_path / "compile-cache"
-    disk = KeyedCache(store)
-    compile_cached(kernels.make_saxpy(), l0_config(), CompileOptions(), cache=disk)
-    compile_cached(
-        kernels.make_saxpy(), l0_config(), CompileOptions(scheduler="exact"), cache=disk
+
+def test_blocked_compile_raises_and_stores_nothing(tmp_path):
+    from repro.workloads.mediabench import build
+
+    disk = KeyedCache(tmp_path / "compile-cache")
+    loops = [spec.loop for spec in build("jpegdec").loops]
+    assert len(loops) == 4
+    for loop in loops:
+        with pytest.raises(CertificationError) as blocked:
+            compile_cached(loop, CAPPED, cache=disk)
+        error = blocked.value
+        assert error.loop == loop.name
+        assert error.diagnostics
+        assert {d.code for d in error.diagnostics} == {"A008"}
+        assert "A008" in str(error) and loop.name in str(error)
+        # The loop name and findings ride in args: the error pickles.
+        restored = pickle.loads(pickle.dumps(error))
+        assert (restored.loop, restored.diagnostics) == (error.loop, error.diagnostics)
+        assert str(restored) == str(error)
+        # Nothing was stored, so a second compile fails the same way.
+        with pytest.raises(CertificationError):
+            compile_cached(loop, CAPPED, cache=disk)
+    assert list((tmp_path / "compile-cache").glob("*.pkl")) == []
+    assert disk.stats.hits == 0
+    # Under the Table-2 register file the same loops certify and are
+    # stored with their verdict.
+    for loop in loops:
+        compile_cached(loop, l0_config(8), cache=disk)
+        served = compile_cached(loop, l0_config(8), cache=disk)
+        assert served.schedule.meta["analysis"]["verdict"] == "certified"
+    assert disk.stats.hits == 4
+
+
+def test_blocked_config_fails_the_parallel_run():
+    options = SimOptions(sim_cap=25)
+    requests = [
+        RunRequest("jpegdec", CAPPED, options),
+        RunRequest("g721dec", CAPPED, options),
+    ]
+    with pytest.raises(JobFailureError) as failed:
+        Session(options=options, workers=2).run_many(requests)
+    assert failed.value.failure.kind == "error"
+    assert "CertificationError" in str(failed.value)
+    assert "A008" in str(failed.value)
+
+
+def test_exact_search_bug_raises_instead_of_falling_back(monkeypatch):
+    """A searcher that hands back an illegal schedule is caught by the
+    certification in ``compile_cached``, not reported as a budget
+    fallback."""
+    from repro.scheduler.exact import ExactScheduler
+    from repro.workloads.mediabench import build
+
+    loop = next(
+        spec.loop for spec in build("gsmenc").loops if spec.loop.name == "gsme_autoc"
     )
-    lines: list[str] = []
-    assert audit_compile_store(store, echo=lambda m, file=None: lines.append(m)) == 0
-    assert any("2 artifacts audited" in line for line in lines)
-    # The --min floor guards CI against auditing an empty cache.
-    assert audit_compile_store(store, min_artifacts=3) == 1
-    assert audit_compile_store(tmp_path / "missing", min_artifacts=1) == 1
-    # A flagged artifact is labelled from its own loop and schedule.
-    key = compile_key(kernels.make_saxpy(), l0_config(), CompileOptions())
-    broken = disk.get(key)
-    broken.schedule.placed.pop(next(iter(broken.schedule.placed)))
-    disk.put(key, broken)
-    lines.clear()
-    assert audit_compile_store(store, echo=lambda m, file=None: lines.append(m)) == 1
-    assert f"FLAGGED {key[:12]} loop=saxpy scheduler=sms" in lines
+    options = CompileOptions(scheduler="exact")
+    clean = compile_cached(loop, l0_config(4), options, cache=KeyedCache())
+    assert clean.schedule.meta["improved"], "fixture must reach the search result"
+
+    search = ExactScheduler._search
+
+    def drop_one_op(self, ii, span_hint):
+        found = search(self, ii, span_hint)
+        if found is not None:
+            del found.placed[next(iter(found.placed))]
+        return found
+
+    monkeypatch.setattr(ExactScheduler, "_search", drop_one_op)
+    with pytest.raises(CertificationError) as blocked:
+        compile_cached(loop, l0_config(4), options, cache=KeyedCache())
+    assert "A001" in {d.code for d in blocked.value.diagnostics}
 
 
 def test_audit_leaves_entry_mtimes_alone(tmp_path):
-    """Auditing reads every artifact but refreshes no mtime, so it cannot
-    reorder what ``repro.cache gc`` evicts: neither ``repro.analysis
-    audit`` nor ``repro.cache verify``."""
-    from repro.analysis.__main__ import audit_compile_store
+    """``repro.cache verify`` reads every artifact but refreshes no
+    mtime, so it cannot reorder what ``repro.cache gc`` evicts."""
     from repro.cache import main as cache_main
 
     store = tmp_path / "compile-cache"
@@ -169,10 +208,6 @@ def test_audit_leaves_entry_mtimes_alone(tmp_path):
     for age, file in enumerate(files):
         os.utime(file, (1000.0 + age, 1000.0 + age))
     before = {file.name: file.stat().st_mtime for file in files}
-    lines: list[str] = []
-    assert audit_compile_store(store, echo=lambda m, file=None: lines.append(m)) == 0
-    assert any("2 artifacts audited" in line for line in lines)
-    assert {file.name: file.stat().st_mtime for file in files} == before
     argv = [
         "--cache-dir",
         str(tmp_path / "no-results"),
@@ -219,7 +254,7 @@ def test_search_proof_downgraded_on_bus_binding_rows(cache):
     in_row = sum(1 for c in sched.comms if c.start % sched.ii == row)
     for _ in range(sched.config.n_buses - in_row):
         sched.comms.append(copy.copy(template))
-    diags = certify_schedule(sched, compiled.ddg)
+    diags = certify_compiled(compiled)
     assert [d.code for d in diags] == ["A014"]
     assert diags[0].severity is Severity.NOTE
     assert not blocking(diags)  # advisory: the schedule itself is legal
@@ -227,7 +262,7 @@ def test_search_proof_downgraded_on_bus_binding_rows(cache):
     assert sched.meta["analysis"]["verdict"] == "certified"
     assert row in sched.meta["analysis"]["bus_binding_rows"]
     # Re-certifying an already-downgraded artifact keeps the note.
-    assert any(d.code == "A014" for d in certify_schedule(sched, compiled.ddg))
+    assert any(d.code == "A014" for d in certify_compiled(compiled))
 
 
 def test_sms_schedules_never_reviewed(cache):

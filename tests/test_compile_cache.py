@@ -120,7 +120,7 @@ class TestCacheSemantics:
 
     def test_hits_hand_out_private_objects(self):
         """Mutating a served artifact must not poison the cache (the
-        schedule-validation tests corrupt schedules on purpose)."""
+        certifier's mutation tests corrupt schedules on purpose)."""
         cache = KeyedCache()
         first = compile_cached(make_saxpy(), unified_config(), cache=cache)
         uid = next(iter(first.schedule.placed))

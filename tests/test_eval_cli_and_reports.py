@@ -109,7 +109,7 @@ class TestNormalization:
         )
         from repro.machine import l0_config
 
-        result = ctx.run("g721dec", "l0-8", l0_config(8))
+        result = ctx.session.run(ctx.request("g721dec", l0_config(8)))
         base = ctx.baseline("g721dec")
         loop_ratio = result.total_cycles / base.total_cycles
         normalized = ctx.normalized("g721dec", "l0", result)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import CertificationError
 from repro.cache import main as cache_main
 from repro.fuzz.checks import FuzzOptions, run_check
 from repro.fuzz.cli import main as fuzz_main
@@ -27,6 +28,7 @@ from repro.fuzz.corpus import (
 from repro.fuzz.engine import FUZZ_CONFIGS, FuzzJob, job_store_key, make_jobs, run_jobs
 from repro.fuzz.regressions import load_repros
 from repro.fuzz.shrink import shrink
+from repro.machine import l0_config
 from repro.pipeline import KeyedCache
 from repro.workloads.generator import (
     PROFILES,
@@ -209,6 +211,26 @@ def test_shrinker_converges_deterministically_to_a_minimal_kernel():
         except Exception:
             still = []
         assert not still, f"dropping op {index} still reproduces: not 1-minimal"
+
+
+def test_certify_check_reports_and_shrinks_a_blocked_config():
+    """``compile_cached`` raises on a blocked compile, so the blocked
+    schedule never reaches the simulator; the ``certify`` check turns
+    the error into mismatches, which the shrinker needs (it counts an
+    exception as a different finding)."""
+    config = l0_config(8, max_live_per_cluster=2)
+    genotype = resolve_kernel("edge:recurrence_ladder")
+    with pytest.raises(CertificationError):
+        run_check("fast_vs_ref", genotype.build(), config, FuzzOptions())
+    mismatches = run_check("certify", genotype.build(), config, FuzzOptions())
+    assert [m["kind"] for m in mismatches] == ["A008"]
+    assert all(m["check"] == "certify" for m in mismatches)
+
+    result = shrink(genotype, config, "certify")
+    assert result.reproduced
+    assert len(result.genotype.ops) < len(genotype.ops)
+    shrunk = run_check("certify", result.genotype.build(), config, FuzzOptions())
+    assert [m["kind"] for m in shrunk] == ["A008"]
 
 
 def test_shrinker_reports_non_reproducing_input():

@@ -266,10 +266,3 @@ class TestExperimentContextIntegration:
         fig5(ctx, sizes=(4, 8))
         fig6(ctx)  # shares the l0-8 runs with fig5
         assert ctx.session.simulations == first
-
-    def test_experiments_share_content_addressed_entries(self):
-        ctx = ExperimentContext(options=FAST, benchmarks=("g721dec",))
-        ctx.run("g721dec", "some-label", l0_config(8))
-        before = ctx.session.simulations
-        ctx.run("g721dec", "another-label", l0_config(8))
-        assert ctx.session.simulations == before
