@@ -1,11 +1,13 @@
 """The pluggable check registry: what "correct" means per fuzz job.
 
-Each check is a function ``(loop, config, options) -> list[mismatch]``
-over one (kernel, config) pair; an empty list means the pair is clean
-under that oracle.  A check may raise :class:`CheckSkipped` to record
-that the job is out of its scope.  Mismatch records are plain dicts
-(``{"check", "kind", "detail"}``) so they pickle straight into the
-fuzz store's entry and the CI summary.
+Each check is a function ``(loop, config, options, cache) ->
+list[mismatch]`` over one (kernel, config) pair; an empty list means the
+pair is clean under that oracle.  ``cache`` is the compile cache the
+check compiles through: one job's checks share one, so they share
+compile work, and it goes when the job does.  A check may raise
+:class:`CheckSkipped` to record that the job is out of its scope.
+Mismatch records are plain dicts (``{"check", "kind", "detail"}``) so
+they pickle straight into the fuzz store's entry and the CI summary.
 
 Every compile goes through ``compile_cached``, which certifies the
 artifact and raises :class:`~repro.analysis.CertificationError` on a
@@ -39,6 +41,7 @@ from ..analysis import CertificationError
 from ..ir.loop import Loop
 from ..isa.memory_access import MemoryLayout
 from ..machine.config import MachineConfig
+from ..pipeline.cache import KeyedCache
 from ..pipeline.passes import CompileOptions
 from ..pipeline.compilecache import compile_cached
 from ..sim.executor import LoopExecutor
@@ -74,15 +77,22 @@ def _mismatch(check: str, kind: str, detail: str, **extra) -> dict:
     return record
 
 
-def _compile(loop: Loop, config: MachineConfig, scheduler: str, options: FuzzOptions):
-    """Compile through the artifact cache with one canonical option set,
-    so the checks of one job share compile work."""
+def _compile(
+    loop: Loop,
+    config: MachineConfig,
+    scheduler: str,
+    options: FuzzOptions,
+    cache: KeyedCache,
+):
+    """Compile through ``cache`` with one canonical option set, so the
+    checks of one job share compile work."""
     return compile_cached(
         copy.deepcopy(loop),
         config,
         CompileOptions(
             scheduler=scheduler, exact_node_budget=options.exact_node_budget
         ),
+        cache=cache,
     )
 
 
@@ -137,10 +147,10 @@ def _faulted_copy(compiled, fault: str):
 
 
 def check_fast_vs_ref(
-    loop: Loop, config: MachineConfig, options: FuzzOptions
+    loop: Loop, config: MachineConfig, options: FuzzOptions, cache: KeyedCache
 ) -> list[dict]:
     """TraceExecutor vs reference interpreter: byte-identical results."""
-    compiled = _compile(loop, config, "sms", options)
+    compiled = _compile(loop, config, "sms", options, cache)
     if options.fault is not None:
         compiled = _faulted_copy(compiled, options.fault)
     n = compiled.loop.trip_count
@@ -182,12 +192,12 @@ def check_fast_vs_ref(
 
 
 def check_exact_vs_sms(
-    loop: Loop, config: MachineConfig, options: FuzzOptions
+    loop: Loop, config: MachineConfig, options: FuzzOptions, cache: KeyedCache
 ) -> list[dict]:
     """The scheduler oracle: II chain and meta consistency (both
     compiles are certified on their way through the cache)."""
-    sms = _compile(loop, config, "sms", options)
-    exact = _compile(loop, config, "exact", options)
+    sms = _compile(loop, config, "sms", options, cache)
+    exact = _compile(loop, config, "exact", options, cache)
     meta = exact.schedule.meta
     mismatches: list[dict] = []
 
@@ -230,7 +240,7 @@ def check_exact_vs_sms(
 
 
 def check_certify(
-    loop: Loop, config: MachineConfig, options: FuzzOptions
+    loop: Loop, config: MachineConfig, options: FuzzOptions, cache: KeyedCache
 ) -> list[dict]:
     """The independent certifier finds zero blocking diagnostics.
 
@@ -240,7 +250,7 @@ def check_certify(
     the finding shrinkable.
     """
     try:
-        _compile(loop, config, "sms", options)
+        _compile(loop, config, "sms", options, cache)
     except CertificationError as exc:
         by_code: dict[str, list[str]] = {}
         for d in exc.diagnostics:
@@ -261,10 +271,17 @@ CHECKS = {
 
 
 def run_check(
-    name: str, loop: Loop, config: MachineConfig, options: FuzzOptions
+    name: str,
+    loop: Loop,
+    config: MachineConfig,
+    options: FuzzOptions,
+    cache: KeyedCache | None = None,
 ) -> list[dict]:
+    """Run one check, compiling through ``cache`` (a fresh one when
+    ``None``): never through the process-wide compile cache, which keeps
+    every artifact for the life of the process."""
     try:
         check = CHECKS[name]
     except KeyError:
         raise ValueError(f"unknown check {name!r} (known: {sorted(CHECKS)})") from None
-    return check(loop, config, options)
+    return check(loop, config, options, KeyedCache() if cache is None else cache)

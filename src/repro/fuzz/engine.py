@@ -123,15 +123,20 @@ def make_jobs(
 
 
 def execute_job(item: tuple[FuzzJob, FuzzOptions]) -> dict:
-    """Run one job's checks; module-level so it pickles to workers."""
+    """Run one job's checks; module-level so it pickles to workers.
+
+    The checks compile through one cache of the job's own, so they share
+    its compiles and a worker keeps no artifact once the job is done.
+    """
     job, options = item
     genotype, config = job.resolve()
+    cache = KeyedCache()
     mismatches: list[dict] = []
     skipped: list[dict] = []
     for check in job.checks:
         try:
             loop = genotype.build()
-            mismatches.extend(run_check(check, loop, config, options))
+            mismatches.extend(run_check(check, loop, config, options, cache))
         except CheckSkipped as exc:
             skipped.append({"check": check, "reason": str(exc)})
         except Exception as exc:  # a crash is a finding, not an abort

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..pipeline.cache import KeyedCache
 from ..workloads.generator import KernelGenotype
 from .checks import CHECKS, CheckSkipped, FuzzOptions, run_check
 
@@ -113,11 +114,12 @@ def replay_case(
 
     options = options or FuzzOptions()
     config = FUZZ_CONFIGS[case.config_name]
+    cache = KeyedCache()
     mismatches: list[dict] = []
     for check in checks or tuple(sorted(CHECKS)):
         try:
             loop = case.genotype.build()
-            mismatches.extend(run_check(check, loop, config, options))
+            mismatches.extend(run_check(check, loop, config, options, cache))
         except CheckSkipped:
             continue
         except Exception as exc:

@@ -18,9 +18,11 @@ compile function: all six steps in their fixed order, the
 architecture-neutral unroll/memdep/DDG frontend included, even though
 configs that differ only in the memory system (Figure 5's L0 sizes)
 yield the same frontend products.  Sharing those is not worth a second
-cache layer: on a cold serial Figure-5 sweep (2-core Linux box, Python
-3.11) the 46 distinct frontend runs take 0.065 s and all 230 take
-0.35 s, so sharing saves ~0.3 s (about 2%) of a ~17 s run.
+cache layer: on a traced cold serial Figure-5 sweep (``perfbench/run.py
+--workload fig5-serial --trace 1``, 2-core x86 box, Python 3.11) all
+230 frontend runs take 0.24 calibrated seconds, the 46 distinct loops'
+share about 0.05 s, so sharing would save under 0.2 s (about 2.5%) of
+a ~7.5 s run.
 
 Every miss is certified before it is stored: the independent checkers
 of :mod:`repro.analysis` run over the artifact and its trace, and a

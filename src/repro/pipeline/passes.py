@@ -1,13 +1,15 @@
 """The compile flow: one fixed sequence of six steps.
 
 :func:`compile_uncached` runs the paper's compilation flow (sections
-4-5) in order — unroll choice, unrolling, memory disambiguation, DDG
-construction, the architecture's memory policy, then modulo scheduling
-(SMS or the exact search; the scheduler performs the L0 candidate
-assignment through the policy) — and packages the result as a
-``CompiledLoop``.  :func:`~repro.pipeline.compilecache.compile_cached`
-runs it on a cache miss, then certifies the result before storing it;
-nothing else compiles in production.
+4-5) in order — unrolling, memory disambiguation and DDG construction
+for each candidate body (the rolled loop and, unless the options force
+a factor, the loop unrolled by N), the unroll choice between them, the
+architecture's memory policy, then modulo scheduling (SMS or the exact
+search; the scheduler performs the L0 candidate assignment through the
+policy) — and packages the result as a ``CompiledLoop``.
+:func:`~repro.pipeline.compilecache.compile_cached` runs it on a cache
+miss, then certifies the result before storing it; nothing else
+compiles in production.
 
     compiled = compile_uncached(loop, config, CompileOptions(scheduler="exact"))
 
@@ -27,7 +29,7 @@ from ..ir.ddg import build_ddg
 from ..ir.loop import Loop
 from ..ir.unroll import unroll
 from ..machine.config import ArchKind, MachineConfig
-from ..scheduler.driver import CompiledLoop, choose_unroll_factor
+from ..scheduler.driver import CompiledLoop, unrolling_pays
 from ..scheduler.engine import ClusterScheduler
 from ..scheduler.exact import ExactScheduler
 from ..scheduler.l0policy import L0Policy
@@ -95,24 +97,38 @@ class Pass:
         self.run(state)
 
 
-def _select_unroll(state: SimpleNamespace) -> None:
-    """Step 1: pick 1 or N via the static compute-time estimate."""
-    forced = state.options.unroll_factor
-    state.unroll_factor = (
-        choose_unroll_factor(state.loop, state.config) if forced is None else forced
-    )
-
-
 def _apply_unroll(state: SimpleNamespace) -> None:
-    state.body = unroll(state.loop, state.unroll_factor)
+    """The candidate bodies by unroll factor: the forced factor's, or the
+    rolled loop and the loop unrolled by N for the unroll choice."""
+    forced = state.options.unroll_factor
+    factors = (1, state.config.n_clusters) if forced is None else (forced,)
+    state.bodies = {factor: unroll(state.loop, factor) for factor in factors}
 
 
 def _mem_disambiguation(state: SimpleNamespace) -> None:
-    state.dep_info = memdep.analyze(state.body)
+    state.dep_infos = {f: memdep.analyze(body) for f, body in state.bodies.items()}
 
 
 def _build_ddg(state: SimpleNamespace) -> None:
-    state.ddg = build_ddg(state.body, state.config, state.dep_info)
+    state.ddgs = {
+        f: build_ddg(body, state.config, state.dep_infos[f])
+        for f, body in state.bodies.items()
+    }
+
+
+def _select_unroll(state: SimpleNamespace) -> None:
+    """Keep one candidate and its products: the forced one, or 1 or N by
+    the static compute-time estimate (:func:`unrolling_pays`)."""
+    factor = state.options.unroll_factor
+    if factor is None:
+        wide = max(state.ddgs)
+        pays = unrolling_pays(state.ddgs[1], state.ddgs[wide], state.config)
+        factor = wide if pays else 1
+    state.unroll_factor = factor
+    state.body = state.bodies[factor]
+    state.dep_info = state.dep_infos[factor]
+    state.ddg = state.ddgs[factor]
+    del state.bodies, state.dep_infos, state.ddgs
 
 
 def _select_policy(state: SimpleNamespace) -> None:
@@ -143,11 +159,13 @@ def _exact_schedule(state: SimpleNamespace) -> None:
 
 
 #: Steps 1-5, in order: everything the scheduling step starts from.
+#: Steps 1-3 build every candidate body's products, so step 4's choice
+#: reuses them instead of building the chosen body's again.
 INPUT_STEPS: tuple[Pass, ...] = (
-    Pass("select-unroll", _select_unroll),
     Pass("apply-unroll", _apply_unroll),
     Pass("mem-disambiguation", _mem_disambiguation),
     Pass("build-ddg", _build_ddg),
+    Pass("select-unroll", _select_unroll),
     Pass("select-policy", _select_policy),
 )
 

@@ -3,9 +3,9 @@
 from .coherence import CoherenceScheme, SetState
 from .driver import (
     CompiledLoop,
-    choose_unroll_factor,
     compile_loop,
     estimate_compute_time,
+    unrolling_pays,
 )
 from .engine import ClusterScheduler
 from .exact import ExactScheduler
@@ -40,11 +40,11 @@ __all__ = [
     "SchedulingError",
     "SetState",
     "UnifiedPolicy",
-    "choose_unroll_factor",
     "compile_loop",
     "compute_mii",
     "estimate_compute_time",
     "rec_mii",
     "res_mii",
     "sms_order",
+    "unrolling_pays",
 ]

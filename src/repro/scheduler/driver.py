@@ -2,23 +2,22 @@
 
 ``compile_loop`` is the public entry point: it compiles through the
 compile cache, whose misses run the six compile steps of
-:func:`repro.pipeline.passes.compile_uncached` — unroll choice,
-unrolling, memory disambiguation, DDG build, policy selection, modulo
-scheduling.  This module also holds the :class:`CompiledLoop` record
-and the unroll heuristic (step 1 of the paper's algorithm; the same
-unrolling decision is used for every architecture so comparisons are
-not biased, sections 5.1-5.3).
+:func:`repro.pipeline.passes.compile_uncached` — unrolling into the
+candidate bodies, memory disambiguation, DDG build, unroll choice,
+policy selection, modulo scheduling.  This module also holds the
+:class:`CompiledLoop` record and the unroll heuristic (step 1 of the
+paper's algorithm; the same unrolling decision is used for every
+architecture so comparisons are not biased, sections 5.1-5.3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..ir.ddg import DDG, build_ddg
+from ..ir.ddg import DDG
 from ..ir.loop import Loop
-from ..ir.unroll import unroll
 from ..machine.config import MachineConfig
-from .mii import rec_mii, res_mii
+from .mii import compute_mii
 from .schedule import ModuloSchedule
 
 
@@ -42,22 +41,20 @@ class CompiledLoop:
         return self.schedule.ii
 
 
-def estimate_compute_time(loop: Loop, config: MachineConfig) -> float:
-    """Static per-original-iteration compute-time estimate (MII / factor).
+def estimate_compute_time(ddg: DDG, config: MachineConfig) -> float:
+    """Static per-original-iteration compute-time estimate (MII / factor)
+    of the loop ``ddg`` was built for.
 
     Uses the L1 latency for every load so the estimate — and therefore
     the unroll decision — is identical across architectures.
     """
-    ddg = build_ddg(loop, config)
-    mii = max(
-        res_mii(loop, config),
-        rec_mii(ddg, lambda uid: config.l1_latency),
-    )
-    return mii / loop.unroll_factor
+    mii = compute_mii(ddg.loop, ddg, config, lambda uid: config.l1_latency)
+    return mii / ddg.loop.unroll_factor
 
 
-def choose_unroll_factor(loop: Loop, config: MachineConfig) -> int:
-    """Step 1: unroll by N when that lowers the static compute time.
+def unrolling_pays(rolled: DDG, unrolled: DDG, config: MachineConfig) -> bool:
+    """Step 1's rule, given the DDGs of both candidate bodies: unroll by
+    N when that lowers the static compute time.
 
     Ties go to unrolling for recurrence-free loops: it spreads memory
     operations across clusters (workload balance, free memory slots for
@@ -66,17 +63,12 @@ def choose_unroll_factor(loop: Loop, config: MachineConfig) -> int:
     bodies (the recurrence scales with the factor), so ties keep them
     rolled to avoid the extra prologue and communication.
     """
-    n = config.n_clusters
-    base = estimate_compute_time(loop, config)
-    unrolled = unroll(loop, n)
+    base = estimate_compute_time(rolled, config)
     wide = estimate_compute_time(unrolled, config)
-    if wide < base:
-        return n
-    if wide == base:
-        ddg = build_ddg(loop, config)
-        if rec_mii(ddg, lambda uid: config.l1_latency) == 1:
-            return n
-    return 1
+    if wide != base:
+        return wide < base
+    # RecMII == 1 exactly when nothing binds at II 1.
+    return rolled.earliest_times(1, lambda uid: config.l1_latency) is not None
 
 
 def compile_loop(loop: Loop, config: MachineConfig, **options) -> CompiledLoop:

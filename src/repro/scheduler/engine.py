@@ -25,7 +25,7 @@ from .mii import compute_mii
 from .mrt import FU_CLASSES, FU_INDEX, ModuloReservationTable
 from .policies import MemoryPolicy
 from .schedule import ModuloSchedule, PlacedComm, PlacedOp, SchedulingError
-from .sms import Direction, sms_order
+from .sms import Direction, order_by_slack
 
 
 #: Node-table FU index of pseudo-ops that occupy no issue slot: one past
@@ -162,12 +162,14 @@ class ClusterScheduler:
         # ASAP lower bounds for this attempt: placing any node earlier
         # than its longest incoming path (through *unscheduled* nodes
         # included) would wedge a later placement into an empty window.
-        self._asap = self.ddg.earliest_times(ii, self.policy.planned_latency)
-        if self._asap is None:
+        # The SMS order ranks by slack under the same (II, plan).
+        paths = self.ddg.asap_slack(ii, self.policy.planned_latency)
+        if paths is None:
             return None  # II below RecMII under the current latency plan
+        self._asap = paths[0]
 
         if order_mode == "sms":
-            order = sms_order(self.ddg, ii, self.policy.planned_latency)
+            order = order_by_slack(self.ddg, *paths)
         else:
             order = [
                 (uid, Direction.TOP_DOWN)

@@ -89,7 +89,7 @@ from .engine import NO_FU, ClusterScheduler
 from .mrt import ModuloReservationTable
 from .policies import MemoryPolicy
 from .schedule import ModuloSchedule, PlacedComm, PlacedOp
-from .sms import sms_order
+from .sms import order_by_slack
 
 #: Default number of placement trials before the search gives up and
 #: falls back to the SMS schedule.  A trial costs ~11 us on average
@@ -228,9 +228,10 @@ class ExactScheduler(ClusterScheduler):
     # ------------------------------------------------------------------
 
     def _search(self, ii: int, span_hint: int) -> ModuloSchedule | None:
-        asap = self.ddg.earliest_times(ii, self._floor)
-        if asap is None:
+        paths = self.ddg.asap_slack(ii, self._floor)
+        if paths is None:
             return None  # ii below RecMII even under floor latencies
+        asap = paths[0]
         self.mrt = ModuloReservationTable(ii, self.config)
         self.current_ii = ii
         self.placed = {}
@@ -248,7 +249,7 @@ class ExactScheduler(ClusterScheduler):
         # No FU-demand pruning: the deepening loop starts at MII >= ResMII,
         # so every class already has enough issue slots at this II.
 
-        self._prepare([uid for uid, _ in sms_order(self.ddg, ii, self._floor)], ii)
+        self._prepare([uid for uid, _ in order_by_slack(self.ddg, *paths)], ii)
         if self._descend(0) is not None:
             return None
         schedule = ModuloSchedule(

@@ -9,14 +9,10 @@ max-cycle-ratio bound but robust for arbitrary edge sets.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
-
 from ..isa.operations import FUClass
-from ..ir.ddg import DDG
+from ..ir.ddg import DDG, LoadLatency, earliest
 from ..ir.loop import Loop
 from ..machine.config import MachineConfig
-
-LoadLatency = Mapping[int, int] | Callable[[int], int]
 
 
 def res_mii(loop: Loop, config: MachineConfig) -> int:
@@ -54,27 +50,49 @@ def rec_mii(ddg: DDG, load_latency: LoadLatency, upper: int | None = None) -> in
     whenever the back edge is cheap — and only worked because of the
     doubling rescue below.)
     """
+    return _least_feasible_ii(ddg, load_latency, 1, upper)
+
+
+def _least_feasible_ii(
+    ddg: DDG, load_latency: LoadLatency, low: int, upper: int | None = None
+) -> int:
+    """``max(low, RecMII)``: the least II from ``low`` up whose constraints
+    have no positive cycle.
+
+    Feasibility is monotone in II (a larger II only relaxes each
+    constraint), so ``low`` is probed first and settles the answer
+    whenever the recurrences fit; otherwise the search brackets and
+    bisects above it, as :func:`rec_mii` describes.  The load latencies
+    are read once for every probe.
+    """
+    plan = ddg.latency_plan(load_latency)
+    n = ddg.n_nodes
+
+    def feasible(ii: int) -> bool:
+        return earliest(n, ddg.weighted(ii, plan)) is not None
+
+    if feasible(low):
+        return low
     if upper is None:
-        upper = 1 + sum(edge.latency(load_latency) for edge in ddg.edges)
-    if ddg.earliest_times(1, load_latency) is not None:
-        return 1
-    lo, hi = 1, max(2, upper)
-    # Feasibility is monotone in II: larger II only relaxes constraints.
-    while ddg.earliest_times(hi, load_latency) is None:
+        upper = 1 + sum(edge.latency(plan) for edge in ddg.edges)
+    lo, hi = low, max(low + 1, upper)
+    while not feasible(hi):
         lo = hi
         hi *= 2
         if hi > 1 << 20:
             raise ValueError("RecMII search diverged; inconsistent DDG")
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if ddg.earliest_times(mid, load_latency) is None:
-            lo = mid
-        else:
+        if feasible(mid):
             hi = mid
+        else:
+            lo = mid
     return hi
 
 
 def compute_mii(
     loop: Loop, ddg: DDG, config: MachineConfig, load_latency: LoadLatency
 ) -> int:
-    return max(res_mii(loop, config), rec_mii(ddg, load_latency))
+    """``max(ResMII, RecMII)``; one relaxation at ResMII settles it when
+    the recurrences fit."""
+    return _least_feasible_ii(ddg, load_latency, res_mii(loop, config))

@@ -21,11 +21,8 @@ both sides regardless.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Mapping
 
-from ..ir.ddg import DDG
-
-LoadLatency = Mapping[int, int] | Callable[[int], int]
+from ..ir.ddg import DDG, LoadLatency
 
 
 class Direction(enum.Enum):
@@ -42,42 +39,51 @@ def sms_order(
     RecMII (the caller will fail placement and retry anyway, but the
     order must still be well defined).
     """
-    slack = ddg.slack(ii, load_latency)
+    paths = ddg.asap_slack(ii, load_latency)
     probe_ii = ii
-    while slack is None:
+    while paths is None:
         probe_ii *= 2
         if probe_ii > 1 << 20:
             raise ValueError("cannot find a feasible II for ordering")
-        slack = ddg.slack(probe_ii, load_latency)
-    asap = ddg.earliest_times(probe_ii, load_latency)
-    assert asap is not None
+        paths = ddg.asap_slack(probe_ii, load_latency)
+    return order_by_slack(ddg, *paths)
+
+
+def order_by_slack(
+    ddg: DDG, asap: dict[int, int], slack: dict[int, int]
+) -> list[tuple[int, Direction]]:
+    """:func:`sms_order` given the ``(asap, slack)`` of
+    :meth:`~repro.ir.ddg.DDG.asap_slack` at a feasible II, for callers
+    that hold them already."""
 
     def priority(uid: int) -> tuple[int, int, int]:
         return (slack[uid], asap[uid], uid)
 
     ordered: list[tuple[int, Direction]] = []
-    placed: set[int] = set()
     remaining = set(ddg.nodes)
+    # Unordered nodes adjacent to an ordered node, each with its ordered
+    # neighbour of least uid and the direction that neighbour gives it:
+    # top-down when the neighbour feeds it, else bottom-up (reached
+    # through a successor).
+    frontier: dict[int, tuple[int, Direction]] = {}
 
     while remaining:
-        # Frontier: unordered nodes adjacent to an ordered node.
-        frontier: dict[int, Direction] = {}
-        for uid in sorted(placed):
-            for edge in ddg.succs[uid]:
-                if edge.dst in remaining and edge.dst not in frontier:
-                    frontier[edge.dst] = Direction.TOP_DOWN
-            for edge in ddg.preds[uid]:
-                if edge.src in remaining:
-                    # Reached through a successor: place bottom-up unless
-                    # it also has an ordered predecessor.
-                    if edge.src not in frontier:
-                        frontier[edge.src] = Direction.BOTTOM_UP
-        if not frontier:
-            seed = min(remaining, key=priority)
-            frontier = {seed: Direction.TOP_DOWN}
-        uid = min(frontier, key=priority)
-        ordered.append((uid, frontier[uid]))
-        placed.add(uid)
+        if frontier:
+            uid = min(frontier, key=priority)
+            direction = frontier.pop(uid)[1]
+        else:
+            uid = min(remaining, key=priority)
+            direction = Direction.TOP_DOWN
+        ordered.append((uid, direction))
         remaining.discard(uid)
+        fed = {edge.dst for edge in ddg.succs[uid]}
+        for other in fed.union(edge.src for edge in ddg.preds[uid]):
+            if other in remaining:
+                known = frontier.get(other)
+                if known is None or uid < known[0]:
+                    frontier[other] = (
+                        uid,
+                        Direction.TOP_DOWN if other in fed else Direction.BOTTOM_UP,
+                    )
 
     return ordered

@@ -146,6 +146,32 @@ def test_run_jobs_dedups_through_the_store(tmp_path):
     assert (doubled.total, doubled.executed, doubled.store_hits) == (4, 0, 2)
 
 
+def test_execute_job_compiles_through_its_own_cache(monkeypatch):
+    """A job's checks share one compile cache of the job's own: the
+    process-wide cache sees nothing, and ``exact_vs_sms`` and ``certify``
+    hit the SMS compile ``fast_vs_ref`` made."""
+    from repro.fuzz import engine
+    from repro.pipeline import get_compile_cache
+
+    caches = []
+
+    class RecordedCache(KeyedCache):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            caches.append(self)
+
+    monkeypatch.setattr(engine, "KeyedCache", RecordedCache)
+    shared = get_compile_cache(None).stats
+    before = (shared.hits, shared.misses)
+    checks = ("fast_vs_ref", "exact_vs_sms", "certify")
+    job = FuzzJob("edge:carry_chain", "l0_8", checks)
+    result = engine.execute_job((job, FuzzOptions()))
+    assert result["mismatches"] == []
+    assert (shared.hits, shared.misses) == before
+    (cache,) = caches
+    assert (cache.stats.misses, cache.stats.hits) == (2, 2)  # SMS and exact
+
+
 def test_store_records_mismatches_for_replay(tmp_path):
     jobs = make_jobs([DRILL_KERNEL], [DRILL_CONFIG], ("fast_vs_ref",), spread=False)
     options = FuzzOptions(fault=DRILL_FAULT)

@@ -1,5 +1,7 @@
 """Tests for MII computation, SMS ordering and the reservation table."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,11 +16,14 @@ from repro.scheduler import (
     res_mii,
     sms_order,
 )
+from repro.scheduler.sms import order_by_slack
+from repro.workloads.kernels import make_column, make_dpcm, make_saxpy
 
 
 CFG = unified_config()
 L1 = lambda uid: 6  # noqa: E731
 L0 = lambda uid: 1  # noqa: E731
+LOOPS = (make_saxpy, make_dpcm, make_column)
 
 
 class TestResMII:
@@ -162,6 +167,48 @@ class TestSMSOrder:
         ddg = build_ddg(dpcm, CFG)
         order = sms_order(ddg, 1, L1)  # below RecMII
         assert len(order) == len(ddg.nodes)
+
+    def test_incremental_frontier_matches_rescanning_it(self):
+        """``order_by_slack`` keeps its frontier up to date as it orders;
+        it must pick the same node and direction as rebuilding the
+        frontier from every ordered node, in uid order, at each step."""
+        from test_ddg_kernel import random_ddg
+
+        rng = random.Random(5)
+        ddgs = [random_ddg(rng) for _ in range(300)]
+        ddgs += [build_ddg(unroll(make_loop(), 4), CFG) for make_loop in LOOPS]
+        for ddg in ddgs:
+            lat = {uid: rng.randint(1, 6) for uid in ddg.nodes}
+            for ii in (1, 4, 9):
+                paths = ddg.asap_slack(ii, lat)
+                if paths is not None:
+                    want = rescanned_order(ddg, *paths)
+                    assert order_by_slack(ddg, *paths) == want
+
+
+def rescanned_order(ddg, asap, slack):
+    """The SMS order with its frontier rebuilt at every step."""
+
+    def priority(uid):
+        return (slack[uid], asap[uid], uid)
+
+    ordered, placed, remaining = [], set(), set(ddg.nodes)
+    while remaining:
+        frontier = {}
+        for uid in sorted(placed):
+            for edge in ddg.succs[uid]:
+                if edge.dst in remaining and edge.dst not in frontier:
+                    frontier[edge.dst] = Direction.TOP_DOWN
+            for edge in ddg.preds[uid]:
+                if edge.src in remaining and edge.src not in frontier:
+                    frontier[edge.src] = Direction.BOTTOM_UP
+        if not frontier:
+            frontier = {min(remaining, key=priority): Direction.TOP_DOWN}
+        uid = min(frontier, key=priority)
+        ordered.append((uid, frontier[uid]))
+        placed.add(uid)
+        remaining.discard(uid)
+    return ordered
 
 
 class TestMRT:

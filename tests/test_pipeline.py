@@ -1,5 +1,7 @@
 """Tests for the pipeline subsystem: passes, cache, executors, session."""
 
+from collections import Counter
+
 import pytest
 
 from repro.eval import ExperimentContext, fig5, fig6
@@ -16,7 +18,7 @@ from repro.pipeline import (
     make_executor,
 )
 from repro.sim import SimOptions
-from repro.workloads.kernels import make_saxpy
+from repro.workloads.kernels import make_dpcm, make_saxpy
 
 FAST = SimOptions(sim_cap=80)
 TWO_BENCHMARKS = ("g721dec", "gsmdec")
@@ -29,6 +31,42 @@ class TestCompileUncached:
         )
         assert compiled.unroll_factor == 1
         assert compiled.loop.unroll_factor == 1
+
+    @pytest.mark.parametrize(
+        "make_loop, forced, chosen, bodies",
+        [
+            (make_saxpy, None, 4, 2),
+            (make_dpcm, None, 1, 2),
+            (make_saxpy, 1, 1, 1),
+            (make_dpcm, 4, 4, 1),
+        ],
+    )
+    def test_frontend_runs_once_per_candidate_body(
+        self, monkeypatch, make_loop, forced, chosen, bodies
+    ):
+        """The unroll heuristic unrolls, analyses and builds a DDG for the
+        rolled and the unrolled body once each, and the compile keeps the
+        chosen body's products; a forced factor builds its body alone."""
+        from repro.ir import DDG, memdep
+        from repro.pipeline import passes
+
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(passes, "unroll", counted("unroll", passes.unroll))
+        monkeypatch.setattr(memdep, "analyze", counted("analyze", memdep.analyze))
+        monkeypatch.setattr(DDG, "__init__", counted("DDG", DDG.__init__))
+        options = CompileOptions(unroll_factor=forced)
+        compiled = compile_uncached(make_loop(), l0_config(8), options)
+        assert compiled.unroll_factor == compiled.loop.unroll_factor == chosen
+        assert compiled.ddg.loop is compiled.loop
+        assert calls == {"unroll": bodies, "analyze": bodies, "DDG": bodies}
 
 
 class TestCompileOptions:

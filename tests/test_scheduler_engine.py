@@ -10,7 +10,8 @@ from repro.machine import (
     multivliw_config,
     unified_config,
 )
-from repro.scheduler import choose_unroll_factor, compile_loop
+from repro.pipeline import CompileOptions, scheduler_inputs
+from repro.scheduler import compile_loop
 
 from repro.workloads.kernels import make_column, make_dpcm, make_saxpy
 
@@ -78,17 +79,22 @@ class TestBaseScheduling:
         compile_loop(b.build(), unified_config(), unroll_factor=1)
 
 
+def chosen_unroll_factor(loop, config):
+    """The factor the compile's ``select-unroll`` step picks."""
+    return scheduler_inputs(loop, config, CompileOptions()).unroll_factor
+
+
 class TestUnrollChoice:
     def test_stream_loop_unrolls(self, saxpy):
-        assert choose_unroll_factor(saxpy, unified_config()) == 4
+        assert chosen_unroll_factor(saxpy, unified_config()) == 4
 
     def test_recurrence_loop_stays_rolled(self, dpcm):
-        assert choose_unroll_factor(dpcm, unified_config()) == 1
+        assert chosen_unroll_factor(dpcm, unified_config()) == 1
 
     def test_same_choice_across_architectures(self, saxpy, dpcm):
         for loop in (saxpy, dpcm):
             choices = {
-                choose_unroll_factor(loop, cfg)
+                chosen_unroll_factor(loop, cfg)
                 for cfg in (
                     unified_config(),
                     l0_config(8),

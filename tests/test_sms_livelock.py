@@ -12,7 +12,8 @@ The cut must be exact:
   compiled schedule the same rendering.  The run without the cut also
   checks the snapshots themselves: wherever one repeats, the next must
   repeat what followed its first occurrence.  The tier-1 sample runs
-  seeds 0-2 on each machine, the ``slow`` sweep seeds 0-9 (about 45 s).
+  seeds 0-2 on each machine, the ``slow`` sweep seeds 0-19 (about 50 s
+  on a 2-core x86 box).
 * **The comm index.**  Only a vetoed placement that planned a late
   transfer can leave ``_comm_index`` out of step with the order of
   ``comms``, and the sweep's policies veto nothing, so that state is
@@ -56,7 +57,7 @@ MACHINES = (
 )
 
 SAMPLE_SEEDS = range(3)
-SWEEP_SEEDS = range(10)
+SWEEP_SEEDS = range(20)
 
 
 def _compile(loop, config, unroll, trails=None):
