@@ -2,7 +2,7 @@
 
 from .builder import LoopBuilder
 from .ddg import DDG, DepKind, Edge, build_ddg
-from .loop import Loop, LoopNest
+from .loop import Loop
 from .memdep import MemDepInfo, OrderEdge, analyze, order_edges, patterns_may_alias
 from .stride import (
     StrideClass,
@@ -20,7 +20,6 @@ __all__ = [
     "Edge",
     "Loop",
     "LoopBuilder",
-    "LoopNest",
     "MemDepInfo",
     "OrderEdge",
     "StrideClass",

@@ -17,7 +17,7 @@ renaming removes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..isa.instruction import Instruction
 from ..isa.memory_access import ArrayRef
@@ -120,18 +120,3 @@ class Loop:
             f"<Loop {self.name!r}: {len(self.body)} ops, trip={self.trip_count}, "
             f"unroll={self.unroll_factor}>"
         )
-
-
-@dataclass
-class LoopNest:
-    """A program region: weighted inner loops plus their execution counts.
-
-    ``invocations`` scales a loop's contribution to whole-program cycles:
-    the loop body runs ``trip_count`` iterations, ``invocations`` times.
-    L0 buffers are invalidated between invocations (inter-loop coherence,
-    paper section 4.1).
-    """
-
-    name: str
-    loops: list[Loop]
-    invocations: dict[str, int] = field(default_factory=dict)

@@ -1,7 +1,7 @@
 """VLIW instruction-set definitions: opcodes, registers, hints, patterns."""
 
 from .hints import BYPASS_HINTS, AccessHint, HintBundle, MapHint, PrefetchHint
-from .instruction import CommOp, Instruction
+from .instruction import Instruction
 from .memory_access import AccessPattern, ArrayRef, MemoryLayout, PatternKind
 from .operations import VALUE_PRODUCERS, FUClass, Opcode
 from .registers import RegisterFactory, VReg
@@ -11,7 +11,6 @@ __all__ = [
     "AccessPattern",
     "ArrayRef",
     "BYPASS_HINTS",
-    "CommOp",
     "FUClass",
     "HintBundle",
     "Instruction",

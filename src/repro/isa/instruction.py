@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .memory_access import AccessPattern
 from .operations import FUClass, Opcode
@@ -76,28 +76,3 @@ class Instruction:
                 parts.append(f"[{arr}: random]")
         label = self.tag or f"#{self.uid}"
         return f"<{label}: {' '.join(parts)}>"
-
-
-@dataclass(eq=False)
-class CommOp:
-    """An inter-cluster register-to-register copy inserted by the scheduler.
-
-    Comm operations are not part of the input IR; the cluster-assignment
-    pass materialises them when a value produced in one cluster is
-    consumed in another.  They occupy a slot on one of the shared buses.
-    """
-
-    uid: int
-    value: VReg
-    src_cluster: int
-    dst_cluster: int
-    field_tag: str = field(default="comm", repr=False)
-
-    opcode = Opcode.COMM
-
-    @property
-    def fu_class(self) -> FUClass:
-        return FUClass.BUS
-
-    def __repr__(self) -> str:
-        return f"<comm#{self.uid} {self.value} c{self.src_cluster}->c{self.dst_cluster}>"

@@ -20,11 +20,6 @@ class BusStats:
     delayed_grants: int = 0
     total_delay: int = 0
 
-    def merge(self, other: "BusStats") -> None:
-        self.grants += other.grants
-        self.delayed_grants += other.delayed_grants
-        self.total_delay += other.total_delay
-
 
 class ClusterBus:
     """One cluster's L1 bus; one transaction per cycle."""

@@ -1,14 +1,20 @@
 """The unified memory hierarchy: centralized L1 (+L2) with optional
 per-cluster L0 buffers — the paper's baseline and proposed architectures.
 
-All memory systems in this package expose the same five-method interface
-the executor drives:
+All memory systems in this package expose the same interface the
+simulator drives:
 
 * ``load(cluster, addr, width, hints, cycle) -> ready_cycle``
 * ``store(cluster, addr, width, hints, cycle, is_primary=True)``
+* ``load_run(clusters, addrs, widths, hints_list, cycles) -> ready_cycles``
+  and ``store_run(clusters, addrs, widths, hints_list, cycles,
+  primaries)``: the trace executor's batch entry points, a run of loads
+  or stores that cannot interlock with each other, with the effect of
+  calling ``load``/``store`` element-wise
 * ``prefetch(cluster, addr, width, cycle)`` (explicit software prefetch)
 * ``invalidate_l0(cycle)`` (inter-loop flush)
-* ``reset()``
+
+Each simulated loop gets a fresh instance from ``sim.runner.make_memory``.
 
 Coherence auditing: a load served from an L0 entry older than the
 newest store to the bytes it reads increments ``coherence_violations``.
@@ -25,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..isa.hints import AccessHint, HintBundle, MapHint, PrefetchHint
-from ..machine.config import MachineConfig
+from ..machine.config import ArchKind, MachineConfig
 from .bus import BusStats, ClusterBus
 from .l0buffer import L0Buffer, L0Entry, L0Stats, MapKind
 from .l1cache import CacheStats, SetAssocCache
@@ -59,7 +65,7 @@ class MemoryStats:
 class UnifiedMemory:
     """Unified L1 data cache with optional flexible L0 buffers."""
 
-    def __init__(self, config: MachineConfig, *, with_l0: bool | None = None) -> None:
+    def __init__(self, config: MachineConfig) -> None:
         self.config = config
         self.stats = MemoryStats()
         self.l1 = SetAssocCache(
@@ -68,10 +74,8 @@ class UnifiedMemory:
             block=config.l1_block,
             stats=self.stats.l1,
         )
-        if with_l0 is None:
-            with_l0 = config.arch.value == "l0"
         self.l0: list[L0Buffer] | None = None
-        if with_l0:
+        if config.arch is ArchKind.L0:
             self.l0 = [
                 L0Buffer(
                     entries=config.l0_entries,
@@ -334,9 +338,6 @@ class UnifiedMemory:
             return
         for buffer in self.l0:
             buffer.invalidate_all()
-
-    def reset(self) -> None:
-        self.__init__(self.config, with_l0=self.l0 is not None)
 
     # ------------------------------------------------------------------
     # Fast-path hooks: batch entry points

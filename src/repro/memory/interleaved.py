@@ -143,9 +143,6 @@ class WordInterleavedMemory:
     def invalidate_l0(self, cycle: int) -> None:
         return None  # nothing compiler-managed to flush
 
-    def reset(self) -> None:
-        self.__init__(self.config)
-
     # ------------------------------------------------------------------
     # Fast-path hooks (see UnifiedMemory for the contract)
     # ------------------------------------------------------------------

@@ -86,21 +86,6 @@ class L0Stats:
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 1.0
 
-    def merge(self, other: "L0Stats") -> None:
-        for name in (
-            "hits",
-            "misses",
-            "late_hits",
-            "linear_fills",
-            "interleaved_fills",
-            "evictions",
-            "evicted_untouched_prefetches",
-            "store_updates",
-            "store_invalidations",
-            "invalidate_alls",
-        ):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
 
 class L0Buffer:
     """One cluster's L0 buffer."""

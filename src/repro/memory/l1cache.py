@@ -27,12 +27,6 @@ class CacheStats:
     def load_hit_rate(self) -> float:
         return self.load_hits / self.loads if self.loads else 1.0
 
-    def merge(self, other: "CacheStats") -> None:
-        self.load_hits += other.load_hits
-        self.load_misses += other.load_misses
-        self.store_hits += other.store_hits
-        self.store_misses += other.store_misses
-
 
 @dataclass
 class SetAssocCache:

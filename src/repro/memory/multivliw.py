@@ -156,9 +156,6 @@ class MultiVLIWMemory:
     def invalidate_l0(self, cycle: int) -> None:
         return None
 
-    def reset(self) -> None:
-        self.__init__(self.config)
-
     # ------------------------------------------------------------------
     # Fast-path hooks (see UnifiedMemory for the contract)
     # ------------------------------------------------------------------

@@ -28,12 +28,14 @@ from ..ir import memdep
 from ..ir.ddg import build_ddg
 from ..ir.loop import Loop
 from ..ir.unroll import unroll
+from ..isa.instruction import Instruction
 from ..machine.config import ArchKind, MachineConfig
+from ..memory.interleaved import WORD
 from ..scheduler.driver import CompiledLoop, unrolling_pays
 from ..scheduler.engine import ClusterScheduler
 from ..scheduler.exact import ExactScheduler
 from ..scheduler.l0policy import L0Policy
-from ..scheduler.policies import InterleavedPolicy, MultiVLIWPolicy, UnifiedPolicy
+from ..scheduler.policies import FixedLatencyPolicy
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,8 @@ class CompileOptions:
     back to SMS) and an optional stage horizon (both inert under
     ``scheduler="sms"`` but still participating in compile-cache keys
     like every other option).  Both must be at least 1; a smaller value
-    raises ``ValueError``.
+    raises ``ValueError``, and so does an ``interleaved_heuristic`` other
+    than 1 or 2 or a ``prefetch_distance`` below 1.
     """
 
     unroll_factor: int | None = None
@@ -64,8 +67,10 @@ class CompileOptions:
 
     def __post_init__(self) -> None:
         # Fail closed: an unknown scheduler has no step to run, a budget
-        # of 0 would fall back at the first trial, and a horizon below
-        # one stage cannot hold a schedule.
+        # of 0 would fall back at the first trial, a horizon below one
+        # stage cannot hold a schedule, the interleaved L1 has two
+        # heuristics, and a prefetch distance of 0 silently turns hint
+        # prefetching off (below 0 it prefetches backwards).
         if self.scheduler not in SCHEDULERS:
             raise ValueError(
                 f"unknown scheduler {self.scheduler!r}; expected one of "
@@ -78,6 +83,15 @@ class CompileOptions:
         if self.exact_max_stages is not None and self.exact_max_stages < 1:
             raise ValueError(
                 f"exact_max_stages must be >= 1, got {self.exact_max_stages}"
+            )
+        if self.interleaved_heuristic not in (1, 2):
+            raise ValueError(
+                "interleaved_heuristic must be 1 or 2, got "
+                f"{self.interleaved_heuristic}"
+            )
+        if self.prefetch_distance < 1:
+            raise ValueError(
+                f"prefetch_distance must be >= 1, got {self.prefetch_distance}"
             )
 
 
@@ -176,15 +190,60 @@ SCHEDULERS: dict[str, Pass] = {
 }
 
 
+#: Iterations sampled when classifying a memory op's home cluster.
+HOME_SAMPLE = 16
+
+
+def _stable_home(instr: Instruction, n_clusters: int) -> int | None:
+    """The word-interleaved L1 cluster holding the word ``instr``
+    accesses in each of the first :data:`HOME_SAMPLE` iterations, or
+    None when that cluster varies.
+
+    Homes are computed from element offsets (arrays are block-aligned by
+    the layout, so offsets are congruent with final addresses).
+    """
+    pattern = instr.pattern
+    if pattern is None:
+        return None
+    homes = set()
+    for i in range(HOME_SAMPLE):
+        byte = pattern.element_index(i) * pattern.elem_size
+        homes.add((byte // WORD) % n_clusters)
+        if len(homes) > 1:
+            return None
+    return homes.pop()
+
+
 def make_policy(
     loop: Loop,
     config: MachineConfig,
     dep_info: memdep.MemDepInfo,
     options: CompileOptions,
 ):
-    """Instantiate the memory policy matching the target architecture."""
-    if config.arch is ArchKind.UNIFIED:
-        return UnifiedPolicy(loop, config)
+    """The memory policy of ``config.arch``: the one place that maps an
+    architecture to a policy.
+
+    The L0 machine gets the paper's :class:`L0Policy`.  Every other
+    machine gets a :class:`FixedLatencyPolicy` with these load latencies:
+
+    * **Unified L1**: every load is an L1 access, planned at
+      ``l1_latency``.
+    * **MultiVLIW** (distributed, snoop-coherent L1): every load is
+      planned at ``distributed_local_latency``.  The hardware moves or
+      replicates blocks to the requesting cluster (MSI snooping), so the
+      scheduler assumes local hits, as the MultiVLIW paper's scheduler
+      does for the common case; the simulator charges remote and
+      coherence penalties as stalls.
+    * **Word-interleaved L1** (Gibert et al., MICRO-35): address word
+      ``w`` lives in cluster ``w mod N``.  A load or store is
+      *home-stable* when every iteration's access lands in the same home
+      cluster; its options try that cluster first.  Home-stable loads
+      are planned at the local latency.  The heuristics differ in the
+      latency of the rest: Interleaved 1 plans them at the local latency
+      too (short schedules, stalls on remote accesses), Interleaved 2 at
+      ``distributed_remote_latency`` (longer schedules, fewer stalls:
+      remote accesses then rarely surprise the interlock).
+    """
     if config.arch is ArchKind.L0:
         return L0Policy(
             loop,
@@ -194,10 +253,25 @@ def make_policy(
             allow_psr=options.allow_psr,
             prefetch_distance=options.prefetch_distance,
         )
+    loads = [instr.uid for instr in loop.body if instr.is_load]
+    local = config.distributed_local_latency
+    if config.arch is ArchKind.UNIFIED:
+        return FixedLatencyPolicy(
+            "unified", config, dict.fromkeys(loads, config.l1_latency)
+        )
     if config.arch is ArchKind.MULTIVLIW:
-        return MultiVLIWPolicy(loop, config)
+        return FixedLatencyPolicy("multivliw", config, dict.fromkeys(loads, local))
     if config.arch is ArchKind.INTERLEAVED:
-        return InterleavedPolicy(loop, config, heuristic=options.interleaved_heuristic)
+        home = {}
+        for instr in loop.body:
+            if instr.is_load or instr.is_store:
+                cluster = _stable_home(instr, config.n_clusters)
+                if cluster is not None:
+                    home[instr.uid] = cluster
+        heuristic = options.interleaved_heuristic
+        unstable = local if heuristic == 1 else config.distributed_remote_latency
+        latency = {uid: local if uid in home else unstable for uid in loads}
+        return FixedLatencyPolicy(f"interleaved{heuristic}", config, latency, home)
     raise ValueError(f"unknown architecture {config.arch}")
 
 

@@ -12,7 +12,7 @@ from .exact import ExactScheduler
 from .l0policy import L0Policy
 from .mii import compute_mii, rec_mii, res_mii
 from .mrt import ModuloReservationTable
-from .policies import InterleavedPolicy, MemoryPolicy, MultiVLIWPolicy, UnifiedPolicy
+from .policies import FixedLatencyPolicy, MemoryPolicy
 from .schedule import (
     ModuloSchedule,
     PlacedComm,
@@ -28,18 +28,16 @@ __all__ = [
     "CompiledLoop",
     "Direction",
     "ExactScheduler",
-    "InterleavedPolicy",
+    "FixedLatencyPolicy",
     "L0Policy",
     "MemoryPolicy",
     "ModuloReservationTable",
     "ModuloSchedule",
-    "MultiVLIWPolicy",
     "PlacedComm",
     "PlacedOp",
     "PlacedPrefetch",
     "SchedulingError",
     "SetState",
-    "UnifiedPolicy",
     "compile_loop",
     "compute_mii",
     "estimate_compute_time",

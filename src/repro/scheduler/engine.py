@@ -1,13 +1,14 @@
 """The cluster-aware modulo scheduling engine (paper sections 4.2-4.3).
 
-One engine drives all four architectures; a :class:`MemoryPolicy`
-(unified / L0 / MultiVLIW / word-interleaved) decides memory-instruction
-latencies, cluster preferences and hints.  The engine implements the
-BASE algorithm's skeleton: iterate the II upward from MII, order nodes
-with the SMS heuristic, and place one instruction at a time in the
-cluster that minimises inter-cluster communication while balancing
-workload, inserting bus communication operations whenever a register
-value crosses clusters.  An attempt whose placement/ejection loop comes
+One engine drives all four architectures; a :class:`MemoryPolicy` (the
+L0 machine's, or the fixed-latency one of the unified, MultiVLIW and
+word-interleaved machines) decides memory-instruction latencies, cluster
+preferences and hints.  The engine implements the BASE algorithm's
+skeleton: iterate the II upward from MII, order nodes with the SMS
+heuristic, and place one instruction at a time in the cluster that
+minimises inter-cluster communication while balancing workload,
+inserting bus communication operations whenever a register value
+crosses clusters.  An attempt whose placement/ejection loop comes
 back to a state it was in before fails at once: from there it could
 only cycle until its ejection budget ran out.
 """

@@ -8,11 +8,15 @@ search over the decision variables of Roorda-style optimal software
 pipelining — per instruction a kernel row, stage and cluster (folded
 into one absolute start time) plus the bus placement of every
 cross-cluster register transfer.  The formulation is *parametric in the
-machine description* (Witterauf et al.'s symbolic-compilation argument):
-cluster count, FU mix, latencies, bus count and the memory policy's
-(cluster, latency) options all enter through the same
-``MachineConfig``/``MemoryPolicy`` objects the heuristic uses, so one
-searcher covers every cluster/L0 variant without per-config models.
+machine description* (Witterauf et al.'s symbolic-compilation argument).
+Cluster count, FU mix, latencies and bus count enter through the
+``MachineConfig``; everything about the memory system enters through
+the ``MemoryPolicy``: its (cluster, latency) options and their
+superset, which also gives each load's latency floor, and its
+``SEARCH_EXACT`` and ``allow_psr`` declarations.  The search never asks
+which architecture it is scheduling for, so one searcher covers every
+cluster/L0 variant without per-config models, and its optimality claims
+rest on the policy's declarations alone.
 
 Search strategy
 ---------------
@@ -83,8 +87,7 @@ records ``scheduler``, ``mii``, ``ii_sms``, ``improved``,
 from __future__ import annotations
 
 from ..ir.ddg import DDG
-from ..ir.stride import is_candidate
-from ..machine.config import ArchKind, MachineConfig
+from ..machine.config import MachineConfig
 from .engine import NO_FU, ClusterScheduler
 from .mrt import ModuloReservationTable
 from .policies import MemoryPolicy
@@ -133,6 +136,9 @@ class ExactScheduler(ClusterScheduler):
                 f"node_budget and max_stages must be >= 1, got {node_budget} "
                 f"and {max_stages}"
             )
+        if policy.decisions:
+            # The floors below need the superset no decision has narrowed.
+            raise ValueError("the exact search needs a policy without sticky decisions")
         super().__init__(ddg, config, policy)
         self.node_budget = node_budget
         self.max_stages = max_stages
@@ -176,7 +182,7 @@ class ExactScheduler(ClusterScheduler):
         # path-dependent: a refuted II may still be feasible under option
         # sequences the protocol no longer offers, so optimality proofs
         # are only claimed when the policy declares its options pure.
-        search_exact = bool(getattr(self.policy, "SEARCH_EXACT", False))
+        search_exact = self.policy.SEARCH_EXACT
         meta = {
             "scheduler": "exact",
             "mii": mii,
@@ -187,7 +193,7 @@ class ExactScheduler(ClusterScheduler):
             "search_exact": search_exact,
             "nodes_explored": 0,
         }
-        if getattr(self.policy, "allow_psr", False):
+        if self.policy.allow_psr:
             # PSR replica placement mutates policy/MRT state that the
             # committed/ejected protocol cannot roll back; searching
             # through it would corrupt the reservation table.
@@ -820,11 +826,12 @@ class ExactScheduler(ClusterScheduler):
     # ------------------------------------------------------------------
 
     def _latency_floor(self, uid: int) -> int:
-        """Smallest latency any option could schedule load ``uid`` with."""
-        instr = self.ddg.instruction(uid)
-        if self.config.arch is ArchKind.L0 and is_candidate(instr):
-            return min(self.config.l0_latency, self.config.l1_latency)
-        return self.policy.planned_latency(uid)
+        """Smallest latency any option could schedule load ``uid`` with:
+        the least one in the policy's option superset, read before any
+        attempt, when no sticky decision has narrowed it yet."""
+        clusters = list(range(self.config.n_clusters))
+        superset = self.policy.option_superset(self.ddg.instruction(uid), clusters)
+        return min(latency for _, latency in superset)
 
     def _components(self) -> dict[int, int]:
         """Map uid -> weakly-connected component id of the DDG."""

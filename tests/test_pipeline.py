@@ -88,6 +88,23 @@ class TestCompileOptions:
         options = CompileOptions(exact_node_budget=1, exact_max_stages=1)
         assert (options.exact_node_budget, options.exact_max_stages) == (1, 1)
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"interleaved_heuristic": 0},
+            {"interleaved_heuristic": 3},
+            {"prefetch_distance": 0},
+            {"prefetch_distance": -1},
+        ],
+    )
+    def test_policy_knobs_out_of_range_rejected(self, knobs):
+        """Fail when built, not when an interleaved compile (perhaps in a
+        fleet worker) builds its policy, and never silently: distance 0
+        turns hint prefetching off and -1 prefetches backwards."""
+        (name,) = knobs
+        with pytest.raises(ValueError, match=name):
+            CompileOptions(**knobs)
+
 
 class TestSimOptions:
     @pytest.mark.parametrize("sim_cap", [0, -3])
@@ -109,6 +126,14 @@ class TestSimOptions:
     def test_rejected_compile_knob_value_rejected(self):
         with pytest.raises(ValueError, match="exact_node_budget"):
             SimOptions(compile_kwargs={"exact_node_budget": 0})
+
+    @pytest.mark.parametrize(
+        "knobs", [{"interleaved_heuristic": 3}, {"prefetch_distance": 0}]
+    )
+    def test_rejected_policy_knob_value_rejected(self, knobs):
+        (name,) = knobs
+        with pytest.raises(ValueError, match=name):
+            SimOptions(compile_kwargs=knobs)
 
 
 class TestCacheKey:

@@ -15,9 +15,12 @@ field the simulator and the ``schedcompare`` report read:
 
 The tier-1 sample compiles the first loop of each of the 13 programs on
 five machines with SMS, plus a few exact compiles (an improving search,
-a budget fallback and some stateless-policy machines).  The ``slow``
-variant covers every Figure-5 SMS compile (230) and every
-``schedcompare`` exact compile (184).
+a budget fallback and some stateless-policy machines).  A second
+tier-1 table pins every loop on the four fixed-latency machines (the
+unified baseline, MultiVLIW and both word-interleaved heuristics) under
+both schedulers: 368 compiles.  The ``slow`` variant covers every
+Figure-5 SMS compile (230) and every ``schedcompare`` exact compile
+(184).
 
 Digests are per program (per case for the exact sample), so a failure
 names where the schedules moved.  A second set, one digest per exact
@@ -61,6 +64,16 @@ FIG5_CONFIGS = (("unified", unified_config()),) + tuple(
 
 #: ``schedcompare``: the four L0 sizes, exact backend, default budget.
 SCHEDCOMPARE_CONFIGS = FIG5_CONFIGS[1:]
+
+#: (label, config, compile options) of the machines whose memory policy
+#: plans each load with one fixed latency: the unified baseline and
+#: Figure 7's MultiVLIW and word-interleaved machines.
+FIXED_LATENCY_MACHINES = (
+    ("unified", unified_config(), {}),
+    ("multivliw", multivliw_config(), {}),
+    ("interleaved-1", interleaved_config(), {"interleaved_heuristic": 1}),
+    ("interleaved-2", interleaved_config(), {"interleaved_heuristic": 2}),
+)
 
 #: (program, loop, config label, config, node budget) of the tier-1
 #: exact sample: a search that beats SMS after ~900 trials, the same
@@ -136,6 +149,19 @@ def program_digest(name: str, configs, *, first_only: bool, **options) -> str:
     )
 
 
+def fixed_latency_digest(name: str) -> str:
+    """Every loop of ``name`` on each fixed-latency machine, SMS then exact."""
+    return _digest(
+        (
+            f"{spec.loop.name} {label} {scheduler}",
+            _compile(spec.loop, config, scheduler=scheduler, **options),
+        )
+        for spec in build(name).loops
+        for label, config, options in FIXED_LATENCY_MACHINES
+        for scheduler in ("sms", "exact")
+    )
+
+
 def schedcompare_digest(name: str) -> str:
     return program_digest(
         name, SCHEDCOMPARE_CONFIGS, first_only=False, scheduler="exact"
@@ -203,6 +229,24 @@ EXACT_SAMPLE_PLACEMENT_DIGESTS = {
     "g721dec/g721dec_pred/l0-unbounded/60000": "15f668e766522bc114a9b0717d6a943e4b2c323adf7b4539384983d474d5ee44",
     "pgpenc/pgpe_borrow/multivliw/60000": "1b13bdda055b6242f8b2456a19535c7bc3bbdcc6c2c58c5cad66ee3490bd67ea",
     "jpegdec/jpgd_idct_col/l0-4/60000": "7b9d70d9afc9e34f0dbe2ddc1487290347bf24fd3f0af9e1afa6a8203c9e505d",
+}
+
+#: Every loop on each of ``FIXED_LATENCY_MACHINES`` under SMS and exact,
+#: ``nodes_explored`` included.
+FIXED_LATENCY_DIGESTS = {
+    "epicdec": "cbc8230cdf7ee1325c02eba377b089b4f4f6e0e5f96c89ef11d21910f199b31e",
+    "g721dec": "18441501fc0ccbefbe671bfaa44dda723d74bd6502b01c0c216ee59643566beb",
+    "g721enc": "f79e0b70fab57d14f5a9161fa0201dc1f9d17ccdf22cc33cc346405fc8de1ea8",
+    "gsmdec": "9406aca08909f793deab94810bc9743f9971747dbc853f2f10dcba3b8f1ee879",
+    "gsmenc": "0193e13f73122e4231e98f92bef964625f3570a28ae934673d627136ee0a0a99",
+    "jpegdec": "ab150146f22198520bb6cccfcf4971b553f1793bafef8d00fe4a83535f1e61dd",
+    "jpegenc": "218a035c3143b26c3ff818db60d94bd9d9de370413843bceda9fd52d2ccee51f",
+    "mpeg2dec": "6b8e5bf21d9ba1aef7e53966cc4e591112fb7b1ed1e98863d7151d3bf1938693",
+    "pegwitdec": "92d86f1d0517d283bbd385c4864bf269ec7f65058e72a58a3f57eae6f4ab5b5a",
+    "pegwitenc": "ed67893017f8054e4fbb0f42344a9da9161aead194da87d5cb217bafec6c7e82",
+    "pgpdec": "fa3a27d06dd34ce2a99b695fe9772606728a8c21bccd84394f4cc05653958239",
+    "pgpenc": "d69058db541a2660ff163d25e3dff4fdcfa5fbbfbb1496d95e8676789291c24e",
+    "rasta": "dfab971c5dba3d9ae9e0bf6be8bc9d7cbeb442271d0989626483aa6dbf2f478b",
 }
 
 FIG5_DIGESTS = {
@@ -443,6 +487,11 @@ def test_exact_sample_placement_digest(case):
     assert digest == EXACT_SAMPLE_PLACEMENT_DIGESTS[_exact_key(case)]
 
 
+@pytest.mark.parametrize("name", sorted(PAPER_TABLE1))
+def test_fixed_latency_digest(name):
+    assert fixed_latency_digest(name) == FIXED_LATENCY_DIGESTS[name]
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(PAPER_TABLE1))
 def test_fig5_sms_digest(name):
@@ -489,6 +538,7 @@ def print_tables() -> None:
             for case in EXACT_SAMPLE
         ],
     )
+    _print_table("FIXED_LATENCY_DIGESTS", [(n, fixed_latency_digest(n)) for n in names])
     _print_table(
         "FIG5_DIGESTS",
         [(n, program_digest(n, FIG5_CONFIGS, first_only=False)) for n in names],

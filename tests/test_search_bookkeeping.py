@@ -25,10 +25,15 @@ whole compile:
   search finds exactly the schedule (or the refutation) of plain
   chronological backtracking over the same options, windows and
   placement primitives, which ``chronological_search`` drives here.
-* **Option supersets.**  After random commits on each of the four
-  policies, every option ``policy.options`` offers a memory node was in
+* **Option supersets.**  After random commits under the L0 policy and
+  the fixed-latency policy of the unified, MultiVLIW and interleaved
+  machines, every option ``policy.options`` offers a memory node was in
   the node's ``option_superset`` (less its entry shortages) at every
   earlier point.
+* **Latency floors.**  On every paper loop and every Figure-5/7
+  machine, the exact search's per-load floor (the least latency in the
+  untouched policy's option superset) equals the rule that read the
+  architecture instead.
 """
 
 from __future__ import annotations
@@ -39,7 +44,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ir.ddg import DDG, DepKind, Edge
+from repro.ir.stride import is_candidate
 from repro.machine import (
+    ArchKind,
     interleaved_config,
     l0_config,
     multivliw_config,
@@ -51,11 +58,11 @@ from repro.scheduler.engine import NO_FU
 from repro.scheduler.exact import INF
 from repro.scheduler.mii import compute_mii
 from repro.scheduler.mrt import ModuloReservationTable
-from repro.scheduler.policies import UnifiedPolicy
+from repro.scheduler.policies import FixedLatencyPolicy
 from repro.scheduler.schedule import PlacedOp
 from repro.scheduler.sms import sms_order
 from repro.workloads import random_loop
-from repro.workloads.mediabench import build
+from repro.workloads.mediabench import PAPER_TABLE1, build
 
 QUICK = settings(max_examples=40, deadline=None)
 
@@ -408,11 +415,12 @@ def test_refuted_search_leaves_no_trace():
     assert not any(engine._loads_at.values())
 
 
-class _VetoEveryOther(UnifiedPolicy):
+class _VetoEveryOther(FixedLatencyPolicy):
     """Unified policy that refuses every other memory placement."""
 
     def __init__(self, loop, config):
-        super().__init__(loop, config)
+        loads = [instr.uid for instr in loop.body if instr.is_load]
+        super().__init__("unified", config, dict.fromkeys(loads, config.l1_latency))
         self.calls = 0
 
     def committed(self, instr, op, engine):
@@ -512,6 +520,55 @@ def test_superset_covers_later_options(seed, commits, config):
         engine.placed[uid] = op
         assert policy.committed(instr, op, engine)
     assert offered > 0 or not memory
+
+
+# ----------------------------------------------------------------------
+# Latency floors
+# ----------------------------------------------------------------------
+
+#: Figure 5's and Figure 7's machines, as (config, compile options).
+PAPER_MACHINES = (
+    (unified_config(), {}),
+    *((l0_config(entries), {}) for entries in (4, 8, 16, None)),
+    (multivliw_config(), {}),
+    (interleaved_config(), {"interleaved_heuristic": 1}),
+    (interleaved_config(), {"interleaved_heuristic": 2}),
+)
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_TABLE1))
+def test_latency_floor_matches_the_architecture_rule(name):
+    """On every loop of ``name`` and every paper machine, each node's
+    floor equals the rule that read the architecture: the lesser of the
+    L0 and L1 latencies for an L0 candidate load on an L0 machine, the
+    policy's planned latency for any other load, and the opcode's
+    latency for every other node."""
+    for spec in build(name).loops:
+        for config, options in PAPER_MACHINES:
+            ddg, policy = _frontend(spec.loop, config, **options)
+            expected = {}
+            for instr in ddg.loop.body:
+                if not instr.is_load:
+                    expected[instr.uid] = config.latency_of(instr.opcode)
+                elif config.arch is ArchKind.L0 and is_candidate(instr):
+                    expected[instr.uid] = min(config.l0_latency, config.l1_latency)
+                else:
+                    expected[instr.uid] = policy.planned_latency(instr.uid)
+            engine = ExactScheduler(ddg, config, policy)
+            assert engine._floor == expected, (spec.loop.name, config, options)
+
+
+def test_exact_search_refuses_a_policy_with_sticky_decisions():
+    """Sticky decisions narrow the option superset the floors come from,
+    while each new attempt starts from the untouched one: floors taken
+    after an SMS run could lie above the latencies a search offers."""
+    config = l0_config(8)
+    (loop,) = [s.loop for s in build("g721dec").loops if s.loop.name == "g721dec_adapt"]
+    ddg, policy = _frontend(loop, config)
+    ClusterScheduler(ddg, config, policy).schedule()
+    assert policy.decisions  # the premise held
+    with pytest.raises(ValueError, match="sticky decisions"):
+        ExactScheduler(ddg, config, policy)
 
 
 # ----------------------------------------------------------------------
