@@ -14,9 +14,8 @@ module turns them into per-artifact machine checks:
   ``certify_compiled`` always runs both, so it is not restated here.
 * **A013** — the trace simply disagrees with the schedule: an event
   at the wrong position, a memory event missing or invented, a
-  readiness ring slot absent, a history window too small to hold the
-  deepest loop-carried lookback, or a wrong input period (the period
-  at which the trace executor memoises batch addresses).
+  readiness ring slot absent, or a history window too small to hold
+  the deepest loop-carried lookback.
 
 The expected trace content is recomputed here from the schedule and
 DDG alone; only the trace *format* (event kinds, field layout) is
@@ -279,35 +278,6 @@ def audit_trace(compiled: CompiledLoop) -> list[Diagnostic]:
                 "A013",
                 f"history window {trace.history_window} cannot hold the "
                 f"deepest lookback (needs >= {needed_window})",
-            )
-        )
-
-    # Input period (batch address memoisation) ---------------------------
-    period: int | None = 1
-    patterns = [
-        op.instr.pattern
-        for op in list(schedule.placed.values()) + list(schedule.replicas)
-        if op.instr.is_memory
-    ] + [pf.instr.pattern for pf in schedule.prefetches]
-    import math
-
-    for pattern in patterns:
-        if pattern is None:
-            continue
-        p = pattern.input_period
-        if p is None:
-            period = None
-            break
-        period = period * p // math.gcd(period, p)
-    if trace.input_period is not None and (
-        period is None or trace.input_period % period != 0
-    ):
-        out.append(
-            Diagnostic.new(
-                "A013",
-                f"trace claims address-memoisation period {trace.input_period} but "
-                f"the access streams repeat every "
-                f"{'∞' if period is None else period} iterations",
             )
         )
     return out

@@ -11,7 +11,6 @@ compiler cannot analyse (the non-strided fraction in Table 1).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 
 
@@ -98,8 +97,8 @@ class AccessPattern:
         inlines — iteration ``i`` touches byte address
         ``base + ((offset + i*stride) % n_elems) * elem_size`` — so
         per-access addresses need no method dispatch or layout lookup.
-        Random patterns return ``None`` (the executor falls back to
-        :meth:`address`).
+        Random patterns return ``None``; the executor then inlines the
+        seeded hash of :meth:`element_index` instead.
         """
         if self.kind is not PatternKind.STRIDED:
             return None
@@ -110,23 +109,6 @@ class AccessPattern:
             self.array.n_elems,
             self.elem_size,
         )
-
-    @property
-    def input_period(self) -> int | None:
-        """Iterations until this pattern's address stream repeats exactly.
-
-        ``(offset + i*stride) mod n`` is periodic with period
-        ``n / gcd(|stride|, n)``; random streams never repeat
-        (``None``).  The trace executor's batch address memoisation uses
-        the lcm of these periods as the window length at which every
-        address provably recurs.
-        """
-        if self.kind is not PatternKind.STRIDED:
-            return None
-        n = self.array.n_elems
-        if self.stride == 0:
-            return 1
-        return n // math.gcd(abs(self.stride), n)
 
     def unrolled_copy(self, copy_index: int, factor: int) -> "AccessPattern":
         """Pattern of the ``copy_index``-th body copy after unrolling.

@@ -63,7 +63,3 @@ class ClusterBus:
         horizon = cycle - self.PRUNE_WINDOW
         self._busy = {c for c in self._busy if c >= horizon}
         self._prune_at = cycle + 2 * self.PRUNE_WINDOW
-
-    def reset(self) -> None:
-        self._busy.clear()
-        self._prune_at = 2 * self.PRUNE_WINDOW

@@ -6,13 +6,13 @@ simulator drives:
 
 * ``load(cluster, addr, width, hints, cycle) -> ready_cycle``
 * ``store(cluster, addr, width, hints, cycle, is_primary=True)``
-* ``load_run(clusters, addrs, widths, hints_list, cycles) -> ready_cycles``
-  and ``store_run(clusters, addrs, widths, hints_list, cycles,
-  primaries)``: the trace executor's batch entry points, a run of loads
-  or stores that cannot interlock with each other, with the effect of
-  calling ``load``/``store`` element-wise
 * ``prefetch(cluster, addr, width, cycle)`` (explicit software prefetch)
 * ``invalidate_l0(cycle)`` (inter-loop flush)
+
+Both executors make one of these calls per memory event.  Each model
+also binds :func:`load_run` and :func:`store_run`, defined once here and
+called by nothing in the program: the traced benchmark
+(``perfbench/layers.py``) wraps them by name.
 
 Each simulated loop gets a fresh instance from ``sim.runner.make_memory``.
 
@@ -46,6 +46,32 @@ _NO_PREFETCH = PrefetchHint.NONE
 #: Stamp-row value of a byte no store has written: older than any
 #: cycle, since the simulation clock starts at zero.
 _UNSTORED = -1
+
+
+def load_run(self, clusters, addrs, widths, hints_list, cycles) -> list[int]:
+    """``self.load`` element-wise, in order; returns the ready cycles.
+
+    Kept for the traced benchmark only: ``perfbench/layers.py`` wraps
+    every memory model's ``load_run``/``store_run`` by name, and no
+    program code calls either.
+    """
+    return [
+        self.load(clusters[k], addrs[k], widths[k], hints_list[k], cycles[k])
+        for k in range(len(addrs))
+    ]
+
+
+def store_run(self, clusters, addrs, widths, hints_list, cycles, primaries) -> None:
+    """``self.store`` element-wise, in order (see :func:`load_run`)."""
+    for k in range(len(addrs)):
+        self.store(
+            clusters[k],
+            addrs[k],
+            widths[k],
+            hints_list[k],
+            cycles[k],
+            is_primary=primaries[k],
+        )
 
 
 @dataclass
@@ -339,45 +365,6 @@ class UnifiedMemory:
         for buffer in self.l0:
             buffer.invalidate_all()
 
-    # ------------------------------------------------------------------
-    # Fast-path hooks: batch entry points
-    # ------------------------------------------------------------------
-
-    def load_run(self, clusters, addrs, widths, hints_list, cycles) -> list[int]:
-        """Issue a run of loads that cannot interlock with each other.
-
-        Semantically identical to calling :meth:`load` element-wise in
-        order; the trace executor uses it for statically stall-free
-        stretches of a kernel window so one Python call covers the run.
-        The no-L0 case (every load is a plain bus+L1 round trip) is
-        unrolled here with bound locals — it is the unified baseline's
-        entire load path.
-        """
-        if self.l0 is None:
-            buses = self.buses
-            l1_load = self.l1.load
-            l1_latency = self._l1_latency
-            miss_latency = l1_latency + self._l2_latency
-            return [
-                buses[clusters[k]].grant(cycles[k])
-                + (l1_latency if l1_load(addrs[k]) else miss_latency)
-                for k in range(len(addrs))
-            ]
-        load = self.load
-        return [
-            load(clusters[k], addrs[k], widths[k], hints_list[k], cycles[k])
-            for k in range(len(addrs))
-        ]
-
-    def store_run(self, clusters, addrs, widths, hints_list, cycles, primaries) -> None:
-        """Issue a run of stores, element-wise in order (see load_run)."""
-        store = self.store
-        for k in range(len(addrs)):
-            store(
-                clusters[k],
-                addrs[k],
-                widths[k],
-                hints_list[k],
-                cycles[k],
-                is_primary=primaries[k],
-            )
+    # perfbench-only entry points (see load_run above).
+    load_run = load_run
+    store_run = store_run

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from ..isa.hints import HintBundle
 from ..machine.config import MachineConfig
+from .hierarchy import load_run, store_run
 from .l1cache import CacheStats, SetAssocCache
 
 WORD = 4  # interleaving granularity in bytes
@@ -143,25 +144,6 @@ class WordInterleavedMemory:
     def invalidate_l0(self, cycle: int) -> None:
         return None  # nothing compiler-managed to flush
 
-    # ------------------------------------------------------------------
-    # Fast-path hooks (see UnifiedMemory for the contract)
-    # ------------------------------------------------------------------
-
-    def load_run(self, clusters, addrs, widths, hints_list, cycles) -> list[int]:
-        load = self.load
-        return [
-            load(clusters[k], addrs[k], widths[k], hints_list[k], cycles[k])
-            for k in range(len(addrs))
-        ]
-
-    def store_run(self, clusters, addrs, widths, hints_list, cycles, primaries) -> None:
-        store = self.store
-        for k in range(len(addrs)):
-            store(
-                clusters[k],
-                addrs[k],
-                widths[k],
-                hints_list[k],
-                cycles[k],
-                is_primary=primaries[k],
-            )
+    # perfbench-only entry points, defined once in hierarchy.py.
+    load_run = load_run
+    store_run = store_run

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from ..isa.hints import HintBundle
 from ..machine.config import MachineConfig
+from .hierarchy import load_run, store_run
 
 
 @dataclass
@@ -156,25 +157,6 @@ class MultiVLIWMemory:
     def invalidate_l0(self, cycle: int) -> None:
         return None
 
-    # ------------------------------------------------------------------
-    # Fast-path hooks (see UnifiedMemory for the contract)
-    # ------------------------------------------------------------------
-
-    def load_run(self, clusters, addrs, widths, hints_list, cycles) -> list[int]:
-        load = self.load
-        return [
-            load(clusters[k], addrs[k], widths[k], hints_list[k], cycles[k])
-            for k in range(len(addrs))
-        ]
-
-    def store_run(self, clusters, addrs, widths, hints_list, cycles, primaries) -> None:
-        store = self.store
-        for k in range(len(addrs)):
-            store(
-                clusters[k],
-                addrs[k],
-                widths[k],
-                hints_list[k],
-                cycles[k],
-                is_primary=primaries[k],
-            )
+    # perfbench-only entry points, defined once in hierarchy.py.
+    load_run = load_run
+    store_run = store_run

@@ -81,13 +81,6 @@ class SimOptions:
     def __post_init__(self) -> None:
         if self.sim_cap < 1:
             raise ValueError(f"sim_cap must be >= 1, got {self.sim_cap}")
-        # Normalise the two spellings of the scheduler knob: a
-        # ``scheduler`` entry in ``compile_kwargs`` is hoisted into the
-        # field (winning over it), so equivalent runs share one
-        # content-addressed result-cache key however they were built.
-        if "scheduler" in self.compile_kwargs:
-            self.compile_kwargs = dict(self.compile_kwargs)
-            self.scheduler = self.compile_kwargs.pop("scheduler")
         # Fail closed: an unknown scheduler or compile knob, or a value
         # CompileOptions rejects, raises here rather than at the first
         # compile (possibly inside a fleet worker) after being hashed
@@ -167,6 +160,8 @@ def run_loop(
     the L0 architecture.  Returns the aggregated result and the advanced
     memory clock.
     """
+    if invocations < 1:
+        raise ValueError(f"invocations must be >= 1, got {invocations}")
     options = options or SimOptions()
     executor = TraceExecutor(compiled, memory, layout)
     trip = compiled.loop.trip_count

@@ -25,10 +25,10 @@ This module exploits that two ways, producing byte-identical results:
 
 2. **Affine address streams** — strided patterns export
    ``(base, offset, stride, n_elems, elem_size)``
-   (:meth:`AccessPattern.affine`), so per-access addresses are one
-   inline expression; statically stall-free runs of same-kind memory
-   events are issued through the memory models' ``load_run`` /
-   ``store_run`` batch entry points.
+   (:meth:`AccessPattern.affine`) and random ones inline the seeded
+   hash, so per-access addresses are one inline expression.  Every
+   memory event is one ``load``/``store``/``prefetch`` call, exactly as
+   in the reference interpreter.
 
 ``run_loop`` always drives a :class:`TraceExecutor`.  The reference
 interpreter stays as the oracle the differential tests compare it
@@ -37,7 +37,6 @@ against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -49,10 +48,6 @@ from .stats import LoopRunResult
 
 #: Event kinds in trace tuples.
 EV_LOAD, EV_STORE, EV_PREFETCH, EV_CHECK = 0, 1, 2, 3
-
-#: Largest input period (iterations) whose batch addresses are memoised
-#: per phase; longer periods recompute each window's addresses.
-ADDR_MEMO_PERIOD_CAP = 2048
 
 
 @dataclass
@@ -88,11 +83,6 @@ class StaticTrace:
     stage_max: int
     history_window: int
     ring_slots: dict  # producer-load uid -> ring slot
-    #: lcm of the access streams' input periods: every window's batch
-    #: addresses repeat with this period, which is what lets the batch
-    #: runs memoise them per phase.  None when any stream is non-affine
-    #: (random); addresses are then recomputed every window.
-    input_period: int | None
 
 
 def _load_dep_table(compiled: CompiledLoop) -> dict[int, tuple]:
@@ -213,16 +203,6 @@ def _build_static_trace(compiled: CompiledLoop) -> StaticTrace:
     events = [events[k] for k in order]
 
     stages = [e.stage for e in events]
-    period: int | None = 1
-    for e in events:
-        if e.pattern is None:
-            continue
-        p = e.pattern.input_period
-        if p is None:
-            period = None
-            break
-        period = period * p // math.gcd(period, p)
-
     return StaticTrace(
         ii=ii,
         span=schedule.span,
@@ -231,29 +211,15 @@ def _build_static_trace(compiled: CompiledLoop) -> StaticTrace:
         stage_max=max(stages) if stages else 0,
         history_window=history_window,
         ring_slots=ring_slots,
-        input_period=period,
     )
-
-
-def _batch_addrs(params, q: int) -> list:
-    """Addresses of one batch run in window ``q`` (closed form)."""
-    return [
-        base
-        + (
-            ((off0 + (q - stage) * strd) % nelems)
-            if strd is not None
-            else _splitmix64(seedk + q - stage) % nelems
-        )
-        * esize
-        for (stage, base, off0, strd, nelems, esize, seedk) in params
-    ]
 
 
 class TraceExecutor:
     """Fast-path executor: byte-identical to the reference interpreter.
 
     Binds a :class:`StaticTrace` to one (memory, layout) pair; the
-    per-run inner loop walks precompiled window plans instead of a heap.
+    per-run inner loop walks the precompiled window events instead of a
+    heap.
     """
 
     def __init__(self, compiled: CompiledLoop, memory, layout: MemoryLayout) -> None:
@@ -269,7 +235,7 @@ class TraceExecutor:
         self._bind()
 
     # ------------------------------------------------------------------
-    # Binding: resolve addresses against the layout, plan the windows
+    # Binding: resolve addresses against the layout
     # ------------------------------------------------------------------
 
     def _bind(self) -> None:
@@ -319,93 +285,6 @@ class TraceExecutor:
                 )
             )
         self._events = events
-        cache_period = (
-            st.input_period
-            if st.input_period is not None and st.input_period <= ADDR_MEMO_PERIOD_CAP
-            else None
-        )
-        self._segments = self._plan_segments(events, cache_period)
-
-    @staticmethod
-    def _batch_meta(evs, cache_period) -> tuple:
-        """Precomputed per-segment statics: everything about a batch run
-        that does not depend on the window or the stall offset.
-
-        Addresses are a pure function of the window with period equal to
-        the streams' input period, so each segment carries a per-phase
-        address cache when that period is small enough to memoise.
-        """
-        rows = tuple(ev[2] for ev in evs)
-        clusters = [ev[4] for ev in evs]
-        widths = [ev[12] for ev in evs]
-        hints_list = [ev[5] for ev in evs]
-        slots = tuple(ev[7] for ev in evs)
-        lats = tuple(ev[6] for ev in evs)
-        extras = [ev[14] for ev in evs]
-        # Prefetch lookahead folds into the stage: iteration (q - stage)
-        # + distance == q - (stage - distance).
-        params = tuple(
-            (
-                ev[1] - (ev[14] if ev[0] == EV_PREFETCH else 0),
-                ev[8],
-                ev[9],
-                ev[10],
-                ev[11],
-                ev[12],
-                ev[13],
-            )
-            for ev in evs
-        )
-        cache = [None] * cache_period if cache_period is not None else None
-        return (
-            rows,
-            clusters,
-            widths,
-            hints_list,
-            slots,
-            lats,
-            extras,
-            params,
-            cache,
-            cache_period,
-        )
-
-    @classmethod
-    def _plan_segments(cls, events, cache_period) -> list:
-        """Split the steady window into scalar stretches and batch runs.
-
-        A *run* is a maximal stretch of consecutive, dependence-free,
-        same-kind memory events: no event in it can change the stall
-        offset, so every address and issue cycle is known up front and
-        the whole run goes through one ``load_run``/``store_run`` call.
-        """
-        segments: list = []
-        scalar: list = []
-        k = 0
-        n = len(events)
-        while k < n:
-            ev = events[k]
-            kind = ev[0]
-            if kind == EV_CHECK or ev[3]:
-                scalar.append(ev)
-                k += 1
-                continue
-            j = k
-            while j < n and events[j][0] == kind and not events[j][3]:
-                j += 1
-            if j - k < 3:
-                scalar.extend(events[k:j])
-                k = j
-                continue
-            if scalar:
-                segments.append((0, tuple(scalar), None))
-                scalar = []
-            run = tuple(events[k:j])
-            segments.append((kind + 1, run, cls._batch_meta(run, cache_period)))
-            k = j
-        if scalar:
-            segments.append((0, tuple(scalar), None))
-        return segments
 
     # ------------------------------------------------------------------
     # Execution
@@ -435,137 +314,80 @@ class TraceExecutor:
         mem_store = mem.store
         mem_prefetch = mem.prefetch
 
-        if events:
-            stage_min, stage_max = self.static.stage_min, self.static.stage_max
-            q_last = n - 1 + stage_max
-            steady_lo, steady_hi = stage_max, n - 1 + stage_min
-        else:
-            q_last = -1
-            steady_lo, steady_hi = 0, -1
+        # Window q holds stage s of iteration q - s; every stage is live
+        # in the steady windows [stage_max, n - 1 + stage_min].
+        stage_min, stage_max = self.static.stage_min, self.static.stage_max
+        steady_lo, steady_hi = stage_max, n - 1 + stage_min
 
-        for q in range(q_last + 1):
+        for q in range(n + stage_max):
             if steady_lo <= q <= steady_hi:
-                plan = self._segments
+                window = events
             else:
-                plan = (
-                    (0, tuple(e for e in events if 0 <= q - e[1] < n), None),
-                )
-
+                window = [e for e in events if 0 <= q - e[1] < n]
             qii = q * ii + start_cycle
-            for mode, evs, meta in plan:
-                if mode == 0:
-                    for ev in evs:
-                        (
-                            kind,
-                            stage,
-                            row,
-                            deps,
-                            cluster,
-                            hints,
-                            lat,
-                            slot,
-                            base,
-                            off0,
-                            strd,
-                            nelems,
-                            esize,
-                            seedk,
-                            extra,
-                        ) = ev
-                        i = q - stage
-                        t_eff = qii + row + stall
-                        for src_slot, dist, comm_start in deps:
-                            j = i - dist
-                            if j < 0:
-                                continue
-                            rs = j % W
-                            if ring_iter[src_slot][rs] != j:
-                                continue
-                            r = ring_val[src_slot][rs]
-                            if comm_start is not None:
-                                ce = comm_start + j * ii + stall + start_cycle
-                                if ce > r:
-                                    r = ce
-                                r += bus_latency
-                            if r > t_eff:
-                                delta = r - t_eff
-                                stall += delta
-                                history[i] += delta
-                                t_eff = r
-                        if kind == EV_LOAD:
-                            if strd is not None:
-                                addr = base + ((off0 + i * strd) % nelems) * esize
-                            else:
-                                addr = base + (_splitmix64(seedk + i) % nelems) * esize
-                            done = mem_load(cluster, addr, esize, hints, t_eff)
-                            if slot >= 0:
-                                rs = i % W
-                                ring_iter[slot][rs] = i
-                                ring_val[slot][rs] = done
-                            if done > t_eff + lat:
-                                late += 1
-                        elif kind == EV_STORE:
-                            if strd is not None:
-                                addr = base + ((off0 + i * strd) % nelems) * esize
-                            else:
-                                addr = base + (_splitmix64(seedk + i) % nelems) * esize
-                            mem_store(
-                                cluster, addr, esize, hints, t_eff, is_primary=extra
-                            )
-                        elif kind == EV_PREFETCH:
-                            ip = i + extra
-                            if strd is not None:
-                                addr = base + ((off0 + ip * strd) % nelems) * esize
-                            else:
-                                addr = base + (_splitmix64(seedk + ip) % nelems) * esize
-                            mem_prefetch(cluster, addr, esize, t_eff)
-                        # EV_CHECK: dependence check was the whole effect.
-                    continue
-
-                # Batch run: dependence-free, so the stall offset is
-                # frozen for the whole run and addresses/cycles are
-                # closed-form (and periodic — served from the per-phase
-                # address cache once every phase has been seen).
-                (
-                    rows,
-                    clusters,
-                    widths,
-                    hints_list,
-                    slots,
-                    lats,
-                    extras,
-                    params,
-                    cache,
-                    cache_period,
-                ) = meta
-                if cache is not None:
-                    ph = q % cache_period
-                    addrs = cache[ph]
-                    if addrs is None:
-                        addrs = _batch_addrs(params, q)
-                        cache[ph] = addrs
-                else:
-                    addrs = _batch_addrs(params, q)
-                t0 = qii + stall
-                cycles = [t0 + r for r in rows]
-                if mode == 1:  # loads
-                    dones = mem.load_run(clusters, addrs, widths, hints_list, cycles)
-                    for k, done in enumerate(dones):
-                        slot = slots[k]
-                        if slot >= 0:
-                            i = q - evs[k][1]
-                            rs = i % W
-                            ring_iter[slot][rs] = i
-                            ring_val[slot][rs] = done
-                        if done > cycles[k] + lats[k]:
-                            late += 1
-                elif mode == 2:  # stores
-                    mem.store_run(
-                        clusters, addrs, widths, hints_list, cycles, extras
-                    )
-                else:  # mode == 3, prefetches
-                    for k, addr in enumerate(addrs):
-                        mem_prefetch(clusters[k], addr, widths[k], cycles[k])
+            for (
+                kind,
+                stage,
+                row,
+                deps,
+                cluster,
+                hints,
+                lat,
+                slot,
+                base,
+                off0,
+                strd,
+                nelems,
+                esize,
+                seedk,
+                extra,
+            ) in window:
+                i = q - stage
+                t_eff = qii + row + stall
+                for src_slot, dist, comm_start in deps:
+                    j = i - dist
+                    if j < 0:
+                        continue
+                    rs = j % W
+                    if ring_iter[src_slot][rs] != j:
+                        continue
+                    r = ring_val[src_slot][rs]
+                    if comm_start is not None:
+                        ce = comm_start + j * ii + stall + start_cycle
+                        if ce > r:
+                            r = ce
+                        r += bus_latency
+                    if r > t_eff:
+                        delta = r - t_eff
+                        stall += delta
+                        history[i] += delta
+                        t_eff = r
+                if kind == EV_LOAD:
+                    if strd is not None:
+                        addr = base + ((off0 + i * strd) % nelems) * esize
+                    else:
+                        addr = base + (_splitmix64(seedk + i) % nelems) * esize
+                    done = mem_load(cluster, addr, esize, hints, t_eff)
+                    if slot >= 0:
+                        rs = i % W
+                        ring_iter[slot][rs] = i
+                        ring_val[slot][rs] = done
+                    if done > t_eff + lat:
+                        late += 1
+                elif kind == EV_STORE:
+                    if strd is not None:
+                        addr = base + ((off0 + i * strd) % nelems) * esize
+                    else:
+                        addr = base + (_splitmix64(seedk + i) % nelems) * esize
+                    mem_store(cluster, addr, esize, hints, t_eff, is_primary=extra)
+                elif kind == EV_PREFETCH:
+                    ip = i + extra
+                    if strd is not None:
+                        addr = base + ((off0 + ip * strd) % nelems) * esize
+                    else:
+                        addr = base + (_splitmix64(seedk + ip) % nelems) * esize
+                    mem_prefetch(cluster, addr, esize, t_eff)
+                # EV_CHECK: dependence check was the whole effect.
 
         compute = (n - 1) * ii + self.static.span
         self._last_stall_by_iteration = history

@@ -41,6 +41,13 @@ class LoopSpec:
     loop: Loop
     invocations: int = 1
 
+    def __post_init__(self) -> None:
+        if self.invocations < 1:
+            raise ValueError(
+                f"loop {self.loop.name!r}: invocations must be >= 1, "
+                f"got {self.invocations}"
+            )
+
 
 @dataclass(frozen=True)
 class Benchmark:

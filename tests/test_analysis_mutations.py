@@ -256,21 +256,6 @@ def test_a013_shrunk_history_window():
     assert "A013" in codes(compiled)
 
 
-def test_a013_forged_convergence_period():
-    compiled = _fresh()
-    trace = compiled.static_trace
-    assert trace.input_period is not None
-    trace.input_period = trace.input_period * 2 + 1  # not a multiple
-    assert "A013" in codes(compiled)
-
-
-def test_trace_period_multiple_is_accepted():
-    compiled = _fresh()
-    trace = compiled.static_trace
-    trace.input_period = trace.input_period * 3  # sound over-approximation
-    assert certify_compiled(compiled) == []
-
-
 # ----------------------------------------------------------------------
 # Property: certifier-pass => clean reference simulation
 # ----------------------------------------------------------------------

@@ -73,3 +73,53 @@ def test_compile_steps_reach_their_layers(monkeypatch):
     }
     outer_calls = {layer: rec.totals.get(layer, [0])[0] for layer in expected}
     assert outer_calls == expected
+
+
+def test_simulation_reaches_every_memory_layer(monkeypatch):
+    """A small loop on each memory model, run by each executor under the
+    installed wrappers: both executors make the same outer calls on the
+    model's ``memory.<model>`` layer, and ``sim.run`` records one span
+    per ``TraceExecutor.run``."""
+    from repro.isa import MemoryLayout
+    from repro.machine import (
+        interleaved_config,
+        l0_config,
+        multivliw_config,
+        unified_config,
+    )
+    from repro.scheduler import compile_loop
+    from repro.sim import LoopExecutor, TraceExecutor, make_memory
+    from repro.workloads.kernels import make_saxpy
+
+    monkeypatch.setattr(layers, "_WORKER_RECORDER", layers._WORKER_RECORDER)
+    machines = (
+        ("memory.unified", unified_config()),
+        ("memory.unified", l0_config(8)),
+        ("memory.multivliw", multivliw_config()),
+        ("memory.interleaved", interleaved_config()),
+    )
+    runs = 2
+    for layer, config in machines:
+        label = config.arch.value
+        compiled = compile_loop(make_saxpy(trip=48, n=128), config)
+        outer_calls = {}
+        for executor_cls in (LoopExecutor, TraceExecutor):
+            rec = layers.Recorder()
+            undo = layers.install(rec, layers.Recorder())
+            try:
+                memory = make_memory(config)
+                executor = executor_cls(
+                    compiled, memory, MemoryLayout(align=config.l1_block)
+                )
+                clock = 0
+                for _ in range(runs):
+                    clock += executor.run(48, start_cycle=clock).total_cycles
+            finally:
+                layers.uninstall(undo)
+            outer_calls[executor_cls] = rec.totals.get(layer, [0])[0]
+            sim_spans = [span for span in rec.spans if span[2] == "sim.run"]
+            expected_runs = runs if executor_cls is TraceExecutor else 0
+            assert len(sim_spans) == expected_runs, (label, executor_cls)
+            assert rec.totals.get("sim.run", [0])[0] == expected_runs
+        assert outer_calls[TraceExecutor] > 0, label
+        assert outer_calls[LoopExecutor] == outer_calls[TraceExecutor], label

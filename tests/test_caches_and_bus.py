@@ -88,9 +88,3 @@ class TestClusterBus:
             bus.grant(cycle)
         # Old entries pruned; recent occupancy still visible.
         assert not bus.is_free(1005)
-
-    def test_reset(self):
-        bus = ClusterBus()
-        bus.grant(1)
-        bus.reset()
-        assert bus.is_free(1)

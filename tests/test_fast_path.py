@@ -2,7 +2,9 @@
 
 Every test here asserts *byte-identity*: same ``LoopRunResult`` cycle
 counts, same per-iteration stall history, same memory-statistics record
-(nested dataclass equality covers every counter) — over the kernel zoo,
+(nested dataclass equality covers every counter) and, in the
+call-sequence tests, the same memory-model calls with the same
+arguments in the same order — over the kernel zoo,
 the four memory models, both scheduler backends, and long runs that walk
 their arrays many times.  The fast lane runs a representative subset;
 the ``slow``-marked matrix is exhaustive.
@@ -11,7 +13,6 @@ the ``slow``-marked matrix is exhaustive.
 from __future__ import annotations
 
 import copy
-import math
 import pickle
 
 import pytest
@@ -35,7 +36,6 @@ from repro.sim import (
     make_memory,
     run_loop,
     run_program,
-    static_trace,
 )
 from repro.workloads import build, kernels
 
@@ -123,6 +123,84 @@ def test_fast_path_short_runs_cover_prologue_epilogue():
 
 
 # ----------------------------------------------------------------------
+# Memory-call sequence: the same calls, in order, at the same cycles
+# ----------------------------------------------------------------------
+
+
+class RecordingMemory:
+    """Forwards to a memory model and logs each call the simulator can
+    make of it as ``(name, args, kwargs, result)``, in call order."""
+
+    RECORDED = frozenset(
+        ("load", "store", "prefetch", "invalidate_l0", "load_run", "store_run")
+    )
+
+    def __init__(self, memory) -> None:
+        self.memory = memory
+        self.calls: list[tuple] = []
+
+    def __getattr__(self, name):
+        target = getattr(self.memory, name)
+        if name not in self.RECORDED:
+            return target
+
+        def record(*args, **kwargs):
+            result = target(*args, **kwargs)
+            self.calls.append((name, args, kwargs, result))
+            return result
+
+        return record
+
+
+def _memory_calls(executor, compiled, iterations, monkeypatch) -> list[tuple]:
+    """The memory calls of a two-invocation ``run_loop`` (cold run, L0
+    flush, warm run at a later clock) driven by ``executor``."""
+    config = compiled.schedule.config
+    memory = RecordingMemory(make_memory(config))
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.sim.runner.TraceExecutor", executor)
+        run_loop(
+            compiled,
+            memory,
+            MemoryLayout(align=config.l1_block),
+            invocations=2,
+            options=SimOptions(sim_cap=iterations),
+        )
+    return memory.calls
+
+
+def assert_same_memory_calls(loop, config, monkeypatch, iterations=None):
+    compiled = compile_loop(copy.deepcopy(loop), config)
+    n = iterations or compiled.loop.trip_count
+    ref = _memory_calls(LoopExecutor, compiled, n, monkeypatch)
+    fast = _memory_calls(TraceExecutor, compiled, n, monkeypatch)
+    assert ref
+    if fast != ref:
+        k = next(
+            (k for k, (a, b) in enumerate(zip(ref, fast)) if a != b),
+            min(len(ref), len(fast)),
+        )
+        pytest.fail(
+            f"{loop.name} on {config.arch.value}: call {k} differs: "
+            f"reference {ref[k:k + 1]}, trace {fast[k:k + 1]} "
+            f"({len(ref)} vs {len(fast)} calls)"
+        )
+
+
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+@pytest.mark.parametrize("kernel", ["saxpy", "dpcm", "table_mix"])
+def test_same_memory_calls(kernel, config_name, monkeypatch):
+    assert_same_memory_calls(ZOO[kernel](), CONFIGS[config_name](), monkeypatch)
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 3, 7])
+def test_same_memory_calls_short_runs(iterations, monkeypatch):
+    assert_same_memory_calls(
+        kernels.make_saxpy(trip=64, n=256), l0_config(8), monkeypatch, iterations
+    )
+
+
+# ----------------------------------------------------------------------
 # Long runs: small working sets walked many times over
 # ----------------------------------------------------------------------
 
@@ -145,13 +223,8 @@ def test_long_recurrence_run_matches_reference():
     assert result.iterations == result.simulated_iterations == 2500
 
 
-def test_random_streams_have_no_input_period():
-    """RANDOM patterns have no input period: the trace must record that
-    (batch addresses are then recomputed every window) and a long run
-    must still match the reference."""
-    loop = kernels.table_mix("tm", trip=64, n_stream=256, n_table=64)
-    compiled = compile_loop(loop, unified_config())
-    assert static_trace(compiled).input_period is None
+def test_long_random_stream_run_matches_reference():
+    """RANDOM patterns (the inlined seeded hash) over a long run."""
     assert_identical(
         kernels.table_mix("tm", trip=2000, n_stream=64, n_table=32),
         unified_config(),
@@ -295,20 +368,8 @@ def test_executor_reuses_planned_layout_addresses():
 
 
 # ----------------------------------------------------------------------
-# Affine export + input-period math
+# Affine export
 # ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("stride,n", [(1, 64), (3, 64), (8, 96), (-1, 64), (-6, 40)])
-def test_input_period_matches_brute_force(stride, n):
-    pattern = AccessPattern(ArrayRef("a", n, 4), stride=stride, offset=5)
-    period = pattern.input_period
-    sequence = [pattern.element_index(i) for i in range(3 * period + 4)]
-    assert sequence[:period] == sequence[period : 2 * period]
-    # Minimality: no smaller divisor period reproduces the stream.
-    for cand in range(1, period):
-        if period % cand == 0 and sequence[:cand] == sequence[cand : 2 * cand]:
-            pytest.fail(f"period {period} not minimal (candidate {cand})")
 
 
 def test_affine_matches_address():
@@ -321,7 +382,6 @@ def test_affine_matches_address():
         assert base + ((off0 + i * stride) % n) * esize == pattern.address(i, layout)
     random = AccessPattern(ref, kind=PatternKind.RANDOM, seed=9)
     assert random.affine(layout) is None
-    assert random.input_period is None
 
 
 # ----------------------------------------------------------------------
@@ -371,21 +431,6 @@ def test_static_trace_rides_compile_cache(tmp_path):
     assert pickle.loads(pickle.dumps(compiled)).static_trace.ii == compiled.ii
 
 
-def test_input_period_is_lcm_of_streams():
-    loop = kernels.make_saxpy(trip=64, n=96)
-    trace = static_trace(compile_loop(loop, unified_config()))
-    patterns = [e.pattern for e in trace.events if e.pattern is not None]
-    assert patterns
-    expected = 1
-    for p in patterns:
-        expected = expected * p.input_period // math.gcd(expected, p.input_period)
-    # Periods are in *kernel* iterations (unrolling scales the strides):
-    # n=96 stride-1 unrolled x4 -> stride 4, period 96/gcd(4,96) = 24.
-    assert trace.input_period == expected == 24
-    for p in patterns:
-        assert trace.input_period % p.input_period == 0
-
-
 # ----------------------------------------------------------------------
 # cibench throughput lane
 # ----------------------------------------------------------------------
@@ -427,6 +472,13 @@ def test_sim_bench_record_and_regression_gate(tmp_path):
 @pytest.mark.parametrize("kernel", sorted(ZOO))
 def test_full_matrix_sms(kernel, config_name):
     assert_identical(ZOO[kernel](), CONFIGS[config_name]())
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+@pytest.mark.parametrize("kernel", sorted(ZOO))
+def test_full_matrix_same_memory_calls(kernel, config_name, monkeypatch):
+    assert_same_memory_calls(ZOO[kernel](), CONFIGS[config_name](), monkeypatch)
 
 
 @pytest.mark.slow

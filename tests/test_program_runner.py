@@ -1,5 +1,7 @@
 """Tests for the three-phase program runner and the selective-flush fixes."""
 
+import pytest
+
 from repro.ir import LoopBuilder
 from repro.isa import MemoryLayout
 from repro.machine import l0_config, unified_config
@@ -147,6 +149,29 @@ class TestFlushOverheadAccounting:
         result, _ = run_loop(compiled, memory, layout, invocations=2)
         single = self._single(compiled)
         assert result.compute_cycles == 2 * single
+
+
+class TestInvocationCount:
+    """A loop is entered at least once: a count below one is refused
+    when the spec is built and when ``run_loop`` is called, instead of
+    simulating one invocation and reporting the count."""
+
+    @pytest.mark.parametrize("invocations", [0, -2])
+    def test_loop_spec_rejects_non_positive_invocations(self, invocations):
+        with pytest.raises(ValueError, match="invocations must be >= 1"):
+            LoopSpec(kernels.make_saxpy(trip=64), invocations)
+
+    @pytest.mark.parametrize("invocations", [0, -2])
+    def test_run_loop_rejects_non_positive_invocations(self, invocations):
+        config = l0_config(8)
+        compiled = compile_loop(kernels.make_saxpy(trip=64), config)
+        with pytest.raises(ValueError, match="invocations must be >= 1"):
+            run_loop(
+                compiled,
+                make_memory(config),
+                MemoryLayout(align=config.l1_block),
+                invocations=invocations,
+            )
 
 
 class TestLoopLevelParallelism:
