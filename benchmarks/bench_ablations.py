@@ -7,16 +7,14 @@ from repro.eval import (
 )
 
 
-def test_all_candidates_ablation(benchmark, ctx):
+def test_all_candidates_ablation(ctx):
     """Selective slack-based marking vs marking every candidate (4-entry).
 
     The paper reports marking everything overflows 4-entry buffers
     (+6%); in this reproduction the effect concentrates on the
     multi-stream benchmarks and is roughly cost-neutral elsewhere.
     """
-    rows = benchmark.pedantic(
-        ablation_all_candidates, args=(ctx,), rounds=1, iterations=1
-    )
+    rows = ablation_all_candidates(ctx)
     print()
     print(
         render_ablation(
@@ -30,11 +28,9 @@ def test_all_candidates_ablation(benchmark, ctx):
         assert row["ratio"] > 0.8  # marking everything is never a big win
 
 
-def test_prefetch_distance_ablation(benchmark, ctx):
+def test_prefetch_distance_ablation(ctx):
     """Prefetching two subblocks ahead (paper: epicdec -12%, rasta -4%)."""
-    rows = benchmark.pedantic(
-        ablation_prefetch_distance, args=(ctx,), rounds=1, iterations=1
-    )
+    rows = ablation_prefetch_distance(ctx)
     print()
     print(
         render_ablation(

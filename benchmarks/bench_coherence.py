@@ -37,10 +37,8 @@ def _run(allow_psr: bool, entries: int | None = 8):
     return compiled, result
 
 
-def test_one_cluster_scheme(benchmark):
-    compiled, result = benchmark.pedantic(
-        _run, args=(False,), rounds=1, iterations=1
-    )
+def test_one_cluster_scheme():
+    compiled, _ = _run(False)
     # 1C pins the dependent set to one cluster.
     clusters = {
         op.cluster
@@ -51,10 +49,8 @@ def test_one_cluster_scheme(benchmark):
     assert not compiled.schedule.replicas
 
 
-def test_psr_scheme(benchmark):
-    compiled, result = benchmark.pedantic(
-        _run, args=(True,), rounds=1, iterations=1
-    )
+def test_psr_scheme():
+    compiled, _ = _run(True)
     # PSR replicates the store into the other clusters.
     n = compiled.schedule.config.n_clusters
     stores = [
@@ -65,14 +61,8 @@ def test_psr_scheme(benchmark):
         assert not replica.is_primary
 
 
-def test_nl0_vs_1c_latency_difference(benchmark):
-    def both():
-        one_cluster = _run(False, entries=8)
-        nl0ish = _run(False, entries=1)  # no room: set demoted toward NL0
-        return one_cluster, nl0ish
-
-    (oc_compiled, oc_result), (nl_compiled, nl_result) = benchmark.pedantic(
-        both, rounds=1, iterations=1
-    )
+def test_nl0_vs_1c_latency_difference():
+    oc_compiled, _ = _run(False, entries=8)
+    nl_compiled, _ = _run(False, entries=1)  # no room: set demoted toward NL0
     # With buffers available, the recurrence-bound II is smaller.
     assert oc_compiled.ii <= nl_compiled.ii

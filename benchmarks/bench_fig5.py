@@ -7,11 +7,8 @@ reports a 7% improvement there vs 16% at 8 entries).
 from repro.eval import AMEAN, fig5, render_fig5
 
 
-def test_fig5(benchmark, ctx):
-    series = benchmark.pedantic(
-        fig5, args=(ctx,), kwargs={"sizes": (2, 4, 8, 16, None)},
-        rounds=1, iterations=1,
-    )
+def test_fig5(ctx):
+    series = fig5(ctx, sizes=(2, 4, 8, 16, None))
     print()
     print(render_fig5(series))
 

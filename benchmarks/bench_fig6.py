@@ -3,8 +3,8 @@
 from repro.eval import fig6, render_fig6
 
 
-def test_fig6(benchmark, ctx):
-    rows = benchmark.pedantic(fig6, args=(ctx,), rounds=1, iterations=1)
+def test_fig6(ctx):
+    rows = fig6(ctx)
     print()
     print(render_fig6(rows))
     for row in rows:

@@ -3,8 +3,8 @@
 from repro.eval import AMEAN, fig7, render_fig7
 
 
-def test_fig7(benchmark, ctx):
-    series = benchmark.pedantic(fig7, args=(ctx,), rounds=1, iterations=1)
+def test_fig7(ctx):
+    series = fig7(ctx)
     print()
     print(render_fig7(series))
 

@@ -3,8 +3,8 @@
 from repro.eval import render_table1, table1
 
 
-def test_table1(benchmark):
-    rows = benchmark(table1)
+def test_table1():
+    rows = table1()
     assert len(rows) == 13
     for row in rows:
         # The synthetic suite tracks the paper's published profile.

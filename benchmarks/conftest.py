@@ -1,16 +1,15 @@
-"""Shared helpers for the benchmark harness.
+"""Shared setup for the paper-shape checks.
 
-Every benchmark regenerates one of the paper's tables/figures (or an
+Every check regenerates one of the paper's tables/figures (or an
 ablation the evaluation text describes) on a reduced but representative
-setup: a subset of the 13 programs and a lower simulation cap, so the
-full `pytest benchmarks/ --benchmark-only` run stays in the minutes
-range.  `python -m repro.eval <experiment>` reproduces the full-size
+setup: a subset of the 13 programs and a lower simulation cap, so
+`pytest benchmarks/` stays in the seconds range and asserts the
+figures' shape, not the program's speed (``perfbench/`` times the
+program).  `python -m repro.eval <experiment>` reproduces the full-size
 versions.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -27,21 +26,8 @@ QUICK_CAP = 400
 
 @pytest.fixture(scope="session")
 def ctx() -> ExperimentContext:
-    """Shared pipeline session for all benchmarks.
-
-    Serial by default so per-benchmark timings stay comparable; set
-    ``REPRO_BENCH_WORKERS`` (e.g. ``-1`` for all cores) to fan the
-    simulation batches out across processes.
-    """
-    raw = os.environ.get("REPRO_BENCH_WORKERS", "").strip()
-    try:
-        workers = int(raw) if raw else None
-    except ValueError:
-        raise pytest.UsageError(
-            f"REPRO_BENCH_WORKERS must be an integer, got {raw!r}"
-        ) from None
+    """One serial pipeline session shared by every check, so configs
+    the figures share are simulated once."""
     return ExperimentContext(
-        options=SimOptions(sim_cap=QUICK_CAP),
-        benchmarks=QUICK_BENCHMARKS,
-        workers=workers,
+        options=SimOptions(sim_cap=QUICK_CAP), benchmarks=QUICK_BENCHMARKS
     )

@@ -109,36 +109,57 @@ class ExperimentContext:
     ) -> RunRequest:
         return self.session.request(bench_name, config, options)
 
-    def prefetch(self, requests) -> None:
-        """Warm the cache for a batch (the parallel fan-out point)."""
-        self.session.run_many(requests)
 
-    def baseline_request(self, bench_name: str) -> RunRequest:
-        return self.request(bench_name, unified_config())
+def _scalar_cycles(bench_name: str, base: ProgramResult) -> float:
+    """Architecture-independent (non-loop) cycles, sized from the baseline."""
+    f = build(bench_name).loop_fraction
+    return base.total_cycles * (1.0 - f) / f
 
-    def baseline(self, bench_name: str) -> ProgramResult:
-        return self.session.run(self.baseline_request(bench_name))
 
-    def scalar_cycles(self, bench_name: str) -> float:
-        """Architecture-independent (non-loop) cycles, from the baseline."""
-        bench = build(bench_name)
-        base = self.baseline(bench_name)
-        f = bench.loop_fraction
-        return base.total_cycles * (1.0 - f) / f
+def _with_baselines(
+    ctx: ExperimentContext, names, requests: list[RunRequest]
+) -> tuple[list[ProgramResult], list[ProgramResult]]:
+    """Each program's baseline result, then the ``requests``' results,
+    from one ``run_many`` batch (the parallel fan-out point)."""
+    results = ctx.session.run_many(
+        [ctx.request(name, unified_config()) for name in names] + requests
+    )
+    return results[: len(names)], results[len(names) :]
 
-    def normalized(
-        self, bench_name: str, label: str, result: ProgramResult
-    ) -> NormalizedTime:
-        base = self.baseline(bench_name)
-        scalar = self.scalar_cycles(bench_name)
-        denom = base.total_cycles + scalar
-        return NormalizedTime(
-            benchmark=bench_name,
-            label=label,
-            total=(result.total_cycles + scalar) / denom,
-            stall=result.stall_cycles / denom,
-            measured=result.measured_fraction,
-        )
+
+def _normalized_series(
+    ctx: ExperimentContext,
+    series: dict[str, tuple[MachineConfig, SimOptions | None]],
+) -> dict[str, list[NormalizedTime]]:
+    """Figure 5/7 bars: each program under each labelled (config,
+    options), normalised to its baseline, plus the AMEAN row."""
+    names = ctx.names()
+    requests = [
+        ctx.request(name, config, options)
+        for config, options in series.values()
+        for name in names
+    ]
+    bases, results = _with_baselines(ctx, names, requests)
+    scalars = [_scalar_cycles(name, base) for name, base in zip(names, bases)]
+    n = len(names)
+    out: dict[str, list[NormalizedTime]] = {}
+    for k, label in enumerate(series):
+        rows: list[NormalizedTime] = []
+        row_results = results[k * n : (k + 1) * n]
+        for name, base, scalar, result in zip(names, bases, scalars, row_results):
+            denom = base.total_cycles + scalar
+            rows.append(
+                NormalizedTime(
+                    benchmark=name,
+                    label=label,
+                    total=(result.total_cycles + scalar) / denom,
+                    stall=result.stall_cycles / denom,
+                    measured=result.measured_fraction,
+                )
+            )
+        rows.append(_amean(rows, label))
+        out[label] = rows
+    return out
 
 
 def _amean(rows: list[NormalizedTime], label: str) -> NormalizedTime:
@@ -228,32 +249,17 @@ def table2() -> list[tuple[str, str]]:
 FIG5_SIZES: tuple[int | None, ...] = (4, 8, 16, None)
 
 
+def _size_label(entries: int | None) -> str:
+    return f"{entries} entries" if entries is not None else "unbounded"
+
+
 def fig5(
     ctx: ExperimentContext, sizes: tuple[int | None, ...] = FIG5_SIZES
 ) -> dict[str, list[NormalizedTime]]:
     """Normalized execution time for each L0 size (None = unbounded)."""
-    # One request list drives both the warm-up prefetch and the row
-    # assembly below, so a new row can never drift out of the parallel
-    # batch (a second, hand-maintained list silently de-parallelises).
-    requests = {
-        (name, entries): ctx.request(name, l0_config(entries))
-        for entries in sizes
-        for name in ctx.names()
-    }
-    ctx.prefetch(
-        [ctx.baseline_request(name) for name in ctx.names()]
-        + list(requests.values())
+    return _normalized_series(
+        ctx, {_size_label(entries): (l0_config(entries), None) for entries in sizes}
     )
-    series: dict[str, list[NormalizedTime]] = {}
-    for entries in sizes:
-        label = f"{entries} entries" if entries is not None else "unbounded"
-        rows: list[NormalizedTime] = []
-        for name in ctx.names():
-            result = ctx.session.run(requests[(name, entries)])
-            rows.append(ctx.normalized(name, label, result))
-        rows.append(_amean(rows, label))
-        series[label] = rows
-    return series
 
 
 # ----------------------------------------------------------------------
@@ -262,11 +268,10 @@ def fig5(
 
 
 def fig6(ctx: ExperimentContext) -> list[dict]:
-    requests = {name: ctx.request(name, l0_config(8)) for name in ctx.names()}
-    ctx.prefetch(list(requests.values()))
+    names = ctx.names()
+    results = ctx.session.run_many([ctx.request(name, l0_config(8)) for name in names])
     rows: list[dict] = []
-    for name in ctx.names():
-        result = ctx.session.run(requests[name])
+    for name, result in zip(names, results):
         stats = result.memory_stats
         fills = stats.l0.linear_fills + stats.l0.interleaved_fills
         rows.append(
@@ -289,35 +294,53 @@ def fig6(ctx: ExperimentContext) -> list[dict]:
 
 
 def fig7(ctx: ExperimentContext) -> dict[str, list[NormalizedTime]]:
-    configs = {
-        "8-entry L0 buffers": (l0_config(8), {}),
-        "MultiVLIW": (multivliw_config(), {}),
-        "Interleaved 1": (interleaved_config(), {"interleaved_heuristic": 1}),
-        "Interleaved 2": (interleaved_config(), {"interleaved_heuristic": 2}),
-    }
-    requests = {
-        (label, name): ctx.request(name, config, ctx.options_with(**compile_kwargs))
-        for label, (config, compile_kwargs) in configs.items()
-        for name in ctx.names()
-    }
-    ctx.prefetch(
-        [ctx.baseline_request(name) for name in ctx.names()]
-        + list(requests.values())
+    interleaved = interleaved_config()
+    return _normalized_series(
+        ctx,
+        {
+            "8-entry L0 buffers": (l0_config(8), None),
+            "MultiVLIW": (multivliw_config(), None),
+            "Interleaved 1": (interleaved, ctx.options_with(interleaved_heuristic=1)),
+            "Interleaved 2": (interleaved, ctx.options_with(interleaved_heuristic=2)),
+        },
     )
-    series: dict[str, list[NormalizedTime]] = {}
-    for label in configs:
-        rows: list[NormalizedTime] = []
-        for name in ctx.names():
-            result = ctx.session.run(requests[(label, name)])
-            rows.append(ctx.normalized(name, label, result))
-        rows.append(_amean(rows, label))
-        series[label] = rows
-    return series
 
 
 # ----------------------------------------------------------------------
 # Section 5.2 text experiments (ablations)
 # ----------------------------------------------------------------------
+
+
+def _ablation(
+    ctx: ExperimentContext,
+    names,
+    config: MachineConfig,
+    options: SimOptions,
+    columns: tuple[str, str],
+) -> list[dict]:
+    """Each program's cycles on ``config`` under the context's options
+    and under ``options`` (scalar residue included), and their ratio."""
+    n = len(names)
+    bases, results = _with_baselines(
+        ctx,
+        names,
+        [ctx.request(name, config) for name in names]
+        + [ctx.request(name, config, options) for name in names],
+    )
+    rows: list[dict] = []
+    for name, base, plain, varied in zip(names, bases, results[:n], results[n:]):
+        scalar = _scalar_cycles(name, base)
+        plain_cycles = plain.total_cycles + scalar
+        varied_cycles = varied.total_cycles + scalar
+        rows.append(
+            {
+                "benchmark": name,
+                columns[0]: plain_cycles,
+                columns[1]: varied_cycles,
+                "ratio": varied_cycles / plain_cycles,
+            }
+        )
+    return rows
 
 
 def ablation_all_candidates(ctx: ExperimentContext, entries: int = 4) -> list[dict]:
@@ -326,33 +349,13 @@ def ablation_all_candidates(ctx: ExperimentContext, entries: int = 4) -> list[di
     The paper: with 4-entry buffers, marking every candidate overflows
     the buffers and costs ~6% over the selective policy.
     """
-    options = ctx.options_with(all_candidates=True)
-    selective_requests = {
-        name: ctx.request(name, l0_config(entries)) for name in ctx.names()
-    }
-    greedy_requests = {
-        name: ctx.request(name, l0_config(entries), options) for name in ctx.names()
-    }
-    ctx.prefetch(
-        [ctx.baseline_request(name) for name in ctx.names()]
-        + list(selective_requests.values())
-        + list(greedy_requests.values())
+    return _ablation(
+        ctx,
+        ctx.names(),
+        l0_config(entries),
+        ctx.options_with(all_candidates=True),
+        ("selective", "all_candidates"),
     )
-    rows: list[dict] = []
-    for name in ctx.names():
-        selective = ctx.session.run(selective_requests[name])
-        greedy = ctx.session.run(greedy_requests[name])
-        scalar = ctx.scalar_cycles(name)
-        rows.append(
-            {
-                "benchmark": name,
-                "selective": selective.total_cycles + scalar,
-                "all_candidates": greedy.total_cycles + scalar,
-                "ratio": (greedy.total_cycles + scalar)
-                / (selective.total_cycles + scalar),
-            }
-        )
-    return rows
 
 
 # ----------------------------------------------------------------------
@@ -423,7 +426,7 @@ def scheduler_comparison(
         bench = build(name)
         for spec in bench.loops:
             for entries in sizes:
-                label = f"{entries} entries" if entries is not None else "unbounded"
+                label = _size_label(entries)
                 jobs.append(
                     (name, spec.loop, label, l0_config(entries), options, cache_dir)
                 )
@@ -440,24 +443,4 @@ def ablation_prefetch_distance(
         for name in names
         if ctx.benchmarks is None or name in ctx.benchmarks
     ]
-    near_requests = {name: ctx.request(name, l0_config(8)) for name in chosen}
-    far_requests = {name: ctx.request(name, l0_config(8), options) for name in chosen}
-    ctx.prefetch(
-        [ctx.baseline_request(name) for name in chosen]
-        + list(near_requests.values())
-        + list(far_requests.values())
-    )
-    rows: list[dict] = []
-    for name in chosen:
-        near = ctx.session.run(near_requests[name])
-        far = ctx.session.run(far_requests[name])
-        scalar = ctx.scalar_cycles(name)
-        rows.append(
-            {
-                "benchmark": name,
-                "distance_1": near.total_cycles + scalar,
-                "distance_2": far.total_cycles + scalar,
-                "ratio": (far.total_cycles + scalar) / (near.total_cycles + scalar),
-            }
-        )
-    return rows
+    return _ablation(ctx, chosen, l0_config(8), options, ("distance_1", "distance_2"))

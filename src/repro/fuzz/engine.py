@@ -18,8 +18,6 @@ invalidates everything it could have affected.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -30,7 +28,7 @@ from ..machine import (
     multivliw_config,
     unified_config,
 )
-from ..pipeline.cache import KeyedCache, _canonical, code_fingerprint
+from ..pipeline.cache import KeyedCache, _canonical, content_key
 from ..pipeline.executor import make_executor
 from .checks import CheckSkipped, FuzzOptions, run_check
 from .corpus import resolve_kernel
@@ -60,15 +58,14 @@ def job_store_key(
     and an identical committed repro share one entry), the canonical
     config, the check set, the check options and the code fingerprint.
     """
-    payload = {
-        "checks": sorted(checks),
-        "code": code_fingerprint(),
-        "config": _canonical(config),
-        "kernel": kernel_fingerprint,
-        "options": options.to_json(),
-    }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return content_key(
+        {
+            "checks": sorted(checks),
+            "config": _canonical(config),
+            "kernel": kernel_fingerprint,
+            "options": options.to_json(),
+        }
+    )
 
 
 @dataclass(frozen=True)

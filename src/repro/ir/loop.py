@@ -38,6 +38,11 @@ class Loop:
     unroll_factor: int = 1
 
     def __post_init__(self) -> None:
+        if type(self.trip_count) is not int:
+            raise TypeError(
+                f"loop {self.name!r}: trip_count must be an int, "
+                f"got {self.trip_count!r}"
+            )
         if self.trip_count < 1:
             raise ValueError(f"loop {self.name!r}: trip_count must be >= 1")
         seen: set[int] = set()

@@ -35,7 +35,6 @@ from .cache import (
 from .compilecache import (
     compile_cached,
     compile_key,
-    drop_compile_cache,
     get_compile_cache,
     loop_fingerprint,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "describe_config",
     "describe_options",
     "describe_request",
-    "drop_compile_cache",
     "execute_request",
     "get_compile_cache",
     "loop_fingerprint",

@@ -79,16 +79,27 @@ def code_fingerprint() -> str:
     return digest.hexdigest()[:16]
 
 
-def cache_key(benchmark: str, config: MachineConfig, options: SimOptions) -> str:
-    """Content hash identifying one (benchmark, config, options) run."""
-    payload = {
-        "benchmark": benchmark,
-        "code": code_fingerprint(),
-        "config": _canonical(config),
-        "options": _canonical(options),
-    }
+def content_key(payload: dict) -> str:
+    """SHA-256 of ``payload`` plus :func:`code_fingerprint`, as canonical JSON.
+
+    The one key recipe: results, compile artifacts and fuzz jobs each
+    pass their own JSON-able payload, and the mixed-in fingerprint means
+    only the code that wrote an entry ever looks it up.
+    """
+    payload = {**payload, "code": code_fingerprint()}
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def cache_key(benchmark: str, config: MachineConfig, options: SimOptions) -> str:
+    """Content hash identifying one (benchmark, config, options) run."""
+    return content_key(
+        {
+            "benchmark": benchmark,
+            "config": _canonical(config),
+            "options": _canonical(options),
+        }
+    )
 
 
 def _non_defaults(value, *, skip=(), structured=lambda v: "non-default") -> dict:

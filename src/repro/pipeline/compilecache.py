@@ -39,13 +39,11 @@ and misses so tests can assert "a repeated sweep recompiles nothing".
 
 from __future__ import annotations
 
-import hashlib
-import json
 from pathlib import Path
 
 from ..ir.loop import Loop
 from ..machine.config import MachineConfig
-from .cache import KeyedCache, _canonical, code_fingerprint
+from .cache import KeyedCache, _canonical, content_key
 from .passes import CompileOptions, compile_uncached
 
 
@@ -54,16 +52,10 @@ def loop_fingerprint(loop: Loop) -> dict:
     return _canonical(loop)
 
 
-def _digest(payload: dict) -> str:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def compile_key(loop: Loop, config: MachineConfig, options: CompileOptions) -> str:
     """Content hash identifying one full compilation."""
-    return _digest(
+    return content_key(
         {
-            "code": code_fingerprint(),
             "loop": loop_fingerprint(loop),
             "config": _canonical(config),
             "options": _canonical(options),
@@ -132,13 +124,3 @@ def get_compile_cache(path: str | Path | None = None) -> KeyedCache:
         cache = KeyedCache(path)
         _CACHES[key] = cache
     return cache
-
-
-def drop_compile_cache(path: str | Path | None = None) -> None:
-    """Forget the process-wide instance for ``path``.
-
-    The next :func:`get_compile_cache` starts with empty memory, so a
-    warm consumer genuinely re-reads the disk store — what the cibench
-    perf lane needs to measure cross-process warm starts in-process.
-    """
-    _CACHES.pop(str(path) if path is not None else None, None)

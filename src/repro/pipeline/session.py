@@ -25,7 +25,7 @@ from ..machine.config import MachineConfig
 from ..sim.runner import SimOptions
 from ..sim.stats import ProgramResult
 from .cache import KeyedCache
-from .executor import RunRequest, execute_request, make_executor
+from .executor import RunRequest, make_executor
 
 
 class Session:
@@ -58,16 +58,7 @@ class Session:
         return RunRequest(benchmark, config, options or self.options)
 
     def run(self, request: RunRequest) -> ProgramResult:
-        key = request.key
-        result = self.cache.get(key)
-        if result is None:
-            result = execute_request(request)
-            self.simulations += 1
-            self.cache.put(key, result)
-        elif key not in self._seen:
-            self.cache_hits += 1
-        self._seen.add(key)
-        return result
+        return self.run_many([request])[0]
 
     def run_many(self, requests: Iterable[RunRequest]) -> list[ProgramResult]:
         """Serve a batch, simulating only the distinct uncached requests."""

@@ -79,6 +79,8 @@ class SimOptions:
     compile_cache_dir: str | None = field(default=None, metadata={"no_cache_key": True})
 
     def __post_init__(self) -> None:
+        if type(self.sim_cap) is not int:
+            raise TypeError(f"sim_cap must be an int, got {self.sim_cap!r}")
         if self.sim_cap < 1:
             raise ValueError(f"sim_cap must be >= 1, got {self.sim_cap}")
         # Fail closed: an unknown scheduler or compile knob, or a value
@@ -160,6 +162,8 @@ def run_loop(
     the L0 architecture.  Returns the aggregated result and the advanced
     memory clock.
     """
+    if type(invocations) is not int:
+        raise TypeError(f"invocations must be an int, got {invocations!r}")
     if invocations < 1:
         raise ValueError(f"invocations must be >= 1, got {invocations}")
     options = options or SimOptions()

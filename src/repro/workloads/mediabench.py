@@ -42,6 +42,11 @@ class LoopSpec:
     invocations: int = 1
 
     def __post_init__(self) -> None:
+        if type(self.invocations) is not int:
+            raise TypeError(
+                f"loop {self.loop.name!r}: invocations must be an int, "
+                f"got {self.invocations!r}"
+            )
         if self.invocations < 1:
             raise ValueError(
                 f"loop {self.loop.name!r}: invocations must be >= 1, "

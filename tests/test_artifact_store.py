@@ -488,38 +488,33 @@ class TestWarmReuseAfterGC:
         assert reopened.stats.misses == 0
 
 
-class TestCIBench:
-    def test_cibench_smoke(self, tmp_path):
-        from repro.eval.cibench import BENCH_SCHEMA_VERSION
-        from repro.eval.cibench import main as cibench_main
+class TestWarmStart:
+    def test_warm_pass_simulates_and_compiles_nothing(self, tmp_path, monkeypatch):
+        """A second pass over persisted stores, starting from an empty
+        in-process compile cache, reads every result and artifact from
+        disk (no simulation, no compile) and reproduces the figures."""
+        from repro.eval import ExperimentContext, fig5, scheduler_comparison
+        from repro.pipeline import compilecache, get_compile_cache
 
-        output = tmp_path / "BENCH_ci.json"
-        sim_output = tmp_path / "BENCH_sim.json"
-        rc = cibench_main(
-            [
-                "--output",
-                str(output),
-                # Redirected away from the repo root: the default would
-                # overwrite the committed throughput baseline on every
-                # test run.
-                "--sim-output",
-                str(sim_output),
-                "--benchmarks",
-                "g721dec",
-                "--sched-benchmarks",
-                "--sim-cap",
-                "60",
-                "--root",
-                str(tmp_path / "caches"),
-            ]
-        )
-        assert rc == 0
-        report = json.loads(output.read_text())
-        assert report["schema"] == BENCH_SCHEMA_VERSION
-        assert report["phases"]["cold"]["simulations"] > 0
-        assert report["phases"]["warm"]["simulations"] == 0
-        assert report["figures_identical"] is True
-        assert report["failures"] == []
-        sim_record = json.loads(sim_output.read_text())
-        assert sim_record["speedup"] > 0
-        assert report["sim_bench"]["speedup"] == sim_record["speedup"]
+        compile_dir = str(tmp_path / "compile")
+
+        def one_pass():
+            # Empty the process-wide registry, so this pass reads the
+            # disk store rather than the previous pass's memory.
+            monkeypatch.setattr(compilecache, "_CACHES", {})
+            ctx = ExperimentContext(
+                options=SimOptions(sim_cap=60),
+                benchmarks=("g721dec",),
+                cache_dir=tmp_path / "results",
+                compile_cache_dir=compile_dir,
+            )
+            figures = (fig5(ctx), scheduler_comparison(ctx, sizes=(8,)))
+            return ctx.session, get_compile_cache(compile_dir).stats, figures
+
+        cold_session, cold_stats, cold = one_pass()
+        assert cold_session.simulations > 0 and cold_stats.misses > 0
+        warm_session, warm_stats, warm = one_pass()
+        assert warm_session.simulations == 0
+        assert warm_stats.misses == 0
+        assert warm_stats.disk_hits > 0
+        assert warm == cold

@@ -13,6 +13,7 @@ the ``slow``-marked matrix is exhaustive.
 from __future__ import annotations
 
 import copy
+import json
 import pickle
 
 import pytest
@@ -432,34 +433,76 @@ def test_static_trace_rides_compile_cache(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# cibench throughput lane
+# cibench throughput gate
 # ----------------------------------------------------------------------
 
 
 def test_sim_bench_record_and_regression_gate(tmp_path):
-    import json
-
     from repro.eval.cibench import SIM_BENCH_SCHEMA_VERSION, run_sim_bench
 
-    record = run_sim_bench(("g721dec",), 40, baseline_path=None)
+    # The gate fails closed: with no baseline to compare against it
+    # fails, and the record is still complete.
+    baseline = tmp_path / "BENCH_sim.json"
+    record = run_sim_bench(("g721dec",), 40, baseline_path=baseline)
     assert record["schema"] == SIM_BENCH_SCHEMA_VERSION
     assert record["fast_iters_per_s"] > 0
     assert record["reference_iters_per_s"] > 0
     assert record["speedup"] > 0
-    assert record["failures"] == []
     assert record["baseline"] is None
+    assert record["failures"] == [f"no readable baseline at {baseline}"]
+
+    baseline.write_text("{not json")
+    unreadable = run_sim_bench(("g721dec",), 40, baseline_path=baseline)
+    assert unreadable["failures"] == [f"no readable baseline at {baseline}"]
+    assert unreadable["speedup"] > 0
+
+    # A record of another schema, or whose speedup is not a finite
+    # positive number, cannot gate.
+    for bad in ({**record, "schema": 2}, {**record, "speedup": float("nan")}):
+        baseline.write_text(json.dumps(bad))
+        refused = run_sim_bench(("g721dec",), 40, baseline_path=baseline)
+        assert refused["failures"] == [
+            f"baseline {baseline} is not a schema-{SIM_BENCH_SCHEMA_VERSION} "
+            "record with a finite positive speedup"
+        ]
+
+    # Ratios are only comparable over one workload.
+    baseline.write_text(json.dumps({**record, "benchmarks": ["jpegdec"]}))
+    other = run_sim_bench(("g721dec",), 40, baseline_path=baseline)
+    assert len(other["failures"]) == 1
+    assert "recorded for ['jpegdec'] at sim cap 40" in other["failures"][0]
+    assert other["baseline"] is None
+    assert other["speedup"] > 0
 
     # A baseline claiming an absurdly higher speedup must trip the
     # >30% machine-normalized regression gate; a matching one must not.
-    baseline = tmp_path / "BENCH_sim.json"
     baseline.write_text(json.dumps({**record, "speedup": record["speedup"] * 10}))
     tripped = run_sim_bench(("g721dec",), 40, baseline_path=baseline)
-    assert tripped["failures"]
+    assert len(tripped["failures"]) == 1
     assert "regressed" in tripped["failures"][0]
     baseline.write_text(json.dumps(record))
     clean = run_sim_bench(("g721dec",), 40, baseline_path=baseline)
     assert clean["failures"] == []
     assert clean["baseline"]["speedup"] == record["speedup"]
+
+
+def test_sim_bench_cli_fails_closed_and_still_writes(tmp_path, capsys):
+    from repro.eval.cibench import main
+
+    output = tmp_path / "BENCH_sim.json"
+    with pytest.raises(SystemExit):  # an empty workload is a usage error
+        main(["--sim-output", str(output), "--benchmarks"])
+    assert not output.exists()
+    argv = ["--sim-output", str(output), "--benchmarks", "g721dec", "--sim-cap", "40"]
+    assert main(argv) == 1
+    assert f"FAIL: no readable baseline at {output}" in capsys.readouterr().err
+    first = json.loads(output.read_text())
+    assert first["speedup"] > 0 and first["baseline"] is None
+    # The record the failed run wrote is a matching baseline.
+    assert main(argv) == 0
+    second = json.loads(output.read_text())
+    assert second["baseline"]["speedup"] == first["speedup"]
+    assert second["failures"] == []
 
 
 # ----------------------------------------------------------------------

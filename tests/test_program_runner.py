@@ -174,6 +174,40 @@ class TestInvocationCount:
             )
 
 
+class TestIntegerCounts:
+    """Trip counts, invocation counts and the sim cap are ints: a float
+    or a bool is refused with ``TypeError`` where the value is built,
+    instead of yielding fractional cycle counts or failing deep inside
+    the executor."""
+
+    @pytest.mark.parametrize("trip", [64.5, 64.0, True])
+    def test_loop_rejects_non_int_trip_count(self, trip):
+        with pytest.raises(TypeError, match="trip_count must be an int"):
+            kernels.make_saxpy(trip=trip)
+
+    @pytest.mark.parametrize("invocations", [2.5, 2.0, True])
+    def test_loop_spec_rejects_non_int_invocations(self, invocations):
+        with pytest.raises(TypeError, match="invocations must be an int"):
+            LoopSpec(kernels.make_saxpy(trip=64), invocations)
+
+    @pytest.mark.parametrize("invocations", [2.5, True])
+    def test_run_loop_rejects_non_int_invocations(self, invocations):
+        config = l0_config(8)
+        compiled = compile_loop(kernels.make_saxpy(trip=64), config)
+        with pytest.raises(TypeError, match="invocations must be an int"):
+            run_loop(
+                compiled,
+                make_memory(config),
+                MemoryLayout(align=config.l1_block),
+                invocations=invocations,
+            )
+
+    @pytest.mark.parametrize("sim_cap", [100.5, 100.0, True])
+    def test_sim_options_reject_non_int_sim_cap(self, sim_cap):
+        with pytest.raises(TypeError, match="sim_cap must be an int"):
+            SimOptions(sim_cap=sim_cap)
+
+
 class TestLoopLevelParallelism:
     """Per-loop simulation stitched into one program record."""
 
