@@ -21,15 +21,14 @@ from dataclasses import dataclass, field, replace
 class Severity(enum.Enum):
     """How a diagnostic gates an artifact.
 
-    ``ERROR`` and ``WARNING`` are *blocking*: the artifact fails
-    certification (``verdict: "flagged"``, and ``compile_cached``
-    raises :class:`CertificationError`).  ``NOTE`` is
-    advisory — a sound schedule about which the certifier still has
-    something to say (e.g. an optimality claim it cannot re-prove).
+    ``ERROR`` is *blocking*: the artifact fails certification
+    (``verdict: "flagged"``, and ``compile_cached`` raises
+    :class:`CertificationError`).  ``NOTE`` is advisory — a sound
+    schedule about which the certifier still has something to say (e.g.
+    an optimality claim it cannot re-prove).
     """
 
     NOTE = "note"
-    WARNING = "warning"
     ERROR = "error"
 
 

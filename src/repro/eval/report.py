@@ -49,32 +49,35 @@ def _measured_row(series: dict[str, list[NormalizedTime]]) -> str:
     return f"{'measured':<12}" + " ".join(cells)
 
 
-def render_fig5(series: dict[str, list[NormalizedTime]]) -> str:
-    lines = [
-        "Figure 5: normalized execution time vs L0 buffer size",
-        "(1.00 = clustered VLIW with unified L1, no L0 buffers; "
-        "stall column included in total)",
-        _rule(),
-    ]
-    labels = list(series)
-    header = f"{'benchmark':<12}" + "".join(
-        f" {label:>20}" for label in labels
-    )
-    lines.append(header)
-    lines.append(f"{'':<12}" + " ".join(
-        f"{'total (stall)':>20}" for _ in labels
-    ))
+def _render_series(
+    title: list[str],
+    series: dict[str, list[NormalizedTime]],
+    *,
+    cell_header: bool = False,
+) -> str:
+    """A normalized-time figure: one column per series, a ``total
+    (stall)`` cell per benchmark, and the ``measured`` row.  With
+    ``cell_header``, a sub-header row names the cell format."""
+    lines = [*title, _rule()]
+    lines.append(f"{'benchmark':<12}" + "".join(f" {label:>20}" for label in series))
+    if cell_header:
+        lines.append(f"{'':<12}" + " ".join(f"{'total (stall)':>20}" for _ in series))
     lines.append(_rule())
-    benchmarks = [row.benchmark for row in series[labels[0]]]
-    for idx, bench in enumerate(benchmarks):
-        cells = []
-        for label in labels:
-            row = series[label][idx]
-            cells.append(f"{row.total:>12.3f} ({row.stall:.3f})")
-        lines.append(f"{bench:<12}" + " ".join(f"{c:>20}" for c in cells))
+    for rows in zip(*series.values()):
+        cells = [f"{row.total:>12.3f} ({row.stall:.3f})" for row in rows]
+        lines.append(f"{rows[0].benchmark:<12}" + " ".join(f"{c:>20}" for c in cells))
     lines.append(_rule())
     lines.append(_measured_row(series))
     return "\n".join(lines)
+
+
+def render_fig5(series: dict[str, list[NormalizedTime]]) -> str:
+    title = [
+        "Figure 5: normalized execution time vs L0 buffer size",
+        "(1.00 = clustered VLIW with unified L1, no L0 buffers; "
+        "stall column included in total)",
+    ]
+    return _render_series(title, series, cell_header=True)
 
 
 def render_fig6(rows: list[dict]) -> str:
@@ -95,26 +98,11 @@ def render_fig6(rows: list[dict]) -> str:
 
 
 def render_fig7(series: dict[str, list[NormalizedTime]]) -> str:
-    lines = [
+    title = [
         "Figure 7: L0 buffers vs MultiVLIW vs word-interleaved cache",
         "(normalized to unified L1 without L0 buffers)",
-        _rule(),
     ]
-    labels = list(series)
-    lines.append(
-        f"{'benchmark':<12}" + "".join(f" {label:>20}" for label in labels)
-    )
-    lines.append(_rule())
-    benchmarks = [row.benchmark for row in series[labels[0]]]
-    for idx, bench in enumerate(benchmarks):
-        cells = []
-        for label in labels:
-            row = series[label][idx]
-            cells.append(f"{row.total:>12.3f} ({row.stall:.3f})")
-        lines.append(f"{bench:<12}" + " ".join(f"{c:>20}" for c in cells))
-    lines.append(_rule())
-    lines.append(_measured_row(series))
-    return "\n".join(lines)
+    return _render_series(title, series)
 
 
 def render_sched_compare(rows: list[dict]) -> str:

@@ -8,18 +8,20 @@ from fixed test suites into a continuously-running engine:
 * a **corpus** (``corpus``) of hand-picked edge kernels plus seeded
   random kernels drawn from the parametric generator's structure
   profiles;
-* pluggable **checks** (``checks``) run per (kernel, config) job;
+* pluggable **checks** (``checks``) run per (kernel, config) job
+  through one check loop, ``run_checks``;
 * a content-addressed **store** (a ``KeyedCache`` over
   ``.fuzz-cache``) that dedupes jobs across runs and nights;
 * a deterministic **shrinker** (``shrink``) that reduces any mismatch
   to a 1-minimal kernel;
 * **repro files** (``regressions``) that make shrunk findings permanent
   regression tests under ``tests/corpus/regressions/``;
-* a CLI (``python -m repro.fuzz run|replay|shrink|stats``) with seed
-  ranges, job/time budgets and a JSON summary CI gates on.
+* one command (``python -m repro.fuzz``) that sweeps a seed range and
+  the edge corpus under a time budget and writes the JSON summary CI
+  gates on.
 """
 
-from .checks import CHECKS, FAULTS, CheckSkipped, FuzzOptions, run_check
+from .checks import CHECKS, FAULTS, FuzzOptions, run_check, run_checks
 from .corpus import (
     EDGE_CORPUS,
     edge_kernel_ids,
@@ -51,7 +53,6 @@ __all__ = [
     "EDGE_CORPUS",
     "FAULTS",
     "FUZZ_CONFIGS",
-    "CheckSkipped",
     "FuzzJob",
     "FuzzOptions",
     "FuzzReport",
@@ -66,6 +67,7 @@ __all__ = [
     "repro_id",
     "resolve_kernel",
     "run_check",
+    "run_checks",
     "run_jobs",
     "seed_kernel_ids",
     "shrink",

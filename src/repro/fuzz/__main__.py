@@ -1,4 +1,4 @@
-"""Entry point: ``python -m repro.fuzz <run|replay|shrink|stats>``."""
+"""Entry point: ``python -m repro.fuzz [flags]``, one fuzz sweep."""
 
 import os
 import sys

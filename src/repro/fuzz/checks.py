@@ -3,16 +3,16 @@
 Each check is a function ``(loop, config, options, cache) ->
 list[mismatch]`` over one (kernel, config) pair; an empty list means the
 pair is clean under that oracle.  ``cache`` is the compile cache the
-check compiles through: one job's checks share one, so they share
-compile work, and it goes when the job does.  A check may raise
-:class:`CheckSkipped` to record that the job is out of its scope.
-Mismatch records are plain dicts (``{"check", "kind", "detail"}``) so
-they pickle straight into the fuzz store's entry and the CI summary.
+check compiles through.  Mismatch records are plain dicts (``{"check",
+"kind", "detail"}``) so they pickle straight into the fuzz store's entry
+and the CI summary.
+
+:func:`run_checks` is the one check loop: a sweep's job, a repro's
+replay and each shrink attempt all get their verdict from it.
 
 Every compile goes through ``compile_cached``, which certifies the
 artifact and raises :class:`~repro.analysis.CertificationError` on a
-blocking finding; one that escapes a check is recorded by the engine
-as an ``error`` finding.
+blocking finding.
 
 Checks:
 
@@ -35,6 +35,7 @@ prove a real fast-path divergence would be caught and shrunk.
 from __future__ import annotations
 
 import copy
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..analysis import CertificationError
@@ -47,10 +48,7 @@ from ..pipeline.compilecache import compile_cached
 from ..sim.executor import LoopExecutor
 from ..sim.runner import make_memory
 from ..sim.trace import EV_CHECK, EV_LOAD, TraceExecutor, static_trace
-
-
-class CheckSkipped(Exception):
-    """A check declaring the job out of scope (recorded, not failed)."""
+from ..workloads.generator import KernelGenotype
 
 
 @dataclass(frozen=True)
@@ -285,3 +283,29 @@ def run_check(
     except KeyError:
         raise ValueError(f"unknown check {name!r} (known: {sorted(CHECKS)})") from None
     return check(loop, config, options, KeyedCache() if cache is None else cache)
+
+
+def run_checks(
+    genotype: KernelGenotype,
+    config: MachineConfig,
+    checks: Iterable[str],
+    options: FuzzOptions,
+) -> list[dict]:
+    """The one check loop: run ``checks`` in order over ``genotype`` on
+    ``config`` and return every mismatch.
+
+    Each check gets a freshly built loop.  All of them compile through
+    one fresh cache, so they share compiles and the process-wide cache
+    (which keeps every artifact for the life of the process) sees none.
+    An exception a check raises becomes an ``error`` mismatch.
+    """
+    cache = KeyedCache()
+    mismatches: list[dict] = []
+    for name in checks:
+        try:
+            loop = genotype.build()
+            mismatches.extend(run_check(name, loop, config, options, cache))
+        except Exception as exc:  # a crash is a finding, not an abort
+            detail = f"{type(exc).__name__}: {exc}"
+            mismatches.append(_mismatch(name, "error", detail))
+    return mismatches

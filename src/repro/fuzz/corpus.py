@@ -273,7 +273,7 @@ def edge_kernel_ids() -> list[str]:
 def seed_kernel_ids(start: int, stop: int, profiles: list[str]) -> list[str]:
     """Kernel ids for a seed range, cycling profiles deterministically."""
     if not profiles:
-        profiles = ["default"]
+        raise ValueError("no generator profile named")
     for profile in profiles:
         if profile not in PROFILES:
             raise ValueError(f"unknown profile {profile!r}")

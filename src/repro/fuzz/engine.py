@@ -30,7 +30,7 @@ from ..machine import (
 )
 from ..pipeline.cache import KeyedCache, _canonical, content_key
 from ..pipeline.executor import make_executor
-from .checks import CheckSkipped, FuzzOptions, run_check
+from .checks import FuzzOptions, run_checks
 from .corpus import resolve_kernel
 
 #: Named machine configurations jobs draw from.  The defaults are
@@ -120,57 +120,37 @@ def make_jobs(
 
 
 def execute_job(item: tuple[FuzzJob, FuzzOptions]) -> dict:
-    """Run one job's checks; module-level so it pickles to workers.
-
-    The checks compile through one cache of the job's own, so they share
-    its compiles and a worker keeps no artifact once the job is done.
-    """
+    """Run one job's checks through :func:`~.checks.run_checks`;
+    module-level so it pickles to workers."""
     job, options = item
     genotype, config = job.resolve()
-    cache = KeyedCache()
-    mismatches: list[dict] = []
-    skipped: list[dict] = []
-    for check in job.checks:
-        try:
-            loop = genotype.build()
-            mismatches.extend(run_check(check, loop, config, options, cache))
-        except CheckSkipped as exc:
-            skipped.append({"check": check, "reason": str(exc)})
-        except Exception as exc:  # a crash is a finding, not an abort
-            mismatches.append(
-                {
-                    "check": check,
-                    "kind": "error",
-                    "detail": f"{type(exc).__name__}: {exc}",
-                }
-            )
     return {
         "job": {
             "kernel_id": job.kernel_id,
             "config_name": job.config_name,
             "checks": sorted(job.checks),
         },
-        "mismatches": mismatches,
-        "skipped": skipped,
+        "mismatches": run_checks(genotype, config, job.checks, options),
     }
 
 
 @dataclass
 class FuzzReport:
-    """What one ``repro.fuzz run`` did, JSON-able for CI gating."""
+    """What one fuzz sweep did, JSON-able for CI gating."""
 
     total: int = 0
     executed: int = 0
     store_hits: int = 0
     not_run: int = 0
-    skipped_checks: int = 0
     wall_s: float = 0.0
     #: Store entries (hit or fresh) whose mismatch list is non-empty.
     mismatched: list[dict] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        return not self.mismatched and self.not_run == 0
+        """Every job ran and none mismatched.  A sweep of no jobs
+        checked nothing, so it is not clean."""
+        return self.total > 0 and not self.mismatched and self.not_run == 0
 
     def to_json(self) -> dict:
         return {
@@ -178,7 +158,6 @@ class FuzzReport:
             "executed": self.executed,
             "store_hits": self.store_hits,
             "not_run": self.not_run,
-            "skipped_checks": self.skipped_checks,
             "wall_s": round(self.wall_s, 3),
             "mismatches": self.mismatched,
             "clean": self.clean,
@@ -192,7 +171,6 @@ def run_jobs(
     store: KeyedCache | None = None,
     workers: int | None = None,
     time_budget_s: float | None = None,
-    max_jobs: int | None = None,
 ) -> FuzzReport:
     """Run a job list through the store and the executor layer.
 
@@ -202,8 +180,6 @@ def run_jobs(
     the deadline are counted as ``not_run``, which fails ``clean``).
     """
     options = options or FuzzOptions()
-    if max_jobs is not None:
-        jobs = jobs[:max_jobs]
     started = time.monotonic()
     report = FuzzReport(total=len(jobs))
 
@@ -217,7 +193,6 @@ def run_jobs(
         entry = store.get(key) if store is not None else None
         if entry is not None:
             report.store_hits += 1
-            report.skipped_checks += len(entry.get("skipped", []))
             if entry.get("mismatches"):
                 report.mismatched.append(entry)
         else:
@@ -235,7 +210,6 @@ def run_jobs(
         entries = executor.map([(job, options) for _, job in chunk], execute_job)
         for (key, _), entry in zip(chunk, entries):
             report.executed += 1
-            report.skipped_checks += len(entry.get("skipped", []))
             if store is not None:
                 store.put(key, entry)
             if entry.get("mismatches"):

@@ -1,13 +1,13 @@
 """Self-contained repro files: shrunk findings as permanent tests.
 
-When a fuzz run mismatches, the shrunk genotype is written as one JSON
+When a fuzz sweep mismatches, the shrunk genotype is written as one JSON
 file under ``tests/corpus/regressions/`` carrying everything replay
 needs — the genotype itself (not a seed: the generator may drift), the
 config name, the originally failing check, the recorded mismatches and
 shrink statistics, and a human note.  The tier-1 suite
-(``tests/test_corpus_regressions.py``) and ``python -m repro.fuzz
-replay`` rebuild every committed repro kernel and re-assert *all*
-checks, so a finding fixed once can never silently return.
+(``tests/test_corpus_regressions.py``) replays every committed repro
+kernel through :func:`replay_case` and re-asserts *all* checks, so a
+finding fixed once can never silently return.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..pipeline.cache import KeyedCache
 from ..workloads.generator import KernelGenotype
-from .checks import CHECKS, CheckSkipped, FuzzOptions, run_check
+from .checks import CHECKS, FuzzOptions, run_checks
+from .engine import FUZZ_CONFIGS
 
 REPRO_SCHEMA_VERSION = 1
 
@@ -110,24 +110,9 @@ def replay_case(
     originally failed — a regression kernel is a permanent citizen of
     the corpus and must stay clean under every oracle.
     """
-    from .engine import FUZZ_CONFIGS
-
-    options = options or FuzzOptions()
-    config = FUZZ_CONFIGS[case.config_name]
-    cache = KeyedCache()
-    mismatches: list[dict] = []
-    for check in checks or tuple(sorted(CHECKS)):
-        try:
-            loop = case.genotype.build()
-            mismatches.extend(run_check(check, loop, config, options, cache))
-        except CheckSkipped:
-            continue
-        except Exception as exc:
-            mismatches.append(
-                {
-                    "check": check,
-                    "kind": "error",
-                    "detail": f"{type(exc).__name__}: {exc}",
-                }
-            )
-    return mismatches
+    return run_checks(
+        case.genotype,
+        FUZZ_CONFIGS[case.config_name],
+        checks or sorted(CHECKS),
+        options or FuzzOptions(),
+    )

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from ..machine.config import MachineConfig
 from ..workloads.generator import KernelGenotype
-from .checks import CheckSkipped, FuzzOptions, run_check
+from .checks import FuzzOptions, run_checks
 
 #: Trip/array-size ladders tried smallest-first during shrinking.
 TRIP_LADDER = (1, 2, 4, 8, 16, 32, 64, 128)
@@ -63,15 +63,10 @@ class _Shrinker:
 
     def reproduces(self, genotype: KernelGenotype) -> bool:
         self.attempts += 1
-        try:
-            loop = genotype.build()
-            return bool(run_check(self.check, loop, self.config, self.options))
-        except CheckSkipped:
-            return False
-        except Exception:
-            # A candidate that crashes outright is a *different* finding;
-            # keep the shrink aimed at the original mismatch.
-            return False
+        found = run_checks(genotype, self.config, (self.check,), self.options)
+        # A candidate that crashes outright (an ``error`` record) is a
+        # *different* finding; keep the shrink aimed at the original one.
+        return any(m["kind"] != "error" for m in found)
 
     # -- reduction passes (each returns the reduced genotype or None) ----
 

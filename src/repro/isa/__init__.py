@@ -3,7 +3,7 @@
 from .hints import BYPASS_HINTS, AccessHint, HintBundle, MapHint, PrefetchHint
 from .instruction import Instruction
 from .memory_access import AccessPattern, ArrayRef, MemoryLayout, PatternKind
-from .operations import VALUE_PRODUCERS, FUClass, Opcode
+from .operations import FUClass, Opcode
 from .registers import RegisterFactory, VReg
 
 __all__ = [
@@ -20,6 +20,5 @@ __all__ = [
     "PatternKind",
     "PrefetchHint",
     "RegisterFactory",
-    "VALUE_PRODUCERS",
     "VReg",
 ]

@@ -85,11 +85,3 @@ class Opcode(enum.Enum):
     def is_store(self) -> bool:
         return self is Opcode.STORE
 
-
-#: Opcodes whose results feed other instructions (everything but stores,
-#: prefetches, invalidates and nops produces a register value).
-VALUE_PRODUCERS = frozenset(
-    op
-    for op in Opcode
-    if op not in (Opcode.STORE, Opcode.PREFETCH, Opcode.INVAL_L0, Opcode.NOP)
-)

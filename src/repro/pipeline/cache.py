@@ -245,16 +245,6 @@ class KeyedFileStore:
             pass  # removed since the read (concurrent gc/clear): still a hit
         return blob
 
-    def peek(self, key: str) -> bytes | None:
-        """Read an entry as :meth:`verify` does, leaving it untouched:
-        no mtime refresh, and a torn, corrupt or vanished entry is left
-        in place and read as None."""
-        try:
-            blob = self._file(key).read_bytes()
-        except OSError:
-            return None
-        return blob if _unpickles(blob) else None
-
     def save(self, key: str, blob: bytes) -> None:
         # Persistence is best-effort: callers already serve the value
         # from memory, so a disk failure must not abort the sweep.

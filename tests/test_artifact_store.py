@@ -307,19 +307,6 @@ class TestOneFormat:
         assert (report.ok, report.corrupt) == (0, [_key(1)])
         assert not stray.exists()
 
-    def test_peek_reads_without_touching(self, tmp_path):
-        """``peek`` serves an entry's bytes with no mtime refresh, and
-        reads a corrupt entry as None without dropping it."""
-        store = KeyedFileStore(tmp_path)
-        store.save(_key(1), _blob({"v": 1}))
-        _backdate(tmp_path / f"{_key(1)}.pkl", 100.0)
-        torn = tmp_path / f"{_key(2)}.pkl"
-        torn.write_bytes(b"torn write")
-        assert store.peek(_key(1)) == _blob({"v": 1})
-        assert store.entries()[_key(1)].st_mtime == 100.0
-        assert store.peek(_key(2)) is None and torn.exists()
-        assert store.peek(_key(3)) is None
-
 
 class TestAnnotations:
     @pytest.mark.parametrize("cls", [KeyedFileStore, KeyedCache])

@@ -4,14 +4,15 @@ Covers the parametric genotype generator (round-trip, determinism,
 profiles), the committed edge corpus and kernel-id scheme, the
 content-addressed fuzz store (dedup, key sensitivity), the fault-
 injection drills (a corrupted fast-path trace *is* caught), the
-deterministic shrinker (convergence, 1-minimality, purity), and both
-CLIs (``repro.fuzz`` end to end, ``repro.cache`` over the fuzz store).
+deterministic shrinker (convergence, 1-minimality, purity), the one
+check loop every verdict comes from, and both CLIs (``repro.fuzz`` end
+to end, including the sweeps it refuses, and ``repro.cache`` over the
+fuzz store).
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -25,8 +26,15 @@ from repro.fuzz.corpus import (
     resolve_kernel,
     seed_kernel_ids,
 )
-from repro.fuzz.engine import FUZZ_CONFIGS, FuzzJob, job_store_key, make_jobs, run_jobs
-from repro.fuzz.regressions import load_repros
+from repro.fuzz.engine import (
+    FUZZ_CONFIGS,
+    FuzzJob,
+    execute_job,
+    job_store_key,
+    make_jobs,
+    run_jobs,
+)
+from repro.fuzz.regressions import ReproCase, load_repros, replay_case
 from repro.fuzz.shrink import shrink
 from repro.machine import l0_config
 from repro.pipeline import KeyedCache
@@ -99,6 +107,8 @@ def test_kernel_id_scheme():
     for bad in ("edge:nope", "seed:nope:1", "seed:x", "saxpy"):
         with pytest.raises(ValueError):
             resolve_kernel(bad)
+    with pytest.raises(ValueError, match="no generator profile"):
+        seed_kernel_ids(0, 3, [])
 
 
 def test_make_jobs_spread_vs_cross_product():
@@ -150,7 +160,7 @@ def test_execute_job_compiles_through_its_own_cache(monkeypatch):
     """A job's checks share one compile cache of the job's own: the
     process-wide cache sees nothing, and ``exact_vs_sms`` and ``certify``
     hit the SMS compile ``fast_vs_ref`` made."""
-    from repro.fuzz import engine
+    from repro.fuzz import checks as checks_module
     from repro.pipeline import get_compile_cache
 
     caches = []
@@ -160,12 +170,12 @@ def test_execute_job_compiles_through_its_own_cache(monkeypatch):
             super().__init__(*args, **kwargs)
             caches.append(self)
 
-    monkeypatch.setattr(engine, "KeyedCache", RecordedCache)
+    monkeypatch.setattr(checks_module, "KeyedCache", RecordedCache)
     shared = get_compile_cache(None).stats
     before = (shared.hits, shared.misses)
     checks = ("fast_vs_ref", "exact_vs_sms", "certify")
     job = FuzzJob("edge:carry_chain", "l0_8", checks)
-    result = engine.execute_job((job, FuzzOptions()))
+    result = execute_job((job, FuzzOptions()))
     assert result["mismatches"] == []
     assert (shared.hits, shared.misses) == before
     (cache,) = caches
@@ -187,7 +197,7 @@ def test_store_records_mismatches_for_replay(tmp_path):
     assert entry["mismatches"] == report.mismatched[0]["mismatches"]
     assert entry["job"]["kernel_id"] == DRILL_KERNEL
     # The entry is what execute_job returned, with no envelope around it.
-    assert set(entry) == {"job", "mismatches", "skipped"}
+    assert set(entry) == {"job", "mismatches"}
 
 
 # ----------------------------------------------------------------------
@@ -259,6 +269,23 @@ def test_certify_check_reports_and_shrinks_a_blocked_config():
     assert [m["kind"] for m in shrunk] == ["A008"]
 
 
+def test_sweep_and_replay_share_one_check_loop():
+    """A sweep's job and a repro's replay get their verdict from the same
+    loop: equal mismatch lists under the drill fault, none without it."""
+    case = ReproCase(
+        repro_id="drill",
+        genotype=resolve_kernel(DRILL_KERNEL),
+        config_name=DRILL_CONFIG,
+        check="fast_vs_ref",
+    )
+    job = FuzzJob(DRILL_KERNEL, DRILL_CONFIG, ("fast_vs_ref",))
+    faulted = FuzzOptions(fault=DRILL_FAULT)
+    swept = execute_job((job, faulted))["mismatches"]
+    assert swept and swept == replay_case(case, checks=job.checks, options=faulted)
+    assert execute_job((job, FuzzOptions()))["mismatches"] == []
+    assert replay_case(case, checks=job.checks) == []
+
+
 def test_shrinker_reports_non_reproducing_input():
     result = shrink(
         resolve_kernel("edge:tiny"), FUZZ_CONFIGS["unified"], "fast_vs_ref"
@@ -272,12 +299,11 @@ def test_shrinker_reports_non_reproducing_input():
 # ----------------------------------------------------------------------
 
 
-def test_fuzz_cli_run_replay_stats_roundtrip(tmp_path, capsys):
+def test_fuzz_cli_run_then_cache_verify_roundtrip(tmp_path, capsys):
     store = tmp_path / "store"
     summary = tmp_path / "summary.json"
     rc = fuzz_main(
         [
-            "run",
             "--seeds",
             "0:2",
             "--no-edge",
@@ -296,29 +322,58 @@ def test_fuzz_cli_run_replay_stats_roundtrip(tmp_path, capsys):
     assert rc == 0
     report = json.loads(summary.read_text())
     assert report["clean"] and report["total"] == 2 and report["repros"] == []
+    capsys.readouterr()
 
-    assert fuzz_main(["stats", "--store", str(store)]) == 0
-    out = capsys.readouterr().out
-    assert "2 clean" in out and "unified: 2" in out
+    # ``repro.cache`` reads the fuzz store back: both entries unpickle.
+    absent = [
+        "--cache-dir",
+        str(tmp_path / "absent-results"),
+        "--compile-cache-dir",
+        str(tmp_path / "absent-compile"),
+    ]
+    assert cache_main([*absent, "--fuzz-cache-dir", str(store), "verify"]) == 0
+    assert "fuzz: 2 entries ok, 0 corrupt removed" in capsys.readouterr().out
 
-    # The committed regression corpus replays clean through the CLI too.
-    corpus = Path(__file__).parent / "corpus" / "regressions"
-    assert fuzz_main(["replay", "--dir", str(corpus), "--min", "2"]) == 0
 
-
-@pytest.mark.parametrize("command", ["run", "replay", "shrink"])
-def test_fuzz_cli_exact_budget_below_one_is_a_usage_error(command, capsys):
+def test_fuzz_cli_exact_budget_below_one_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
-        fuzz_main([command, "--exact-budget", "0"])
+        fuzz_main(["--exact-budget", "0"])
     assert exc.value.code == 2
     assert "argument --exact-budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--checks", ""),
+        ("--configs", ""),
+        ("--profiles", ""),
+        ("--seeds", "200:0"),
+    ],
+)
+def test_fuzz_cli_refuses_a_sweep_spec_that_names_nothing(flag, value, capsys):
+    # Such a sweep would check nothing (or divide by an empty config
+    # list); refusing it up front keeps a no-op from reading as clean.
+    with pytest.raises(SystemExit) as exc:
+        fuzz_main(["--seeds", "0:3", "--no-store", f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_fuzz_cli_sweep_of_no_jobs_fails(tmp_path, capsys):
+    # A valid spec can still yield no jobs; the sweep checked nothing.
+    summary = tmp_path / "summary.json"
+    argv = ["--seeds", "0:0", "--no-edge", "--no-store", "--json", str(summary)]
+    assert fuzz_main(argv) == 1
+    assert "no jobs" in capsys.readouterr().out
+    report = json.loads(summary.read_text())
+    assert report["total"] == 0 and not report["clean"]
 
 
 def test_fuzz_cli_fault_drill_writes_a_shrunk_repro(tmp_path):
     repros = tmp_path / "repros"
     rc = fuzz_main(
         [
-            "run",
             "--seeds",
             "2:3",
             "--profiles",
@@ -348,10 +403,8 @@ def test_fuzz_cli_fault_drill_writes_a_shrunk_repro(tmp_path):
     assert summary["repros"] == [str(case.path)] and not summary["clean"]
     # The drill repro replays clean without the fault (the real tree is
     # sound) and red with it (the kernel kept its divergence).
-    assert fuzz_main(["replay", "--dir", str(repros)]) == 0
-    assert (
-        fuzz_main(["replay", "--dir", str(repros), "--inject-fault", DRILL_FAULT]) == 1
-    )
+    assert replay_case(case) == []
+    assert replay_case(case, options=FuzzOptions(fault=DRILL_FAULT))
 
 
 def test_cache_cli_covers_the_fuzz_store(tmp_path, capsys):
@@ -377,19 +430,3 @@ def test_cache_cli_covers_the_fuzz_store(tmp_path, capsys):
     entry_file.write_bytes(b"torn write")
     assert cache_main(argv + ["verify"]) == 1
     assert not entry_file.exists()
-
-
-def test_fuzz_stats_counts_an_entry_that_does_not_unpickle_as_corrupt(
-    tmp_path, capsys
-):
-    store = tmp_path / "store"
-    jobs = make_jobs(["edge:tiny"], ["unified"], ("certify",), spread=False)
-    assert run_jobs(jobs, store=KeyedCache(store)).clean
-    torn = store / f"{'0' * 64}.pkl"
-    torn.write_bytes(b"torn write")
-    assert fuzz_main(["stats", "--store", str(store)]) == 0
-    out = capsys.readouterr().out
-    assert "entries: 1 (1 clean, 0 mismatched" in out
-    assert "1 foreign/corrupt" in out
-    assert "unified: 1" in out
-    assert torn.exists()  # stats only reads; verify is what drops
