@@ -4,7 +4,7 @@
 code with the schedulers, everything the compile pipeline claims about
 an artifact: schedule legality (dependences, comms, reservation
 tables), register lifetimes under modulo variable expansion, L0 buffer
-occupancy and flush coverage, and the fast-path trace's event
+occupancy and hint consistency, and the fast-path trace's event
 prunings.  Its checkers are the project's only implementation of those
 rules, and ``compile_cached`` is the one place they run on a compile:
 it certifies every artifact it stores and raises

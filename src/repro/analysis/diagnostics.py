@@ -53,6 +53,7 @@ CODES: dict[str, tuple[Severity, str]] = {
     # -- L0 buffer occupancy / consistency ------------------------------
     "A009": (Severity.ERROR, "resident L0 streams exceed the cluster's L0 capacity"),
     "A010": (Severity.ERROR, "load latency inconsistent with its L0 access hints"),
+    # Retired with the selective inter-loop flush; never reuse.
     "A011": (Severity.ERROR, "missing L0 flush before a conflicting loop"),
     # -- trace-pruning audit --------------------------------------------
     "A012": (Severity.ERROR, "trace pruned an event whose static slack is positive"),

@@ -1,8 +1,7 @@
-"""Checker 3: L0 buffer occupancy, hint consistency, flush coverage.
+"""Checker 3: L0 buffer occupancy and hint consistency.
 
-Three static facts the compiled artifacts claim about the paper's
-compiler-managed L0 buffers, re-proved here from the raw schedule and
-loop IR:
+Two static facts the compiled artifacts claim about the paper's
+compiler-managed L0 buffers, re-proved here from the raw schedule:
 
 * **Occupancy (A009)** — a load stream resident in an L0 buffer holds
   its current subblock plus the prefetched next one, so a cluster
@@ -14,17 +13,13 @@ loop IR:
   schedule carries must agree: ``uses_l0`` hints with the L0 latency,
   bypass hints with the L1 latency.  A mismatch means the simulator
   and the scheduler disagree about where the load's data lives.
-* **Flush coverage (A011)** — replay the program's flush plan and
-  prove every stale-read hazard the memory-dependence analysis reports
-  is covered by a flush: no loop may start while a conflicting loop's
-  entries can still be resident, and a loop that re-reads data it
-  stores may not skip its between-invocation flush.
+
+A011 (flush coverage) is retired: the simulator flushes every L0
+buffer after every loop invocation, so there is no flush plan to audit.
 """
 
 from __future__ import annotations
 
-from ..ir.loop import Loop
-from ..ir.memdep import patterns_may_alias
 from ..machine.config import ArchKind
 from ..scheduler.schedule import ModuloSchedule
 from .diagnostics import Diagnostic
@@ -86,107 +81,3 @@ def check_hint_consistency(schedule: ModuloSchedule) -> list[Diagnostic]:
 def check_l0(schedule: ModuloSchedule) -> list[Diagnostic]:
     """All single-schedule L0 checks (A009/A010)."""
     return check_l0_occupancy(schedule) + check_hint_consistency(schedule)
-
-
-# ----------------------------------------------------------------------
-# Program-level flush audit
-# ----------------------------------------------------------------------
-
-
-def _stale_read_hazard(prev: Loop, nxt: Loop) -> bool:
-    """May ``nxt`` observe stale L0 state left behind by ``prev``?
-
-    Re-derived from the memory-dependence primitives: a load in ``nxt``
-    may hit an entry a ``prev`` store updated underneath, and a store in
-    ``nxt`` may be masked by an entry ``prev`` left resident — so any
-    ``nxt`` access aliasing a ``prev`` store is a hazard, as is a
-    ``nxt`` store aliasing a ``prev`` load.
-    """
-    prev_stores = [i for i in prev.body if i.is_store]
-    prev_loads = [i for i in prev.body if i.is_load]
-    for access in nxt.body:
-        if not (access.is_load or access.is_store):
-            continue
-        against = prev_stores if access.is_load else prev_stores + prev_loads
-        ap = access.pattern
-        assert ap is not None
-        for other in against:
-            op_ = other.pattern
-            assert op_ is not None
-            same = op_.array.name == ap.array.name
-            if not same:
-                if prev.may_alias_arrays(
-                    op_.array.name, ap.array.name
-                ) or nxt.may_alias_arrays(op_.array.name, ap.array.name):
-                    return True  # declared overlap: no pattern proof possible
-                continue
-            if patterns_may_alias(op_, ap, same_array=True):
-                return True
-    return False
-
-
-def _invocation_hazard(loop: Loop) -> bool:
-    """May one invocation of ``loop`` read data an earlier one stored?"""
-    for load in loop.loads:
-        lp = load.pattern
-        assert lp is not None
-        for store in loop.stores:
-            sp = store.pattern
-            assert sp is not None
-            same = sp.array.name == lp.array.name
-            if not same:
-                if loop.may_alias_arrays(sp.array.name, lp.array.name):
-                    return True
-                continue
-            if patterns_may_alias(sp, lp, same_array=True):
-                return True
-    return False
-
-
-def audit_flush_plan(plans) -> list[Diagnostic]:
-    """A011: the planned flush points cover every cross-loop conflict.
-
-    ``plans`` is the runner's phase-1 output (``repro.sim.runner``'s
-    ``LoopPlan`` records, in program order).  The audit replays the
-    residency the flush flags actually produce — a skipped after-flush
-    leaves the loop's entries resident, a between-invocation flush on a
-    multi-invocation loop wipes everything older but leaves the final
-    invocation's own entries — and demands a flush between every
-    hazarding pair the dependence analysis reports.
-    """
-    out: list[Diagnostic] = []
-    resident: list[tuple[int, Loop]] = []
-    for index, plan in enumerate(plans):
-        if plan.config.arch is ArchKind.L0:
-            for prev_index, prev in resident:
-                if _stale_read_hazard(prev, plan.loop):
-                    out.append(
-                        Diagnostic.new(
-                            "A011",
-                            f"loop {plan.loop.name!r} (position {index}) "
-                            f"conflicts with entries loop {prev.name!r} "
-                            f"(position {prev_index}) left resident; no "
-                            f"flush separates them",
-                            loop=plan.loop.name,
-                        )
-                    )
-            if (
-                plan.invocations > 1
-                and not plan.flush_between
-                and _invocation_hazard(plan.loop)
-            ):
-                out.append(
-                    Diagnostic.new(
-                        "A011",
-                        f"loop {plan.loop.name!r} re-reads data it stores "
-                        f"but skips its between-invocation flush",
-                        loop=plan.loop.name,
-                    )
-                )
-        if plan.flush_after:
-            resident = []
-        elif plan.flush_between and plan.invocations > 1:
-            resident = [(index, plan.loop)]
-        else:
-            resident.append((index, plan.loop))
-    return out

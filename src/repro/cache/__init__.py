@@ -16,8 +16,10 @@ compile-artifact store and the fuzz-job store — each opened as one
 
 The directories default to the names CI persists (``.result-cache``,
 ``.compile-cache``, ``.fuzz-cache``); a missing directory is skipped,
-never created.  Every store is one flat directory of ``<key>.pkl``
-files; a file's mtime is its entry's recency (written or last hit).
+never created, and every command exits 1 when none of the three
+exists, so a step meant to read a store cannot pass on none.  Every
+store is one flat directory of ``<key>.pkl`` files; a file's mtime is
+its entry's recency (written or last hit).
 ``gc`` is the one way to bound a store: every key mixes the code
 fingerprint, so entries written by other code versions are never hit
 again and are the first the size cap evicts.
@@ -56,7 +58,8 @@ def parse_size(text: str) -> int:
 
 
 def parse_age(text: str) -> float:
-    """A ``--min-age`` in seconds."""
+    """A finite, non-negative number of seconds: ``gc --min-age`` here,
+    ``python -m repro.fuzz --time-budget`` too."""
     try:
         value = float(text)
     except ValueError:
@@ -123,9 +126,9 @@ def open_stores(args) -> list[tuple[str, KeyedCache]]:
     return stores
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(stores, args) -> int:
     now = time.time()
-    for label, cache in open_stores(args):
+    for label, cache in stores:
         store = cache.store
         entries = store.entries()
         total = sum(stat.st_size for stat in entries.values())
@@ -140,8 +143,8 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_gc(args) -> int:
-    for label, cache in open_stores(args):
+def cmd_gc(stores, args) -> int:
+    for label, cache in stores:
         report = cache.gc(max_bytes=args.max_bytes, min_age_s=args.min_age)
         print(
             f"{label}: {report.entries_before} entries "
@@ -151,9 +154,9 @@ def cmd_gc(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(stores, args) -> int:
     corrupt = 0
-    for label, cache in open_stores(args):
+    for label, cache in stores:
         report = cache.verify()
         corrupt += len(report.corrupt)
         print(f"{label}: {report.ok} entries ok, {len(report.corrupt)} corrupt removed")
@@ -207,9 +210,12 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
+    stores = open_stores(args)
+    if not stores:
+        return 1
     handler = {
         "stats": cmd_stats,
         "gc": cmd_gc,
         "verify": cmd_verify,
     }[args.command]
-    return handler(args)
+    return handler(stores, args)

@@ -92,7 +92,7 @@ class ExperimentContext:
     def options_with(self, **compile_kwargs) -> SimOptions:
         """The context's options with extra ``compile_kwargs`` merged in.
 
-        Every other knob (sim cap, selective flush, future fields) stays
+        Every other knob (sim cap, scheduler, future fields) stays
         identical to the context's options, so derived runs remain
         content-addressed alongside the context's own.
         """

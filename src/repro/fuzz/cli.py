@@ -18,7 +18,7 @@ import argparse
 import json
 from pathlib import Path
 
-from ..cache import parse_exact_budget
+from ..cache import parse_age, parse_exact_budget
 from ..pipeline.cache import KeyedCache
 from ..workloads.generator import PROFILES
 from .checks import CHECKS, FAULTS, FuzzOptions
@@ -141,7 +141,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--time-budget",
-        type=float,
+        type=parse_age,
         default=None,
         metavar="S",
         help="stop launching jobs after S seconds (pending jobs fail clean)",

@@ -18,6 +18,7 @@ invalidates everything it could have affected.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -178,7 +179,14 @@ def run_jobs(
     through :func:`~repro.pipeline.executor.make_executor` in chunks so
     a ``time_budget_s`` deadline is honoured between chunks (jobs past
     the deadline are counted as ``not_run``, which fails ``clean``).
+    A budget that is not a finite number of seconds >= 0 is refused.
     """
+    if time_budget_s is not None and not (
+        math.isfinite(time_budget_s) and time_budget_s >= 0
+    ):
+        raise ValueError(
+            f"time_budget_s must be a finite number >= 0, got {time_budget_s!r}"
+        )
     options = options or FuzzOptions()
     started = time.monotonic()
     report = FuzzReport(total=len(jobs))

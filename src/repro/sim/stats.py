@@ -10,9 +10,9 @@ def merge_stats(into, other):
 
     The memory subsystems' statistics records are nested dataclasses of
     numeric counters (derived quantities like hit rates are properties).
-    The two-phase program runner simulates each loop against a private
-    memory instance and stitches the per-loop statistics into one
-    program-level record with this.
+    The program runner simulates each loop against a private memory
+    instance and sums the per-loop statistics into one program-level
+    record with this.
     """
     if type(into) is not type(other):
         raise TypeError(

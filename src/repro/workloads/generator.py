@@ -331,7 +331,7 @@ PROFILES: dict[str, GenProfile] = {
     ),
     # Store-heavy aliasing: small arrays, alias groups, overlapping
     # offsets and degenerate strides exercise the memory-dependence
-    # analysis and the L0 flush machinery.
+    # analysis and the L0 coherence schemes.
     "aliasing": GenProfile(
         name="aliasing",
         ops=(6, 16),

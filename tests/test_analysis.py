@@ -21,7 +21,6 @@ import pytest
 
 from repro.analysis import CertificationError, Diagnostic, Severity, blocking
 from repro.analysis.certify import _optimality_review, certify_compiled
-from repro.analysis.l0check import audit_flush_plan
 from repro.machine import (
     interleaved_config,
     l0_config,
@@ -31,7 +30,7 @@ from repro.machine import (
 from repro.pipeline import JobFailureError, KeyedCache, RunRequest, Session
 from repro.pipeline.compilecache import compile_cached
 from repro.pipeline.passes import CompileOptions
-from repro.sim.runner import LoopPlan, SimOptions
+from repro.sim.runner import SimOptions
 from repro.workloads import kernels
 
 CONFIGS = (unified_config(), l0_config(), multivliw_config(), interleaved_config())
@@ -272,51 +271,6 @@ def test_sms_schedules_never_reviewed(cache):
     sched = copy.deepcopy(compiled.schedule)
     assert "mii" not in sched.meta
     assert _optimality_review(sched) == []
-
-
-# ----------------------------------------------------------------------
-# Flush-plan audit (A011)
-# ----------------------------------------------------------------------
-
-
-def _plan(loop, *, invocations=1, flush_between=False, flush_after=True):
-    return LoopPlan(
-        loop=loop,
-        invocations=invocations,
-        config=l0_config(),
-        options=None,
-        layout=None,
-        flush_between=flush_between,
-        flush_after=flush_after,
-    )
-
-
-def test_flush_audit_clean_when_flushes_cover():
-    fb = kernels.feedback("an_fb2", trip=64, n=256)
-    # Same state array back-to-back, but the first loop flushes after.
-    plans = [_plan(fb, flush_after=True), _plan(fb, flush_after=True)]
-    assert audit_flush_plan(plans) == []
-    # Multi-invocation self-conflict covered by a between flush.
-    plans = [_plan(fb, invocations=3, flush_between=True, flush_after=True)]
-    assert audit_flush_plan(plans) == []
-
-
-def test_flush_audit_flags_missing_flushes():
-    fb = kernels.feedback("an_fb3", trip=64, n=256)
-    # Cross-loop: first loop leaves its entries resident.
-    plans = [_plan(fb, flush_after=False), _plan(fb, flush_after=True)]
-    diags = audit_flush_plan(plans)
-    assert [d.code for d in diags] == ["A011"]
-    # Self-conflict: re-reads stored data but skips the between flush.
-    plans = [_plan(fb, invocations=3, flush_between=False, flush_after=True)]
-    assert [d.code for d in audit_flush_plan(plans)] == ["A011"]
-
-
-def test_flush_audit_ignores_disjoint_streams():
-    mix = kernels.multi_stream("an_mix2", trip=64, n=512)
-    other = kernels.multi_stream("an_mix3", trip=64, n=512)
-    plans = [_plan(mix, flush_after=False), _plan(other, flush_after=False)]
-    assert audit_flush_plan(plans) == []
 
 
 # ----------------------------------------------------------------------

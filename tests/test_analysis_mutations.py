@@ -199,12 +199,12 @@ def test_a010_forged_load_latency():
 
 
 def test_a011_is_covered_by_flush_audit():
-    # The flush planner operates program-level, outside CompiledLoop;
-    # its positive/negative cases live in test_analysis.py.  This stub
-    # keeps the one-test-per-code inventory honest.
+    # A011 is retired: the selective inter-loop flush and its audit are
+    # gone, and every invocation ends in a flush, so no check emits it.
+    # The code stays registered, like A104, so no other rule reuses it.
     from repro.analysis.diagnostics import CODES
 
-    assert "A011" in CODES
+    assert CODES["A011"][1] == "missing L0 flush before a conflicting loop"
 
 
 # ----------------------------------------------------------------------

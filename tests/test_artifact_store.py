@@ -408,18 +408,20 @@ class TestCacheCLI:
         assert cache_main(self._argv(dirs, "verify")) == 0
 
     def test_missing_dirs_are_skipped(self, tmp_path, capsys):
-        argv = [
+        # A missing directory is skipped, but with none of the three
+        # there is nothing to read: every command fails, and none mkdirs.
+        absent = [
             "--cache-dir",
             str(tmp_path / "absent"),
             "--compile-cache-dir",
             str(tmp_path / "also-absent"),
             "--fuzz-cache-dir",
             str(tmp_path / "absent-too"),
-            "stats",
         ]
-        assert cache_main(argv) == 0
-        assert "no cache directories" in capsys.readouterr().err
-        assert not (tmp_path / "absent").exists()  # never mkdirs
+        for command in (["stats"], ["verify"], ["gc", "--max-bytes", "1M"]):
+            assert cache_main(absent + command) == 1, command
+            assert "no cache directories" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # never mkdirs
 
     def test_parse_size(self):
         assert parse_size("200M") == 200 * 1024**2

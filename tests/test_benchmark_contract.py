@@ -10,6 +10,7 @@ tests install the wrappers against the live program instead.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -123,3 +124,37 @@ def test_simulation_reaches_every_memory_layer(monkeypatch):
             assert rec.totals.get("sim.run", [0])[0] == expected_runs
         assert outer_calls[TraceExecutor] > 0, label
         assert outer_calls[LoopExecutor] == outer_calls[TraceExecutor], label
+
+
+def test_program_run_reaches_plan_stitch_and_run(monkeypatch):
+    """``run_program`` calls ``plan_program`` and ``merge_stats`` through
+    ``repro.sim.runner``, where the wrappers replace them: one
+    ``sim.plan`` span per program, one ``sim.stitch`` per loop, and one
+    ``sim.run`` span per simulated invocation."""
+    from repro.machine import l0_config
+    from repro.sim import SimOptions, run_program
+    from repro.sim.runner import WARM_INVOCATIONS
+    from repro.workloads import Benchmark, LoopSpec
+    from repro.workloads.kernels import stream_map
+
+    monkeypatch.setattr(layers, "_WORKER_RECORDER", layers._WORKER_RECORDER)
+    specs = (
+        LoopSpec(stream_map("contract_a", trip=48, n=128), 1),
+        LoopSpec(stream_map("contract_b", trip=48, n=128, in_place=True), 3),
+    )
+    rec = layers.Recorder()
+    undo = layers.install(rec, layers.Recorder())
+    try:
+        result = run_program(
+            Benchmark(name="contract", loops=specs),
+            l0_config(8),
+            options=SimOptions(sim_cap=40),
+        )
+    finally:
+        layers.uninstall(undo)
+    assert len(result.loops) == len(specs)
+    spans = Counter(span[2] for span in rec.spans)
+    runs = sum(min(spec.invocations, 1 + WARM_INVOCATIONS) for spec in specs)
+    assert spans["sim.plan"] == 1
+    assert spans["sim.stitch"] == rec.totals["sim.stitch"][0] == len(specs)
+    assert spans["sim.run"] == runs

@@ -13,6 +13,7 @@ from repro.sim import (
     run_loop,
     run_program,
 )
+from repro.sim.runner import WARM_INVOCATIONS
 from repro.workloads import build, kernels
 
 from repro.workloads.kernels import make_dpcm, make_saxpy
@@ -132,14 +133,19 @@ class TestRunLoop:
             result.compute_cycles == (trip - 1) * compiled.ii + compiled.schedule.span
         )
 
-    def test_l0_flushed_between_invocations(self):
+    @pytest.mark.parametrize("invocations", [1, 2, 3, 5])
+    def test_l0_flushed_between_invocations(self, invocations):
+        """One flush of every cluster's buffer after each simulated
+        invocation: the cold one and at most ``WARM_INVOCATIONS`` warm
+        ones (the rest replicate the last and flush nothing)."""
         loop = make_saxpy(trip=64, n=256)
         config = l0_config(8)
         compiled = compile_loop(loop, config)
         memory = make_memory(config)
         layout = MemoryLayout(align=config.l1_block)
-        run_loop(compiled, memory, layout, invocations=2)
-        assert memory.stats.l0.invalidate_alls >= 2 * config.n_clusters
+        run_loop(compiled, memory, layout, invocations=invocations)
+        simulated = min(invocations, 1 + WARM_INVOCATIONS)
+        assert memory.stats.l0.invalidate_alls == simulated * config.n_clusters
 
 
 class TestRunProgram:

@@ -360,6 +360,24 @@ def test_fuzz_cli_refuses_a_sweep_spec_that_names_nothing(flag, value, capsys):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
+def test_fuzz_cli_refuses_a_time_budget_that_is_not_seconds(budget, capsys):
+    # NaN and infinity would mean no budget at all, and a negative budget
+    # would run nothing; each is a usage error before any job runs.
+    argv = ["--seeds", "0:1", "--no-edge", "--no-store", "--checks", "certify"]
+    with pytest.raises(SystemExit) as exc:
+        fuzz_main([*argv, "--configs", "unified", f"--time-budget={budget}"])
+    assert exc.value.code == 2
+    assert "argument --time-budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
+def test_run_jobs_refuses_a_time_budget_that_is_not_seconds(budget):
+    jobs = make_jobs(["edge:tiny"], ["unified"], ("certify",), spread=False)
+    with pytest.raises(ValueError, match="time_budget_s"):
+        run_jobs(jobs, time_budget_s=budget)
+
+
 def test_fuzz_cli_sweep_of_no_jobs_fails(tmp_path, capsys):
     # A valid spec can still yield no jobs; the sweep checked nothing.
     summary = tmp_path / "summary.json"

@@ -307,7 +307,7 @@ class TestOptionsWith:
         ctx = ExperimentContext(
             options=SimOptions(
                 sim_cap=99,
-                selective_flush=True,
+                scheduler="exact",
                 compile_kwargs={"allow_psr": True},
             ),
             benchmarks=TWO_BENCHMARKS,
@@ -315,7 +315,7 @@ class TestOptionsWith:
         merged = ctx.options_with(prefetch_distance=2)
         assert merged.compile_kwargs == {"allow_psr": True, "prefetch_distance": 2}
         assert merged.sim_cap == 99
-        assert merged.selective_flush is True
+        assert merged.scheduler == "exact"
         # the context's own options are untouched
         assert ctx.options.compile_kwargs == {"allow_psr": True}
 
