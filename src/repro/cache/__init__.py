@@ -15,9 +15,11 @@ compile-artifact store and the fuzz-job store — each opened as one
   one before storing it, and every key mixes the code fingerprint.
 
 The directories default to the names CI persists (``.result-cache``,
-``.compile-cache``, ``.fuzz-cache``); a missing directory is skipped,
-never created, and every command exits 1 when none of the three
-exists, so a step meant to read a store cannot pass on none.  Every
+``.compile-cache``, ``.fuzz-cache``); a missing default directory is
+skipped, but a directory named by its flag must exist, so a mistyped
+path fails the command instead of reading as a clean pass.  Nothing is
+ever created, and every command exits 1 when none of the three exists,
+so a step meant to read a store cannot pass on none.  Every
 store is one flat directory of ``<key>.pkl`` files; a file's mtime is
 its entry's recency (written or last hit).
 ``gc`` is the one way to bound a store: every key mixes the code
@@ -104,26 +106,35 @@ def _age(seconds: float) -> str:
     return f"{seconds / 86400:.1f}d"
 
 
-def open_stores(args) -> list[tuple[str, KeyedCache]]:
-    """The caches named by the CLI flags whose directories exist.
+#: Store label -> (flag, default directory, what the store holds).
+_STORE_DIRS = {
+    "results": ("--cache-dir", ".result-cache", "result store"),
+    "compile": ("--compile-cache-dir", ".compile-cache", "compile-artifact store"),
+    "fuzz": ("--fuzz-cache-dir", ".fuzz-cache", "fuzz-job store"),
+}
+
+
+def open_stores(args) -> list[tuple[str, KeyedCache]] | None:
+    """The caches whose directories exist, or ``None`` if the command
+    must fail: a directory named by its flag is missing, or none of the
+    three exists.
 
     Never creates a directory: a maintenance tool that mkdirs the thing
     it is asked to clean up would mask typos.
     """
-    dirs = {
-        "results": Path(args.cache_dir),
-        "compile": Path(args.compile_cache_dir),
-        "fuzz": Path(args.fuzz_cache_dir),
-    }
-    stores = [
-        (label, KeyedCache(path)) for label, path in dirs.items() if path.is_dir()
-    ]
+    stores, dirs, missing = [], [], False
+    for label, (flag, default, _) in _STORE_DIRS.items():
+        named = getattr(args, label)
+        path = Path(default if named is None else named)
+        dirs.append(str(path))
+        if path.is_dir():
+            stores.append((label, KeyedCache(path)))
+        elif named is not None:
+            print(f"{flag}: no such directory: {path}", file=sys.stderr)
+            missing = True
     if not stores:
-        print(
-            f"no cache directories found ({' / '.join(map(str, dirs.values()))})",
-            file=sys.stderr,
-        )
-    return stores
+        print(f"no cache directories found ({' / '.join(dirs)})", file=sys.stderr)
+    return None if missing or not stores else stores
 
 
 def cmd_stats(stores, args) -> int:
@@ -168,21 +179,15 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.cache",
         description="Inspect, bound and verify the on-disk artifact stores.",
     )
-    parser.add_argument(
-        "--cache-dir",
-        default=".result-cache",
-        help="result store directory (skipped if missing)",
-    )
-    parser.add_argument(
-        "--compile-cache-dir",
-        default=".compile-cache",
-        help="compile-artifact store directory (skipped if missing)",
-    )
-    parser.add_argument(
-        "--fuzz-cache-dir",
-        default=".fuzz-cache",
-        help="fuzz-job store directory (skipped if missing)",
-    )
+    for label, (flag, default, holds) in _STORE_DIRS.items():
+        parser.add_argument(
+            flag,
+            dest=label,
+            default=None,
+            metavar="DIR",
+            help=f"{holds} directory (default {default}, skipped if missing; "
+            "a directory named here must exist)",
+        )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("stats", help="entry counts, bytes, recency range")
@@ -211,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     stores = open_stores(args)
-    if not stores:
+    if stores is None:
         return 1
     handler = {
         "stats": cmd_stats,

@@ -18,6 +18,7 @@ import time
 
 from ..cache import parse_exact_budget, parse_sim_cap
 from ..sim.runner import SimOptions
+from ..workloads.mediabench import BENCHMARK_NAMES
 from . import (
     ExperimentContext,
     ablation_all_candidates,
@@ -57,9 +58,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument(
         "--benchmarks",
-        nargs="*",
+        nargs="+",
+        choices=BENCHMARK_NAMES,
         default=None,
-        help="restrict to a subset of the 13 benchmarks",
+        metavar="NAME",
+        help="restrict to a subset of the 13 benchmarks "
+        f"({', '.join(BENCHMARK_NAMES)})",
     )
     parser.add_argument(
         "--sim-cap",

@@ -30,7 +30,7 @@ from ..scheduler.driver import compile_loop
 from ..sim.executor import LoopExecutor
 from ..sim.runner import make_memory
 from ..sim.trace import TraceExecutor
-from ..workloads.mediabench import build
+from ..workloads.mediabench import BENCHMARK_NAMES, build
 
 #: Schema of the BENCH_sim.json throughput record.
 SIM_BENCH_SCHEMA_VERSION = 1
@@ -180,8 +180,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--benchmarks",
         nargs="+",
+        choices=BENCHMARK_NAMES,
         default=["g721dec", "jpegdec"],
-        help="fig5 smoke subset",
+        metavar="NAME",
+        help=f"fig5 smoke subset, from {', '.join(BENCHMARK_NAMES)}",
     )
     parser.add_argument("--sim-cap", type=parse_sim_cap, default=150)
     args = parser.parse_args(argv)

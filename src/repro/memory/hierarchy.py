@@ -15,6 +15,10 @@ called by nothing in the program: the traced benchmark
 (``perfbench/layers.py``) wraps them by name.
 
 Each simulated loop gets a fresh instance from ``sim.runner.make_memory``.
+An access does only the work it models: hint and entry-kind values are
+module-level constants and the latencies are bound at construction, so
+the hit path reads no enum class and no config attribute (the
+architecture doc's "Memory-model hot path").
 
 Coherence auditing: a load served from an L0 entry older than the
 newest store to the bytes it reads increments ``coherence_violations``.
@@ -36,12 +40,17 @@ from .bus import BusStats, ClusterBus
 from .l0buffer import L0Buffer, L0Entry, L0Stats, MapKind
 from .l1cache import CacheStats, SetAssocCache
 
-# Hint values tested on every access, bound once at module level.
+# Hint and entry-kind values tested on every access, bound once at
+# module level: a member read through its enum class costs over ten
+# times a module global.
 _NO_ACCESS = AccessHint.NO_ACCESS
 _SEQ_ACCESS = AccessHint.SEQ_ACCESS
 _PAR_ACCESS = AccessHint.PAR_ACCESS
 _INTERLEAVED = MapHint.INTERLEAVED
 _NO_PREFETCH = PrefetchHint.NONE
+_FORWARD = PrefetchHint.POSITIVE
+_LINEAR_ENTRY = MapKind.LINEAR
+_INTERLEAVED_ENTRY = MapKind.INTERLEAVED
 
 #: Stamp-row value of a byte no store has written: older than any
 #: cycle, since the simulation clock starts at zero.
@@ -119,6 +128,7 @@ class UnifiedMemory:
         #: followed by the newest stamp written anywhere in the block.
         self._stamps: dict[int, list[int]] = {}
         self._block_bytes = config.l1_block
+        self._n_clusters = config.n_clusters
         # Bound copies of the hot-path latencies (config attribute reads
         # add up over hundreds of thousands of accesses).
         self._l0_latency = config.l0_latency
@@ -227,8 +237,8 @@ class UnifiedMemory:
         Returns the local entry.
         """
         assert self.l0 is not None
-        n = self.config.n_clusters
-        block = addr - (addr % self.config.l1_block)
+        n = self._n_clusters
+        block = addr - addr % self._block_bytes
         element = (addr - block) // width
         local_residue = element % n
         local_entry: L0Entry | None = None
@@ -260,12 +270,12 @@ class UnifiedMemory:
         """The automatic prefetch of a load whose prefetch hint is set."""
         assert self.l0 is not None
         buffer = self.l0[cluster]
-        forward = hints.prefetch is PrefetchHint.POSITIVE
+        forward = hints.prefetch is _FORWARD
         if not buffer.is_edge_element(entry, addr, width, last=forward):
             return
         distance = hints.prefetch_distance
         step = distance if forward else -distance
-        if entry.kind is MapKind.LINEAR:
+        if entry.kind is _LINEAR_ENTRY:
             sub = buffer.subblock_bytes
             target = entry.block_addr + entry.position * sub + step * sub
             if target < 0 or buffer.find(target, 1) is not None:
@@ -281,12 +291,12 @@ class UnifiedMemory:
             arrival = grant + self._l1_load_latency(target)
             buffer.fill_linear(target, arrival, from_prefetch=True)
             return
-        target_block = entry.block_addr + step * self.config.l1_block
+        target_block = entry.block_addr + step * self._block_bytes
         if target_block < 0:
             return
         if (
             buffer.find_exact(
-                MapKind.INTERLEAVED, target_block, entry.position, entry.granularity
+                _INTERLEAVED_ENTRY, target_block, entry.position, entry.granularity
             )
             is not None
         ):
@@ -297,7 +307,7 @@ class UnifiedMemory:
         self.stats.prefetch_requests += 1
         grant = self.buses[cluster].grant(cycle + 1)
         arrival = grant + self._l1_load_latency(target_block) + self._interleave_penalty
-        n = self.config.n_clusters
+        n = self._n_clusters
         for target in range(n):
             residue = (entry.position + (target - cluster)) % n
             self.l0[target].fill_interleaved(

@@ -6,7 +6,9 @@ split into one module per cluster and words are statically interleaved
 home cluster is *local*; anything else is *remote* and pays the
 inter-cluster transit.  Each cluster also has a small hardware-managed
 Attraction Buffer caching remotely-homed words at 1-cycle latency —
-not compiler-controlled, plain LRU.
+not compiler-controlled, plain LRU.  Each access computes its word's
+home once, and a store invalidates only the buffers that may cache the
+word: a per-home list of the other clusters' buffers.
 """
 
 from __future__ import annotations
@@ -87,6 +89,19 @@ class WordInterleavedMemory:
         self.attraction = [
             AttractionBuffer(config.attraction_entries) for _ in range(n)
         ]
+        #: home cluster -> the attraction buffers that may cache its words
+        #: (every cluster's but the home's own), in cluster order.
+        self._remote_buffers = [
+            [buffer for other, buffer in enumerate(self.attraction) if other != home]
+            for home in range(n)
+        ]
+        # Bound copies of the geometry and latencies (config attribute
+        # reads add up over hundreds of thousands of accesses).
+        self._n_clusters = n
+        self._local_latency = config.distributed_local_latency
+        self._remote_latency = config.distributed_remote_latency
+        self._l2_latency = config.l2_latency
+        self._attraction_latency = config.attraction_latency
 
     def home_of(self, addr: int) -> int:
         return (addr // WORD) % self.config.n_clusters
@@ -96,24 +111,22 @@ class WordInterleavedMemory:
     def load(
         self, cluster: int, addr: int, width: int, hints: HintBundle, cycle: int
     ) -> int:
-        home = self.home_of(addr)
+        word = addr // WORD
+        home = word % self._n_clusters  # home_of(addr)
         if home == cluster:
             self.stats.local_accesses += 1
-            hit = self.modules[home].load(addr)
-            latency = self.config.distributed_local_latency
-            if not hit:
-                latency += self.config.l2_latency
-            return cycle + latency
-        word = addr // WORD
-        if self.attraction[cluster].hit(word):
+            if self.modules[home].load(addr):
+                return cycle + self._local_latency
+            return cycle + self._local_latency + self._l2_latency
+        buffer = self.attraction[cluster]
+        if buffer.hit(word):
             self.stats.attraction_hits += 1
-            return cycle + self.config.attraction_latency
+            return cycle + self._attraction_latency
         self.stats.remote_accesses += 1
-        hit = self.modules[home].load(addr)
-        latency = self.config.distributed_remote_latency
-        if not hit:
-            latency += self.config.l2_latency
-        self.attraction[cluster].fill(word)
+        latency = self._remote_latency
+        if not self.modules[home].load(addr):
+            latency += self._l2_latency
+        buffer.fill(word)
         return cycle + latency
 
     def store(
@@ -125,18 +138,15 @@ class WordInterleavedMemory:
         cycle: int,
         is_primary: bool = True,
     ) -> None:
-        home = self.home_of(addr)
-        self.modules[home].store(addr)
+        first = addr // WORD
+        n = self._n_clusters
+        self.modules[first % n].store(addr)
         # Hardware keeps attraction buffers coherent: a store kills every
         # remotely-cached copy of the words it writes.
-        n = self.config.n_clusters
-        first = addr // WORD
-        last = (addr + width - 1) // WORD
-        for word in range(first, last + 1):
-            word_home = word % n  # home_of(word * WORD)
-            for other, buffer in enumerate(self.attraction):
-                if other != word_home:
-                    buffer.invalidate(word)
+        remote_buffers = self._remote_buffers
+        for word in range(first, (addr + width - 1) // WORD + 1):
+            for buffer in remote_buffers[word % n]:
+                buffer.invalidate(word)
 
     def prefetch(self, cluster: int, addr: int, width: int, cycle: int) -> None:
         return None  # no software prefetch in this design

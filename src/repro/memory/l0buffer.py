@@ -23,6 +23,10 @@ the buffer keeps a ``block_addr -> entries`` index beside the global LRU
 order and every lookup scans one block's few entries, not the whole
 buffer.  Within a block the index lists entries in global LRU order, so
 "the most recently used copy" means the same thing in both structures.
+The cover test is written out twice, both inline: ``access`` scans
+most recently used first and stops at the first cover; ``_matches``
+returns every cover in LRU order and serves ``find`` (its last),
+``store_update`` and ``invalidate_matching``.
 """
 
 from __future__ import annotations
@@ -36,33 +40,53 @@ class MapKind(enum.Enum):
     INTERLEAVED = "interleaved"
 
 
-#: Tested on every lookup; bound once at module level.
+#: Tested on every lookup and fill, so bound once at module level: a
+#: module global reads in ~10 ns, a member read through its class in
+#: ~140 ns.
 _LINEAR = MapKind.LINEAR
+_INTERLEAVED = MapKind.INTERLEAVED
 
 
-@dataclass(eq=False, slots=True)
 class L0Entry:
-    """One resident subblock.  Identity equality and hashing
-    (``eq=False``): entries are mutable runtime objects keyed by identity
-    in the buffer's LRU dict and removed by identity from its block index,
-    never confused with a value-equal twin.  ``slots=True`` makes the
-    field reads of the lookup loop plain slot loads."""
+    """One resident subblock.  Identity equality and hashing: entries are
+    mutable runtime objects keyed by identity in the buffer's LRU dict
+    and removed by identity from its block index, never confused with a
+    value-equal twin.  ``__slots__`` makes the field reads of the lookup
+    loop plain slot loads; every fill builds one through the positional
+    ``__init__``."""
 
-    kind: MapKind
-    block_addr: int  # base address of the owning L1 block
-    #: linear: subblock index within the block; interleaved: element residue.
-    position: int
-    granularity: int  # interleaved element size (bytes); block bytes for linear
-    ready: int  # cycle the data arrives from L1
-    #: Last cycle the entry's data was made consistent with L1 (fill or
-    #: local store update) — used by the staleness checker.
-    update_time: int = 0
-    from_prefetch: bool = False
-    touched: bool = False  # has any demand access hit this entry?
+    __slots__ = (
+        "kind",
+        "block_addr",
+        "position",
+        "granularity",
+        "ready",
+        "update_time",
+        "from_prefetch",
+        "touched",
+    )
 
-    def __post_init__(self) -> None:
-        if self.update_time == 0:
-            self.update_time = self.ready
+    def __init__(
+        self,
+        kind: MapKind,
+        block_addr: int,
+        position: int,
+        granularity: int,
+        ready: int,
+        from_prefetch: bool = False,
+    ) -> None:
+        self.kind = kind
+        self.block_addr = block_addr  # base address of the owning L1 block
+        #: linear: subblock index within the block; interleaved: element residue.
+        self.position = position
+        #: interleaved: element size (bytes); linear: subblock bytes.
+        self.granularity = granularity
+        self.ready = ready  # cycle the data arrives from L1
+        #: Last cycle the entry's data was made consistent with L1 (fill or
+        #: local store update) — used by the staleness checker.
+        self.update_time = ready
+        self.from_prefetch = from_prefetch
+        self.touched = False  # has any demand access hit this entry?
 
 
 @dataclass
@@ -108,46 +132,41 @@ class L0Buffer:
         self._by_block: dict[int, list[L0Entry]] = {}
 
     # ------------------------------------------------------------------
-    # Geometry helpers
-    # ------------------------------------------------------------------
-
-    def _block_of(self, addr: int) -> int:
-        return addr - (addr % self.block_bytes)
-
-    def _covers(self, entry: L0Entry, offset: int, width: int) -> bool:
-        """Does ``entry`` hold [offset, offset+width) of its own block?"""
-        if entry.kind is MapKind.LINEAR:
-            sub = self.subblock_bytes
-            lo = entry.position * sub
-            return lo <= offset and offset + width <= lo + sub
-        # Interleaved: the entry holds elements with index % N == residue
-        # at granularity g.  Wider accesses spill into other clusters and
-        # must miss (paper section 3.3, fourth bullet).
-        g = entry.granularity
-        if width > g or offset % g:
-            return False
-        element = offset // g
-        return element % self.n_clusters == entry.position
-
-    def _matches(self, addr: int, width: int) -> list[L0Entry]:
-        """Entries covering [addr, addr+width), least recently used first."""
-        block = self._block_of(addr)
-        offset = addr - block
-        covers = self._covers
-        return [e for e in self._by_block.get(block, ()) if covers(e, offset, width)]
-
-    # ------------------------------------------------------------------
     # Lookup / fill / replacement
     # ------------------------------------------------------------------
 
+    def _matches(self, addr: int, width: int) -> list[L0Entry]:
+        """Entries covering [addr, addr+width), least recently used first."""
+        block = addr - addr % self.block_bytes
+        peers = self._by_block.get(block)
+        if peers is None:
+            return []
+        offset = addr - block
+        sub = self.subblock_bytes
+        n = self.n_clusters
+        matches = []
+        for entry in peers:
+            if entry.kind is _LINEAR:
+                lo = entry.position * sub
+                if lo <= offset and offset + width <= lo + sub:
+                    matches.append(entry)
+            else:
+                # Interleaved: the entry holds elements with index % N ==
+                # residue at granularity g.  Wider accesses spill into other
+                # clusters and must miss (paper section 3.3, fourth bullet).
+                g = entry.granularity
+                if (
+                    width <= g
+                    and not offset % g
+                    and (offset // g) % n == entry.position
+                ):
+                    matches.append(entry)
+        return matches
+
     def find(self, addr: int, width: int) -> L0Entry | None:
         """Most-recently-used entry covering [addr, addr+width), no side effects."""
-        block = self._block_of(addr)
-        offset = addr - block
-        for entry in reversed(self._by_block.get(block, ())):
-            if self._covers(entry, offset, width):
-                return entry
-        return None
+        matches = self._matches(addr, width)
+        return matches[-1] if matches else None
 
     def access(self, addr: int, width: int, cycle: int) -> L0Entry | None:
         """Demand access: updates LRU and hit/miss statistics.
@@ -155,7 +174,7 @@ class L0Buffer:
         Inlined MRU-first cover scan (this is the simulator's hottest
         memory loop); semantically identical to ``find`` + LRU bump.
         """
-        block = addr - (addr % self.block_bytes)
+        block = addr - addr % self.block_bytes
         stats = self.stats
         peers = self._by_block.get(block)
         if peers is None:
@@ -164,7 +183,8 @@ class L0Buffer:
         offset = addr - block
         sub = self.subblock_bytes
         n = self.n_clusters
-        for idx in range(len(peers) - 1, -1, -1):
+        last = idx = len(peers) - 1
+        while idx >= 0:
             entry = peers[idx]
             if entry.kind is _LINEAR:
                 lo = entry.position * sub
@@ -178,6 +198,7 @@ class L0Buffer:
                     and (offset // g) % n == entry.position
                 ):
                     break
+            idx -= 1
         else:
             stats.misses += 1
             return None
@@ -185,7 +206,7 @@ class L0Buffer:
         if entry.ready > cycle:
             stats.late_hits += 1
         entry.touched = True
-        if idx != len(peers) - 1:
+        if idx != last:
             del peers[idx]
             peers.append(entry)
         lru = self._lru
@@ -195,15 +216,26 @@ class L0Buffer:
 
     def _insert(self, entry: L0Entry) -> None:
         """Make ``entry`` resident as the most recently used."""
-        if self.capacity is not None:
-            while len(self._lru) >= self.capacity:
-                victim = next(iter(self._lru))
-                self._drop(victim)
+        lru = self._lru
+        by_block = self._by_block
+        capacity = self.capacity
+        if capacity is not None:
+            while len(lru) >= capacity:
+                victim = next(iter(lru))
+                del lru[victim]
+                peers = by_block[victim.block_addr]
+                peers.remove(victim)
+                if not peers:
+                    del by_block[victim.block_addr]
                 self.stats.evictions += 1
                 if victim.from_prefetch and not victim.touched:
                     self.stats.evicted_untouched_prefetches += 1
-        self._lru[entry] = None
-        self._by_block.setdefault(entry.block_addr, []).append(entry)
+        lru[entry] = None
+        peers = by_block.get(entry.block_addr)
+        if peers is None:
+            by_block[entry.block_addr] = [entry]
+        else:
+            peers.append(entry)
 
     def _drop(self, entry: L0Entry) -> None:
         """Remove ``entry`` from the LRU order and its block's list."""
@@ -217,20 +249,14 @@ class L0Buffer:
         self, addr: int, ready: int, *, from_prefetch: bool = False
     ) -> L0Entry:
         """Insert the linear subblock containing ``addr`` (idempotent)."""
-        block = self._block_of(addr)
-        position = (addr - block) // self.subblock_bytes
-        existing = self.find_exact(MapKind.LINEAR, block, position, self.subblock_bytes)
+        block = addr - addr % self.block_bytes
+        sub = self.subblock_bytes
+        position = (addr - block) // sub
+        existing = self.find_exact(_LINEAR, block, position, sub)
         if existing is not None:
             existing.ready = min(existing.ready, ready)
             return existing
-        entry = L0Entry(
-            kind=MapKind.LINEAR,
-            block_addr=block,
-            position=position,
-            granularity=self.subblock_bytes,
-            ready=ready,
-            from_prefetch=from_prefetch,
-        )
+        entry = L0Entry(_LINEAR, block, position, sub, ready, from_prefetch)
         self._insert(entry)
         self.stats.linear_fills += 1
         return entry
@@ -244,19 +270,12 @@ class L0Buffer:
         *,
         from_prefetch: bool = False,
     ) -> L0Entry:
-        existing = self.find_exact(
-            MapKind.INTERLEAVED, block_addr, residue, granularity
-        )
+        existing = self.find_exact(_INTERLEAVED, block_addr, residue, granularity)
         if existing is not None:
             existing.ready = min(existing.ready, ready)
             return existing
         entry = L0Entry(
-            kind=MapKind.INTERLEAVED,
-            block_addr=block_addr,
-            position=residue,
-            granularity=granularity,
-            ready=ready,
-            from_prefetch=from_prefetch,
+            _INTERLEAVED, block_addr, residue, granularity, ready, from_prefetch
         )
         self._insert(entry)
         self.stats.interleaved_fills += 1
@@ -318,7 +337,7 @@ class L0Buffer:
     ) -> bool:
         """Is ``addr`` the last (or first) element of ``entry``'s subblock?"""
         offset = addr - entry.block_addr
-        if entry.kind is MapKind.LINEAR:
+        if entry.kind is _LINEAR:
             sub = self.subblock_bytes
             within = offset - entry.position * sub
             return within + width == sub if last else within == 0

@@ -13,7 +13,9 @@ Each cluster owns an L1 module; blocks migrate/replicate on demand:
 Modules are modelled as per-cluster fully-associative LRU block sets
 (capacity = unified size / N) with MSI state tracked per block; the
 fidelity target is Figure 7's ranking, not a full MultiVLIW reproduction
-(see DESIGN.md).
+(see DESIGN.md).  A module holds a block exactly when its cluster shares
+or owns it, so a load's local-hit test is one module lookup, and no
+access builds a throwaway set.
 """
 
 from __future__ import annotations
@@ -47,7 +49,13 @@ class MSIStats:
 
 
 class MultiVLIWMemory:
-    """Snoop-coherent distributed L1."""
+    """Snoop-coherent distributed L1.
+
+    The access paths rely on two invariants every operation keeps: a
+    cluster's module holds a block exactly when the cluster shares or
+    owns it, and a block has either one owner (M) or a non-empty set of
+    sharers (S), never both.
+    """
 
     def __init__(self, config: MachineConfig) -> None:
         self.config = config
@@ -58,9 +66,17 @@ class MultiVLIWMemory:
         self._modules: list[OrderedDict[int, None]] = [
             OrderedDict() for _ in range(n)
         ]
-        # block -> set of sharers (S) — or single owner with dirty flag.
-        self._sharers: dict[int, set[int]] = {}
+        self._sharers: dict[int, set[int]] = {}  # block -> clusters holding S
         self._owner: dict[int, int] = {}  # block -> cluster holding M
+        # Bound copies of the block size and latencies (config attribute
+        # reads add up over hundreds of thousands of accesses).
+        self._block_bytes = config.l1_block
+        self._local_latency = config.distributed_local_latency
+        self._remote_latency = config.distributed_remote_latency
+        self._dirty_latency = (
+            config.distributed_remote_latency + config.coherence_penalty
+        )
+        self._l2_latency = config.distributed_local_latency + config.l2_latency
 
     # ------------------------------------------------------------------
     # Module bookkeeping
@@ -81,49 +97,42 @@ class MultiVLIWMemory:
         if sharers is not None:
             sharers.discard(cluster)
             if not sharers:
-                self._sharers.pop(block, None)
+                del self._sharers[block]
         if self._owner.get(block) == cluster:
             del self._owner[block]  # implicit write-back to L2
-
-    def _present(self, cluster: int, block: int) -> bool:
-        return block in self._modules[cluster] and (
-            cluster in self._sharers.get(block, ()) or self._owner.get(block) == cluster
-        )
 
     # ------------------------------------------------------------------
 
     def load(
         self, cluster: int, addr: int, width: int, hints: HintBundle, cycle: int
     ) -> int:
-        block = addr // self.config.l1_block
-        cfg = self.config
-        if self._present(cluster, block):
+        block = addr // self._block_bytes
+        module = self._modules[cluster]
+        if block in module:  # the cluster shares or owns it
             self.stats.local_hits += 1
-            self._touch(cluster, block)
-            return cycle + cfg.distributed_local_latency
+            module.move_to_end(block)
+            return cycle + self._local_latency
 
         owner = self._owner.get(block)
-        if owner is not None and owner != cluster:
+        if owner is not None:
             # Remote modified copy: write back, both end up sharers.
             self.stats.remote_dirty += 1
             del self._owner[block]
             self._sharers[block] = {owner, cluster}
             self._touch(cluster, block)
-            return cycle + cfg.distributed_remote_latency + cfg.coherence_penalty
+            return cycle + self._dirty_latency
 
-        sharers = self._sharers.get(block, set())
-        remote_sharers = sharers - {cluster}
-        if remote_sharers:
+        sharers = self._sharers.get(block)
+        if sharers is not None:  # every sharer is remote
             self.stats.remote_clean += 1
             sharers.add(cluster)
-            self._sharers[block] = sharers
             self._touch(cluster, block)
-            return cycle + cfg.distributed_remote_latency
+            return cycle + self._remote_latency
 
         self.stats.misses_to_l2 += 1
-        self._sharers.setdefault(block, set()).add(cluster)
+        self._sharers[block] = {cluster}
         self._touch(cluster, block)
-        return cycle + cfg.distributed_local_latency + cfg.l2_latency
+        return cycle + self._l2_latency
 
     def store(
         self,
@@ -134,20 +143,25 @@ class MultiVLIWMemory:
         cycle: int,
         is_primary: bool = True,
     ) -> None:
-        block = addr // self.config.l1_block
-        if self._owner.get(block) == cluster:
+        block = addr // self._block_bytes
+        owner = self._owner.get(block)
+        if owner == cluster:
             self._touch(cluster, block)
             return
-        sharers = self._sharers.pop(block, set())
-        old_owner = self._owner.pop(block, None)
-        owners = {old_owner} if old_owner is not None else set()
-        remote = (sharers | owners) - {cluster}
-        if remote:
-            self.stats.store_invalidations += len(remote)
-            for other in remote:
-                self._modules[other].pop(block, None)
-        if cluster not in sharers and old_owner != cluster:
-            self.stats.store_ownership_misses += 1
+        stats = self.stats
+        if owner is not None:
+            # Fetch the remote modified copy; its holder loses it.
+            stats.store_invalidations += 1
+            stats.store_ownership_misses += 1
+            del self._modules[owner][block]
+        else:
+            sharers = self._sharers.pop(block, ())
+            if cluster not in sharers:
+                stats.store_ownership_misses += 1
+            for other in sharers:
+                if other != cluster:
+                    stats.store_invalidations += 1
+                    del self._modules[other][block]
         self._owner[block] = cluster
         self._touch(cluster, block)
 

@@ -191,7 +191,7 @@ def test_exact_search_bug_raises_instead_of_falling_back(monkeypatch):
     assert "A001" in {d.code for d in blocked.value.diagnostics}
 
 
-def test_audit_leaves_entry_mtimes_alone(tmp_path):
+def test_audit_leaves_entry_mtimes_alone(tmp_path, monkeypatch):
     """``repro.cache verify`` reads every artifact but refreshes no
     mtime, so it cannot reorder what ``repro.cache gc`` evicts."""
     from repro.cache import main as cache_main
@@ -207,15 +207,9 @@ def test_audit_leaves_entry_mtimes_alone(tmp_path):
     for age, file in enumerate(files):
         os.utime(file, (1000.0 + age, 1000.0 + age))
     before = {file.name: file.stat().st_mtime for file in files}
-    argv = [
-        "--cache-dir",
-        str(tmp_path / "no-results"),
-        "--compile-cache-dir",
-        str(store),
-        "--fuzz-cache-dir",
-        str(tmp_path / "no-fuzz"),
-        "verify",
-    ]
+    # The default result and fuzz directories are absent here.
+    monkeypatch.chdir(tmp_path)
+    argv = ["--compile-cache-dir", str(store), "verify"]
     assert cache_main(argv) == 0
     assert {file.name: file.stat().st_mtime for file in files} == before
 

@@ -257,7 +257,9 @@ class TestOneFormat:
         assert (reopened.stats.hits, reopened.stats.disk_hits) == (1, 1)
         assert reopened.stats.misses == 0
 
-    def test_old_format_entry_is_counted_dropped_and_evicted(self, tmp_path, capsys):
+    def test_old_format_entry_is_counted_dropped_and_evicted(
+        self, tmp_path, capsys, monkeypatch
+    ):
         """A ``<key>.json`` left by an older version is never loaded, but
         it is an entry to ``repro.cache``: ``stats`` counts it, ``verify``
         drops it (exit 1) and ``gc`` unlinks it from disk."""
@@ -265,14 +267,9 @@ class TestOneFormat:
         KeyedCache(result_dir).put(_key(1), {"v": 1})
         current = result_dir / f"{_key(1)}.pkl"
         old = result_dir / f"{_key(2)}.json"
-        argv = [
-            "--cache-dir",
-            str(result_dir),
-            "--compile-cache-dir",
-            str(tmp_path / "absent"),
-            "--fuzz-cache-dir",
-            str(tmp_path / "absent"),
-        ]
+        # The default compile and fuzz directories are absent here.
+        monkeypatch.chdir(tmp_path)
+        argv = ["--cache-dir", str(result_dir)]
 
         def plant_old_entry():
             old.write_text(json.dumps({"schema": 5, "result": {}}))
@@ -422,6 +419,25 @@ class TestCacheCLI:
             assert cache_main(absent + command) == 1, command
             assert "no cache directories" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())  # never mkdirs
+
+    def test_named_missing_dir_fails_beside_an_existing_store(
+        self, dirs, tmp_path, capsys, monkeypatch
+    ):
+        # A mistyped flag must not read as a clean pass over the stores
+        # that do exist; the defaults, though, stay skippable.
+        result_dir = dirs[0]
+        monkeypatch.chdir(tmp_path)
+        typo = tmp_path / "compile-typo"
+        argv = ["--cache-dir", str(result_dir), "--compile-cache-dir", str(typo)]
+        for command in (["stats"], ["verify"], ["gc", "--max-bytes", "1M"]):
+            assert cache_main(argv + command) == 1, command
+            err = capsys.readouterr().err
+            assert f"--compile-cache-dir: no such directory: {typo}" in err
+        assert not typo.exists()  # never mkdirs
+        # Only the result store is named, and the default compile and
+        # fuzz directories are absent from the working directory.
+        assert cache_main(["--cache-dir", str(result_dir), "verify"]) == 0
+        assert "results: 1 entries ok" in capsys.readouterr().out
 
     def test_parse_size(self):
         assert parse_size("200M") == 200 * 1024**2

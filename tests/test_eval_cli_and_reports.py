@@ -53,6 +53,17 @@ class TestCLI:
         assert exc.value.code == 2
         assert "argument --sim-cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("names", [["nosuch"], ["g721dec", "nosuch"], []])
+    def test_bad_benchmark_list_is_a_usage_error(self, names, capsys):
+        # An unknown name or an empty list fails before anything runs,
+        # instead of a KeyError or a silent run of all 13 programs.
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--benchmarks", *names])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --benchmarks" in captured.err
+        assert captured.out == ""
+
 
 class TestRenderers:
     def _rows(self, labels, benchmarks=("x", "AMEAN")):

@@ -505,6 +505,17 @@ def test_sim_bench_cli_fails_closed_and_still_writes(tmp_path, capsys):
     assert second["failures"] == []
 
 
+def test_sim_bench_cli_rejects_unknown_benchmarks(tmp_path, capsys):
+    from repro.eval.cibench import main
+
+    output = tmp_path / "BENCH_sim.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["--sim-output", str(output), "--benchmarks", "g721dec", "nosuch"])
+    assert exc.value.code == 2
+    assert "argument --benchmarks" in capsys.readouterr().err
+    assert not output.exists()
+
+
 # ----------------------------------------------------------------------
 # Slow lane: the exhaustive matrix
 # ----------------------------------------------------------------------

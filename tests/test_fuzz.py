@@ -299,7 +299,7 @@ def test_shrinker_reports_non_reproducing_input():
 # ----------------------------------------------------------------------
 
 
-def test_fuzz_cli_run_then_cache_verify_roundtrip(tmp_path, capsys):
+def test_fuzz_cli_run_then_cache_verify_roundtrip(tmp_path, capsys, monkeypatch):
     store = tmp_path / "store"
     summary = tmp_path / "summary.json"
     rc = fuzz_main(
@@ -325,13 +325,9 @@ def test_fuzz_cli_run_then_cache_verify_roundtrip(tmp_path, capsys):
     capsys.readouterr()
 
     # ``repro.cache`` reads the fuzz store back: both entries unpickle.
-    absent = [
-        "--cache-dir",
-        str(tmp_path / "absent-results"),
-        "--compile-cache-dir",
-        str(tmp_path / "absent-compile"),
-    ]
-    assert cache_main([*absent, "--fuzz-cache-dir", str(store), "verify"]) == 0
+    # The default result and compile directories are absent here.
+    monkeypatch.chdir(tmp_path)
+    assert cache_main(["--fuzz-cache-dir", str(store), "verify"]) == 0
     assert "fuzz: 2 entries ok, 0 corrupt removed" in capsys.readouterr().out
 
 
@@ -425,18 +421,14 @@ def test_fuzz_cli_fault_drill_writes_a_shrunk_repro(tmp_path):
     assert replay_case(case, options=FuzzOptions(fault=DRILL_FAULT))
 
 
-def test_cache_cli_covers_the_fuzz_store(tmp_path, capsys):
+def test_cache_cli_covers_the_fuzz_store(tmp_path, capsys, monkeypatch):
     store = tmp_path / "store"
     jobs = make_jobs(["edge:tiny"], ["unified"], ("certify",), spread=False)
     assert run_jobs(jobs, store=KeyedCache(store)).clean
-    argv = [
-        "--cache-dir",
-        str(tmp_path / "absent-results"),
-        "--compile-cache-dir",
-        str(tmp_path / "absent-compile"),
-        "--fuzz-cache-dir",
-        str(store),
-    ]
+    # The default result and compile directories are absent here, so
+    # only the fuzz store is read.
+    monkeypatch.chdir(tmp_path)
+    argv = ["--fuzz-cache-dir", str(store)]
     assert cache_main(argv + ["stats"]) == 0
     out = capsys.readouterr().out
     assert "fuzz:" in out and "entries: 1" in out

@@ -13,7 +13,7 @@ from repro.isa import (
     PrefetchHint,
 )
 from repro.ir.memdep import patterns_may_alias
-from repro.machine import interleaved_config, l0_config
+from repro.machine import interleaved_config, l0_config, multivliw_config
 from repro.memory import (
     WORD,
     BusStats,
@@ -22,6 +22,8 @@ from repro.memory import (
     L0Entry,
     L0Stats,
     MapKind,
+    MSIStats,
+    MultiVLIWMemory,
     SetAssocCache,
     UnifiedMemory,
     WordInterleavedMemory,
@@ -651,6 +653,136 @@ def test_interleaved_store_matches_home_loop_model(n_clusters, ops):
             ref.store(cluster, addr, width, BYPASS_HINTS, cycle)
         assert mem.stats == ref.stats, name
         assert _interleaved_state(mem) == _interleaved_state(ref), name
+
+
+class MSIModel:
+    """Reference model of ``MultiVLIWMemory``: the rules of
+    ``memory/multivliw.py``'s docstring on plain per-block state.  Each
+    cluster's module is an LRU list of at most ``blocks_per_module``
+    blocks (oldest first); each block has a set of sharers (S) and at
+    most one owner (M); evicting a block from a module drops that
+    cluster's copy, an owned one written back to L2."""
+
+    def __init__(self, config):
+        self.config = config
+        n = config.n_clusters
+        self.capacity = max(4, config.l1_size // n // config.l1_block)
+        self.modules = [[] for _ in range(n)]
+        self.sharers = {}
+        self.owner = {}
+        self.stats = MSIStats()
+
+    def _copies(self, block):
+        """Every cluster holding ``block``, shared or modified."""
+        copies = set(self.sharers.get(block, ()))
+        if block in self.owner:
+            copies.add(self.owner[block])
+        return copies
+
+    def _use(self, cluster, block):
+        module = self.modules[cluster]
+        if block in module:
+            module.remove(block)
+        while len(module) >= self.capacity:
+            self._evict(cluster, module.pop(0))
+        module.append(block)
+
+    def _evict(self, cluster, block):
+        sharers = self.sharers.pop(block, set()) - {cluster}
+        if sharers:
+            self.sharers[block] = sharers
+        if self.owner.get(block) == cluster:
+            del self.owner[block]
+
+    def load(self, cluster, addr, cycle):
+        config = self.config
+        block = addr // config.l1_block
+        copies = self._copies(block)
+        if cluster in copies:
+            self.stats.local_hits += 1
+            latency = config.distributed_local_latency
+        elif block in self.owner:
+            # A remote modified copy is written back; both end up sharers.
+            self.stats.remote_dirty += 1
+            self.sharers[block] = {self.owner.pop(block), cluster}
+            latency = config.distributed_remote_latency + config.coherence_penalty
+        elif copies:
+            self.stats.remote_clean += 1
+            self.sharers[block] = copies | {cluster}
+            latency = config.distributed_remote_latency
+        else:
+            self.stats.misses_to_l2 += 1
+            self.sharers[block] = {cluster}
+            latency = config.distributed_local_latency + config.l2_latency
+        self._use(cluster, block)
+        return cycle + latency
+
+    def store(self, cluster, addr):
+        """Take ownership: every other copy is invalidated."""
+        block = addr // self.config.l1_block
+        copies = self._copies(block)
+        if self.owner.get(block) != cluster:
+            if cluster not in copies:
+                self.stats.store_ownership_misses += 1
+            for other in copies - {cluster}:
+                self.stats.store_invalidations += 1
+                self.modules[other].remove(block)
+            self.sharers.pop(block, None)
+            self.owner[block] = cluster
+        self._use(cluster, block)
+
+
+# 1, 2 and 4 clusters (the cluster count must divide the block), with
+# modules of 4 to 16 blocks: ops draw from 12 blocks, so evictions,
+# remote copies and ownership changes are all common.
+MSI_MACHINES = st.sampled_from(
+    [
+        multivliw_config(n_clusters=n, l1_size=size)
+        for n in (1, 2, 4)
+        for size in (128, 512)
+    ]
+)
+# (name, cluster, block, byte offset, cycles the clock advances).
+MSI_OP = st.tuples(
+    st.sampled_from(["load", "load", "store"]),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=11),
+    st.integers(min_value=0, max_value=31),
+    st.integers(min_value=0, max_value=3),
+)
+
+
+def _check_against_msi_model(config, ops):
+    mem, ref = MultiVLIWMemory(config), MSIModel(config)
+    clock = 0
+    for name, cluster, block, offset, dt in ops:
+        cluster %= config.n_clusters
+        clock += dt
+        addr = block * config.l1_block + offset
+        if name == "load":
+            got = mem.load(cluster, addr, 4, BYPASS_HINTS, clock)
+            assert got == ref.load(cluster, addr, clock), name
+        else:
+            mem.store(cluster, addr, 4, BYPASS_HINTS, clock)
+            ref.store(cluster, addr)
+        assert mem.stats == ref.stats, name
+        # Every module's blocks in LRU order, and the MSI maps.
+        assert [list(module) for module in mem._modules] == ref.modules, name
+        assert mem._sharers == ref.sharers, name
+        assert mem._owner == ref.owner, name
+
+
+@QUICK
+@given(config=MSI_MACHINES, ops=st.lists(MSI_OP, min_size=20, max_size=120))
+def test_multivliw_matches_msi_model(config, ops):
+    _check_against_msi_model(config, ops)
+
+
+@pytest.mark.slow
+@settings(max_examples=300, deadline=None)
+@given(config=MSI_MACHINES, ops=st.lists(MSI_OP, min_size=100, max_size=400))
+def test_multivliw_matches_msi_model_long(config, ops):
+    _check_against_msi_model(config, ops)
 
 
 @QUICK
