@@ -1,9 +1,9 @@
 """Maintenance CLI over the on-disk artifact stores.
 
-``python -m repro.cache <command>`` operates on the three cache
-directories the pipeline persists — the result store, the
-compile-artifact store and the fuzz-job store — each opened as one
-``KeyedCache`` over its ``KeyedFileStore``:
+``python -m repro.cache <command>`` operates on the two cache
+directories the pipeline persists — the result store and the
+compile-artifact store — each opened as one ``KeyedCache`` over its
+``KeyedFileStore``:
 
 * ``stats``  — entry count, bytes and recency range per store;
 * ``gc``     — bound each directory to ``--max-bytes``, evicting the
@@ -15,13 +15,13 @@ compile-artifact store and the fuzz-job store — each opened as one
   one before storing it, and every key mixes the code fingerprint.
 
 The directories default to the names CI persists (``.result-cache``,
-``.compile-cache``, ``.fuzz-cache``); a missing default directory is
-skipped, but a directory named by its flag must exist, so a mistyped
-path fails the command instead of reading as a clean pass.  Nothing is
-ever created, and every command exits 1 when none of the three exists,
-so a step meant to read a store cannot pass on none.  Every
-store is one flat directory of ``<key>.pkl`` files; a file's mtime is
-its entry's recency (written or last hit).
+``.compile-cache``); a missing default directory is skipped, but a
+directory named by its flag must exist, so a mistyped path fails the
+command instead of reading as a clean pass.  Nothing is ever created,
+and every command exits 1 when neither store exists, so a step meant
+to read a store cannot pass on none.  Every store is one flat
+directory of ``<key>.pkl`` files; a file's mtime is its entry's
+recency (written or last hit).
 ``gc`` is the one way to bound a store: every key mixes the code
 fingerprint, so entries written by other code versions are never hit
 again and are the first the size cap evicts.
@@ -70,8 +70,8 @@ def parse_age(text: str) -> float:
 
 
 def parse_exact_budget(text: str) -> int:
-    """An ``--exact-budget`` node budget that ``CompileOptions`` accepts, so
-    a bad value is a usage error before any job runs."""
+    """A ``repro.eval --exact-budget`` node budget that ``CompileOptions``
+    accepts, so a bad value is a usage error before anything compiles."""
     try:
         return CompileOptions(exact_node_budget=int(text)).exact_node_budget
     except ValueError as exc:
@@ -110,14 +110,13 @@ def _age(seconds: float) -> str:
 _STORE_DIRS = {
     "results": ("--cache-dir", ".result-cache", "result store"),
     "compile": ("--compile-cache-dir", ".compile-cache", "compile-artifact store"),
-    "fuzz": ("--fuzz-cache-dir", ".fuzz-cache", "fuzz-job store"),
 }
 
 
 def open_stores(args) -> list[tuple[str, KeyedCache]] | None:
     """The caches whose directories exist, or ``None`` if the command
-    must fail: a directory named by its flag is missing, or none of the
-    three exists.
+    must fail: a directory named by its flag is missing, or neither store
+    exists.
 
     Never creates a directory: a maintenance tool that mkdirs the thing
     it is asked to clean up would mask typos.

@@ -10,8 +10,6 @@ from fixed test suites into a continuously-running engine:
   profiles;
 * pluggable **checks** (``checks``) run per (kernel, config) job
   through one check loop, ``run_checks``;
-* a content-addressed **store** (a ``KeyedCache`` over
-  ``.fuzz-cache``) that dedupes jobs across runs and nights;
 * a deterministic **shrinker** (``shrink``) that reduces any mismatch
   to a 1-minimal kernel;
 * **repro files** (``regressions``) that make shrunk findings permanent
@@ -21,7 +19,7 @@ from fixed test suites into a continuously-running engine:
   gates on.
 """
 
-from .checks import CHECKS, FAULTS, FuzzOptions, run_check, run_checks
+from .checks import CHECKS, run_check, run_checks
 from .corpus import (
     EDGE_CORPUS,
     edge_kernel_ids,
@@ -33,7 +31,6 @@ from .engine import (
     FuzzJob,
     FuzzReport,
     execute_job,
-    job_store_key,
     make_jobs,
     run_jobs,
 )
@@ -51,16 +48,13 @@ __all__ = [
     "CHECKS",
     "DEFAULT_REGRESSIONS_DIR",
     "EDGE_CORPUS",
-    "FAULTS",
     "FUZZ_CONFIGS",
     "FuzzJob",
-    "FuzzOptions",
     "FuzzReport",
     "ReproCase",
     "ShrinkResult",
     "edge_kernel_ids",
     "execute_job",
-    "job_store_key",
     "load_repros",
     "make_jobs",
     "replay_case",

@@ -1,18 +1,18 @@
 """The pluggable check registry: what "correct" means per fuzz job.
 
-Each check is a function ``(loop, config, options, cache) ->
-list[mismatch]`` over one (kernel, config) pair; an empty list means the
-pair is clean under that oracle.  ``cache`` is the compile cache the
-check compiles through.  Mismatch records are plain dicts (``{"check",
-"kind", "detail"}``) so they pickle straight into the fuzz store's entry
-and the CI summary.
+Each check is a function ``(loop, config, cache) -> list[mismatch]``
+over one (kernel, config) pair; an empty list means the pair is clean
+under that oracle.  ``cache`` is the compile cache the check compiles
+through.  Mismatch records are plain dicts (``{"check", "kind",
+"detail"}``) so they pickle back from a worker and go straight into the
+CI summary and a repro file.
 
 :func:`run_checks` is the one check loop: a sweep's job, a repro's
 replay and each shrink attempt all get their verdict from it.
 
-Every compile goes through ``compile_cached``, which certifies the
-artifact and raises :class:`~repro.analysis.CertificationError` on a
-blocking finding.
+Every compile goes through ``compile_cached`` (the exact ones under
+:data:`EXACT_NODE_BUDGET`), which certifies the artifact and raises
+:class:`~repro.analysis.CertificationError` on a blocking finding.
 
 Checks:
 
@@ -25,18 +25,12 @@ Checks:
   claims internally consistent.
 * ``certify`` — the independent static certifier reports zero blocking
   diagnostics on the SMS artifact: one mismatch per diagnostic code.
-
-Fault injection (``FuzzOptions.fault``) deterministically corrupts the
-compiled artifact's static trace *on a private copy* before the fast
-path runs — the shrinker's tests and CI's acceptance drill use it to
-prove a real fast-path divergence would be caught and shrunk.
 """
 
 from __future__ import annotations
 
 import copy
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from ..analysis import CertificationError
 from ..ir.loop import Loop
@@ -47,110 +41,34 @@ from ..pipeline.passes import CompileOptions
 from ..pipeline.compilecache import compile_cached
 from ..sim.executor import LoopExecutor
 from ..sim.runner import make_memory
-from ..sim.trace import EV_CHECK, EV_LOAD, TraceExecutor, static_trace
+from ..sim.trace import TraceExecutor
 from ..workloads.generator import KernelGenotype
 
-
-@dataclass(frozen=True)
-class FuzzOptions:
-    """Knobs shared by every check of one fuzz run.
-
-    They participate in the store key: a run with a different budget or
-    an injected fault must never be served a clean entry recorded under
-    other settings.
-    """
-
-    exact_node_budget: int = 20_000
-    #: Named deterministic corruption of the fast path's static trace
-    #: (``None`` fuzzes the real code).  See :data:`FAULTS`.
-    fault: str | None = None
-
-    def to_json(self) -> dict:
-        return {"exact_node_budget": self.exact_node_budget, "fault": self.fault}
+#: Node budget of every exact compile the checks make (a third of
+#: ``CompileOptions``' default).
+EXACT_NODE_BUDGET = 20_000
 
 
-def _mismatch(check: str, kind: str, detail: str, **extra) -> dict:
-    record = {"check": check, "kind": kind, "detail": detail}
-    record.update(extra)
-    return record
+def _mismatch(check: str, kind: str, detail: str) -> dict:
+    return {"check": check, "kind": kind, "detail": detail}
 
 
-def _compile(
-    loop: Loop,
-    config: MachineConfig,
-    scheduler: str,
-    options: FuzzOptions,
-    cache: KeyedCache,
-):
+def _compile(loop: Loop, config: MachineConfig, scheduler: str, cache: KeyedCache):
     """Compile through ``cache`` with one canonical option set, so the
     checks of one job share compile work."""
     return compile_cached(
         copy.deepcopy(loop),
         config,
-        CompileOptions(
-            scheduler=scheduler, exact_node_budget=options.exact_node_budget
-        ),
+        CompileOptions(scheduler=scheduler, exact_node_budget=EXACT_NODE_BUDGET),
         cache=cache,
     )
 
 
-# ----------------------------------------------------------------------
-# Fault injection
-# ----------------------------------------------------------------------
-
-
-def _fault_drop_check_deps(trace) -> int:
-    """Erase the interlock dependences: the fast path stops seeing the
-    stalls late loads impose on their consumers."""
-    touched = 0
-    for event in trace.events:
-        if event.kind == EV_CHECK and event.deps:
-            event.deps = ()
-            touched += 1
-    return touched
-
-
-def _fault_late_load(trace) -> int:
-    """Overstate the first load's producer latency by one cycle: its
-    consumers appear to stall when the reference says they do not."""
-    for event in trace.events:
-        if event.kind == EV_LOAD:
-            event.latency += 1
-            return 1
-    return 0
-
-
-#: Registry of named deterministic trace corruptions.
-FAULTS = {
-    "drop-check-deps": _fault_drop_check_deps,
-    "late-load": _fault_late_load,
-}
-
-
-def _faulted_copy(compiled, fault: str):
-    """A private copy of the artifact with ``fault`` applied to its
-    trace.  The shared compile cache keeps the pristine original."""
-    mutator = FAULTS.get(fault)
-    if mutator is None:
-        raise ValueError(f"unknown fault {fault!r} (known: {sorted(FAULTS)})")
-    static_trace(compiled)  # ensure the trace exists before copying
-    faulted = copy.deepcopy(compiled)
-    mutator(faulted.static_trace)
-    return faulted
-
-
-# ----------------------------------------------------------------------
-# Checks
-# ----------------------------------------------------------------------
-
-
 def check_fast_vs_ref(
-    loop: Loop, config: MachineConfig, options: FuzzOptions, cache: KeyedCache
+    loop: Loop, config: MachineConfig, cache: KeyedCache
 ) -> list[dict]:
     """TraceExecutor vs reference interpreter: byte-identical results."""
-    compiled = _compile(loop, config, "sms", options, cache)
-    if options.fault is not None:
-        compiled = _faulted_copy(compiled, options.fault)
+    compiled = _compile(loop, config, "sms", cache)
     n = compiled.loop.trip_count
     ref_mem, fast_mem = make_memory(config), make_memory(config)
     ref = LoopExecutor(compiled, ref_mem, MemoryLayout(align=config.l1_block))
@@ -190,12 +108,12 @@ def check_fast_vs_ref(
 
 
 def check_exact_vs_sms(
-    loop: Loop, config: MachineConfig, options: FuzzOptions, cache: KeyedCache
+    loop: Loop, config: MachineConfig, cache: KeyedCache
 ) -> list[dict]:
     """The scheduler oracle: II chain and meta consistency (both
     compiles are certified on their way through the cache)."""
-    sms = _compile(loop, config, "sms", options, cache)
-    exact = _compile(loop, config, "exact", options, cache)
+    sms = _compile(loop, config, "sms", cache)
+    exact = _compile(loop, config, "exact", cache)
     meta = exact.schedule.meta
     mismatches: list[dict] = []
 
@@ -237,9 +155,7 @@ def check_exact_vs_sms(
     return mismatches
 
 
-def check_certify(
-    loop: Loop, config: MachineConfig, options: FuzzOptions, cache: KeyedCache
-) -> list[dict]:
+def check_certify(loop: Loop, config: MachineConfig, cache: KeyedCache) -> list[dict]:
     """The independent certifier finds zero blocking diagnostics.
 
     ``compile_cached`` raises :class:`CertificationError` on a blocked
@@ -248,7 +164,7 @@ def check_certify(
     the finding shrinkable.
     """
     try:
-        _compile(loop, config, "sms", options, cache)
+        _compile(loop, config, "sms", cache)
     except CertificationError as exc:
         by_code: dict[str, list[str]] = {}
         for d in exc.diagnostics:
@@ -269,11 +185,7 @@ CHECKS = {
 
 
 def run_check(
-    name: str,
-    loop: Loop,
-    config: MachineConfig,
-    options: FuzzOptions,
-    cache: KeyedCache | None = None,
+    name: str, loop: Loop, config: MachineConfig, cache: KeyedCache | None = None
 ) -> list[dict]:
     """Run one check, compiling through ``cache`` (a fresh one when
     ``None``): never through the process-wide compile cache, which keeps
@@ -282,14 +194,11 @@ def run_check(
         check = CHECKS[name]
     except KeyError:
         raise ValueError(f"unknown check {name!r} (known: {sorted(CHECKS)})") from None
-    return check(loop, config, options, KeyedCache() if cache is None else cache)
+    return check(loop, config, KeyedCache() if cache is None else cache)
 
 
 def run_checks(
-    genotype: KernelGenotype,
-    config: MachineConfig,
-    checks: Iterable[str],
-    options: FuzzOptions,
+    genotype: KernelGenotype, config: MachineConfig, checks: Iterable[str]
 ) -> list[dict]:
     """The one check loop: run ``checks`` in order over ``genotype`` on
     ``config`` and return every mismatch.
@@ -304,7 +213,7 @@ def run_checks(
     for name in checks:
         try:
             loop = genotype.build()
-            mismatches.extend(run_check(name, loop, config, options, cache))
+            mismatches.extend(run_check(name, loop, config, cache))
         except Exception as exc:  # a crash is a finding, not an abort
             detail = f"{type(exc).__name__}: {exc}"
             mismatches.append(_mismatch(name, "error", detail))

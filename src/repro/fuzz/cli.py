@@ -1,15 +1,14 @@
 """``python -m repro.fuzz`` — the fuzzing engine's one command.
 
 It fans a seed range (plus the edge corpus) through the differential
-checks, deduplicated against the fuzz store.  Every mismatching job is
-shrunk to a minimal kernel and written as a self-contained repro file.
-``--json`` writes the summary CI gates on.  The exit code is 0 only
-when the sweep ran at least one job and every job ran clean, 1
-otherwise, and 2 on a usage error.
+checks on the current tree; nothing is kept between runs.  Every
+mismatching job is shrunk to a minimal kernel and written as a
+self-contained repro file.  ``--json`` writes the summary CI gates on.
+The exit code is 0 only when the sweep ran at least one job and every
+job ran clean, 1 otherwise, and 2 on a usage error.
 
 The tier-1 suite (``tests/test_corpus_regressions.py``) replays the
-committed repro files, and ``python -m repro.cache`` inspects, bounds
-and verifies the fuzz store.
+committed repro files.
 """
 
 from __future__ import annotations
@@ -18,10 +17,9 @@ import argparse
 import json
 from pathlib import Path
 
-from ..cache import parse_age, parse_exact_budget
-from ..pipeline.cache import KeyedCache
+from ..cache import parse_age
 from ..workloads.generator import PROFILES
-from .checks import CHECKS, FAULTS, FuzzOptions
+from .checks import CHECKS
 from .corpus import edge_kernel_ids, resolve_kernel, seed_kernel_ids
 from .engine import FUZZ_CONFIGS, make_jobs, run_jobs
 from .regressions import DEFAULT_REGRESSIONS_DIR, ReproCase, repro_id, write_repro
@@ -60,17 +58,10 @@ def _emit_repro(
     config_name: str,
     check: str,
     mismatches: list[dict],
-    options: FuzzOptions,
     directory: Path,
 ) -> Path:
     genotype = resolve_kernel(kernel_id)
-    result = shrink(genotype, FUZZ_CONFIGS[config_name], check, options)
-    note = None
-    if options.fault is not None:
-        note = (
-            f"found under injected fault {options.fault!r} "
-            "(fault-injection drill, not a live bug)"
-        )
+    result = shrink(genotype, FUZZ_CONFIGS[config_name], check)
     case = ReproCase(
         repro_id=repro_id(check, config_name, result.genotype),
         genotype=result.genotype,
@@ -79,7 +70,6 @@ def _emit_repro(
         kernel_id=kernel_id,
         mismatches=mismatches,
         shrink=result.to_json(),
-        note=note,
     )
     return write_repro(case, directory)
 
@@ -132,14 +122,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--workers", type=int, default=None, help="worker processes")
     parser.add_argument(
-        "--store",
-        default=".fuzz-cache",
-        help="fuzz store directory (default .fuzz-cache)",
-    )
-    parser.add_argument(
-        "--no-store", action="store_true", help="run without the dedup store"
-    )
-    parser.add_argument(
         "--time-budget",
         type=parse_age,
         default=None,
@@ -152,25 +134,11 @@ def _parser() -> argparse.ArgumentParser:
         help="where shrunk repro files land",
     )
     parser.add_argument("--json", default=None, help="write the JSON summary here")
-    parser.add_argument(
-        "--exact-budget",
-        type=parse_exact_budget,
-        default=20_000,
-        help="node budget for the exact scheduler (default 20000)",
-    )
-    parser.add_argument(
-        "--inject-fault",
-        choices=sorted(FAULTS),
-        default=None,
-        help="deterministically corrupt the fast-path trace "
-        "(fault-injection drills)",
-    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    options = FuzzOptions(exact_node_budget=args.exact_budget, fault=args.inject_fault)
     checks = tuple(sorted(args.checks))
     jobs = []
     if args.edge:
@@ -178,13 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     kernel_ids = seed_kernel_ids(*args.seeds, args.profiles)
     jobs.extend(make_jobs(kernel_ids, args.configs, checks, spread=args.spread))
 
-    report = run_jobs(
-        jobs,
-        options=options,
-        store=None if args.no_store else KeyedCache(args.store),
-        workers=args.workers,
-        time_budget_s=args.time_budget,
-    )
+    report = run_jobs(jobs, workers=args.workers, time_budget_s=args.time_budget)
 
     repros: list[str] = []
     for entry in report.mismatched:
@@ -196,7 +158,6 @@ def main(argv: list[str] | None = None) -> int:
             job["config_name"],
             check,
             entry["mismatches"],
-            options,
             Path(args.regressions_dir),
         )
         repros.append(str(path))
@@ -207,9 +168,8 @@ def main(argv: list[str] | None = None) -> int:
         Path(args.json).write_text(json.dumps(summary, indent=2, sort_keys=True))
     print(
         f"fuzz: {report.total} jobs, {report.executed} executed, "
-        f"{report.store_hits} store hits, {report.not_run} not run "
-        f"(budget), {len(report.mismatched)} mismatching jobs in "
-        f"{report.wall_s:.1f}s"
+        f"{report.not_run} not run (budget), {len(report.mismatched)} "
+        f"mismatching jobs in {report.wall_s:.1f}s"
     )
     if not report.total:
         print("  no jobs: the sweep checked nothing")

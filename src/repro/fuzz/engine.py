@@ -1,19 +1,11 @@
 """Job generation and differential execution for the fuzzing engine.
 
 A :class:`FuzzJob` is one (kernel id, config name, check set) triple.
-:func:`run_jobs` deduplicates jobs against the fuzz store, a
-:class:`~repro.pipeline.cache.KeyedCache` keyed by
-:func:`job_store_key` (clean *and* mismatching results are both
-recorded — a second identical run re-simulates nothing), fans the
-misses out through the pipeline's serial/process executors, and folds
-everything into a :class:`FuzzReport` whose JSON rendering is what CI
-gates on.
-
-A store entry is the dict :func:`execute_job` returns.  Keys mix the
-code fingerprint, so a store persisted across commits (CI's nightly
-``actions/cache``) serves hits only while the tree is unchanged —
-repeat nights skip already-clean jobs, and any source edit
-invalidates everything it could have affected.
+:func:`run_jobs` drops repeated jobs (same genotype fingerprint, config
+name and check set), fans the rest out through the pipeline's
+serial/process executors, and folds every verdict into a
+:class:`FuzzReport` whose JSON rendering is what CI gates on.  A sweep
+checks the current tree: nothing is kept between runs.
 """
 
 from __future__ import annotations
@@ -29,9 +21,8 @@ from ..machine import (
     multivliw_config,
     unified_config,
 )
-from ..pipeline.cache import KeyedCache, _canonical, content_key
 from ..pipeline.executor import make_executor
-from .checks import FuzzOptions, run_checks
+from .checks import run_checks
 from .corpus import resolve_kernel
 
 #: Named machine configurations jobs draw from.  The defaults are
@@ -48,25 +39,6 @@ FUZZ_CONFIGS: dict[str, MachineConfig] = {
     "multivliw": multivliw_config(),
     "interleaved": interleaved_config(),
 }
-
-
-def job_store_key(
-    kernel_fingerprint: str, config, checks: tuple[str, ...], options
-) -> str:
-    """Content key of one fuzz job.
-
-    Mixes the kernel's genotype fingerprint (not its id: a seed kernel
-    and an identical committed repro share one entry), the canonical
-    config, the check set, the check options and the code fingerprint.
-    """
-    return content_key(
-        {
-            "checks": sorted(checks),
-            "config": _canonical(config),
-            "kernel": kernel_fingerprint,
-            "options": options.to_json(),
-        }
-    )
 
 
 @dataclass(frozen=True)
@@ -87,10 +59,6 @@ class FuzzJob:
                 f"{sorted(FUZZ_CONFIGS)})"
             ) from None
         return genotype, config
-
-    def key(self, options: FuzzOptions) -> str:
-        genotype, config = self.resolve()
-        return job_store_key(genotype.fingerprint(), config, self.checks, options)
 
 
 def make_jobs(
@@ -120,10 +88,9 @@ def make_jobs(
     return jobs
 
 
-def execute_job(item: tuple[FuzzJob, FuzzOptions]) -> dict:
+def execute_job(job: FuzzJob) -> dict:
     """Run one job's checks through :func:`~.checks.run_checks`;
     module-level so it pickles to workers."""
-    job, options = item
     genotype, config = job.resolve()
     return {
         "job": {
@@ -131,7 +98,7 @@ def execute_job(item: tuple[FuzzJob, FuzzOptions]) -> dict:
             "config_name": job.config_name,
             "checks": sorted(job.checks),
         },
-        "mismatches": run_checks(genotype, config, job.checks, options),
+        "mismatches": run_checks(genotype, config, job.checks),
     }
 
 
@@ -141,10 +108,9 @@ class FuzzReport:
 
     total: int = 0
     executed: int = 0
-    store_hits: int = 0
     not_run: int = 0
     wall_s: float = 0.0
-    #: Store entries (hit or fresh) whose mismatch list is non-empty.
+    #: The :func:`execute_job` entries whose mismatch list is non-empty.
     mismatched: list[dict] = field(default_factory=list)
 
     @property
@@ -157,7 +123,6 @@ class FuzzReport:
         return {
             "total": self.total,
             "executed": self.executed,
-            "store_hits": self.store_hits,
             "not_run": self.not_run,
             "wall_s": round(self.wall_s, 3),
             "mismatches": self.mismatched,
@@ -168,18 +133,17 @@ class FuzzReport:
 def run_jobs(
     jobs: list[FuzzJob],
     *,
-    options: FuzzOptions | None = None,
-    store: KeyedCache | None = None,
     workers: int | None = None,
     time_budget_s: float | None = None,
 ) -> FuzzReport:
-    """Run a job list through the store and the executor layer.
+    """Run a job list through the executor layer.
 
-    Store hits (clean or not) are never re-executed; misses fan out
-    through :func:`~repro.pipeline.executor.make_executor` in chunks so
-    a ``time_budget_s`` deadline is honoured between chunks (jobs past
-    the deadline are counted as ``not_run``, which fails ``clean``).
-    A budget that is not a finite number of seconds >= 0 is refused.
+    A job repeating an earlier one (same genotype fingerprint, config
+    name and sorted checks) runs once.  The rest fan out through
+    :func:`~repro.pipeline.executor.make_executor` in chunks so a
+    ``time_budget_s`` deadline is honoured between chunks (jobs past the
+    deadline are counted as ``not_run``, which fails ``clean``).  A
+    budget that is not a finite number of seconds >= 0 is refused.
     """
     if time_budget_s is not None and not (
         math.isfinite(time_budget_s) and time_budget_s >= 0
@@ -187,24 +151,17 @@ def run_jobs(
         raise ValueError(
             f"time_budget_s must be a finite number >= 0, got {time_budget_s!r}"
         )
-    options = options or FuzzOptions()
     started = time.monotonic()
     report = FuzzReport(total=len(jobs))
 
-    pending: list[tuple[str, FuzzJob]] = []
-    seen: set[str] = set()
+    pending: list[FuzzJob] = []
+    seen: set[tuple] = set()
     for job in jobs:
-        key = job.key(options)
-        if key in seen:
-            continue
-        seen.add(key)
-        entry = store.get(key) if store is not None else None
-        if entry is not None:
-            report.store_hits += 1
-            if entry.get("mismatches"):
-                report.mismatched.append(entry)
-        else:
-            pending.append((key, job))
+        genotype, _ = job.resolve()  # refuses an unknown kernel or config
+        identity = (genotype.fingerprint(), job.config_name, tuple(sorted(job.checks)))
+        if identity not in seen:
+            seen.add(identity)
+            pending.append(job)
 
     executor = make_executor(workers)
     chunk_size = max(getattr(executor, "workers", 1) * 4, 16)
@@ -215,12 +172,9 @@ def run_jobs(
             break
         chunk = pending[cursor : cursor + chunk_size]
         cursor += len(chunk)
-        entries = executor.map([(job, options) for _, job in chunk], execute_job)
-        for (key, _), entry in zip(chunk, entries):
+        for entry in executor.map(chunk, execute_job):
             report.executed += 1
-            if store is not None:
-                store.put(key, entry)
-            if entry.get("mismatches"):
+            if entry["mismatches"]:
                 report.mismatched.append(entry)
     report.not_run = len(pending) - cursor
     report.wall_s = time.monotonic() - started

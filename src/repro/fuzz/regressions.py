@@ -4,10 +4,11 @@ When a fuzz sweep mismatches, the shrunk genotype is written as one JSON
 file under ``tests/corpus/regressions/`` carrying everything replay
 needs — the genotype itself (not a seed: the generator may drift), the
 config name, the originally failing check, the recorded mismatches and
-shrink statistics, and a human note.  The tier-1 suite
-(``tests/test_corpus_regressions.py``) replays every committed repro
-kernel through :func:`replay_case` and re-asserts *all* checks, so a
-finding fixed once can never silently return.
+shrink statistics.  A hand-written ``note`` rides along where a case
+needs one (the committed fault drills name their fault).  The tier-1
+suite (``tests/test_corpus_regressions.py``) replays every committed
+repro kernel through :func:`replay_case` and re-asserts *all* checks,
+so a finding fixed once can never silently return.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..workloads.generator import KernelGenotype
-from .checks import CHECKS, FuzzOptions, run_checks
+from .checks import CHECKS, run_checks
 from .engine import FUZZ_CONFIGS
 
 REPRO_SCHEMA_VERSION = 1
@@ -98,12 +99,7 @@ def load_repros(directory: str | Path) -> list[ReproCase]:
     return cases
 
 
-def replay_case(
-    case: ReproCase,
-    *,
-    checks: tuple[str, ...] = (),
-    options: FuzzOptions | None = None,
-) -> list[dict]:
+def replay_case(case: ReproCase, *, checks: tuple[str, ...] = ()) -> list[dict]:
     """Re-run checks over one repro kernel; returns any mismatches.
 
     Defaults to *all* registered checks, not just the one that
@@ -114,5 +110,4 @@ def replay_case(
         case.genotype,
         FUZZ_CONFIGS[case.config_name],
         checks or sorted(CHECKS),
-        options or FuzzOptions(),
     )

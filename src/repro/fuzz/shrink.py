@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from ..machine.config import MachineConfig
 from ..workloads.generator import KernelGenotype
-from .checks import FuzzOptions, run_checks
+from .checks import run_checks
 
 #: Trip/array-size ladders tried smallest-first during shrinking.
 TRIP_LADDER = (1, 2, 4, 8, 16, 32, 64, 128)
@@ -58,12 +58,11 @@ class ShrinkResult:
 class _Shrinker:
     config: MachineConfig
     check: str
-    options: FuzzOptions
     attempts: int = field(default=0)
 
     def reproduces(self, genotype: KernelGenotype) -> bool:
         self.attempts += 1
-        found = run_checks(genotype, self.config, (self.check,), self.options)
+        found = run_checks(genotype, self.config, (self.check,))
         # A candidate that crashes outright (an ``error`` record) is a
         # *different* finding; keep the shrink aimed at the original one.
         return any(m["kind"] != "error" for m in found)
@@ -217,16 +216,10 @@ def _scalar_candidates(op: dict) -> list[dict]:
     return candidates
 
 
-def shrink(
-    genotype: KernelGenotype,
-    config: MachineConfig,
-    check: str,
-    options: FuzzOptions | None = None,
-) -> ShrinkResult:
+def shrink(genotype: KernelGenotype, config: MachineConfig, check: str) -> ShrinkResult:
     """Shrink ``genotype`` to a 1-minimal reproducer of ``check``'s
     mismatch under ``config``.  Pure function of its arguments."""
-    options = options or FuzzOptions()
-    shrinker = _Shrinker(config=config, check=check, options=options)
+    shrinker = _Shrinker(config=config, check=check)
     if not shrinker.reproduces(genotype):
         return ShrinkResult(
             genotype=genotype, reproduced=False, attempts=shrinker.attempts

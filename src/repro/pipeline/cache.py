@@ -6,11 +6,11 @@ are seeded) — so results are keyed by a SHA-256 digest of a canonical
 JSON rendering of those three values plus :func:`code_fingerprint`.
 Experiments that share a configuration share cache entries
 automatically, regardless of what display label each experiment uses.
-Compile artifacts and fuzz jobs are keyed the same way.
+Compile artifacts are keyed the same way.
 
-:class:`KeyedCache` is the one cache class: the session's results, the
-compile artifacts (``get_compile_cache``) and the fuzz jobs each live in
-one instance.  It holds pickled bytes in memory, optionally written
+:class:`KeyedCache` is the one cache class: the session's results and
+the compile artifacts (``get_compile_cache``) each live in one
+instance.  It holds pickled bytes in memory, optionally written
 through to a :class:`KeyedFileStore` (one ``<key>.pkl`` file per
 entry), so sweeps survive process restarts and are shared between the
 CLI and the benchmark harness.  Every key mixes the code fingerprint,
@@ -82,9 +82,9 @@ def code_fingerprint() -> str:
 def content_key(payload: dict) -> str:
     """SHA-256 of ``payload`` plus :func:`code_fingerprint`, as canonical JSON.
 
-    The one key recipe: results, compile artifacts and fuzz jobs each
-    pass their own JSON-able payload, and the mixed-in fingerprint means
-    only the code that wrote an entry ever looks it up.
+    The one key recipe: results and compile artifacts each pass their
+    own JSON-able payload, and the mixed-in fingerprint means only the
+    code that wrote an entry ever looks it up.
     """
     payload = {**payload, "code": code_fingerprint()}
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -200,10 +200,10 @@ class KeyedFileStore:
 
     Concurrency contract (multiple processes may share one directory):
     writes go to a per-process tmp name and are installed by atomic
-    rename, so readers never see a half-written entry; a torn, corrupt
-    or vanished entry is a miss (and is dropped), never a crash;
-    ``clear()`` removes only key-named files, tolerating entries
-    another process unlinked first.
+    rename, so readers never see a half-written entry; a vanished entry
+    is a miss, never a crash, and :class:`KeyedCache` drops (and
+    misses) one that does not unpickle; ``clear()`` removes only
+    key-named files, tolerating entries another process unlinked first.
     """
 
     suffix = ".pkl"
@@ -229,15 +229,12 @@ class KeyedFileStore:
         return out
 
     def load(self, key: str) -> bytes | None:
-        """The entry's bytes, or None.  An entry that does not unpickle
-        is a miss and is dropped, so a fresh value can overwrite it."""
+        """The entry's bytes as read, or None if it is absent.  The
+        caller unpickles them, and :meth:`drop`s an entry that fails."""
         file = self._file(key)
         try:
             blob = file.read_bytes()
         except OSError:  # absent, or removed by a concurrent clear/gc
-            return None
-        if not _unpickles(blob):
-            _unlink(file)
             return None
         try:
             os.utime(file)  # the hit makes the entry recent (the LRU signal)
@@ -254,6 +251,10 @@ class KeyedFileStore:
             tmp.replace(self._file(key))
         except OSError:
             _unlink(tmp)
+
+    def drop(self, key: str) -> None:
+        """Remove one entry (a no-op if it is already gone)."""
+        _unlink(self._file(key))
 
     def clear(self) -> None:
         """Remove all entries — only key-named files, never the
@@ -360,7 +361,9 @@ class KeyedCache:
     Memory and disk both hold pickled bytes, so every hit deserialises
     a private copy: callers may mutate what they get back (the
     certifier's mutation tests corrupt schedules on purpose) without
-    poisoning the cache.
+    poisoning the cache.  A disk hit unpickles once: bytes that fail to
+    unpickle (a torn or corrupt entry) are dropped from disk and the
+    lookup is a miss, so a fresh value can overwrite them.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
@@ -370,16 +373,22 @@ class KeyedCache:
 
     def get(self, key: str):
         blob = self._memory.get(key)
-        if blob is None and self.store is not None:
-            blob = self.store.load(key)  # refreshes the entry's mtime
-            if blob is not None:
+        if blob is not None:
+            self.stats.hits += 1
+            return pickle.loads(blob)
+        blob = self.store.load(key) if self.store is not None else None
+        if blob is not None:  # the load refreshed the entry's mtime
+            try:
+                value = pickle.loads(blob)
+            except Exception:
+                self.store.drop(key)
+            else:
                 self._memory[key] = blob
+                self.stats.hits += 1
                 self.stats.disk_hits += 1
-        if blob is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return pickle.loads(blob)
+                return value
+        self.stats.misses += 1
+        return None
 
     def put(self, key: str, value) -> None:
         blob = pickle.dumps(value)

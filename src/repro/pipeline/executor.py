@@ -57,9 +57,9 @@ class RequestError(RuntimeError):
     A raw ``KeyError`` from a run names neither the benchmark nor the
     configuration that blew up.  ``execute_request`` wraps every failure
     in this type, carrying the content key and the human description,
-    so the error a serial map raises, and the message a fleet worker
-    sends back, say which run failed.  All state rides in ``args``, so
-    the exception pickles intact.
+    so the error a map raises, serial or parallel, says which run
+    failed.  All state rides in ``args``, so the exception pickles
+    intact and a fleet worker sends it back as it is.
     """
 
     def __init__(
@@ -117,9 +117,12 @@ class ParallelExecutor:
     and nothing else.
 
     The fleet forks at the first multi-job :meth:`map` and serves every
-    later batch until :meth:`shutdown` or interpreter exit.  A worker
-    that dies or stops heartbeating is replaced and its job retried; an
-    exception raised by a job fails the map at once with a
+    later batch until :meth:`shutdown` or interpreter exit.  A job that
+    raises fails the map at once with its own exception, as
+    :class:`SerialExecutor` would.  A worker that dies or stops
+    heartbeating is replaced and its job retried; a job whose worker
+    fails on every attempt (or that raises an exception that does not
+    pickle) fails the map with a
     :class:`~repro.pipeline.fleet.JobFailureError` naming the request.
     """
 

@@ -10,14 +10,17 @@ Pipe protocol.  Parent -> worker: ``(seq, fn, item)`` runs
 ``fn(item)``; ``None`` stops the worker.  Worker -> parent:
 ``(seq, "hb", None)`` every :data:`HEARTBEAT_INTERVAL_S` from a
 background thread while a job runs, then ``(seq, "ok", result)`` or
-``(seq, "error", detail)``.  ``seq`` numbers jobs fleet-wide, so a
-result from a batch that already failed is recognised and dropped.
+``(seq, "error", exc)``: the exception the job raised, or its text if
+it does not survive a pickle round trip.  ``seq`` numbers jobs
+fleet-wide, so a result from a batch that already failed is recognised
+and dropped.
 
 The parent blocks in :func:`multiprocessing.connection.wait` on every
 pipe and process sentinel until a message or a death arrives, or until
 the earliest heartbeat deadline passes.  Then it classifies:
 
-* ``error`` -- the job raised.  Deterministic, so the map fails at once;
+* ``error`` -- the job raised.  Deterministic, so the map fails at once
+  with the job's own exception, as a serial map would;
 * ``crash`` -- the worker died under the job (SIGKILL, OOM, segfault);
 * ``hung`` -- a busy worker sent nothing for :data:`HEARTBEAT_TIMEOUT_S`
   (a wedged process, not a slow one: heartbeats flow during long jobs).
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import threading
 import time
 from collections import deque
@@ -63,7 +67,8 @@ class JobFailure:
 
 
 class JobFailureError(RuntimeError):
-    """Raised by a map when one of its jobs fails."""
+    """Raised by a map when a job's worker crashed or hung on every
+    attempt, or when the job raised an exception that does not pickle."""
 
     def __init__(self, failure: JobFailure) -> None:
         super().__init__(failure)
@@ -152,6 +157,8 @@ class Fleet:
                 if kind == "ok":
                     results[index] = payload
                     left -= 1
+                elif kind == "error" and isinstance(payload, Exception):
+                    raise payload  # the job's own error, as a serial map raises it
                 elif kind == "error" or attempts[index] >= MAX_ATTEMPTS:
                     raise _failure(items[index], index, kind, attempts[index], payload)
                 else:
@@ -161,7 +168,7 @@ class Fleet:
     def _events(self):
         """Wait for the fleet, then yield ``(kind, seq, payload)`` per event.
 
-        ``ok`` and ``error`` carry a job's result or message.  ``crash``
+        ``ok`` and ``error`` carry a job's result or exception.  ``crash``
         and ``hung`` come after the worker was killed and replaced; their
         ``seq`` is the job it was running (None if it was idle).
         """
@@ -261,8 +268,18 @@ def _worker_main(conn, parent_pid: int) -> None:
         try:
             out = (seq, "ok", fn(item))
         except Exception as exc:
-            out = (seq, "error", f"{type(exc).__name__}: {exc}")
+            out = (seq, "error", _portable(exc))
         finally:
             running[0] = None
         if not send(out):
             return
+
+
+def _portable(exc: Exception):
+    """``exc`` itself if it survives a pickle round trip (the parent
+    re-raises it), else its text."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return f"{type(exc).__name__}: {exc}"
+    return exc

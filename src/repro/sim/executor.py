@@ -122,7 +122,6 @@ class LoopExecutor:
         stall_by_iteration: list[int] = [0] * iterations
         items = self._items
         n_items = len(items)
-        remaining_per_iter = [n_items] * iterations
         bus_latency = self.config.bus_latency
 
         # K-way merge over iterations: (abs scheduled time, item index, iter).
@@ -196,7 +195,6 @@ class LoopExecutor:
                     ready[(uid, iteration)] = t_eff + self.config.latency_of(
                         instr.opcode
                     )
-                remaining_per_iter[iteration] -= 1
 
             # Bounded history: drop producer records too old to matter.
             if iteration - prune_mark > 4 * self._history_window:
@@ -218,8 +216,3 @@ class LoopExecutor:
     def last_stall_by_iteration(self) -> list[int]:
         """Per-iteration stall contributions of the most recent run()."""
         return getattr(self, "_last_stall_by_iteration", [])
-
-    @property
-    def last_converged(self) -> bool:
-        """The reference interpreter never early-exits."""
-        return False

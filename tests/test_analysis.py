@@ -27,7 +27,7 @@ from repro.machine import (
     multivliw_config,
     unified_config,
 )
-from repro.pipeline import JobFailureError, KeyedCache, RunRequest, Session
+from repro.pipeline import KeyedCache, RequestError, RunRequest, Session
 from repro.pipeline.compilecache import compile_cached
 from repro.pipeline.passes import CompileOptions
 from repro.sim.runner import SimOptions
@@ -156,10 +156,10 @@ def test_blocked_config_fails_the_parallel_run():
         RunRequest("jpegdec", CAPPED, options),
         RunRequest("g721dec", CAPPED, options),
     ]
-    with pytest.raises(JobFailureError) as failed:
+    with pytest.raises(RequestError) as failed:
         Session(options=options, workers=2).run_many(requests)
-    assert failed.value.failure.kind == "error"
-    assert "CertificationError" in str(failed.value)
+    assert failed.value.cause_type == "CertificationError"
+    assert failed.value.description["benchmark"] in ("jpegdec", "g721dec")
     assert "A008" in str(failed.value)
 
 
@@ -207,7 +207,7 @@ def test_audit_leaves_entry_mtimes_alone(tmp_path, monkeypatch):
     for age, file in enumerate(files):
         os.utime(file, (1000.0 + age, 1000.0 + age))
     before = {file.name: file.stat().st_mtime for file in files}
-    # The default result and fuzz directories are absent here.
+    # The default result directory is absent here.
     monkeypatch.chdir(tmp_path)
     argv = ["--compile-cache-dir", str(store), "verify"]
     assert cache_main(argv) == 0

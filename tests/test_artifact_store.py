@@ -12,7 +12,6 @@ import pytest
 
 from repro.cache import main as cache_main
 from repro.cache import parse_age, parse_size
-from repro.fuzz.checks import FuzzOptions
 from repro.fuzz.engine import FuzzJob, execute_job
 from repro.machine import l0_config, unified_config
 from repro.pipeline import (
@@ -229,7 +228,7 @@ def _compiled_loop():
 
 
 def _fuzz_entry():
-    return execute_job((FuzzJob("edge:tiny", "unified", ("certify",)), FuzzOptions()))
+    return execute_job(FuzzJob("edge:tiny", "unified", ("certify",)))
 
 
 def _view(value):
@@ -245,8 +244,9 @@ class TestOneFormat:
         "make", [_program_result, _compiled_loop, _fuzz_entry], ids=lambda f: f.__name__
     )
     def test_round_trip_through_a_reopened_directory(self, tmp_path, make):
-        """Results, compile artifacts and fuzz entries share one format:
-        a ``<key>.pkl`` file a fresh cache on the directory serves."""
+        """Results, compile artifacts and plain data (a fuzz verdict) share
+        one format: a ``<key>.pkl`` file a fresh cache on the directory
+        serves."""
         value = make()
         KeyedCache(tmp_path).put(_key(1), value)
         assert [file.name for file in tmp_path.iterdir()] == [f"{_key(1)}.pkl"]
@@ -267,7 +267,7 @@ class TestOneFormat:
         KeyedCache(result_dir).put(_key(1), {"v": 1})
         current = result_dir / f"{_key(1)}.pkl"
         old = result_dir / f"{_key(2)}.json"
-        # The default compile and fuzz directories are absent here.
+        # The default compile directory is absent here.
         monkeypatch.chdir(tmp_path)
         argv = ["--cache-dir", str(result_dir)]
 
@@ -319,6 +319,42 @@ class TestAnnotations:
                 typing.get_type_hints(member)
 
 
+class TestDiskHitUnpicklesOnce:
+    def test_one_pickle_load_per_hit(self, tmp_path, monkeypatch):
+        """``get`` validates a disk entry by the one unpickle that serves
+        it; ``load`` hands back the bytes it read."""
+        KeyedCache(tmp_path).put(_key(1), {"v": 1})
+        calls = []
+        real_loads = pickle.loads
+
+        def counted_loads(blob, *args, **kwargs):
+            calls.append(blob)
+            return real_loads(blob, *args, **kwargs)
+
+        monkeypatch.setattr(pickle, "loads", counted_loads)
+        reopened = KeyedCache(tmp_path)
+        assert reopened.get(_key(1)) == {"v": 1}
+        assert (len(calls), reopened.stats.disk_hits) == (1, 1)
+        assert reopened.get(_key(1)) == {"v": 1}  # a memory hit
+        assert (len(calls), reopened.stats.disk_hits) == (2, 1)
+        assert KeyedFileStore(tmp_path).load(_key(1)) == _blob({"v": 1})
+        assert len(calls) == 2
+
+    def test_torn_entry_is_a_miss_and_is_dropped(self, tmp_path):
+        file = tmp_path / f"{_key(1)}.pkl"
+        KeyedFileStore(tmp_path)  # creates the directory
+        file.write_bytes(b"torn write")
+        assert KeyedFileStore(tmp_path).load(_key(1)) == b"torn write"
+        cache = KeyedCache(tmp_path)
+        assert cache.get(_key(1)) is None
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+        assert cache.stats.disk_hits == 0
+        assert not file.exists()
+        # A fresh value overwrites it, and a reopened cache serves that.
+        cache.put(_key(1), {"v": 2})
+        assert KeyedCache(tmp_path).get(_key(1)) == {"v": 2}
+
+
 class TestCompileCacheDiskHits:
     def test_disk_hits_counted_separately_and_touch_recency(self, tmp_path):
         config = l0_config(8)
@@ -346,39 +382,31 @@ class TestCacheCLI:
     def dirs(self, tmp_path):
         result_dir = tmp_path / "results"
         compile_dir = tmp_path / "compile"
-        fuzz_dir = tmp_path / "fuzz"
         request = RunRequest("g721dec", l0_config(8), FAST)
         Session(options=FAST, cache=KeyedCache(result_dir)).run(request)
         compile_cached(make_saxpy(), l0_config(8), cache=KeyedCache(compile_dir))
-        from repro.fuzz.engine import make_jobs, run_jobs
-
-        jobs = make_jobs(["edge:tiny"], ["unified"], ("certify",), spread=False)
-        run_jobs(jobs, store=KeyedCache(fuzz_dir))
-        return result_dir, compile_dir, fuzz_dir
+        return result_dir, compile_dir
 
     def _argv(self, dirs, *rest):
-        result_dir, compile_dir, fuzz_dir = dirs
+        result_dir, compile_dir = dirs
         return [
             "--cache-dir",
             str(result_dir),
             "--compile-cache-dir",
             str(compile_dir),
-            "--fuzz-cache-dir",
-            str(fuzz_dir),
             *rest,
         ]
 
     def test_stats(self, dirs, capsys):
         assert cache_main(self._argv(dirs, "stats")) == 0
         out = capsys.readouterr().out
-        assert "results:" in out and "compile:" in out and "fuzz:" in out
-        assert out.count("entries: 1 ") == 3
-        assert out.count("last used: newest") == 3
+        assert "results:" in out and "compile:" in out
+        assert out.count("entries: 1 ") == 2
+        assert out.count("last used: newest") == 2
 
     def test_gc_bounds_all_dirs(self, dirs, capsys):
         argv = self._argv(dirs, "gc", "--max-bytes", "0", "--min-age", "0")
         assert cache_main(argv) == 0
-        result_dir, compile_dir, fuzz_dir = dirs
         for directory in dirs:
             assert not list(directory.glob("*.pkl"))
 
@@ -404,21 +432,19 @@ class TestCacheCLI:
         # The corrupt entry was dropped: a second pass is clean.
         assert cache_main(self._argv(dirs, "verify")) == 0
 
-    def test_missing_dirs_are_skipped(self, tmp_path, capsys):
-        # A missing directory is skipped, but with none of the three
-        # there is nothing to read: every command fails, and none mkdirs.
-        absent = [
-            "--cache-dir",
-            str(tmp_path / "absent"),
-            "--compile-cache-dir",
-            str(tmp_path / "also-absent"),
-            "--fuzz-cache-dir",
-            str(tmp_path / "absent-too"),
-        ]
+    def test_missing_dirs_are_skipped(self, tmp_path, capsys, monkeypatch):
+        # A missing directory is skipped, but with neither store there is
+        # nothing to read: every command fails, and none mkdirs.
+        monkeypatch.chdir(tmp_path)
         for command in (["stats"], ["verify"], ["gc", "--max-bytes", "1M"]):
-            assert cache_main(absent + command) == 1, command
-            assert "no cache directories" in capsys.readouterr().err
+            assert cache_main(command) == 1, command
+            err = capsys.readouterr().err
+            assert "no cache directories found (.result-cache / .compile-cache)" in err
         assert not list(tmp_path.iterdir())  # never mkdirs
+        # Two stores: the fuzz store and its flag are gone.
+        with pytest.raises(SystemExit) as exc:
+            cache_main(["--fuzz-cache-dir", str(tmp_path), "stats"])
+        assert exc.value.code == 2
 
     def test_named_missing_dir_fails_beside_an_existing_store(
         self, dirs, tmp_path, capsys, monkeypatch
@@ -434,8 +460,8 @@ class TestCacheCLI:
             err = capsys.readouterr().err
             assert f"--compile-cache-dir: no such directory: {typo}" in err
         assert not typo.exists()  # never mkdirs
-        # Only the result store is named, and the default compile and
-        # fuzz directories are absent from the working directory.
+        # Only the result store is named, and the default compile
+        # directory is absent from the working directory.
         assert cache_main(["--cache-dir", str(result_dir), "verify"]) == 0
         assert "results: 1 entries ok" in capsys.readouterr().out
 

@@ -4,8 +4,8 @@ Every repro file under ``tests/corpus/regressions/`` is a shrunk kernel
 that once exposed a mismatch.  This suite rebuilds each one and
 re-asserts *all* registered checks — a finding fixed once can never
 silently return — and, for fault-injection drills, re-applies the
-recorded fault to prove the kernel still reproduces its original
-divergence.
+recorded fault (from ``fuzz_faults``) to prove the kernel still
+reproduces its original divergence.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.fuzz.checks import FAULTS, FuzzOptions
+from fuzz_faults import FAULTS, apply_fault
 from repro.fuzz.regressions import (
     REPRO_SCHEMA_VERSION,
     load_repros,
@@ -68,14 +68,13 @@ def test_repro_replays_clean_on_current_tree(case):
     [c for c in CASES if _case_fault(c)],
     ids=lambda c: c.repro_id,
 )
-def test_drill_repro_still_reproduces_under_its_fault(case):
+def test_drill_repro_still_reproduces_under_its_fault(case, monkeypatch):
     # A drill kernel that stopped diverging under its recorded fault has
     # lost its reason to exist — the shrinker kept only what the
     # divergence needed, so this doubles as a minimality canary.
     fault = _case_fault(case)
-    mismatches = replay_case(
-        case, checks=(case.check,), options=FuzzOptions(fault=fault)
-    )
+    apply_fault(monkeypatch, fault)
+    mismatches = replay_case(case, checks=(case.check,))
     assert mismatches, (
         f"{case.repro_id} no longer reproduces under injected fault {fault!r}"
     )

@@ -63,6 +63,18 @@ def fail_or_sleep(item):
     return value
 
 
+class TwoArgError(Exception):
+    """Pickles, but does not unpickle: ``args`` holds one value and
+    ``__init__`` wants two."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first}/{second}")
+
+
+def raise_unpicklable(item):
+    raise TwoArgError(item, "x")
+
+
 def worker_pid(_item):
     return os.getpid()
 
@@ -94,16 +106,27 @@ def test_request_error_carries_key_through_executors():
         SerialExecutor().map([request])
     assert excinfo.value.key == request.key
     assert excinfo.value.description["benchmark"] == "no-such-benchmark"
-    # ... and through the worker fleet: the job error is terminal at
-    # once and names the request.
-    with pytest.raises(JobFailureError) as failed:
+    # ... and through the worker fleet: the map raises the job's own
+    # error, terminal at once, naming the request once.
+    with pytest.raises(RequestError) as parallel:
         make_executor(2).map([request, request])
+    assert type(parallel.value) is RequestError
+    assert parallel.value.key == request.key
+    assert parallel.value.description == excinfo.value.description
+    assert str(parallel.value) == str(excinfo.value)
+    assert str(parallel.value).count(request.key[:12]) == 1
+
+
+def test_job_error_that_does_not_pickle_fails_the_map_with_its_text():
+    executor = ParallelExecutor(2)
+    try:
+        with pytest.raises(JobFailureError) as failed:
+            executor.map([1, 2], fn=raise_unpicklable)
+    finally:
+        executor.shutdown()
     failure = failed.value.failure
-    assert failure.kind == "error"
-    assert failure.attempts == 1
-    assert failure.key == request.key
-    assert failure.description["benchmark"] == "no-such-benchmark"
-    assert request.key[:12] in str(failed.value)
+    assert (failure.kind, failure.attempts) == ("error", 1)
+    assert failure.detail in ("TwoArgError: 1/x", "TwoArgError: 2/x")
 
 
 def test_executor_retries_job_whose_worker_was_sigkilled(tmp_path):
@@ -143,7 +166,7 @@ def test_job_that_always_crashes_fails_after_max_attempts():
 def test_failed_map_leaks_no_result_into_the_next():
     executor = ParallelExecutor(2)
     try:
-        with pytest.raises(JobFailureError):
+        with pytest.raises(ValueError, match="kaboom"):
             # Job 1 is still running when job 0 fails the map.
             executor.map(["boom", ("stale", 0.3), ("stale", 0.3)], fn=fail_or_sleep)
         items = [(i, 0.05) for i in range(6)]

@@ -1,13 +1,12 @@
 """The differential fuzzing subsystem (``repro.fuzz``).
 
 Covers the parametric genotype generator (round-trip, determinism,
-profiles), the committed edge corpus and kernel-id scheme, the
-content-addressed fuzz store (dedup, key sensitivity), the fault-
-injection drills (a corrupted fast-path trace *is* caught), the
+profiles), the committed edge corpus and kernel-id scheme, a sweep's
+in-run dedup and entry shape, the fault drills (a corrupted fast-path
+trace *is* caught; the corruptions live in ``fuzz_faults``), the
 deterministic shrinker (convergence, 1-minimality, purity), the one
-check loop every verdict comes from, and both CLIs (``repro.fuzz`` end
-to end, including the sweeps it refuses, and ``repro.cache`` over the
-fuzz store).
+check loop every verdict comes from, and the ``repro.fuzz`` CLI end to
+end, including the sweeps it refuses.
 """
 
 from __future__ import annotations
@@ -16,9 +15,9 @@ import json
 
 import pytest
 
+from fuzz_faults import apply_fault
 from repro.analysis import CertificationError
-from repro.cache import main as cache_main
-from repro.fuzz.checks import FuzzOptions, run_check
+from repro.fuzz.checks import run_check
 from repro.fuzz.cli import main as fuzz_main
 from repro.fuzz.corpus import (
     EDGE_CORPUS,
@@ -30,7 +29,6 @@ from repro.fuzz.engine import (
     FUZZ_CONFIGS,
     FuzzJob,
     execute_job,
-    job_store_key,
     make_jobs,
     run_jobs,
 )
@@ -45,7 +43,8 @@ from repro.workloads.generator import (
 )
 
 #: A (kernel, config, fault) triple known to diverge under injection —
-#: the same drill the committed ``fast_vs_ref-unified-*`` repro records.
+#: the same drill the committed ``fast_vs_ref-unified-03f589d8`` repro
+#: records.
 DRILL_KERNEL = "seed:default:2"
 DRILL_CONFIG = "unified"
 DRILL_FAULT = "drop-check-deps"
@@ -121,39 +120,52 @@ def test_make_jobs_spread_vs_cross_product():
 
 
 # ----------------------------------------------------------------------
-# Store
+# Sweeps
 # ----------------------------------------------------------------------
 
 
-def test_job_store_key_sensitivity():
-    job = FuzzJob("edge:tiny", "unified", ("certify", "fast_vs_ref"))
-    base = job.key(FuzzOptions())
-    assert base == job.key(FuzzOptions())  # stable
-    assert base != job.key(FuzzOptions(exact_node_budget=99))
-    assert base != job.key(FuzzOptions(fault=DRILL_FAULT))
-    assert base != FuzzJob("edge:tiny", "l0_8", job.checks).key(FuzzOptions())
-    assert base != FuzzJob("edge:tiny", "unified", ("certify",)).key(FuzzOptions())
-    # Check order is canonicalised away.
-    fingerprint = resolve_kernel("edge:tiny").fingerprint()
-    assert job_store_key(
-        fingerprint, FUZZ_CONFIGS["unified"], ("fast_vs_ref", "certify"), FuzzOptions()
-    ) == base
+def test_run_jobs_dedups_through_the_store(monkeypatch):
+    """Within one sweep, a job repeating an earlier one (same genotype
+    fingerprint, config name and sorted checks) runs once; nothing
+    carries over from one sweep to the next."""
+    from repro.fuzz import engine
 
+    executed = []
 
-def test_run_jobs_dedups_through_the_store(tmp_path):
+    def recorded(job):
+        executed.append(job)
+        return execute_job(job)
+
+    monkeypatch.setattr(engine, "execute_job", recorded)
     jobs = make_jobs(
         ["edge:tiny", "edge:carry_chain"], ["unified"], ("fast_vs_ref",), spread=False
     )
-    store = KeyedCache(tmp_path / "store")
-    cold = run_jobs(jobs, store=store)
-    assert (cold.executed, cold.store_hits) == (2, 0)
-    assert cold.clean
-    warm = run_jobs(jobs, store=KeyedCache(tmp_path / "store"))
-    assert (warm.executed, warm.store_hits) == (0, 2)
-    assert warm.clean
-    # A duplicate job (same content key) is collapsed before execution.
-    doubled = run_jobs(jobs + jobs, store=KeyedCache(tmp_path / "store"))
-    assert (doubled.total, doubled.executed, doubled.store_hits) == (4, 0, 2)
+    first = run_jobs(jobs)
+    assert (first.total, first.executed, first.clean) == (2, 2, True)
+    again = run_jobs(jobs)  # a second sweep runs everything again
+    assert (again.executed, again.clean) == (2, True)
+    assert "store_hits" not in again.to_json()
+    executed.clear()
+    # A repeat of each job is collapsed before execution, and so are two
+    # ids of one genotype ("seed:0" is "seed:default:0") whose checks
+    # differ only in order.
+    seeds = [
+        FuzzJob("seed:0", "unified", ("certify", "fast_vs_ref")),
+        FuzzJob("seed:default:0", "unified", ("fast_vs_ref", "certify")),
+    ]
+    doubled = run_jobs(jobs + jobs + seeds)
+    assert (doubled.total, doubled.executed, doubled.clean) == (6, 3, True)
+    assert [job.kernel_id for job in executed] == [
+        "edge:tiny",
+        "edge:carry_chain",
+        "seed:0",
+    ]
+    # Another config or check set is another job.
+    other = [
+        FuzzJob("edge:tiny", "l0_8", ("fast_vs_ref",)),
+        FuzzJob("edge:tiny", "unified", ("certify",)),
+    ]
+    assert run_jobs(jobs + other).executed == 4
 
 
 def test_execute_job_compiles_through_its_own_cache(monkeypatch):
@@ -175,29 +187,30 @@ def test_execute_job_compiles_through_its_own_cache(monkeypatch):
     before = (shared.hits, shared.misses)
     checks = ("fast_vs_ref", "exact_vs_sms", "certify")
     job = FuzzJob("edge:carry_chain", "l0_8", checks)
-    result = execute_job((job, FuzzOptions()))
+    result = execute_job(job)
     assert result["mismatches"] == []
     assert (shared.hits, shared.misses) == before
     (cache,) = caches
     assert (cache.stats.misses, cache.stats.hits) == (2, 2)  # SMS and exact
 
 
-def test_store_records_mismatches_for_replay(tmp_path):
+def test_store_records_mismatches_for_replay(monkeypatch):
+    """A mismatching job's entry is what ``execute_job`` returned, with no
+    envelope around it: the job and the mismatches a repro is built
+    from, equal to a re-run of the same job."""
+    apply_fault(monkeypatch, DRILL_FAULT)
     jobs = make_jobs([DRILL_KERNEL], [DRILL_CONFIG], ("fast_vs_ref",), spread=False)
-    options = FuzzOptions(fault=DRILL_FAULT)
-    store = KeyedCache(tmp_path / "store")
-    report = run_jobs(jobs, options=options, store=store)
-    assert not report.clean and len(report.mismatched) == 1
-    # The verdict (not just cleanliness) is cached: a second run serves
-    # the same mismatch from the store without re-simulating.
-    again = run_jobs(jobs, options=options, store=KeyedCache(tmp_path / "store"))
-    assert again.executed == 0 and len(again.mismatched) == 1
-    entry = again.mismatched[0]
-    assert entry["job"] == report.mismatched[0]["job"]
-    assert entry["mismatches"] == report.mismatched[0]["mismatches"]
-    assert entry["job"]["kernel_id"] == DRILL_KERNEL
-    # The entry is what execute_job returned, with no envelope around it.
+    report = run_jobs(jobs)
+    assert not report.clean and report.executed == 1
+    [entry] = report.mismatched
     assert set(entry) == {"job", "mismatches"}
+    assert entry["job"] == {
+        "kernel_id": DRILL_KERNEL,
+        "config_name": DRILL_CONFIG,
+        "checks": ["fast_vs_ref"],
+    }
+    assert entry["mismatches"] and entry == execute_job(jobs[0])
+    assert report.to_json()["mismatches"] == [entry]
 
 
 # ----------------------------------------------------------------------
@@ -205,37 +218,37 @@ def test_store_records_mismatches_for_replay(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def test_fault_injection_is_caught_and_clean_without_it():
+def test_fault_injection_is_caught_and_clean_without_it(monkeypatch):
     genotype = resolve_kernel(DRILL_KERNEL)
     config = FUZZ_CONFIGS[DRILL_CONFIG]
-    clean = run_check("fast_vs_ref", genotype.build(), config, FuzzOptions())
-    assert clean == []
-    hurt = run_check(
-        "fast_vs_ref", genotype.build(), config, FuzzOptions(fault=DRILL_FAULT)
-    )
+    assert run_check("fast_vs_ref", genotype.build(), config) == []
+    apply_fault(monkeypatch, DRILL_FAULT)
+    hurt = run_check("fast_vs_ref", genotype.build(), config)
     assert hurt, "injected trace corruption must be observable"
+    monkeypatch.undo()
+    assert run_check("fast_vs_ref", genotype.build(), config) == []
 
 
-def test_shrinker_converges_deterministically_to_a_minimal_kernel():
+def test_shrinker_converges_deterministically_to_a_minimal_kernel(monkeypatch):
     genotype = resolve_kernel(DRILL_KERNEL)
     config = FUZZ_CONFIGS[DRILL_CONFIG]
-    options = FuzzOptions(fault=DRILL_FAULT)
+    apply_fault(monkeypatch, DRILL_FAULT)
 
-    first = shrink(genotype, config, "fast_vs_ref", options)
+    first = shrink(genotype, config, "fast_vs_ref")
     assert first.reproduced
     assert len(first.genotype.ops) <= len(genotype.ops)
     assert first.genotype.trip <= genotype.trip
     assert first.genotype.name == f"{genotype.name}_min"
 
     # Deterministic: a second run retraces the identical path.
-    second = shrink(genotype, config, "fast_vs_ref", options)
+    second = shrink(genotype, config, "fast_vs_ref")
     assert second.genotype.to_json() == first.genotype.to_json()
     assert (second.rounds, second.attempts) == (first.rounds, first.attempts)
 
     # 1-minimal: the shrunk kernel still reproduces, and no single op
     # can be removed without losing the divergence.
     shrunk = first.genotype
-    assert run_check("fast_vs_ref", shrunk.build(), config, options)
+    assert run_check("fast_vs_ref", shrunk.build(), config)
     for index in range(len(shrunk.ops)):
         data = shrunk.to_json()
         data["ops"] = data["ops"][:index] + data["ops"][index + 1 :]
@@ -243,7 +256,7 @@ def test_shrinker_converges_deterministically_to_a_minimal_kernel():
             continue
         smaller = KernelGenotype.from_json(data)
         try:
-            still = run_check("fast_vs_ref", smaller.build(), config, options)
+            still = run_check("fast_vs_ref", smaller.build(), config)
         except Exception:
             still = []
         assert not still, f"dropping op {index} still reproduces: not 1-minimal"
@@ -257,19 +270,19 @@ def test_certify_check_reports_and_shrinks_a_blocked_config():
     config = l0_config(8, max_live_per_cluster=2)
     genotype = resolve_kernel("edge:recurrence_ladder")
     with pytest.raises(CertificationError):
-        run_check("fast_vs_ref", genotype.build(), config, FuzzOptions())
-    mismatches = run_check("certify", genotype.build(), config, FuzzOptions())
+        run_check("fast_vs_ref", genotype.build(), config)
+    mismatches = run_check("certify", genotype.build(), config)
     assert [m["kind"] for m in mismatches] == ["A008"]
     assert all(m["check"] == "certify" for m in mismatches)
 
     result = shrink(genotype, config, "certify")
     assert result.reproduced
     assert len(result.genotype.ops) < len(genotype.ops)
-    shrunk = run_check("certify", result.genotype.build(), config, FuzzOptions())
+    shrunk = run_check("certify", result.genotype.build(), config)
     assert [m["kind"] for m in shrunk] == ["A008"]
 
 
-def test_sweep_and_replay_share_one_check_loop():
+def test_sweep_and_replay_share_one_check_loop(monkeypatch):
     """A sweep's job and a repro's replay get their verdict from the same
     loop: equal mismatch lists under the drill fault, none without it."""
     case = ReproCase(
@@ -279,11 +292,11 @@ def test_sweep_and_replay_share_one_check_loop():
         check="fast_vs_ref",
     )
     job = FuzzJob(DRILL_KERNEL, DRILL_CONFIG, ("fast_vs_ref",))
-    faulted = FuzzOptions(fault=DRILL_FAULT)
-    swept = execute_job((job, faulted))["mismatches"]
-    assert swept and swept == replay_case(case, checks=job.checks, options=faulted)
-    assert execute_job((job, FuzzOptions()))["mismatches"] == []
+    assert execute_job(job)["mismatches"] == []
     assert replay_case(case, checks=job.checks) == []
+    apply_fault(monkeypatch, DRILL_FAULT)
+    swept = execute_job(job)["mismatches"]
+    assert swept and swept == replay_case(case, checks=job.checks)
 
 
 def test_shrinker_reports_non_reproducing_input():
@@ -300,42 +313,42 @@ def test_shrinker_reports_non_reproducing_input():
 
 
 def test_fuzz_cli_run_then_cache_verify_roundtrip(tmp_path, capsys, monkeypatch):
-    store = tmp_path / "store"
-    summary = tmp_path / "summary.json"
-    rc = fuzz_main(
-        [
-            "--seeds",
-            "0:2",
-            "--no-edge",
-            "--configs",
-            "unified",
-            "--checks",
-            "fast_vs_ref",
-            "--store",
-            str(store),
-            "--regressions-dir",
-            str(tmp_path / "repros"),
-            "--json",
-            str(summary),
-        ]
-    )
-    assert rc == 0
-    report = json.loads(summary.read_text())
-    assert report["clean"] and report["total"] == 2 and report["repros"] == []
-    capsys.readouterr()
-
-    # ``repro.cache`` reads the fuzz store back: both entries unpickle.
-    # The default result and compile directories are absent here.
+    """A plain sweep: clean, every job executed, the JSON summary's fields,
+    and nothing written outside the summary (there is no store)."""
     monkeypatch.chdir(tmp_path)
-    assert cache_main(["--fuzz-cache-dir", str(store), "verify"]) == 0
-    assert "fuzz: 2 entries ok, 0 corrupt removed" in capsys.readouterr().out
-
-
-def test_fuzz_cli_exact_budget_below_one_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        fuzz_main(["--exact-budget", "0"])
-    assert exc.value.code == 2
-    assert "argument --exact-budget" in capsys.readouterr().err
+    argv = [
+        "--seeds",
+        "0:2",
+        "--no-edge",
+        "--configs",
+        "unified",
+        "--checks",
+        "fast_vs_ref",
+        "--regressions-dir",
+        str(tmp_path / "repros"),
+        "--json",
+        "summary.json",
+    ]
+    assert fuzz_main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("fuzz: 2 jobs, 2 executed, 0 not run (budget), 0 ")
+    report = json.loads((tmp_path / "summary.json").read_text())
+    assert set(report) == {
+        "total",
+        "executed",
+        "not_run",
+        "wall_s",
+        "mismatches",
+        "clean",
+        "repros",
+    }
+    assert report["clean"] and (report["total"], report["executed"]) == (2, 2)
+    assert report["not_run"] == 0
+    assert report["mismatches"] == [] and report["repros"] == []
+    assert [path.name for path in tmp_path.iterdir()] == ["summary.json"]
+    # A second sweep checks the tree again.
+    assert fuzz_main(argv) == 0
+    assert "2 executed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -351,7 +364,7 @@ def test_fuzz_cli_refuses_a_sweep_spec_that_names_nothing(flag, value, capsys):
     # Such a sweep would check nothing (or divide by an empty config
     # list); refusing it up front keeps a no-op from reading as clean.
     with pytest.raises(SystemExit) as exc:
-        fuzz_main(["--seeds", "0:3", "--no-store", f"{flag}={value}"])
+        fuzz_main(["--seeds", "0:3", f"{flag}={value}"])
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
 
@@ -360,7 +373,7 @@ def test_fuzz_cli_refuses_a_sweep_spec_that_names_nothing(flag, value, capsys):
 def test_fuzz_cli_refuses_a_time_budget_that_is_not_seconds(budget, capsys):
     # NaN and infinity would mean no budget at all, and a negative budget
     # would run nothing; each is a usage error before any job runs.
-    argv = ["--seeds", "0:1", "--no-edge", "--no-store", "--checks", "certify"]
+    argv = ["--seeds", "0:1", "--no-edge", "--checks", "certify"]
     with pytest.raises(SystemExit) as exc:
         fuzz_main([*argv, "--configs", "unified", f"--time-budget={budget}"])
     assert exc.value.code == 2
@@ -377,14 +390,17 @@ def test_run_jobs_refuses_a_time_budget_that_is_not_seconds(budget):
 def test_fuzz_cli_sweep_of_no_jobs_fails(tmp_path, capsys):
     # A valid spec can still yield no jobs; the sweep checked nothing.
     summary = tmp_path / "summary.json"
-    argv = ["--seeds", "0:0", "--no-edge", "--no-store", "--json", str(summary)]
+    argv = ["--seeds", "0:0", "--no-edge", "--json", str(summary)]
     assert fuzz_main(argv) == 1
     assert "no jobs" in capsys.readouterr().out
     report = json.loads(summary.read_text())
     assert report["total"] == 0 and not report["clean"]
 
 
-def test_fuzz_cli_fault_drill_writes_a_shrunk_repro(tmp_path):
+def test_fuzz_cli_fault_drill_writes_a_shrunk_repro(tmp_path, monkeypatch):
+    """A serial sweep under the drill fault writes the committed drill
+    repro: the same id and shrink statistics."""
+    apply_fault(monkeypatch, DRILL_FAULT)
     repros = tmp_path / "repros"
     rc = fuzz_main(
         [
@@ -397,9 +413,6 @@ def test_fuzz_cli_fault_drill_writes_a_shrunk_repro(tmp_path):
             DRILL_CONFIG,
             "--checks",
             "fast_vs_ref",
-            "--inject-fault",
-            DRILL_FAULT,
-            "--no-store",
             "--regressions-dir",
             str(repros),
             "--json",
@@ -411,32 +424,18 @@ def test_fuzz_cli_fault_drill_writes_a_shrunk_repro(tmp_path):
     assert len(cases) == 1
     case = cases[0]
     assert case.check == "fast_vs_ref" and case.config_name == DRILL_CONFIG
-    assert "injected fault" in (case.note or "")
-    assert case.shrink["reproduced"]
+    assert case.repro_id == "fast_vs_ref-unified-03f589d8"
+    assert case.kernel_id == DRILL_KERNEL and case.note is None
+    assert case.shrink == {
+        "reproduced": True,
+        "rounds": 2,
+        "attempts": 38,
+        "removed_ops": 9,
+    }
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["repros"] == [str(case.path)] and not summary["clean"]
-    # The drill repro replays clean without the fault (the real tree is
-    # sound) and red with it (the kernel kept its divergence).
+    # The drill repro replays red under the fault (the kernel kept its
+    # divergence) and clean without it (the real tree is sound).
+    assert replay_case(case)
+    monkeypatch.undo()
     assert replay_case(case) == []
-    assert replay_case(case, options=FuzzOptions(fault=DRILL_FAULT))
-
-
-def test_cache_cli_covers_the_fuzz_store(tmp_path, capsys, monkeypatch):
-    store = tmp_path / "store"
-    jobs = make_jobs(["edge:tiny"], ["unified"], ("certify",), spread=False)
-    assert run_jobs(jobs, store=KeyedCache(store)).clean
-    # The default result and compile directories are absent here, so
-    # only the fuzz store is read.
-    monkeypatch.chdir(tmp_path)
-    argv = ["--fuzz-cache-dir", str(store)]
-    assert cache_main(argv + ["stats"]) == 0
-    out = capsys.readouterr().out
-    assert "fuzz:" in out and "entries: 1" in out
-    assert cache_main(argv + ["verify"]) == 0
-    out = capsys.readouterr().out
-    assert "1 entries ok, 0 corrupt" in out
-    # Corrupt the entry on disk: verify must drop it and exit non-zero.
-    [entry_file] = store.glob("*.pkl")
-    entry_file.write_bytes(b"torn write")
-    assert cache_main(argv + ["verify"]) == 1
-    assert not entry_file.exists()

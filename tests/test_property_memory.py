@@ -29,7 +29,11 @@ from repro.memory import (
     WordInterleavedMemory,
 )
 
-QUICK = settings(max_examples=60, deadline=None)
+#: Every phase but ``explain``, which runs only after a failure has been
+#: found and shrunk, and re-runs long op sequences for minutes before
+#: the failure is reported.
+NO_EXPLAIN = [phase for phase in Phase if phase is not Phase.explain]
+QUICK = settings(max_examples=60, deadline=None, phases=NO_EXPLAIN)
 
 addrs = st.integers(min_value=0, max_value=1 << 16)
 widths = st.sampled_from([1, 2, 4, 8])
@@ -282,7 +286,7 @@ def test_l0_matches_list_scan_model(geometry, capacity, addrs, ops):
 
 
 @pytest.mark.slow
-@settings(max_examples=1000, deadline=None)
+@settings(max_examples=1000, deadline=None, phases=NO_EXPLAIN)
 @given(
     geometry=L0_GEOMETRIES,
     capacity=L0_CAPACITIES,
@@ -439,7 +443,7 @@ def test_coherence_audit_matches_byte_oracle(config, points, ops):
 
 
 @pytest.mark.slow
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500, deadline=None, phases=NO_EXPLAIN)
 @given(
     config=COHERENCE_MACHINES,
     points=COHERENCE_POINTS,
@@ -779,7 +783,7 @@ def test_multivliw_matches_msi_model(config, ops):
 
 
 @pytest.mark.slow
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, phases=NO_EXPLAIN)
 @given(config=MSI_MACHINES, ops=st.lists(MSI_OP, min_size=100, max_size=400))
 def test_multivliw_matches_msi_model_long(config, ops):
     _check_against_msi_model(config, ops)
