@@ -17,6 +17,7 @@ import sys
 import time
 
 from ..cache import parse_exact_budget, parse_sim_cap
+from ..pipeline import executor as pipeline_executor
 from ..sim.runner import SimOptions
 from ..workloads.mediabench import BENCHMARK_NAMES
 from . import (
@@ -50,7 +51,7 @@ EXPERIMENTS = (
 )
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.eval",
         description="Regenerate the paper's tables and figures.",
@@ -68,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--sim-cap",
         type=parse_sim_cap,
-        default=1500,
+        default=SimOptions().sim_cap,
         help="max kernel iterations simulated per loop invocation",
     )
     parser.add_argument(
@@ -103,7 +104,11 @@ def main(argv: list[str] | None = None) -> int:
         help="node budget (placement trials) for the exact scheduler "
         "before it falls back to SMS",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
 
     compile_kwargs = {}
     if args.exact_budget is not None:
@@ -171,8 +176,9 @@ def main(argv: list[str] | None = None) -> int:
         f"{session.cache_hits} cache hits"
     )
     if args.workers is not None and args.workers not in (0, 1):
-        # Compilation happened inside worker processes; this process's
-        # compile-cache counters cannot reflect it, so don't print them.
+        # Compilation and loop simulation happened inside worker
+        # processes; this process's compile-cache and loop-memo counters
+        # cannot reflect them, so don't print them.
         trailer += ", compile stats in workers]"
     else:
         from ..pipeline.compilecache import get_compile_cache
@@ -181,7 +187,8 @@ def main(argv: list[str] | None = None) -> int:
         trailer += (
             f", {compile_stats.misses} compilations "
             f"({compile_stats.hits} compile-cache hits, "
-            f"{compile_stats.disk_hits} from disk)]"
+            f"{compile_stats.disk_hits} from disk), "
+            f"{pipeline_executor.LOOP_MEMO.stats.hits} loop simulations shared]"
         )
     print(trailer, file=sys.stderr)
     return 0

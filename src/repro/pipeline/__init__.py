@@ -14,7 +14,12 @@ Four layers, consumed bottom-up by the rest of the stack:
   CompileOptions)`` (a miss runs :func:`compile_uncached`;
   ``repro.scheduler.compile_loop`` is a thin wrapper over
   :func:`compile_cached`); each session holds one of
-  ``(benchmark, MachineConfig, SimOptions)`` -> ``ProgramResult``.
+  ``(benchmark, MachineConfig, SimOptions)`` -> ``ProgramResult``.  A
+  third, memory-only instance, :data:`.executor.LOOP_MEMO`, is the
+  process's loop memo: :func:`execute_request` hands it to
+  ``run_program``, which keys each loop's simulation by
+  ``repro.sim.runner.loop_key`` (no names), so a loop whose simulator
+  input repeats is simulated once per process.
 * **Executor + session** (:mod:`.executor`, :mod:`.fleet`,
   :mod:`.session`) — serial or process-parallel fan-out of simulation
   requests over a supervised worker fleet, behind the cache;

@@ -22,8 +22,13 @@ from dataclasses import dataclass, field
 from ..machine.config import MachineConfig
 from ..sim.runner import SimOptions
 from ..sim.stats import ProgramResult
-from .cache import cache_key, describe_config, describe_options
+from .cache import KeyedCache, cache_key, describe_config, describe_options
 from .fleet import Fleet
+
+#: The process-wide loop memo (memory only): ``execute_request`` hands
+#: it to every ``run_program``, so a loop whose simulator input repeats
+#: within this process is simulated once.  A fleet worker holds its own.
+LOOP_MEMO = KeyedCache()
 
 
 @dataclass(frozen=True)
@@ -82,16 +87,20 @@ class RequestError(RuntimeError):
 def execute_request(request: RunRequest) -> ProgramResult:
     """Compile and simulate one request (module-level: picklable).
 
-    Failures are re-raised as :class:`RequestError` so the originating
-    job key and configuration survive the trip back from a worker
-    process (the raw exception stays chained as ``__cause__`` locally).
+    Every loop goes through :data:`LOOP_MEMO`.  Failures are re-raised
+    as :class:`RequestError` so the originating job key and
+    configuration survive the trip back from a worker process (the raw
+    exception stays chained as ``__cause__`` locally).
     """
     from ..sim.runner import run_program
     from ..workloads.mediabench import build
 
     try:
         return run_program(
-            build(request.benchmark), request.config, options=request.options
+            build(request.benchmark),
+            request.config,
+            options=request.options,
+            memo=LOOP_MEMO,
         )
     except Exception as exc:
         raise RequestError(

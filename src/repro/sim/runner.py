@@ -15,6 +15,15 @@ the program record by ``merge_stats``.  Fan-out happens one level up:
 experiments run whole programs in parallel through
 ``ExperimentContext(workers=N)``.
 
+A loop whose simulator input repeats is simulated once: ``run_program``
+looks each loop up in a memory-only loop memo (a ``KeyedCache``) under
+``loop_key``, a content key over exactly what a fresh-memory,
+clock-zero ``run_loop`` reads and no name.  A hit reuses the stored
+``LoopResult`` under this loop's name and merges the stored memory
+statistics.  ``execute_request`` passes the process-wide memo; a
+direct call gets a private one.  The soundness argument is in
+``docs/architecture.md``, "Simulate: the program runner".
+
 The private-memory split means program-order L1 warm-up across loop
 boundaries is not modelled (each loop's own invocations still warm its
 caches).  No L0 state could cross a loop boundary anyway: the flush
@@ -24,6 +33,7 @@ that ends every invocation empties the buffers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..isa.memory_access import MemoryLayout
 from ..machine.config import ArchKind, MachineConfig
@@ -32,7 +42,10 @@ from ..memory.interleaved import WordInterleavedMemory
 from ..memory.multivliw import MultiVLIWMemory
 from ..scheduler.driver import CompiledLoop
 from .stats import LoopResult, LoopRunResult, ProgramResult, merge_stats
-from .trace import TraceExecutor
+from .trace import TraceExecutor, bind_events, static_trace
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..pipeline.cache import KeyedCache
 
 #: Cycles charged per L0 flush for the invalidate_buffer instructions
 #: (one VLIW cycle: the invalidate issues in all clusters).
@@ -207,11 +220,60 @@ def plan_program(benchmark, config: MachineConfig) -> MemoryLayout:
     return layout
 
 
+def loop_key(
+    compiled: CompiledLoop,
+    layout: MemoryLayout,
+    machine: dict,
+    *,
+    invocations: int,
+    sim_cap: int,
+) -> str:
+    """Content key of one loop's simulation in the loop memo.
+
+    Covers exactly what ``run_loop`` reads on a fresh memory at clock
+    zero: the bound trace events, the static trace's geometry, the
+    artifact's II, unroll factor and trip count, the invocation count,
+    the sim cap and ``machine``, the canonical ``MachineConfig``.  No
+    name enters it, so loops that differ only in names share a key.
+    """
+    from ..pipeline.cache import _canonical, content_key
+
+    static = static_trace(compiled)
+    events = []
+    for event in bind_events(static, layout):
+        hints = event[5]
+        if hints is not None:
+            hints = [_canonical(getattr(hints, name)) for name in hints.__slots__]
+        events.append([*event[:5], hints, *event[6:]])
+    return content_key(
+        {
+            "events": events,
+            "trace": [
+                static.ii,
+                static.span,
+                static.history_window,
+                len(static.ring_slots),
+                static.stage_min,
+                static.stage_max,
+            ],
+            "artifact": [
+                compiled.ii,
+                compiled.unroll_factor,
+                compiled.loop.trip_count,
+            ],
+            "invocations": invocations,
+            "sim_cap": sim_cap,
+            "machine": machine,
+        }
+    )
+
+
 def run_program(
     benchmark,
     config: MachineConfig,
     *,
     options: SimOptions | None = None,
+    memo: KeyedCache | None = None,
 ) -> ProgramResult:
     """Compile and simulate a whole benchmark on one architecture.
 
@@ -219,8 +281,16 @@ def run_program(
     loop specs sharing one address space.  Each loop simulates at clock
     zero against its own memory (see the module docstring); its
     statistics are summed into the program record in program order.
+
+    ``memo`` is the loop memo each loop is looked up in before it is
+    simulated; ``execute_request`` passes the process-wide one, and a
+    call without it uses a private memo.
     """
+    from ..pipeline.cache import KeyedCache, _canonical
+
     options = options or SimOptions()
+    memo = memo if memo is not None else KeyedCache()
+    machine = _canonical(config)
     layout = plan_program(benchmark, config)
     result = ProgramResult(
         benchmark=benchmark.name,
@@ -228,11 +298,25 @@ def run_program(
         memory_stats=make_memory(config).stats,
     )
     for spec in benchmark.loops:
-        memory = make_memory(config)
         compiled = _compile(spec.loop, config, options)
-        loop_result, _ = run_loop(
-            compiled, memory, layout, invocations=spec.invocations, options=options
+        key = loop_key(
+            compiled,
+            layout,
+            machine,
+            invocations=spec.invocations,
+            sim_cap=options.sim_cap,
         )
+        shared = memo.get(key)
+        if shared is None:
+            memory = make_memory(config)
+            loop_result, _ = run_loop(
+                compiled, memory, layout, invocations=spec.invocations, options=options
+            )
+            stats = memory.stats
+            memo.put(key, (loop_result, stats))
+        else:
+            loop_result, stats = shared
+            loop_result.name = compiled.loop.name
         result.loops.append(loop_result)
-        merge_stats(result.memory_stats, memory.stats)
+        merge_stats(result.memory_stats, stats)
     return result

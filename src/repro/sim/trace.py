@@ -214,12 +214,66 @@ def _build_static_trace(compiled: CompiledLoop) -> StaticTrace:
     )
 
 
+def bind_events(static: StaticTrace, layout: MemoryLayout) -> list[tuple]:
+    """The static trace's events with addresses resolved against ``layout``.
+
+    One tuple per event: ``(kind, stage, row, deps, cluster, hints,
+    latency, slot, base, offset, stride, n_elems, elem_size, seed,
+    extra)``, where ``deps`` names producers by ring slot and ``extra``
+    is a store's primary flag or a prefetch's distance.  No loop, array
+    or op name and no uid survives the binding, so the program runner
+    keys its loop memo on these tuples (``repro.sim.runner.loop_key``).
+    """
+    events = []
+    for e in static.events:
+        if e.pattern is not None:
+            affine = e.pattern.affine(layout)
+            if affine is not None:
+                base, off0, strd, nelems, esize = affine
+                seedk = 0
+            else:
+                base = layout.base_of(e.pattern.array)
+                off0, strd = 0, None
+                nelems = e.pattern.array.n_elems
+                esize = e.pattern.elem_size
+                seedk = e.pattern.seed * 0x10001
+        else:
+            base = off0 = nelems = esize = seedk = 0
+            strd = None
+        deps = tuple(
+            (static.ring_slots[src], dist, comm_start)
+            for (src, dist, comm_start) in e.deps
+        )
+        slot = static.ring_slots.get(e.uid, -1) if e.kind == EV_LOAD else -1
+        extra = e.pf_distance if e.kind == EV_PREFETCH else e.is_primary
+        events.append(
+            (
+                e.kind,
+                e.stage,
+                e.row,
+                deps,
+                e.cluster,
+                e.hints,
+                e.latency,
+                slot,
+                base,
+                off0,
+                strd,
+                nelems,
+                esize,
+                seedk,
+                extra,
+            )
+        )
+    return events
+
+
 class TraceExecutor:
     """Fast-path executor: byte-identical to the reference interpreter.
 
-    Binds a :class:`StaticTrace` to one (memory, layout) pair; the
-    per-run inner loop walks the precompiled window events instead of a
-    heap.
+    Binds a :class:`StaticTrace` to one (memory, layout) pair through
+    :func:`bind_events`; the per-run inner loop walks the precompiled
+    window events instead of a heap.
     """
 
     def __init__(self, compiled: CompiledLoop, memory, layout: MemoryLayout) -> None:
@@ -232,59 +286,10 @@ class TraceExecutor:
             layout.ensure(array)
 
         self.static = static_trace(compiled)
-        self._bind()
-
-    # ------------------------------------------------------------------
-    # Binding: resolve addresses against the layout
-    # ------------------------------------------------------------------
-
-    def _bind(self) -> None:
-        st = self.static
-        self.ii = st.ii
-        self._window = st.history_window
-        self._n_slots = len(st.ring_slots)
-        events = []
-        for e in st.events:
-            if e.pattern is not None:
-                affine = e.pattern.affine(self.layout)
-                if affine is not None:
-                    base, off0, strd, nelems, esize = affine
-                    seedk = 0
-                else:
-                    base = self.layout.base_of(e.pattern.array)
-                    off0, strd = 0, None
-                    nelems = e.pattern.array.n_elems
-                    esize = e.pattern.elem_size
-                    seedk = e.pattern.seed * 0x10001
-            else:
-                base = off0 = nelems = esize = seedk = 0
-                strd = None
-            deps = tuple(
-                (st.ring_slots[src], dist, comm_start)
-                for (src, dist, comm_start) in e.deps
-            )
-            slot = st.ring_slots.get(e.uid, -1) if e.kind == EV_LOAD else -1
-            extra = e.pf_distance if e.kind == EV_PREFETCH else e.is_primary
-            events.append(
-                (
-                    e.kind,
-                    e.stage,
-                    e.row,
-                    deps,
-                    e.cluster,
-                    e.hints,
-                    e.latency,
-                    slot,
-                    base,
-                    off0,
-                    strd,
-                    nelems,
-                    esize,
-                    seedk,
-                    extra,
-                )
-            )
-        self._events = events
+        self.ii = self.static.ii
+        self._window = self.static.history_window
+        self._n_slots = len(self.static.ring_slots)
+        self._events = bind_events(self.static, layout)
 
     # ------------------------------------------------------------------
     # Execution

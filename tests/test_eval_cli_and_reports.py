@@ -15,7 +15,8 @@ from repro.eval import (
     table1,
     table2,
 )
-from repro.eval.__main__ import main
+from repro.eval.__main__ import build_parser, main
+from repro.pipeline import KeyedCache
 from repro.sim import SimOptions
 
 
@@ -63,6 +64,19 @@ class TestCLI:
         captured = capsys.readouterr()
         assert "argument --benchmarks" in captured.err
         assert captured.out == ""
+
+    def test_sim_cap_default_is_the_sim_options_default(self):
+        assert build_parser().get_default("sim_cap") == SimOptions().sim_cap
+
+    def test_serial_trailer_counts_shared_loop_simulations(self, monkeypatch, capsys):
+        # g721enc's three loops are its decoder twin's: each of fig5's
+        # five machines shares all three.
+        monkeypatch.setattr("repro.pipeline.executor.LOOP_MEMO", KeyedCache())
+        argv = ["fig5", "--benchmarks", "g721dec", "g721enc", "--sim-cap", "100"]
+        assert main(argv) == 0
+        trailer = capsys.readouterr().err.strip()
+        assert trailer.startswith("[") and ", 10 simulations," in trailer
+        assert trailer.endswith(", 15 loop simulations shared]")
 
 
 class TestRenderers:

@@ -27,7 +27,7 @@ from repro.machine import (
     unified_config,
 )
 from repro.pipeline.passes import CompileOptions
-from repro.pipeline import KeyedCache
+from repro.pipeline import KeyedCache, RunRequest, execute_request
 from repro.pipeline.compilecache import compile_cached
 from repro.scheduler import compile_loop
 from repro.sim import (
@@ -38,6 +38,7 @@ from repro.sim import (
     run_loop,
     run_program,
 )
+from repro.sim.runner import WARM_INVOCATIONS
 from repro.workloads import build, kernels
 
 # ----------------------------------------------------------------------
@@ -271,10 +272,28 @@ def test_multi_invocation_long_runs_match_reference(monkeypatch):
 
 
 def test_run_program_fast_matches_reference(monkeypatch):
-    bench = build("g721dec")
-    fast = run_program(bench, l0_config(8), options=SimOptions(sim_cap=120))
+    """A direct ``run_program`` under the reference interpreter runs every
+    loop, even after ``execute_request`` has put the same loops'
+    fast-path results in the process-wide loop memo."""
+    config, options = l0_config(8), SimOptions(sim_cap=120)
+    monkeypatch.setattr("repro.pipeline.executor.LOOP_MEMO", KeyedCache())
+    fast = execute_request(RunRequest("g721dec", config, options))
     monkeypatch.setattr("repro.sim.runner.TraceExecutor", LoopExecutor)
-    slow = run_program(bench, l0_config(8), options=SimOptions(sim_cap=120))
+    runs = []
+    reference_run = LoopExecutor.run
+
+    def counted_run(self, iterations, **kwargs):
+        runs.append(self.compiled.loop.name)
+        return reference_run(self, iterations, **kwargs)
+
+    monkeypatch.setattr(LoopExecutor, "run", counted_run)
+    bench = build("g721dec")
+    slow = run_program(bench, config, options=options)
+    assert runs == [
+        spec.loop.name
+        for spec in bench.loops
+        for _ in range(min(spec.invocations, 1 + WARM_INVOCATIONS))
+    ]
     assert slow.total_cycles == fast.total_cycles
     assert slow.stall_cycles == fast.stall_cycles
     assert slow.memory_stats == fast.memory_stats

@@ -23,6 +23,13 @@ reference interpreter: the two executors render identically, every
 field included, so the digests double as a program-level fast==reference
 oracle.
 
+The sample and figure digests simulate through ``execute_request``, as
+the figures do, so its process-wide loop memo serves each ``*enc``
+program's shared loops from its ``*dec`` twin's entries (and, in the
+figure digests, Interleaved 2's from Interleaved 1's): the digests pin
+shared results too.  The reference-interpreter recomputation calls ``run_program``
+directly, whose private memo never holds a fast-path result.
+
 Digests are per program, so a failure names where the results moved.
 Run this file as a script to print the current tables::
 
@@ -43,6 +50,7 @@ from repro.machine import (
     multivliw_config,
     unified_config,
 )
+from repro.pipeline import RunRequest, execute_request
 from repro.sim.executor import LoopExecutor
 from repro.sim.runner import SimOptions, run_program
 from repro.workloads.mediabench import PAPER_TABLE1, build
@@ -95,13 +103,24 @@ def render(result) -> str:
     return "\n".join(lines)
 
 
-def simulate_uncached(name: str, label: str, cap: int):
+def _request(name: str, label: str, cap: int) -> RunRequest:
     config, compile_kwargs = MACHINES[label]
     options = SimOptions(sim_cap=cap, compile_kwargs=compile_kwargs)
-    return run_program(build(name), config, options=options)
+    return RunRequest(name, config, options)
 
 
-simulate = functools.cache(simulate_uncached)
+def simulate_uncached(name: str, label: str, cap: int):
+    """A direct ``run_program`` call: its loop memo is private to it."""
+    request = _request(name, label, cap)
+    return run_program(build(name), request.config, options=request.options)
+
+
+@functools.cache
+def simulate(name: str, label: str, cap: int):
+    """Through ``execute_request`` and so the process-wide loop memo, as
+    every figure runs: an ``*enc`` program rendered after its ``*dec``
+    twin reuses the twin's entries for its shared loops."""
+    return execute_request(_request(name, label, cap))
 
 
 def digest(cases, simulate=simulate) -> str:
