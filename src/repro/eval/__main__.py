@@ -16,8 +16,8 @@ import argparse
 import sys
 import time
 
-from ..cache import parse_exact_budget, parse_sim_cap
 from ..pipeline import executor as pipeline_executor
+from ..pipeline.passes import CompileOptions
 from ..sim.runner import SimOptions
 from ..workloads.mediabench import BENCHMARK_NAMES
 from . import (
@@ -49,6 +49,24 @@ EXPERIMENTS = (
     "schedcompare",
     "all",
 )
+
+
+def parse_sim_cap(text: str) -> int:
+    """A ``--sim-cap`` that ``SimOptions`` accepts, so a bad value is a
+    usage error before anything compiles."""
+    try:
+        return SimOptions(sim_cap=int(text)).sim_cap
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def parse_exact_budget(text: str) -> int:
+    """An ``--exact-budget`` node budget that ``CompileOptions`` accepts,
+    so a bad value is a usage error before anything compiles."""
+    try:
+        return CompileOptions(exact_node_budget=int(text)).exact_node_budget
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,11 +164,7 @@ def main(argv: list[str] | None = None) -> int:
         elif experiment == "fig7":
             print(render_fig7(fig7(ctx)))
         elif experiment == "schedcompare":
-            print(
-                render_sched_compare(
-                    scheduler_comparison(ctx, exact_node_budget=args.exact_budget)
-                )
-            )
+            print(render_sched_compare(scheduler_comparison(ctx)))
         elif experiment == "ablations":
             print(
                 render_ablation(

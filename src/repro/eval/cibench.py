@@ -22,7 +22,6 @@ import sys
 import time
 from pathlib import Path
 
-from ..cache import parse_sim_cap
 from ..isa.memory_access import MemoryLayout
 from ..machine.config import l0_config, unified_config
 from ..pipeline.cache import code_fingerprint
@@ -31,6 +30,7 @@ from ..sim.executor import LoopExecutor
 from ..sim.runner import make_memory
 from ..sim.trace import TraceExecutor
 from ..workloads.mediabench import BENCHMARK_NAMES, build
+from .__main__ import parse_sim_cap
 
 #: Schema of the BENCH_sim.json throughput record.
 SIM_BENCH_SCHEMA_VERSION = 1

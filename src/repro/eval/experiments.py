@@ -398,28 +398,24 @@ def _compare_one(job: tuple) -> dict:
 
 
 def scheduler_comparison(
-    ctx: ExperimentContext,
-    sizes: tuple[int | None, ...] = FIG5_SIZES,
-    *,
-    exact_node_budget: int | None = None,
+    ctx: ExperimentContext, sizes: tuple[int | None, ...] = FIG5_SIZES
 ) -> list[dict]:
     """Per-loop II achieved by each scheduler backend, against MII.
 
     One ``scheduler="exact"`` compile per (loop, Figure-5 config)
     delivers all three numbers at once: the exact backend runs the SMS
     engine first (its fallback and upper bound), so ``schedule.meta``
-    carries ``mii`` and ``ii_sms`` alongside the exact II.  Compiles go
-    through the shared compile cache (so a following ``--scheduler
-    exact`` evaluation run reuses every artifact produced here) and fan
-    out across ``ctx.workers`` processes like every other experiment.
+    carries ``mii`` and ``ii_sms`` alongside the exact II.  The compile
+    knobs (the exact node budget among them) are the context's
+    ``compile_kwargs``.  Compiles go through the shared compile cache (so
+    a following ``--scheduler exact`` evaluation run reuses every
+    artifact produced here) and fan out across ``ctx.workers`` processes
+    like every other experiment.
     """
     from ..pipeline.passes import CompileOptions
     from ..pipeline.executor import make_executor
 
-    kwargs = {"scheduler": "exact"}
-    if exact_node_budget is not None:
-        kwargs["exact_node_budget"] = exact_node_budget
-    options = CompileOptions(**kwargs)
+    options = CompileOptions(**{**ctx.options.compile_kwargs, "scheduler": "exact"})
     cache_dir = ctx.options.compile_cache_dir
     jobs: list[tuple] = []
     for name in ctx.names():

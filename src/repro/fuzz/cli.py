@@ -15,15 +15,26 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 from pathlib import Path
 
-from ..cache import parse_age
 from ..workloads.generator import PROFILES
 from .checks import CHECKS
 from .corpus import edge_kernel_ids, resolve_kernel, seed_kernel_ids
 from .engine import FUZZ_CONFIGS, make_jobs, run_jobs
 from .regressions import DEFAULT_REGRESSIONS_DIR, ReproCase, repro_id, write_repro
 from .shrink import shrink
+
+
+def parse_age(text: str) -> float:
+    """A finite, non-negative number of seconds (``--time-budget``)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number of seconds: {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a finite value >= 0: {text!r}")
+    return value
 
 
 def _parse_seed_range(text: str) -> tuple[int, int]:

@@ -8,8 +8,7 @@ Four layers, consumed bottom-up by the rest of the stack:
 * **Caches** (:mod:`.cache`, :mod:`.compilecache`) — one
   content-addressed :class:`KeyedCache` class: memory first, pickled
   bytes, optionally written through to a :class:`KeyedFileStore`
-  directory of ``<key>.pkl`` files whose mtimes are the LRU signal
-  ``python -m repro.cache gc`` evicts by.  One instance per directory
+  directory of ``<key>.pkl`` files.  One instance per directory
   holds compile artifacts, keyed by ``(loop, MachineConfig,
   CompileOptions)`` (a miss runs :func:`compile_uncached`;
   ``repro.scheduler.compile_loop`` is a thin wrapper over
@@ -27,11 +26,9 @@ Four layers, consumed bottom-up by the rest of the stack:
 """
 
 from .cache import (
-    GCReport,
     KeyedCache,
     KeyedCacheStats,
     KeyedFileStore,
-    VerifyReport,
     cache_key,
     code_fingerprint,
     describe_config,
@@ -58,7 +55,6 @@ from .session import Session
 
 __all__ = [
     "CompileOptions",
-    "GCReport",
     "JobFailure",
     "JobFailureError",
     "KeyedCache",
@@ -69,7 +65,6 @@ __all__ = [
     "RunRequest",
     "SerialExecutor",
     "Session",
-    "VerifyReport",
     "cache_key",
     "code_fingerprint",
     "compile_cached",

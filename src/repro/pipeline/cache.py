@@ -26,8 +26,7 @@ import hashlib
 import json
 import os
 import pickle
-import time
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 from ..machine.config import MachineConfig
@@ -138,43 +137,9 @@ def describe_options(options) -> dict:
     return _non_defaults(options, structured=lambda v: str(_canonical(v)))
 
 
-@dataclass
-class GCReport:
-    """What one :meth:`KeyedFileStore.gc` call found and removed."""
-
-    entries_before: int = 0
-    bytes_before: int = 0
-    entries_after: int = 0
-    bytes_after: int = 0
-    #: keys removed by the size cap, oldest mtime first
-    evicted: list[str] = field(default_factory=list)
-
-
-@dataclass
-class VerifyReport:
-    """What one :meth:`KeyedFileStore.verify` pass found."""
-
-    ok: int = 0
-    #: keys whose file was not a ``<key>.pkl`` that unpickles, and was dropped
-    corrupt: list[str] = field(default_factory=list)
-
-
-def _key_of(file: Path) -> str:
-    """The key a store file is named for: its name up to the first dot."""
-    return file.name.partition(".")[0]
-
-
 def _is_key(stem: str) -> bool:
     """Whether a filename stem is one of our sha256 content keys."""
     return len(stem) == 64 and all(c in "0123456789abcdef" for c in stem)
-
-
-def _unpickles(blob: bytes) -> bool:
-    try:
-        pickle.loads(blob)
-    except Exception:
-        return False
-    return True
 
 
 def _unlink(file: Path) -> None:
@@ -187,23 +152,20 @@ def _unlink(file: Path) -> None:
 class KeyedFileStore:
     """On-disk store of pickled entries: one ``path/<key>.pkl`` file each.
 
-    The directory is the whole store.  A file's size is the entry's
-    size and its mtime the entry's recency: a save writes the file and
-    a disk hit refreshes its mtime, so :meth:`gc` can evict least
-    recently used entries from one directory scan.  Nothing is
-    buffered, so there is nothing to flush: another store on the same
+    The directory is the whole store, and an entry is exactly a
+    ``<key>.pkl`` file: nothing else in the directory is ours.  Nothing
+    is buffered, so there is nothing to flush: another store on the same
     directory, in this process or another, sees every save at once.
-
-    Every key-named file is an entry, whatever its suffix: one left in
-    an older format (``<key>.json``) is never loaded, but the scan
-    counts it, :meth:`verify` drops it and :meth:`gc` evicts it.
+    Every key mixes the code fingerprint, so entries written by other
+    code are never read again: a store is bounded by deleting its
+    directory after a code change.
 
     Concurrency contract (multiple processes may share one directory):
     writes go to a per-process tmp name and are installed by atomic
     rename, so readers never see a half-written entry; a vanished entry
     is a miss, never a crash, and :class:`KeyedCache` drops (and
     misses) one that does not unpickle; ``clear()`` removes only
-    key-named files, tolerating entries another process unlinked first.
+    entries, tolerating entries another process unlinked first.
     """
 
     suffix = ".pkl"
@@ -216,31 +178,20 @@ class KeyedFileStore:
         return self.path / f"{key}{self.suffix}"
 
     def _entry_files(self) -> list[Path]:
-        """The key-named files: the entries (nothing else is ours)."""
-        return [f for f in self.path.iterdir() if _is_key(_key_of(f))]
-
-    def _scan(self) -> list[tuple[Path, os.stat_result]]:
-        out = []
-        for file in self._entry_files():
-            try:
-                out.append((file, file.stat()))
-            except OSError:  # vanished under us (concurrent clear/gc)
-                continue
-        return out
+        """The ``<key>.pkl`` files: the entries."""
+        return [
+            f
+            for f in self.path.iterdir()
+            if f.suffix == self.suffix and _is_key(f.stem)
+        ]
 
     def load(self, key: str) -> bytes | None:
         """The entry's bytes as read, or None if it is absent.  The
         caller unpickles them, and :meth:`drop`s an entry that fails."""
-        file = self._file(key)
         try:
-            blob = file.read_bytes()
-        except OSError:  # absent, or removed by a concurrent clear/gc
+            return self._file(key).read_bytes()
+        except OSError:  # absent, or removed by a concurrent clear
             return None
-        try:
-            os.utime(file)  # the hit makes the entry recent (the LRU signal)
-        except OSError:
-            pass  # removed since the read (concurrent gc/clear): still a hit
-        return blob
 
     def save(self, key: str, blob: bytes) -> None:
         # Persistence is best-effort: callers already serve the value
@@ -257,8 +208,7 @@ class KeyedFileStore:
         _unlink(self._file(key))
 
     def clear(self) -> None:
-        """Remove all entries — only key-named files, never the
-        directory's unrelated contents."""
+        """Remove all entries — never the directory's other contents."""
         for file in self._entry_files():
             file.unlink(missing_ok=True)
         # Orphaned tmp files from writers killed mid-save.
@@ -266,61 +216,16 @@ class KeyedFileStore:
             if _is_key(tmp.name[1:].split(".")[0]):
                 tmp.unlink(missing_ok=True)
 
-    # -- introspection and maintenance ----------------------------------
-
     def entries(self) -> dict[str, os.stat_result]:
-        """``{key: stat}`` for every entry, from one directory scan:
-        ``st_size`` is the entry's size and ``st_mtime`` its recency
-        (when it was written or last hit)."""
-        return {_key_of(file): stat for file, stat in self._scan()}
-
-    def gc(self, *, max_bytes: int, min_age_s: float = 0.0) -> GCReport:
-        """Evict least recently used entries until the store fits
-        ``max_bytes``; returns what was removed.
-
-        Entries go oldest mtime first.  Entries written or hit within
-        the last ``min_age_s`` seconds are spared (a grace period for
-        concurrent writers), so the cap is a target, not a guarantee.
-
-        Concurrent safety: eviction unlinks only *installed* files;
-        in-flight ``.tmp`` writes are never touched, and a concurrent
-        writer's atomic rename simply reinstalls its entry.
-        """
-        scanned = self._scan()
-        total = sum(stat.st_size for _, stat in scanned)
-        report = GCReport(entries_before=len(scanned), bytes_before=total)
-        now = time.time()
-        for file, stat in sorted(scanned, key=lambda e: (e[1].st_mtime, e[0].name)):
-            if total <= max_bytes:
-                break
-            if now - stat.st_mtime < min_age_s:
-                continue
+        """``{key: stat}`` for every entry, from one directory scan
+        (``st_size`` is the entry's size)."""
+        out = {}
+        for file in self._entry_files():
             try:
-                file.unlink(missing_ok=True)
-            except OSError:
+                out[file.stem] = file.stat()
+            except OSError:  # vanished under us (concurrent clear)
                 continue
-            report.evicted.append(_key_of(file))
-            total -= stat.st_size
-        report.entries_after = len(scanned) - len(report.evicted)
-        report.bytes_after = total
-        return report
-
-    def verify(self) -> VerifyReport:
-        """Check that every entry is a ``<key>.pkl`` file that unpickles;
-        drop the rest."""
-        report = VerifyReport()
-        for file in sorted(self._entry_files()):
-            key = _key_of(file)
-            try:
-                sound = file == self._file(key) and _unpickles(file.read_bytes())
-            except OSError:  # vanished under a concurrent clear/gc
-                continue
-            if sound:
-                report.ok += 1
-            else:
-                _unlink(file)
-                report.corrupt.append(key)
-        return report
+        return out
 
 
 @dataclass
@@ -329,8 +234,7 @@ class KeyedCacheStats:
 
     hits: int = 0
     misses: int = 0
-    #: Subset of ``hits`` served from the on-disk store (a disk hit
-    #: also refreshes the entry file's mtime, the LRU signal).
+    #: Subset of ``hits`` served from the on-disk store.
     disk_hits: int = 0
 
     @property
@@ -377,7 +281,7 @@ class KeyedCache:
             self.stats.hits += 1
             return pickle.loads(blob)
         blob = self.store.load(key) if self.store is not None else None
-        if blob is not None:  # the load refreshed the entry's mtime
+        if blob is not None:
             try:
                 value = pickle.loads(blob)
             except Exception:
@@ -397,20 +301,7 @@ class KeyedCache:
             self.store.save(key, blob)
 
     def clear(self) -> None:
-        """Drop all entries — only key-named files on disk."""
+        """Drop all entries — only entry files on disk."""
         self._memory.clear()
         if self.store is not None:
             self.store.clear()
-
-    # -- maintenance (no-ops for a memory-only cache) --------------------
-
-    def gc(self, **kwargs) -> GCReport:
-        if self.store is None:
-            return GCReport()
-        return self.store.gc(**kwargs)
-
-    def verify(self) -> VerifyReport:
-        """Unpickle-check every disk entry, dropping the corrupt."""
-        if self.store is None:
-            return VerifyReport()
-        return self.store.verify()

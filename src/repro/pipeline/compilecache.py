@@ -7,11 +7,11 @@ identical inputs many times.  This module memoises each full artifact
 under a content hash of the whole triple (plus the code fingerprint) in
 a :class:`~repro.pipeline.cache.KeyedCache`, the same class that holds
 simulation results: memory first, an optional directory of one
-``<key>.pkl`` file per artifact (atomic writes, corrupt entry == miss,
-a disk hit refreshes the file's mtime).  A ``CompiledLoop`` is a closed
-graph of plain dataclasses and round-trips exactly through pickle.
-Nothing bounds the store but ``python -m repro.cache gc``, which evicts
-oldest mtime first.
+``<key>.pkl`` file per artifact (atomic writes, corrupt entry == miss).
+A ``CompiledLoop`` is a closed graph of plain dataclasses and
+round-trips exactly through pickle.  Every key mixes the code
+fingerprint, so a store is bounded by deleting its directory after a
+code change.
 
 A miss runs :func:`~repro.pipeline.passes.compile_uncached`, the one
 compile function: all six steps in their fixed order, the

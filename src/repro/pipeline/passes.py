@@ -47,13 +47,13 @@ class CompileOptions:
 
     ``scheduler`` selects the scheduling step (``"sms"`` — the heuristic
     engine — or ``"exact"``; see :data:`SCHEDULERS`); any other name
-    raises ``ValueError``.  The ``exact_*`` knobs configure the exact
-    backend's search: a node budget (placement trials before falling
-    back to SMS) and an optional stage horizon (both inert under
-    ``scheduler="sms"`` but still participating in compile-cache keys
-    like every other option).  Both must be at least 1; a smaller value
-    raises ``ValueError``, and so does an ``interleaved_heuristic`` other
-    than 1 or 2 or a ``prefetch_distance`` below 1.
+    raises ``ValueError``.  ``exact_node_budget`` configures the exact
+    backend's search: placement trials before falling back to SMS
+    (inert under ``scheduler="sms"`` but still participating in
+    compile-cache keys like every other option).  It must be at least 1;
+    a smaller value raises ``ValueError``, and so does an
+    ``interleaved_heuristic`` other than 1 or 2 or a ``prefetch_distance``
+    below 1.
     """
 
     unroll_factor: int | None = None
@@ -63,13 +63,11 @@ class CompileOptions:
     prefetch_distance: int = 1
     scheduler: str = "sms"
     exact_node_budget: int = 60_000
-    exact_max_stages: int | None = None
 
     def __post_init__(self) -> None:
         # Fail closed: an unknown scheduler has no step to run, a budget
-        # of 0 would fall back at the first trial, a horizon below one
-        # stage cannot hold a schedule, the interleaved L1 has two
-        # heuristics, and a prefetch distance of 0 silently turns hint
+        # of 0 would fall back at the first trial, the interleaved L1 has
+        # two heuristics, and a prefetch distance of 0 silently turns hint
         # prefetching off (below 0 it prefetches backwards).
         if self.scheduler not in SCHEDULERS:
             raise ValueError(
@@ -79,10 +77,6 @@ class CompileOptions:
         if self.exact_node_budget < 1:
             raise ValueError(
                 f"exact_node_budget must be >= 1, got {self.exact_node_budget}"
-            )
-        if self.exact_max_stages is not None and self.exact_max_stages < 1:
-            raise ValueError(
-                f"exact_max_stages must be >= 1, got {self.exact_max_stages}"
             )
         if self.interleaved_heuristic not in (1, 2):
             raise ValueError(
@@ -167,7 +161,6 @@ def _exact_schedule(state: SimpleNamespace) -> None:
         state.config,
         state.policy,
         node_budget=state.options.exact_node_budget,
-        max_stages=state.options.exact_max_stages,
     )
     state.schedule = engine.schedule()
 

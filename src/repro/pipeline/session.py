@@ -14,7 +14,7 @@ performs zero new simulations").  A cache hit is a private copy of the
 stored result, equal to it field by field.
 
 The on-disk stores write through, so a session holds nothing to flush
-on teardown; ``python -m repro.cache gc`` is what bounds them.
+on teardown.
 """
 
 from __future__ import annotations

@@ -191,29 +191,6 @@ def test_exact_search_bug_raises_instead_of_falling_back(monkeypatch):
     assert "A001" in {d.code for d in blocked.value.diagnostics}
 
 
-def test_audit_leaves_entry_mtimes_alone(tmp_path, monkeypatch):
-    """``repro.cache verify`` reads every artifact but refreshes no
-    mtime, so it cannot reorder what ``repro.cache gc`` evicts."""
-    from repro.cache import main as cache_main
-
-    store = tmp_path / "compile-cache"
-    disk = KeyedCache(store)
-    compile_cached(kernels.make_saxpy(), l0_config(), CompileOptions(), cache=disk)
-    compile_cached(
-        kernels.make_saxpy(), l0_config(), CompileOptions(scheduler="exact"), cache=disk
-    )
-    files = sorted(store.glob("*.pkl"))
-    assert len(files) == 2
-    for age, file in enumerate(files):
-        os.utime(file, (1000.0 + age, 1000.0 + age))
-    before = {file.name: file.stat().st_mtime for file in files}
-    # The default result directory is absent here.
-    monkeypatch.chdir(tmp_path)
-    argv = ["--compile-cache-dir", str(store), "verify"]
-    assert cache_main(argv) == 0
-    assert {file.name: file.stat().st_mtime for file in files} == before
-
-
 # ----------------------------------------------------------------------
 # Optimality review (A014)
 # ----------------------------------------------------------------------

@@ -182,12 +182,28 @@ def test_scheduler_spellings_share_result_cache_key():
 def test_schedcompare_experiment_reports_oracle():
     """The eval comparison mode surfaces the same oracle per loop."""
     from repro.eval import ExperimentContext, render_sched_compare, scheduler_comparison
+    from repro.sim.runner import SimOptions
 
-    ctx = ExperimentContext(benchmarks=("gsmenc",))
-    rows = scheduler_comparison(ctx, sizes=(4, None), exact_node_budget=TEST_BUDGET)
+    options = SimOptions(compile_kwargs={"exact_node_budget": TEST_BUDGET})
+    ctx = ExperimentContext(options=options, benchmarks=("gsmenc",))
+    rows = scheduler_comparison(ctx, sizes=(4, None))
     assert rows
     for row in rows:
         assert row["mii"] <= row["ii_exact"] <= row["ii_sms"]
     text = render_sched_compare(rows)
     assert "II(SMS) vs II(exact) vs MII" in text
     assert "exact beat SMS" in text
+
+
+def test_schedcompare_reads_the_exact_budget_from_the_context():
+    """A budget-1 context starves every search that does not finish at
+    once: no row reads "exact beats SMS", and some read "budget
+    exhausted"."""
+    from repro.eval import ExperimentContext, scheduler_comparison
+    from repro.sim.runner import SimOptions
+
+    options = SimOptions(compile_kwargs={"exact_node_budget": 1})
+    ctx = ExperimentContext(options=options, benchmarks=("gsmenc", "pgpdec"))
+    verdicts = [row["verdict"] for row in scheduler_comparison(ctx, sizes=(8,))]
+    assert "exact beats SMS" not in verdicts
+    assert "budget exhausted" in verdicts

@@ -11,6 +11,7 @@ end, including the sweeps it refuses.
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
@@ -19,6 +20,7 @@ from fuzz_faults import apply_fault
 from repro.analysis import CertificationError
 from repro.fuzz.checks import run_check
 from repro.fuzz.cli import main as fuzz_main
+from repro.fuzz.cli import parse_age
 from repro.fuzz.corpus import (
     EDGE_CORPUS,
     edge_kernel_ids,
@@ -367,6 +369,12 @@ def test_fuzz_cli_refuses_a_sweep_spec_that_names_nothing(flag, value, capsys):
         fuzz_main(["--seeds", "0:3", f"{flag}={value}"])
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_time_budget_parses_finite_non_negative_seconds():
+    assert (parse_age("0"), parse_age("2.5")) == (0.0, 2.5)
+    with pytest.raises(argparse.ArgumentTypeError, match="not a number of seconds"):
+        parse_age("soon")
 
 
 @pytest.mark.parametrize("budget", ["nan", "inf", "-1"])

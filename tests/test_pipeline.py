@@ -75,8 +75,6 @@ class TestCompileOptions:
         [
             {"exact_node_budget": 0},
             {"exact_node_budget": -5},
-            {"exact_max_stages": 0},
-            {"exact_max_stages": -1},
         ],
     )
     def test_exact_search_limits_below_one_rejected(self, knobs):
@@ -85,8 +83,7 @@ class TestCompileOptions:
             CompileOptions(**knobs)
 
     def test_smallest_exact_search_limits_accepted(self):
-        options = CompileOptions(exact_node_budget=1, exact_max_stages=1)
-        assert (options.exact_node_budget, options.exact_max_stages) == (1, 1)
+        assert CompileOptions(exact_node_budget=1).exact_node_budget == 1
 
     @pytest.mark.parametrize(
         "knobs",

@@ -17,7 +17,8 @@ from repro.machine import (
     multivliw_config,
     unified_config,
 )
-from repro.scheduler import compile_loop, compute_mii, rec_mii
+from repro.pipeline import CompileOptions, scheduler_inputs
+from repro.scheduler import ExactScheduler, compile_loop, compute_mii, rec_mii
 from repro.sim import LoopExecutor, make_memory
 from repro.workloads import random_loop
 
@@ -154,23 +155,23 @@ def test_exact_matches_brute_force_optimum(seed):
     loop = random_loop(seed, max_ops=6, trip_count=8)
     assume(len(loop.body) <= 8)
     config = unified_config(n_clusters=1)
-    compiled = compile_loop(
-        loop,
+    state = scheduler_inputs(loop, config, CompileOptions(unroll_factor=1))
+    schedule = ExactScheduler(
+        state.ddg,
         config,
-        unroll_factor=1,
-        scheduler="exact",
-        exact_node_budget=500_000,
-        exact_max_stages=BRUTE_STAGES,
-    )
-    meta = compiled.schedule.meta
+        state.policy,
+        node_budget=500_000,
+        max_stages=BRUTE_STAGES,
+    ).schedule()
+    meta = schedule.meta
     assume(not meta["fallback"])  # budget-bound examples prove nothing here
-    assert check_schedule(compiled.schedule, compiled.ddg) == []
+    assert check_schedule(schedule, state.ddg) == []
     try:
-        assert _brute_feasible(compiled.ddg, config, compiled.ii)
-        for ii in range(1, compiled.ii):
-            assert not _brute_feasible(compiled.ddg, config, ii), (
+        assert _brute_feasible(state.ddg, config, schedule.ii)
+        for ii in range(1, schedule.ii):
+            assert not _brute_feasible(state.ddg, config, ii), (
                 f"brute force schedules II={ii} but exact settled on "
-                f"{compiled.ii} (meta={meta})"
+                f"{schedule.ii} (meta={meta})"
             )
     except _BruteBlown:
         assume(False)

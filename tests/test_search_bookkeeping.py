@@ -571,6 +571,17 @@ def test_exact_search_refuses_a_policy_with_sticky_decisions():
         ExactScheduler(ddg, config, policy)
 
 
+@pytest.mark.parametrize("limits", [{"node_budget": 0}, {"max_stages": 0}])
+def test_exact_search_limits_below_one_rejected(limits):
+    """A budget of 0 would fall back at the first trial, and a horizon
+    below one stage cannot hold a schedule."""
+    config = l0_config(8)
+    (loop,) = [s.loop for s in build("g721dec").loops if s.loop.name == "g721dec_adapt"]
+    ddg, policy = _frontend(loop, config)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        ExactScheduler(ddg, config, policy, **limits)
+
+
 # ----------------------------------------------------------------------
 # First schedule unchanged
 # ----------------------------------------------------------------------
